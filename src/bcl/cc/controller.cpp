@@ -28,24 +28,21 @@ void CongestionController::trace_rate(hw::NodeId dst, const RateState& s) {
 sim::Task<void> CongestionController::pace(hw::NodeId dst,
                                            std::size_t bytes,
                                            bool reserve) {
-  if (!enabled()) co_return;
   co_await pacer_.pace(dst, bytes, reserve);
   trace_rate(dst, pacer_.states().at(dst));
 }
 
 sim::Time CongestionController::stagger_delay(hw::NodeId dst) {
-  if (!enabled()) return sim::Time::zero();
   return pacer_.stagger_delay(dst);
 }
 
 sim::Time CongestionController::drain_time(hw::NodeId dst,
                                            std::size_t bytes) {
-  if (!enabled()) return sim::Time::zero();
   return pacer_.drain_time(dst, bytes);
 }
 
 void CongestionController::on_echo(hw::NodeId dst, unsigned level) {
-  if (!enabled() || level == 0) return;  // level 0 is "no echo aboard"
+  if (level == 0) return;  // level 0 is "no echo aboard"
   // Quantized congestion extent: f = level/levels in (0, 1].  A saturated
   // level (batch CNP, or a peer running pre-quantization firmware) means
   // "congested, extent unknown" and is treated as full strength; with

@@ -20,8 +20,7 @@
 // Everything launching toward a destination — data, retransmits,
 // flow-control packets, collective fan-out — goes through pace(), so a
 // storming sender throttles itself at the source instead of melting the
-// fabric into go-back-N retransmit storms.  When cfg.congestion_control is
-// off every entry point is a no-op and the stack behaves as before.
+// fabric into go-back-N retransmit storms.
 #pragma once
 
 #include <cstdint>
@@ -65,12 +64,9 @@ class CongestionController {
                        std::string name)
       : cfg_{cfg}, name_{std::move(name)}, pacer_{eng, cfg} {}
 
-  bool enabled() const { return cfg_.congestion_control; }
-
   // Wait until `dst`'s pacing cursor allows launching `bytes`.  With
   // `reserve` true the cursor is always charged (collective fan-out);
   // otherwise quiet destinations are wire-clocked (see Pacer::pace).
-  // Immediate no-op when congestion control is off.
   sim::Task<void> pace(hw::NodeId dst, std::size_t bytes,
                        bool reserve = false);
 
@@ -99,7 +95,7 @@ class CongestionController {
   // Current congestion-extent estimate (alpha) toward `dst`; the
   // collective engine breaks fan-out stagger ties with it.
   double congestion_extent(hw::NodeId dst) {
-    return enabled() ? pacer_.state(dst).alpha : 0.0;
+    return pacer_.state(dst).alpha;
   }
 
   std::vector<RateSnapshot> snapshot() const;

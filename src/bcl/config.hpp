@@ -69,46 +69,15 @@ struct CostConfig {
 
   // -- crash–restart recovery (incarnation fencing; docs/INTERNALS.md) -----------
   // Firmware reload time between Driver::reset_nic's PIO kick and the MCP
-  // accepting traffic under the new incarnation.
+  // accepting traffic under the new incarnation.  The probe, SYN-ladder
+  // and restart-notice timings are fixed constants in mcp.cpp.
   sim::Time mcp_reboot_delay = sim::Time::us(200);
-  // Revival probing: once a peer is declared unreachable, a bounded
-  // low-rate keepalive asks whether it came back (answered at the same
-  // incarnation: the path healed after the retry budget died; at a higher
-  // one: it rebooted).  Bounded because a sleeping prober schedules timer
-  // events — an honestly dead peer must not keep the simulation alive.
-  sim::Time revival_probe_interval = sim::Time::us(500);
-  int revival_probe_max = 20;
-  // Retry ladder for the SYN re-establishment handshake; exhaustion fails
-  // the session like an ordinary retry-budget death.
-  sim::Time syn_retry = sim::Time::us(300);
-  int syn_max_retries = 10;
-  // Rate limit on restart notices sent in response to stale-epoch traffic
-  // (one straggler burst must not become a notice storm).
-  sim::Time restart_notice_min_interval = sim::Time::us(100);
   // End-to-end completion: defer a send's ok event until the final
   // fragment is cumulatively acked instead of completing when the message
   // is staged on the NIC.  Staging completion is the paper's semantics and
   // stays the default; the chaos harness enables this so "completed ok"
   // can never name a message a crashed peer silently lost.
   bool e2e_completion = false;
-
-  // -- fabric fault tolerance (NIC-resident multipath failover) ------------------
-  // When the fabric offers redundant paths (Fabric::route_count > 1, i.e.
-  // the two-level Myrinet leaf/spine layout), each session tracks per-path
-  // health and fails over before the retry budget dies.  Off pins every
-  // session to the fabric's deterministic default route.
-  bool multipath = true;
-  // Consecutive RTO expiries on one path before the session rotates to the
-  // next healthy path and quarantines the struck one.  Must stay well below
-  // max_retries so several failovers fit inside one retry budget; strikes
-  // come only from timer expiries — ECN marks and congestion-inflated RTTs
-  // never count (the adaptive RTO plus the cc drain allowance absorb them).
-  int path_failover_retries = 3;
-  // Background prober walking quarantined paths (kProbe with seq =
-  // path id + 1, riding the probed path); an answered probe restores the
-  // path.  Bounded like the revival prober, and for the same reason.
-  sim::Time path_probe_interval = sim::Time::us(500);
-  int path_probe_max = 20;
 
   // -- credit-based flow control (system-channel pool protection) ----------------
   // MPICH2-over-InfiniBand-style end-to-end credits: every remote
@@ -117,8 +86,8 @@ struct CostConfig {
   // and data (plus standalone update packets when traffic is one-sided).
   // When the pool is genuinely exhausted despite the credits (multiple
   // senders, intranode competition) the MCP answers with an RNR-NACK and a
-  // backoff hint instead of silently discarding.  Off restores the paper's
-  // literal drop-on-overflow semantics.
+  // backoff hint instead of silently discarding.  `flow_control = false`
+  // is the paper's literal drop-on-overflow semantics.
   bool flow_control = true;
   // Initial per-sender grant, capped by the receiver's pool size (both
   // ends derive the cap from this shared config at channel setup).
@@ -152,8 +121,8 @@ struct CostConfig {
   // receiving MCP echoes marks back piggybacked on acks, NACKs and credit
   // grants (kCcEcho); the sending MCP keeps an AIMD rate per destination
   // and a pacer that spaces launches (data, retransmits, flow-control
-  // packets, collective fan-out) at that rate.  Off restores blast-at-will.
-  bool congestion_control = true;
+  // packets, collective fan-out) at that rate.
+  //
   // Rate bounds in bytes/s.  `cc_line_rate` is the uncongested ceiling
   // (matched to the 160 MB/s link by default: at line rate the pacer never
   // adds delay beyond the wire's own serialization); `cc_min_rate` is the
@@ -178,9 +147,10 @@ struct CostConfig {
   // `cc_echo_window` into 1..cc_feedback_levels and carries that level in
   // Packet::ecn_echo; the sender scales its multiplicative decrease by the
   // level, so a deep incast (every packet marked) cuts toward rate/2 per
-  // epoch while a grazing mark barely dents the rate.  Off restores
-  // batch-level DCQCN CNP semantics: any pending mark echoes immediately
-  // as a full-strength level and the cut is alpha/2 regardless of extent.
+  // epoch while a grazing mark barely dents the rate.  With
+  // `cc_proportional = false` it is batch-level DCQCN CNP: any pending mark
+  // echoes immediately as a full-strength level and the cut is alpha/2
+  // regardless of extent.
   bool cc_proportional = true;
   int cc_feedback_levels = 8;
   sim::Time cc_echo_window = sim::Time::us(50);

@@ -1,13 +1,37 @@
 #include "bcl/mcp.hpp"
 
 #include <algorithm>
-#include <iterator>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
 #include "bcl/coll/engine.hpp"
 
 namespace bcl {
+
+namespace {
+
+// Both probers (revival and quarantined-path) share one cadence: a probe
+// every kProbeInterval, at most kProbeRounds of them.  Bounded because a
+// sleeping prober schedules timer events — an honestly dead peer or path
+// must not keep the simulation alive.
+constexpr sim::Time kProbeInterval = sim::Time::us(500);
+constexpr int kProbeRounds = 20;
+// SYN re-establishment ladder; exhaustion fails the session like an
+// ordinary retry-budget death.
+constexpr sim::Time kSynRetry = sim::Time::us(300);
+constexpr int kSynAttempts = 10;
+// Rate limit on restart notices answering stale-epoch traffic (one
+// straggler burst must not become a notice storm).
+constexpr sim::Time kRestartNoticeInterval = sim::Time::us(100);
+// Consecutive RTO expiries on one path before the session rotates to the
+// next healthy path.  Well below max_retries, so several failovers fit
+// inside one retry budget.
+constexpr int kPathFailoverStrikes = 3;
+// Header size of every session-less control packet.
+constexpr std::size_t kCtrlHeaderBytes = 16;
+
+}  // namespace
 
 std::vector<hw::PhysSegment> slice_segments(
     const std::vector<hw::PhysSegment>& segs, std::uint64_t off,
@@ -40,123 +64,97 @@ Mcp::Mcp(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
       metrics_{metrics},
       requests_{eng, cfg.request_queue_depth},
       tx_mutex_{eng},
+      flow_{std::make_unique<FlowController>(eng, cfg, nic.name(), trace,
+                                             metrics)},
+      cc_{std::make_unique<cc::CongestionController>(eng, cfg, nic.name())},
+      path_table_{std::make_unique<PathTable>(eng, kPathFailoverStrikes)},
       recorder_{cfg.flight_recorder_depth} {
-  if (metrics != nullptr) {
-    const std::string prefix = nic_.name() + ".mcp.";
-    m_dma_tx_bytes_ = &metrics->counter(prefix + "dma_tx_bytes");
-    m_dma_rx_bytes_ = &metrics->counter(prefix + "dma_rx_bytes");
-    m_tx_descriptors_ = &metrics->counter(prefix + "tx_descriptors");
-    // The MCP already keeps its own counters; export them by callback so
-    // the hot paths stay untouched.
-    metrics->counter(prefix + "rx_packets",
-                     [this] { return stats_.data_packets_in; });
-    metrics->counter(prefix + "crc_drops", [this] { return stats_.crc_drops; });
-    metrics->counter(prefix + "seq_drops", [this] { return stats_.seq_drops; });
-    metrics->counter(prefix + "no_port_drops",
-                     [this] { return stats_.no_port_drops; });
-    metrics->counter(prefix + "acks_sent", [this] { return stats_.acks_sent; });
-    metrics->counter(prefix + "messages_sent",
-                     [this] { return stats_.messages_sent; });
-    metrics->counter(prefix + "rma_reads_served",
-                     [this] { return stats_.rma_reads_served; });
-    metrics->counter(prefix + "retransmissions",
-                     [this] { return retransmissions(); });
-    metrics->counter(prefix + "timeouts", [this] { return timeouts(); });
-    metrics->counter(prefix + "window_stalls",
-                     [this] { return window_stalls(); });
-    metrics->gauge(prefix + "request_ring", [this] {
-      return static_cast<double>(requests_.size());
-    });
-    metrics->gauge(prefix + "request_ring_hwm", [this] {
-      return static_cast<double>(req_ring_hwm_);
-    });
-    metrics->gauge(prefix + "rx_queue_hwm", [this] {
-      return static_cast<double>(rx_queue_hwm_);
-    });
-    metrics->gauge(prefix + "tx_in_flight", [this] {
-      return static_cast<double>(tx_in_flight());
-    });
-    // Reliability-session aggregates under their own <nic>.rel.* prefix;
-    // per-peer estimator gauges are registered as sessions appear.
-    const std::string rel = nic_.name() + ".rel.";
-    metrics->counter(rel + "stray_acks", [this] { return stats_.stray_acks; });
-    metrics->counter(rel + "fast_retransmits",
-                     [this] { return fast_retransmits(); });
-    metrics->counter(rel + "peer_failures",
-                     [this] { return stats_.peer_failures; });
-    metrics->counter(rel + "restarts", [this] { return stats_.restarts; });
-    metrics->counter(rel + "recovered_peers",
-                     [this] { return stats_.recovered_peers; });
-    metrics->gauge(rel + "sessions", [this] {
-      return static_cast<double>(tx_sessions_.size());
-    });
-    metrics->gauge(rel + "unreachable_peers", [this] {
-      return static_cast<double>(unreachable_peers());
-    });
-  }
-  flow_ = std::make_unique<FlowController>(eng, cfg, nic_.name(), trace,
-                                           metrics);
-  cc_ = std::make_unique<cc::CongestionController>(eng, cfg, nic_.name());
   cc_->set_trace(trace);
-  path_table_ = std::make_unique<PathTable>(eng, cfg.path_failover_retries);
-  if (metrics != nullptr) {
-    const std::string ccp = nic_.name() + ".cc";
-    cc_->register_metrics(*metrics, ccp);
-    metrics->counter(ccp + ".marks_rx", [this] { return stats_.cc_marks_rx; });
-    metrics->counter(ccp + ".echoes_tx",
-                     [this] { return stats_.cc_echoes_tx; });
-  }
-  if (metrics != nullptr) {
-    // Multipath failover state under its own <nic>.path.* prefix.
-    const std::string pathp = nic_.name() + ".path.";
-    metrics->counter(pathp + "failovers",
-                     [this] { return path_table_->failovers(); });
-    metrics->counter(pathp + "restores",
-                     [this] { return path_table_->restores(); });
-    metrics->counter(pathp + "partitions",
-                     [this] { return path_table_->partitions(); });
-    metrics->counter(pathp + "probes_tx",
-                     [this] { return stats_.path_probes_tx; });
-    metrics->counter(pathp + "probes_rx",
-                     [this] { return stats_.path_probes_rx; });
-    metrics->gauge(pathp + "quarantined", [this] {
-      return static_cast<double>(path_table_->quarantined_count());
-    });
-  }
-  if (metrics != nullptr) {
-    // Flow-control aggregates under their own <nic>.fc.* prefix (the
-    // credit_rtt_us summary is registered by the FlowController itself).
-    const std::string fc = nic_.name() + ".fc.";
-    metrics->counter(fc + "stalls", [this] { return flow_->stalls(); });
-    metrics->counter(fc + "credits_consumed",
-                     [this] { return flow_->credits_consumed(); });
-    metrics->counter(fc + "grants_rx", [this] { return flow_->grants_rx(); });
-    metrics->counter(fc + "credits_granted",
-                     [this] { return stats_.fc_credits_granted; });
-    metrics->counter(fc + "rnr_nacks_tx",
-                     [this] { return stats_.rnr_nacks_tx; });
-    metrics->counter(fc + "rnr_nacks_rx",
-                     [this] { return stats_.rnr_nacks_rx; });
-    metrics->counter(fc + "credit_updates_tx",
-                     [this] { return stats_.fc_updates_tx; });
-    metrics->counter(fc + "credit_updates_rx",
-                     [this] { return stats_.fc_updates_rx; });
-    metrics->counter(fc + "probes_tx", [this] { return stats_.fc_probes_tx; });
-    metrics->counter(fc + "probes_rx", [this] { return stats_.fc_probes_rx; });
-    metrics->gauge(fc + "send_credits",
-                   [this] { return flow_->total_available(); });
-    metrics->gauge(fc + "rx_outstanding", [this] {
-      double n = 0;
-      for (const auto& [key, rc] : rx_credits_) {
-        n += static_cast<double>(rc.limit - rc.delivered);
-      }
-      return n;
-    });
-  }
+  if (metrics != nullptr) register_metrics(*metrics);
   coll_ = std::make_unique<coll::CollectiveEngine>(eng, nic, *this, cfg,
                                                    trace, metrics);
   eng_.spawn_daemon(tx_pump());
   eng_.spawn_daemon(rx_pump());
+}
+
+void Mcp::register_metrics(sim::MetricRegistry& m) {
+  const std::string prefix = nic_.name() + ".mcp.";
+  m_dma_tx_bytes_ = &m.counter(prefix + "dma_tx_bytes");
+  m_dma_rx_bytes_ = &m.counter(prefix + "dma_rx_bytes");
+  m_tx_descriptors_ = &m.counter(prefix + "tx_descriptors");
+  // The MCP already keeps its own counters; export them by callback so the
+  // hot paths stay untouched.
+  const auto stat = [this, &m](const std::string& name,
+                               std::uint64_t Stats::*field) {
+    m.counter(name, [this, field] { return stats_.*field; });
+  };
+  stat(prefix + "rx_packets", &Stats::data_packets_in);
+  stat(prefix + "crc_drops", &Stats::crc_drops);
+  stat(prefix + "seq_drops", &Stats::seq_drops);
+  stat(prefix + "no_port_drops", &Stats::no_port_drops);
+  stat(prefix + "acks_sent", &Stats::acks_sent);
+  stat(prefix + "messages_sent", &Stats::messages_sent);
+  stat(prefix + "rma_reads_served", &Stats::rma_reads_served);
+  m.counter(prefix + "retransmissions", [this] { return retransmissions(); });
+  m.counter(prefix + "timeouts", [this] { return timeouts(); });
+  m.counter(prefix + "window_stalls", [this] { return window_stalls(); });
+  m.gauge(prefix + "request_ring",
+          [this] { return static_cast<double>(requests_.size()); });
+  m.gauge(prefix + "request_ring_hwm",
+          [this] { return static_cast<double>(req_ring_hwm_); });
+  m.gauge(prefix + "rx_queue_hwm",
+          [this] { return static_cast<double>(rx_queue_hwm_); });
+  m.gauge(prefix + "tx_in_flight",
+          [this] { return static_cast<double>(tx_in_flight()); });
+  // Reliability-session aggregates under their own <nic>.rel.* prefix;
+  // per-peer estimator gauges are registered as sessions appear.
+  const std::string rel = nic_.name() + ".rel.";
+  stat(rel + "stray_acks", &Stats::stray_acks);
+  m.counter(rel + "fast_retransmits", [this] { return fast_retransmits(); });
+  stat(rel + "peer_failures", &Stats::peer_failures);
+  stat(rel + "restarts", &Stats::restarts);
+  stat(rel + "recovered_peers", &Stats::recovered_peers);
+  m.gauge(rel + "sessions",
+          [this] { return static_cast<double>(tx_sessions_.size()); });
+  m.gauge(rel + "unreachable_peers",
+          [this] { return static_cast<double>(unreachable_peers()); });
+  const std::string ccp = nic_.name() + ".cc";
+  cc_->register_metrics(m, ccp);
+  stat(ccp + ".marks_rx", &Stats::cc_marks_rx);
+  stat(ccp + ".echoes_tx", &Stats::cc_echoes_tx);
+  // Multipath failover state under its own <nic>.path.* prefix.
+  const std::string pathp = nic_.name() + ".path.";
+  m.counter(pathp + "failovers", [this] { return path_table_->failovers(); });
+  m.counter(pathp + "restores", [this] { return path_table_->restores(); });
+  m.counter(pathp + "partitions",
+            [this] { return path_table_->partitions(); });
+  stat(pathp + "probes_tx", &Stats::path_probes_tx);
+  stat(pathp + "probes_rx", &Stats::path_probes_rx);
+  m.gauge(pathp + "quarantined", [this] {
+    return static_cast<double>(path_table_->quarantined_count());
+  });
+  // Flow-control aggregates under their own <nic>.fc.* prefix (the
+  // credit_rtt_us summary is registered by the FlowController itself).
+  const std::string fc = nic_.name() + ".fc.";
+  m.counter(fc + "stalls", [this] { return flow_->stalls(); });
+  m.counter(fc + "credits_consumed",
+            [this] { return flow_->credits_consumed(); });
+  m.counter(fc + "grants_rx", [this] { return flow_->grants_rx(); });
+  stat(fc + "credits_granted", &Stats::fc_credits_granted);
+  stat(fc + "rnr_nacks_tx", &Stats::rnr_nacks_tx);
+  stat(fc + "rnr_nacks_rx", &Stats::rnr_nacks_rx);
+  stat(fc + "credit_updates_tx", &Stats::fc_updates_tx);
+  stat(fc + "credit_updates_rx", &Stats::fc_updates_rx);
+  stat(fc + "probes_tx", &Stats::fc_probes_tx);
+  stat(fc + "probes_rx", &Stats::fc_probes_rx);
+  m.gauge(fc + "send_credits", [this] { return flow_->total_available(); });
+  m.gauge(fc + "rx_outstanding", [this] {
+    double n = 0;
+    for (const auto& [key, rc] : rx_credits_) {
+      n += static_cast<double>(rc.limit - rc.delivered);
+    }
+    return n;
+  });
 }
 
 Mcp::~Mcp() = default;
@@ -178,8 +176,8 @@ sim::Task<void> Mcp::coll_send(hw::Packet p) {
   auto guard = co_await tx_mutex_.scoped();
   p.id = next_packet_id_++;
   if (cfg_.reliable) {
-    // kPeerUnreachable is deliberately swallowed: the failure hook has
-    // already failed every group containing the dead peer.
+    // kPeerUnreachable is deliberately swallowed: failed() has already
+    // failed every group containing the dead peer.
     (void)co_await tx_session(p.dst_node).send(std::move(p));
   } else {
     p.path_id = path_for(p.dst_node, p.path_id);
@@ -211,36 +209,18 @@ TxSession& Mcp::tx_session(hw::NodeId dst) {
     const bool handshake =
         needs_syn_.count(dst) != 0 || nic_.incarnation() > 0;
     needs_syn_.erase(dst);
-    s = std::make_unique<TxSession>(eng_, nic_, cfg_, seed, handshake);
-    s->set_telemetry(&recorder_, trace_, dst);
+    SessionOwner* owner = this;
+    s = std::make_unique<TxSession>(eng_, nic_, cfg_, seed, handshake, owner,
+                                    dst);
+    s->set_telemetry(&recorder_, trace_);
     s->set_cc(cc_.get());
     // Multipath: when the fabric offers alternative routes toward dst,
     // track their health and let RTO strikes — never ECN marks or
-    // congestion-inflated RTTs — rotate the session across paths.
-    const hw::Fabric* fab = nic_.fabric();
-    const int nroutes = (cfg_.multipath && fab != nullptr)
-                            ? fab->route_count(nic_.node(), dst)
-                            : 1;
-    if (nroutes > 1) {
-      path_table_->init(dst, nroutes);
-      s->set_path_hooks([this, dst] { return path_table_->current(dst); },
-                        [this, dst] { return path_strike(dst); },
-                        [this, dst] { path_table_->note_good(dst); });
-      s->set_fail_verdict([this, dst] {
-        return path_table_->partitioned(dst) ? BclErr::kPartitioned
-                                             : BclErr::kPeerUnreachable;
-      });
+    // congestion-inflated RTTs — rotate the session across paths.  A
+    // single-route destination stays untracked on the default route.
+    if (const hw::Fabric* fab = nic_.fabric()) {
+      path_table_->init(dst, fab->route_count(nic_.node(), dst));
     }
-    s->set_failure_hook([this, dst] {
-      ++stats_.peer_failures;
-      eng_.spawn_daemon(announce_peer_failure(dst));
-    });
-    s->set_completion_hook(
-        [this](const TxSession::TxNotify& n, BclErr err) {
-          eng_.spawn_daemon(deliver_send_event(
-              find_port(n.src_port),
-              SendEvent{n.msg_id, n.dst, err == BclErr::kOk, err}));
-        });
     if (handshake) eng_.spawn_daemon(syn_daemon(dst, s.get()));
     register_session_metrics(dst);
   }
@@ -261,51 +241,35 @@ void Mcp::register_session_metrics(hw::NodeId dst) {
   if (!session_metrics_registered_.insert(dst).second) return;
   const std::string prefix =
       nic_.name() + ".rel.peer" + std::to_string(dst) + ".";
-  const auto live = [this, dst]() -> TxSession* {
-    return find_tx_session(dst);
+  // Wraps one session reading; a missing session reads as zero.
+  const auto live = [this, dst](auto read) {
+    return [this, dst, read] {
+      const TxSession* s = find_tx_session(dst);
+      using T = decltype(std::invoke(read, *s));
+      return s == nullptr ? T{} : std::invoke(read, *s);
+    };
   };
-  metrics_->gauge(prefix + "srtt_us", [live] {
-    TxSession* s = live();
-    return s == nullptr ? 0.0 : s->srtt().to_us();
-  });
-  metrics_->gauge(prefix + "rto_us", [live] {
-    TxSession* s = live();
-    return s == nullptr ? 0.0 : s->rto().to_us();
-  });
-  metrics_->gauge(prefix + "backoff", [live] {
-    TxSession* s = live();
-    return s == nullptr ? 0.0 : static_cast<double>(s->backoff_level());
-  });
-  metrics_->gauge(prefix + "in_flight", [live] {
-    TxSession* s = live();
-    return s == nullptr ? 0.0 : static_cast<double>(s->in_flight());
-  });
-  metrics_->gauge(prefix + "unreachable", [live] {
-    TxSession* s = live();
-    return s != nullptr && s->peer_unreachable() ? 1.0 : 0.0;
-  });
-  metrics_->counter(prefix + "fast_retransmits", [live]() -> std::uint64_t {
-    TxSession* s = live();
-    return s == nullptr ? 0 : s->fast_retransmits();
-  });
-  metrics_->counter(prefix + "rtt_samples", [live]() -> std::uint64_t {
-    TxSession* s = live();
-    return s == nullptr ? 0 : s->rtt_samples();
-  });
+  metrics_->gauge(prefix + "srtt_us",
+                  live([](const TxSession& s) { return s.srtt().to_us(); }));
+  metrics_->gauge(prefix + "rto_us",
+                  live([](const TxSession& s) { return s.rto().to_us(); }));
+  metrics_->gauge(prefix + "backoff", live(&TxSession::backoff_level));
+  metrics_->gauge(prefix + "in_flight", live(&TxSession::in_flight));
+  metrics_->gauge(prefix + "unreachable", live(&TxSession::peer_unreachable));
+  metrics_->counter(prefix + "fast_retransmits",
+                    live(&TxSession::fast_retransmits));
+  metrics_->counter(prefix + "rtt_samples", live(&TxSession::rtt_samples));
 }
 
 sim::Task<void> Mcp::announce_peer_failure(hw::NodeId dst) {
   // Revival probing starts with the verdict: if the peer (or the path)
   // comes back, the prober's answered keepalive rescinds it and the next
   // send re-establishes the session.
-  if (cfg_.revival_probe_max > 0 && probing_.insert(dst).second) {
-    eng_.spawn_daemon(revival_prober(dst));
-  }
+  spawn_prober(dst, hw::kDefaultPath);
   // All fabric paths quarantined is a different disease than a dead peer:
   // report "partitioned" so the postmortem (and the send events) say so.
-  const bool partitioned = path_table_->partitioned(dst);
-  const BclErr err =
-      partitioned ? BclErr::kPartitioned : BclErr::kPeerUnreachable;
+  const BclErr err = verdict(dst);
+  const bool partitioned = err == BclErr::kPartitioned;
   if (diagnosis_hook_) {
     diagnosis_hook_(partitioned ? "partitioned" : "peer-unreachable",
                     static_cast<int>(dst),
@@ -337,11 +301,7 @@ void Mcp::crash() {
   // on a ring nobody will ever drain.  The kernel completes these on
   // behalf of the dead hardware.
   while (auto d = requests_.try_recv()) {
-    if (d->notify_sender) {
-      eng_.spawn_daemon(deliver_send_event(
-          find_port(d->src.port),
-          SendEvent{d->msg_id, d->dst, false, BclErr::kPeerRestarted}));
-    }
+    eng_.spawn_daemon(complete_send(*d, BclErr::kPeerRestarted));
   }
   // Collective groups, parked fan-in packets, pending accumulators: gone.
   coll_->on_local_crash();
@@ -385,7 +345,7 @@ bool Mcp::fence_incarnation(const hw::Packet& p) {
     ++stats_.stale_inc_drops;
     const auto it = last_restart_notice_.find(p.src_node);
     if (it == last_restart_notice_.end() ||
-        eng_.now() - it->second >= cfg_.restart_notice_min_interval) {
+        eng_.now() - it->second >= kRestartNoticeInterval) {
       last_restart_notice_[p.src_node] = eng_.now();
       ++stats_.restart_notices_tx;
       eng_.spawn_daemon(
@@ -415,13 +375,16 @@ void Mcp::handle_peer_restart(hw::NodeId src) {
   // The peer's rx half and both credit ledgers died with it; ours restart
   // paired, so the serial-monotone grant comparison never wedges on
   // pre-crash counts the new incarnation knows nothing about.
-  rx_sessions_.erase(src);
-  ecn_echo_.erase(src);
-  for (auto it = rx_credits_.begin(); it != rx_credits_.end();) {
-    it = it->first.second == src ? rx_credits_.erase(it) : std::next(it);
-  }
+  forget_rx_state(src);
   flow_->reset_node(src);
   needs_syn_.insert(src);
+}
+
+void Mcp::forget_rx_state(hw::NodeId src) {
+  rx_sessions_.erase(src);
+  ecn_echo_.erase(src);
+  std::erase_if(rx_credits_,
+                [src](const auto& entry) { return entry.first.second == src; });
 }
 
 void Mcp::teardown_session(hw::NodeId peer, BclErr err) {
@@ -441,25 +404,36 @@ void Mcp::stamp_outbound(hw::Packet& p) {
   p.dst_incarnation = peer_inc(p.dst_node);
 }
 
-sim::Task<void> Mcp::send_ctrl(hw::NodeId dst, SendOp op, std::uint32_t seq,
-                               std::uint32_t dst_inc, std::uint64_t nonce,
-                               std::uint8_t path) {
+hw::Packet Mcp::ctrl_packet(hw::NodeId dst, hw::PacketKind kind, SendOp op,
+                            std::uint8_t path) {
   hw::Packet p;
   p.id = next_packet_id_++;
   p.dst_node = dst;
   p.proto = kProto;
-  p.kind = hw::PacketKind::kCtrl;
+  p.kind = kind;
   p.op_flags = static_cast<std::uint16_t>(op);
+  p.path_id = path_for(dst, path);
+  p.header_bytes = kCtrlHeaderBytes;
+  stamp_outbound(p);
+  return p;
+}
+
+sim::Task<void> Mcp::launch(hw::Packet p, sim::Time proc) {
+  co_await nic_.lanai().use(proc);
+  co_await nic_.transmit(std::move(p));
+}
+
+sim::Task<void> Mcp::send_ctrl(hw::NodeId dst, SendOp op, std::uint32_t seq,
+                               std::uint32_t dst_inc, std::uint64_t nonce,
+                               std::uint8_t path) {
+  hw::Packet p = ctrl_packet(dst, hw::PacketKind::kCtrl, op, path);
   p.seq = seq;
   p.msg_id = nonce;
   p.dst_incarnation = dst_inc;
-  p.path_id = path_for(dst, path);
-  p.header_bytes = 16;
   // A fresh allowance rides the SYN-ACK so the re-established sender can
   // move before the first data packet's piggyback.
   if (op == SendOp::kSynAck) attach_grant(p);
-  co_await nic_.lanai().use(cfg_.mcp_fc_proc);
-  co_await nic_.transmit(std::move(p));
+  co_await launch(std::move(p), cfg_.mcp_fc_proc);
 }
 
 sim::Task<void> Mcp::syn_daemon(hw::NodeId dst, TxSession* s) {
@@ -467,8 +441,7 @@ sim::Task<void> Mcp::syn_daemon(hw::NodeId dst, TxSession* s) {
   // (it re-draws the SYN-ACK without resetting an rx session that already
   // took post-handshake data).
   const std::uint64_t nonce = next_packet_id_++;
-  for (int attempt = 0; attempt < std::max(1, cfg_.syn_max_retries);
-       ++attempt) {
+  for (int attempt = 0; attempt < kSynAttempts; ++attempt) {
     if (find_tx_session(dst) != s) co_return;  // replaced: not ours anymore
     if (s->established() || s->peer_unreachable()) co_return;
     ++stats_.syns_tx;
@@ -476,28 +449,41 @@ sim::Task<void> Mcp::syn_daemon(hw::NodeId dst, TxSession* s) {
         {eng_.now(), FlightKind::kSyn, dst, nonce, cfg_.first_seq, 0});
     co_await send_ctrl(dst, SendOp::kSyn, cfg_.first_seq, peer_inc(dst),
                        nonce);
-    co_await eng_.sleep(cfg_.syn_retry);
+    co_await eng_.sleep(kSynRetry);
   }
   if (find_tx_session(dst) != s) co_return;
   if (s->established() || s->peer_unreachable()) co_return;
   // The handshake ladder is spent: the ordinary unreachable verdict — the
-  // failure hook announces it and starts the revival prober.
+  // owner's failed() announces it and starts the revival prober.
   s->fail_peer();
 }
 
-sim::Task<void> Mcp::revival_prober(hw::NodeId dst) {
-  // Bounded: a sleeping prober schedules engine events, so an unbounded
-  // keepalive toward an honestly dead peer would keep run() from draining.
-  for (int i = 0; i < cfg_.revival_probe_max; ++i) {
-    co_await eng_.sleep(cfg_.revival_probe_interval);
-    if (crashed_) break;
-    TxSession* s = find_tx_session(dst);
-    if (s == nullptr || !s->peer_unreachable()) break;  // already revived
-    ++stats_.probes_tx;
-    recorder_.record({eng_.now(), FlightKind::kProbe, dst, 0, 0, 0});
-    co_await send_ctrl(dst, SendOp::kProbe, 0, hw::kAnyIncarnation);
+void Mcp::spawn_prober(hw::NodeId dst, std::uint8_t path) {
+  if (probing_.insert({dst, path}).second) {
+    eng_.spawn_daemon(prober(dst, path));
   }
-  probing_.erase(dst);
+}
+
+sim::Task<void> Mcp::prober(hw::NodeId dst, std::uint8_t path) {
+  const bool revival = path == hw::kDefaultPath;
+  // A path probe's seq names the path it tests; revival probes carry 0.
+  const std::uint32_t seq = revival ? 0 : std::uint32_t{path} + 1;
+  for (int i = 0; i < kProbeRounds; ++i) {
+    co_await eng_.sleep(kProbeInterval);
+    if (crashed_) break;
+    if (revival) {
+      TxSession* s = find_tx_session(dst);
+      if (s == nullptr || !s->peer_unreachable()) break;  // already revived
+      ++stats_.probes_tx;
+    } else {
+      if (!path_table_->is_quarantined(dst, path)) break;  // requalified
+      ++stats_.path_probes_tx;
+    }
+    recorder_.record(
+        {eng_.now(), FlightKind::kProbe, dst, 0, seq, revival ? 0u : 1u});
+    co_await send_ctrl(dst, SendOp::kProbe, seq, hw::kAnyIncarnation, 0, path);
+  }
+  probing_.erase({dst, path});
 }
 
 void Mcp::handle_syn(const hw::Packet& p) {
@@ -510,13 +496,8 @@ void Mcp::handle_syn(const hw::Packet& p) {
     it->second = key;
     // Fresh handshake: restart the rx half at the negotiated iss and the
     // receiver-side ledgers (the sender's halves reset at its teardown).
-    rx_sessions_.erase(p.src_node);
+    forget_rx_state(p.src_node);
     rx_sessions_.emplace(p.src_node, RxSession{p.seq});
-    ecn_echo_.erase(p.src_node);
-    for (auto cit = rx_credits_.begin(); cit != rx_credits_.end();) {
-      cit = cit->first.second == p.src_node ? rx_credits_.erase(cit)
-                                            : std::next(cit);
-    }
   }
   // Always answer — a lost SYN-ACK is healed by the retry drawing another.
   eng_.spawn_daemon(
@@ -559,13 +540,15 @@ std::uint8_t Mcp::path_for(hw::NodeId dst, std::uint8_t hint) const {
   return hint != hw::kDefaultPath ? hint : path_table_->current(dst);
 }
 
-bool Mcp::path_strike(hw::NodeId dst) {
+std::uint8_t Mcp::path(hw::NodeId peer) { return path_table_->current(peer); }
+
+bool Mcp::strike(hw::NodeId dst) {
   const std::uint8_t old_path = path_table_->current(dst);
   const auto result = path_table_->strike(dst);
   if (result == PathTable::StrikeResult::kNoChange) return false;
   // The struck path is quarantined either way; probe it so an answered
   // probe can requalify it (and rescind a partition verdict).
-  spawn_path_prober(dst, old_path);
+  spawn_prober(dst, old_path);
   if (result == PathTable::StrikeResult::kFailedOver) {
     recorder_.record({eng_.now(), FlightKind::kPathFailover, dst, 0, old_path,
                       path_table_->current(dst)});
@@ -577,65 +560,55 @@ bool Mcp::path_strike(hw::NodeId dst) {
   return false;
 }
 
-void Mcp::spawn_path_prober(hw::NodeId dst, std::uint8_t path) {
-  if (cfg_.path_probe_max <= 0) return;
-  if (path_probing_.insert({dst, path}).second) {
-    eng_.spawn_daemon(path_prober(dst, path));
-  }
+void Mcp::progress(hw::NodeId peer) { path_table_->note_good(peer); }
+
+BclErr Mcp::verdict(hw::NodeId peer) {
+  return path_table_->partitioned(peer) ? BclErr::kPartitioned
+                                        : BclErr::kPeerUnreachable;
 }
 
-sim::Task<void> Mcp::path_prober(hw::NodeId dst, std::uint8_t path) {
-  // Bounded like the revival prober: a sleeping daemon schedules engine
-  // events, so an unbounded walk of an honestly dead path would keep
-  // run() from draining.
-  for (int i = 0; i < cfg_.path_probe_max; ++i) {
-    co_await eng_.sleep(cfg_.path_probe_interval);
-    if (crashed_) break;
-    if (!path_table_->is_quarantined(dst, path)) break;  // requalified
-    ++stats_.path_probes_tx;
-    recorder_.record({eng_.now(), FlightKind::kProbe, dst, 0,
-                      static_cast<std::uint32_t>(path) + 1, 1});
-    co_await send_ctrl(dst, SendOp::kProbe,
-                       static_cast<std::uint32_t>(path) + 1,
-                       hw::kAnyIncarnation, 0, path);
+void Mcp::failed(hw::NodeId peer) {
+  ++stats_.peer_failures;
+  eng_.spawn_daemon(announce_peer_failure(peer));
+}
+
+void Mcp::completed(const TxNotify& n, BclErr err) {
+  eng_.spawn_daemon(deliver_send_event(
+      find_port(n.src_port),
+      SendEvent{n.msg_id, n.dst, err == BclErr::kOk, err}));
+}
+
+template <typename T>
+std::uint64_t Mcp::sum_sessions(T (TxSession::*read)() const) const {
+  std::uint64_t n = 0;
+  for (const auto& [node, s] : tx_sessions_) {
+    n += static_cast<std::uint64_t>(std::invoke(read, *s));
   }
-  path_probing_.erase({dst, path});
+  return n;
 }
 
 std::uint64_t Mcp::retransmissions() const {
-  std::uint64_t n = 0;
-  for (const auto& [node, s] : tx_sessions_) n += s->retransmissions();
-  return n;
+  return sum_sessions(&TxSession::retransmissions);
 }
 
 std::uint64_t Mcp::timeouts() const {
-  std::uint64_t n = 0;
-  for (const auto& [node, s] : tx_sessions_) n += s->timeouts();
-  return n;
+  return sum_sessions(&TxSession::timeouts);
 }
 
 std::uint64_t Mcp::window_stalls() const {
-  std::uint64_t n = 0;
-  for (const auto& [node, s] : tx_sessions_) n += s->window_stalls();
-  return n;
+  return sum_sessions(&TxSession::window_stalls);
 }
 
 std::uint64_t Mcp::fast_retransmits() const {
-  std::uint64_t n = 0;
-  for (const auto& [node, s] : tx_sessions_) n += s->fast_retransmits();
-  return n;
+  return sum_sessions(&TxSession::fast_retransmits);
 }
 
 std::size_t Mcp::tx_in_flight() const {
-  std::size_t n = 0;
-  for (const auto& [node, s] : tx_sessions_) n += s->in_flight();
-  return n;
+  return sum_sessions(&TxSession::in_flight);
 }
 
 std::size_t Mcp::unreachable_peers() const {
-  std::size_t n = 0;
-  for (const auto& [node, s] : tx_sessions_) n += s->peer_unreachable() ? 1 : 0;
-  return n;
+  return sum_sessions(&TxSession::peer_unreachable);
 }
 
 std::vector<Mcp::SessionSnapshot> Mcp::session_snapshot() const {
@@ -688,11 +661,7 @@ sim::Task<void> Mcp::send_message(const SendDescriptor& d) {
     // The descriptor raced the fail-stop out of the request ring: the
     // kernel completes it with the restart verdict so the sender never
     // waits on dead hardware.
-    if (d.notify_sender) {
-      co_await deliver_send_event(
-          find_port(d.src.port),
-          SendEvent{d.msg_id, d.dst, false, BclErr::kPeerRestarted});
-    }
+    co_await complete_send(d, BclErr::kPeerRestarted);
     co_return;
   }
   // An RMA read request is a single control packet regardless of the
@@ -757,16 +726,13 @@ sim::Task<void> Mcp::send_message(const SendDescriptor& d) {
         // session): abandon the remaining fragments and fail the send
         // through the event queue instead of blocking forever.
         if (trace_) trace_->msg_end(flow_key(nic_.node(), d.msg_id), false);
-        if (d.notify_sender) {
-          co_await deliver_send_event(find_port(d.src.port),
-                                      SendEvent{d.msg_id, d.dst, false, err});
-        }
+        co_await complete_send(d, err);
         co_return;
       }
       if (cfg_.e2e_completion && d.notify_sender && i + 1 == frags) {
         // End-to-end mode: completion waits for the cumulative ack of the
-        // final fragment.  The session fires exactly one hook per tracked
-        // send — kOk on ack, the poison verdict on session death.
+        // final fragment.  The session resolves each tracked send exactly
+        // once (completed()) — kOk on ack, the poison verdict on death.
         sess.track({sess.last_seq(), d.msg_id, d.src.port, d.dst});
       }
     } else {
@@ -774,14 +740,19 @@ sim::Task<void> Mcp::send_message(const SendDescriptor& d) {
     }
   }
   ++stats_.messages_sent;
-  if (d.notify_sender) {
-    if (cfg_.reliable && cfg_.e2e_completion) co_return;  // hook delivers
-    // Local completion: the message is staged on the NIC (retransmission
-    // is the session's business); notify the sender through its event
-    // queue.
-    co_await deliver_send_event(find_port(d.src.port),
-                                SendEvent{d.msg_id, d.dst, true});
-  }
+  // End-to-end mode: the session's ledger completes the send (completed()).
+  if (cfg_.reliable && cfg_.e2e_completion) co_return;
+  // Local completion: the message is staged on the NIC (retransmission is
+  // the session's business); notify the sender through its event queue.
+  co_await complete_send(d, BclErr::kOk);
+}
+
+sim::Task<void> Mcp::complete_send(const SendDescriptor& d, BclErr err) {
+  // Not a coroutine: the event is built here, so `d` may die before the
+  // returned task runs.  A null port makes the delivery a no-op.
+  return deliver_send_event(
+      d.notify_sender ? find_port(d.src.port) : nullptr,
+      SendEvent{d.msg_id, d.dst, err == BclErr::kOk, err});
 }
 
 sim::Task<void> Mcp::rx_pump() {
@@ -798,8 +769,7 @@ sim::Task<void> Mcp::rx_pump() {
     switch (p.kind) {
       case hw::PacketKind::kAck: {
         co_await nic_.lanai().use(cfg_.mcp_ack_proc);
-        apply_grant(p);
-        apply_cc_echo(p);
+        apply_piggyback(p);
         TxSession* s = find_tx_session(p.src_node);
         if (s == nullptr) {
           ++stats_.stray_acks;  // late/stray ack: no session, don't make one
@@ -823,8 +793,7 @@ sim::Task<void> Mcp::rx_pump() {
           ++stats_.crc_drops;
           break;
         }
-        apply_grant(p);
-        apply_cc_echo(p);
+        apply_piggyback(p);
         ++stats_.rnr_nacks_rx;
         if (TxSession* s = find_tx_session(p.src_node)) {
           s->on_rnr(p.ack, sim::Time::us(static_cast<double>(p.nack_hint_us)));
@@ -834,9 +803,7 @@ sim::Task<void> Mcp::rx_pump() {
       case hw::PacketKind::kData:
       case hw::PacketKind::kCtrl: {
         const auto op = static_cast<SendOp>(p.op_flags & 0xff);
-        if (op == SendOp::kFcUpdate || op == SendOp::kFcProbe ||
-            op == SendOp::kSyn || op == SendOp::kSynAck ||
-            op == SendOp::kProbe || op == SendOp::kProbeAck) {
+        if (op >= SendOp::kFcUpdate) {
           // Session-less control packets: idempotent cumulative state
           // carriers and handshake/revival traffic, never sequenced
           // through the rx session.
@@ -845,18 +812,16 @@ sim::Task<void> Mcp::rx_pump() {
             ++stats_.crc_drops;
             break;
           }
-          apply_grant(p);
-          apply_cc_echo(p);
+          apply_piggyback(p);
           if (op == SendOp::kFcProbe) {
             ++stats_.fc_probes_rx;
             if (cfg_.flow_control) {
               if (Port* port = find_port(p.dst_port)) {
-                auto& rc = rx_credit(p.dst_port, p.src_node);
-                fc_top_up(*port, rc);
-                if (!rc.update_queued) {
-                  rc.update_queued = true;
-                  eng_.spawn_daemon(send_fc_update(p.dst_port, p.src_node));
-                }
+                fc_top_up(*port, rx_credit(p.dst_port, p.src_node));
+                // The answer rides the probe's arrival path, like an ack:
+                // after a failover the default route may be dead.
+                eng_.spawn_daemon(
+                    send_fc_update(p.dst_port, p.src_node, p.path_id));
               }
             }
           } else if (op == SendOp::kSyn) {
@@ -890,7 +855,7 @@ sim::Task<void> Mcp::rx_pump() {
           ++stats_.crc_drops;
           break;
         }
-        apply_grant(p);  // reverse-traffic piggyback for our sender side
+        apply_piggyback(p);  // reverse-traffic credit for our sender side
         if (cfg_.reliable) {
           auto& rx = rx_session(p.src_node);
           if (!rx.accept(p.seq)) {
@@ -918,7 +883,8 @@ sim::Task<void> Mcp::rx_pump() {
             // back so the paced retransmission is accepted later, and tell
             // the sender explicitly instead of acking data we discarded.
             rx.regress();
-            co_await send_rnr(src, rx.ack_value(), rpath);
+            co_await send_ack(src, rx.ack_value(), sim::Time::zero(), rpath,
+                              /*rnr=*/true);
             break;
           }
           if (do_ack) co_await send_ack(src, ack, stamp, rpath);
@@ -980,15 +946,7 @@ sim::Task<bool> Mcp::handle_data(hw::Packet p) {
       }
       const int slot = sys.free_slots.front();
       sys.free_slots.pop_front();
-      if (!p.payload.empty()) {
-        auto segs = slice_segments(
-            sys.slots[static_cast<std::size_t>(slot)], 0, p.payload.size());
-        auto span = trace_ ? trace_->span(comp(), "nic-dma-nic-to-host", p.msg_id)
-                           : sim::Trace::Span{};
-        co_await nic_.dma_scatter(p.payload, std::move(segs),
-                                  cfg_.dma_lead_bytes);
-        if (m_dma_rx_bytes_) m_dma_rx_bytes_->add(p.payload.size());
-      }
+      co_await scatter(p, sys.slots[static_cast<std::size_t>(slot)], 0);
       ++port->messages_received;
       co_await deliver_recv_event(
           *port, RecvEvent{p.msg_id, src, ch, p.payload.size(), slot});
@@ -1004,14 +962,7 @@ sim::Task<bool> Mcp::handle_data(hw::Packet p) {
         ++port->not_posted_drops;
         co_return true;
       }
-      if (!p.payload.empty()) {
-        auto segs = slice_segments(st.segs, p.offset, p.payload.size());
-        auto span = trace_ ? trace_->span(comp(), "nic-dma-nic-to-host", p.msg_id)
-                           : sim::Trace::Span{};
-        co_await nic_.dma_scatter(p.payload, std::move(segs),
-                                  cfg_.dma_lead_bytes);
-        if (m_dma_rx_bytes_) m_dma_rx_bytes_->add(p.payload.size());
-      }
+      co_await scatter(p, st.segs, p.offset);
       if (p.frag_index + 1 == p.frag_count) {
         st.posted = false;  // rendezvous consumed
         ++port->messages_received;
@@ -1033,17 +984,25 @@ sim::Task<bool> Mcp::handle_data(hw::Packet p) {
         ++port->rma_errors;
         co_return true;
       }
-      if (!p.payload.empty()) {
-        auto segs = slice_segments(st.segs, p.offset, p.payload.size());
-        co_await nic_.dma_scatter(p.payload, std::move(segs),
-                                  cfg_.dma_lead_bytes);
-        if (m_dma_rx_bytes_) m_dma_rx_bytes_->add(p.payload.size());
-      }
-      // RMA writes complete silently at the target.
+      // RMA writes complete silently at the target, outside any traced
+      // message timeline.
+      co_await scatter(p, st.segs, p.offset, /*traced=*/false);
       break;
     }
   }
   co_return true;
+}
+
+sim::Task<void> Mcp::scatter(const hw::Packet& p,
+                             const std::vector<hw::PhysSegment>& segs,
+                             std::uint64_t off, bool traced) {
+  if (p.payload.empty()) co_return;
+  auto dst = slice_segments(segs, off, p.payload.size());
+  auto span = traced && trace_
+                  ? trace_->span(comp(), "nic-dma-nic-to-host", p.msg_id)
+                  : sim::Trace::Span{};
+  co_await nic_.dma_scatter(p.payload, std::move(dst), cfg_.dma_lead_bytes);
+  if (m_dma_rx_bytes_) m_dma_rx_bytes_->add(p.payload.size());
 }
 
 sim::Task<void> Mcp::handle_rma_read(const hw::Packet& p) {
@@ -1077,41 +1036,20 @@ sim::Task<void> Mcp::handle_rma_read(const hw::Packet& p) {
 }
 
 sim::Task<void> Mcp::send_ack(hw::NodeId dst, std::uint32_t ack,
-                              sim::Time echo, std::uint8_t path) {
-  ++stats_.acks_sent;
-  hw::Packet p;
-  p.id = next_packet_id_++;
-  p.dst_node = dst;
-  p.proto = kProto;
-  p.kind = hw::PacketKind::kAck;
-  p.ack = ack;
-  p.echo_stamp = echo;  // RTT timestamp echo (see Packet::tx_stamp)
-  p.path_id = path_for(dst, path);
-  p.header_bytes = 16;
-  attach_grant(p);  // the main piggyback path for credit return
-  attach_cc_echo(p);
-  stamp_outbound(p);
-  co_await nic_.lanai().use(cfg_.mcp_ack_proc);
-  co_await nic_.transmit(std::move(p));
-}
-
-sim::Task<void> Mcp::send_rnr(hw::NodeId dst, std::uint32_t ack,
-                              std::uint8_t path) {
-  ++stats_.rnr_nacks_tx;
-  hw::Packet p;
-  p.id = next_packet_id_++;
-  p.dst_node = dst;
-  p.proto = kProto;
-  p.kind = hw::PacketKind::kNack;
+                              sim::Time echo, std::uint8_t path, bool rnr) {
+  ++(rnr ? stats_.rnr_nacks_tx : stats_.acks_sent);
+  const auto kind = rnr ? hw::PacketKind::kNack : hw::PacketKind::kAck;
+  hw::Packet p = ctrl_packet(dst, kind, SendOp::kSend, path);
   p.ack = ack;  // cumulative: everything the pool did take stays acked
-  p.nack_hint_us = static_cast<std::uint32_t>(cfg_.fc_rnr_backoff.to_us());
-  p.path_id = path_for(dst, path);
-  p.header_bytes = 16;
-  attach_grant(p);  // current limit aboard: heals any lost earlier grant
+  p.echo_stamp = echo;  // RTT timestamp echo (see Packet::tx_stamp)
+  if (rnr) {
+    p.nack_hint_us = static_cast<std::uint32_t>(cfg_.fc_rnr_backoff.to_us());
+  }
+  // The main piggyback path for credit return; aboard an RNR the current
+  // limit also heals any lost earlier grant.
+  attach_grant(p);
   attach_cc_echo(p);
-  stamp_outbound(p);
-  co_await nic_.lanai().use(cfg_.mcp_ack_proc);
-  co_await nic_.transmit(std::move(p));
+  co_await launch(std::move(p), cfg_.mcp_ack_proc);
 }
 
 Mcp::RxCredit& Mcp::rx_credit(std::uint32_t port_no, hw::NodeId src) {
@@ -1157,13 +1095,19 @@ void Mcp::attach_grant(hw::Packet& p) {
   }
 }
 
-void Mcp::apply_grant(const hw::Packet& p) {
-  if (!cfg_.flow_control || p.credit_port == kFcNoGrant) return;
-  flow_->on_grant(PortId{p.src_node, p.credit_port}, p.credit_limit);
+void Mcp::apply_piggyback(const hw::Packet& p) {
+  if (cfg_.flow_control && p.credit_port != kFcNoGrant) {
+    flow_->on_grant(PortId{p.src_node, p.credit_port}, p.credit_limit);
+  }
+  if (p.ecn_echo == 0) return;
+  // 0xff is the saturated batch-CNP level; anything else is a quantized
+  // mark fraction out of cc_feedback_levels.
+  cc_->on_echo(p.src_node, p.ecn_echo == 0xff
+                               ? cc::CongestionController::kEchoSaturated
+                               : p.ecn_echo);
 }
 
 void Mcp::note_ecn(const hw::Packet& p) {
-  if (!cfg_.congestion_control) return;
   EcnEchoWindow& w = ecn_echo_[p.src_node];
   if (w.accepted == 0) w.window_start = eng_.now();
   ++w.accepted;
@@ -1174,7 +1118,6 @@ void Mcp::note_ecn(const hw::Packet& p) {
 }
 
 void Mcp::attach_cc_echo(hw::Packet& p) {
-  if (!cfg_.congestion_control) return;
   const auto it = ecn_echo_.find(p.dst_node);
   if (it == ecn_echo_.end()) return;
   EcnEchoWindow& w = it->second;
@@ -1207,15 +1150,6 @@ void Mcp::attach_cc_echo(hw::Packet& p) {
   ++stats_.cc_echoes_tx;
 }
 
-void Mcp::apply_cc_echo(const hw::Packet& p) {
-  if (!cfg_.congestion_control || p.ecn_echo == 0) return;
-  // 0xff is the saturated batch-CNP level; anything else is a quantized
-  // mark fraction out of cc_feedback_levels.
-  cc_->on_echo(p.src_node, p.ecn_echo == 0xff
-                               ? cc::CongestionController::kEchoSaturated
-                               : p.ecn_echo);
-}
-
 void Mcp::credit_doorbell(std::uint32_t port_no) {
   if (!cfg_.flow_control) return;
   Port* port = find_port(port_no);
@@ -1236,38 +1170,31 @@ void Mcp::credit_doorbell(std::uint32_t port_no) {
     // Push a standalone update when the sender could not make progress
     // (its next packet would be the grant's only ride back) or when a
     // whole batch accumulated; smaller grants wait for piggyback rides.
-    if (granted > 0 && !rc.update_queued &&
-        (starved ||
-         granted >= static_cast<std::uint32_t>(
-                        std::max(1, cfg_.fc_credit_batch)))) {
-      rc.update_queued = true;
+    if (granted > 0 &&
+        (starved || granted >= static_cast<std::uint32_t>(
+                                   std::max(1, cfg_.fc_credit_batch)))) {
       eng_.spawn_daemon(send_fc_update(key.first, key.second));
     }
   }
 }
 
-sim::Task<void> Mcp::send_fc_update(std::uint32_t port_no, hw::NodeId dst) {
-  const auto it = rx_credits_.find(RxCreditKey{port_no, dst});
-  if (it == rx_credits_.end()) co_return;
-  it->second.update_queued = false;  // a later doorbell may queue the next
+sim::Task<void> Mcp::send_fc_update(std::uint32_t port_no, hw::NodeId dst,
+                                    std::uint8_t path) {
   // Standalone updates launch through the pacer too: a starved sender's
   // credit top-ups must not themselves feed a congested path.  Pace before
-  // reading the limit so the grant aboard is as fresh as possible.
-  co_await cc_->pace(dst, 16);
+  // reading the limit so the grant aboard is as fresh as possible — and
+  // look the ledger up only then, since a crash, a peer restart or a fresh
+  // handshake may have erased it during the wait.
+  co_await cc_->pace(dst, kCtrlHeaderBytes);
+  const auto it = rx_credits_.find(RxCreditKey{port_no, dst});
+  if (it == rx_credits_.end()) co_return;
   ++stats_.fc_updates_tx;
-  hw::Packet p;
-  p.id = next_packet_id_++;
-  p.dst_node = dst;
-  p.proto = kProto;
-  p.kind = hw::PacketKind::kCtrl;
-  p.op_flags = static_cast<std::uint16_t>(SendOp::kFcUpdate);
+  hw::Packet p =
+      ctrl_packet(dst, hw::PacketKind::kCtrl, SendOp::kFcUpdate, path);
   p.credit_port = static_cast<std::uint16_t>(port_no);
   p.credit_limit = it->second.limit;
-  p.header_bytes = 16;
   attach_cc_echo(p);
-  stamp_outbound(p);
-  co_await nic_.lanai().use(cfg_.mcp_fc_proc);
-  co_await nic_.transmit(std::move(p));
+  co_await launch(std::move(p), cfg_.mcp_fc_proc);
 }
 
 void Mcp::fc_probe(PortId dst) {
@@ -1276,19 +1203,12 @@ void Mcp::fc_probe(PortId dst) {
 }
 
 sim::Task<void> Mcp::send_fc_probe(PortId dst) {
-  co_await cc_->pace(dst.node, 16);
+  co_await cc_->pace(dst.node, kCtrlHeaderBytes);
   ++stats_.fc_probes_tx;
-  hw::Packet p;
-  p.id = next_packet_id_++;
-  p.dst_node = dst.node;
+  hw::Packet p =
+      ctrl_packet(dst.node, hw::PacketKind::kCtrl, SendOp::kFcProbe);
   p.dst_port = dst.port;
-  p.proto = kProto;
-  p.kind = hw::PacketKind::kCtrl;
-  p.op_flags = static_cast<std::uint16_t>(SendOp::kFcProbe);
-  p.header_bytes = 16;
-  stamp_outbound(p);
-  co_await nic_.lanai().use(cfg_.mcp_fc_proc);
-  co_await nic_.transmit(std::move(p));
+  co_await launch(std::move(p), cfg_.mcp_fc_proc);
 }
 
 sim::Task<void> Mcp::deliver_recv_event(Port& port, RecvEvent ev) {
@@ -1300,7 +1220,7 @@ sim::Task<void> Mcp::deliver_recv_event(Port& port, RecvEvent ev) {
 }
 
 sim::Task<void> Mcp::deliver_send_event(Port* port, SendEvent ev) {
-  if (port == nullptr) co_return;  // RMA-read replies have no local sender
+  if (port == nullptr) co_return;  // no local sender to notify
   auto span = trace_ ? trace_->span(comp(), "event-dma-send", ev.msg_id)
                      : sim::Trace::Span{};
   co_await nic_.lanai().use(cfg_.mcp_event_proc);

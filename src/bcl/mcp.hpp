@@ -46,13 +46,15 @@ std::vector<hw::PhysSegment> slice_segments(
     const std::vector<hw::PhysSegment>& segs, std::uint64_t off,
     std::size_t len);
 
-class Mcp {
+// Owns the per-peer tx sessions as their SessionOwner: paths, strikes,
+// verdicts and completions all resolve against the MCP's tables.
+class Mcp : private SessionOwner {
  public:
   static constexpr std::uint16_t kProto = 1;
 
   Mcp(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
       sim::Trace* trace = nullptr, sim::MetricRegistry* metrics = nullptr);
-  ~Mcp();
+  ~Mcp() override;
 
   // Port registry (NIC-resident port table).
   void register_port(Port* port);
@@ -217,7 +219,6 @@ class Mcp {
   struct RxCredit {
     std::uint32_t limit = 0;
     std::uint32_t delivered = 0;
-    bool update_queued = false;  // a standalone update daemon is in flight
   };
   using RxCreditKey = std::pair<std::uint32_t, hw::NodeId>;
 
@@ -229,13 +230,31 @@ class Mcp {
   // control is on, so the caller must regress the rx session and NACK
   // instead of acking a silently discarded message.
   sim::Task<bool> handle_data(hw::Packet p);
+  // DMA p's payload into the host pages `segs` from byte `off` on (no-op
+  // for an empty payload); `traced` attributes it to the message timeline.
+  sim::Task<void> scatter(const hw::Packet& p,
+                          const std::vector<hw::PhysSegment>& segs,
+                          std::uint64_t off, bool traced = true);
   sim::Task<void> handle_rma_read(const hw::Packet& p);
+  // Fail or complete `d` through its sender's event queue (no-op unless
+  // d.notify_sender): ok exactly when err is kOk.
+  sim::Task<void> complete_send(const SendDescriptor& d, BclErr err);
+
+  // -- session-less control packets -------------------------------------------
+  // Every control packet starts here: fresh id, `kind` and `op`, the
+  // 16-byte header, the fabric path (path_for) and the dst incarnation.
+  hw::Packet ctrl_packet(hw::NodeId dst, hw::PacketKind kind, SendOp op,
+                         std::uint8_t path = hw::kDefaultPath);
+  // Charges `proc` of LANai time, then transmits.
+  sim::Task<void> launch(hw::Packet p, sim::Time proc);
+  // Cumulative ack, or with `rnr` a receiver-not-ready NACK carrying the
+  // backoff hint.  Both piggyback the current grant and ECN echo.
   sim::Task<void> send_ack(hw::NodeId dst, std::uint32_t ack,
                            sim::Time echo = sim::Time::zero(),
-                           std::uint8_t path = hw::kDefaultPath);
-  sim::Task<void> send_rnr(hw::NodeId dst, std::uint32_t ack,
-                           std::uint8_t path = hw::kDefaultPath);
-  sim::Task<void> send_fc_update(std::uint32_t port_no, hw::NodeId dst);
+                           std::uint8_t path = hw::kDefaultPath,
+                           bool rnr = false);
+  sim::Task<void> send_fc_update(std::uint32_t port_no, hw::NodeId dst,
+                                 std::uint8_t path = hw::kDefaultPath);
   sim::Task<void> send_fc_probe(PortId dst);
   RxCredit& rx_credit(std::uint32_t port_no, hw::NodeId src);
   // Raise the ledger's limit toward the per-sender window (capped by the
@@ -244,8 +263,9 @@ class Mcp {
   // Attach the current cumulative grant for p.dst_node to an outbound
   // packet (acks, data, NACKs) — the piggyback path of credit return.
   void attach_grant(hw::Packet& p);
-  // An inbound packet may carry a grant for our sender side.
-  void apply_grant(const hw::Packet& p);
+  // An inbound packet may carry a grant for our sender side and an ECN
+  // echo for our rate controller.
+  void apply_piggyback(const hw::Packet& p);
   // ECN bookkeeping, called once per *accepted* data packet (retransmitted
   // duplicates are already filtered by the rx session, so a mark is counted
   // at most once per delivery): advances the source's echo window and
@@ -258,8 +278,6 @@ class Mcp {
   // marked.  Without it, any pending mark flushes immediately at full
   // strength (DCQCN CNP semantics: "congestion", not "how much").
   void attach_cc_echo(hw::Packet& p);
-  // An inbound ack/NACK/grant may carry an echo for our rate controller.
-  void apply_cc_echo(const hw::Packet& p);
   sim::Task<void> deliver_recv_event(Port& port, RecvEvent ev);
   sim::Task<void> deliver_send_event(Port* port, SendEvent ev);
   RxSession& rx_session(hw::NodeId src);
@@ -268,7 +286,20 @@ class Mcp {
   // every local port's send-event queue, and start the bounded revival
   // prober that can later rescind the verdict.
   sim::Task<void> announce_peer_failure(hw::NodeId dst);
+  // Registers the NIC-wide <nic>.mcp/.rel/.cc/.path/.fc metrics.
+  void register_metrics(sim::MetricRegistry& m);
   void register_session_metrics(hw::NodeId dst);
+  // Sums one per-session reading over the live sessions.
+  template <typename T>
+  std::uint64_t sum_sessions(T (TxSession::*read)() const) const;
+
+  // -- SessionOwner -----------------------------------------------------------
+  std::uint8_t path(hw::NodeId peer) override;
+  bool strike(hw::NodeId peer) override;
+  void progress(hw::NodeId peer) override;
+  BclErr verdict(hw::NodeId peer) override;
+  void failed(hw::NodeId peer) override;
+  void completed(const TxNotify& n, BclErr err) override;
 
   // -- crash–restart internals -------------------------------------------------
   // Incarnation fence, applied to every inbound kProto packet before any
@@ -283,6 +314,9 @@ class Mcp {
   // its rx session / rx ledgers / echo window, reset the sender-side credit
   // ledgers, and mark the peer for a SYN handshake on the next session.
   void handle_peer_restart(hw::NodeId src);
+  // Drop everything we keep as src's receiver: the rx session, the echo
+  // window and every credit ledger toward src.
+  void forget_rx_state(hw::NodeId src);
   // Poison the session with `err` and move it to the graveyard (its timer
   // daemons may still be parked in a sleep and must wake on a live object).
   void teardown_session(hw::NodeId peer, BclErr err);
@@ -300,8 +334,12 @@ class Mcp {
   // session runs its own daemon) until establishment, teardown, or ladder
   // exhaustion, which draws the ordinary unreachable verdict.
   sim::Task<void> syn_daemon(hw::NodeId dst, TxSession* s);
-  // Bounded low-rate keepalive toward an unreachable peer.
-  sim::Task<void> revival_prober(hw::NodeId dst);
+  // One bounded prober per (dst, path).  kDefaultPath probes an
+  // unreachable peer (seq 0) until its verdict is rescinded; any other
+  // path is quarantined and probed on that path (seq = path+1) until an
+  // answer in handle_probe_ack requalifies it.
+  void spawn_prober(hw::NodeId dst, std::uint8_t path);
+  sim::Task<void> prober(hw::NodeId dst, std::uint8_t path);
   void handle_syn(const hw::Packet& p);
   void handle_syn_ack(const hw::Packet& p);
   void handle_probe_ack(const hw::Packet& p);
@@ -313,16 +351,6 @@ class Mcp {
   // wins; otherwise the destination's current table path (kDefaultPath for
   // untracked destinations — the fabric picks its static route).
   std::uint8_t path_for(hw::NodeId dst, std::uint8_t hint) const;
-  // One RTO strike against dst's current path.  Returns true when the
-  // table rotated to a fresh path (the session resets its escalation and
-  // retries eagerly on the new wire).
-  bool path_strike(hw::NodeId dst);
-  void spawn_path_prober(hw::NodeId dst, std::uint8_t path);
-  // Bounded background prober for one quarantined (dst, path): sends a
-  // kProbe with seq = path+1 pinned onto that path every
-  // path_probe_interval, up to path_probe_max rounds.  An answered probe
-  // (kProbeAck echoing the seq) requalifies the path via handle_probe_ack.
-  sim::Task<void> path_prober(hw::NodeId dst, std::uint8_t path);
 
   sim::Engine& eng_;
   hw::Nic& nic_;
@@ -369,9 +397,8 @@ class Mcp {
   // Peers whose next tx session must open with a SYN handshake (their
   // restart was detected, or a revival probe was answered).
   std::set<hw::NodeId> needs_syn_;
-  std::set<hw::NodeId> probing_;  // revival prober active toward these
-  // (dst, path) pairs with an active quarantined-path prober daemon.
-  std::set<std::pair<hw::NodeId, std::uint8_t>> path_probing_;
+  // (dst, path) pairs with an active prober daemon (see spawn_prober).
+  std::set<std::pair<hw::NodeId, std::uint8_t>> probing_;
   // Rate limiter for stale-dst restart notices, per source.
   std::map<hw::NodeId, sim::Time> last_restart_notice_;
   // Receiver-side handshake idempotency: the (src incarnation, nonce) of

@@ -80,17 +80,6 @@ bool PathTable::is_quarantined(hw::NodeId dst, std::uint8_t path) const {
   return it->second.paths[path].quarantined;
 }
 
-std::vector<std::pair<hw::NodeId, std::uint8_t>> PathTable::quarantined_paths()
-    const {
-  std::vector<std::pair<hw::NodeId, std::uint8_t>> out;
-  for (const auto& [dst, d] : dests_) {
-    for (const PathState& p : d.paths) {
-      if (p.quarantined) out.emplace_back(dst, p.id);
-    }
-  }
-  return out;
-}
-
 std::uint64_t PathTable::quarantined_count() const {
   std::uint64_t n = 0;
   for (const auto& [dst, d] : dests_) {

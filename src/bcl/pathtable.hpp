@@ -88,9 +88,6 @@ class PathTable {
 
   bool is_quarantined(hw::NodeId dst, std::uint8_t path) const;
 
-  // Every (dst, path) currently quarantined — the probe schedule.
-  std::vector<std::pair<hw::NodeId, std::uint8_t>> quarantined_paths() const;
-
   std::vector<DestSnapshot> snapshot() const;
 
   // MCP fail-stop: SRAM contents are gone.

@@ -9,7 +9,8 @@
 namespace bcl {
 
 TxSession::TxSession(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
-                     std::uint64_t seed, bool handshake)
+                     std::uint64_t seed, bool handshake,
+                     SessionOwner* owner, hw::NodeId peer)
     : eng_{eng},
       nic_{nic},
       cfg_{cfg},
@@ -17,7 +18,9 @@ TxSession::TxSession(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
       rng_{seed},
       next_seq_{cfg.first_seq},
       last_ack_{cfg.first_seq - 1},
-      established_{eng} {
+      established_{eng},
+      owner_{owner},
+      peer_{peer} {
   if (!handshake) established_.open();
 }
 
@@ -42,7 +45,7 @@ sim::Task<BclErr> TxSession::send(hw::Packet p) {
   // egress); only the session-originated resends pace inside the session.
   p.seq = next_seq_++;
   p.tx_stamp = eng_.now();
-  if (path_current_) p.path_id = path_current_();
+  stamp_path(p);
   rec(FlightKind::kSend, p.msg_id, p.seq);
   if (unacked_.empty()) last_progress_ = eng_.now();
   unacked_.push_back({p, eng_.now(), false});  // retransmit copy
@@ -94,7 +97,7 @@ void TxSession::on_ack(std::uint32_t ack, sim::Time echo_stamp) {
     dup_acks_ = 0;
     backoff_level_ = 0;
     consecutive_timeouts_ = 0;
-    if (path_good_) path_good_();
+    if (owner_ != nullptr) owner_->progress(peer_);
     if (in_recovery_ && seq_leq(recover_, ack)) in_recovery_ = false;
     window_.release(released);
     rec(FlightKind::kAckRx, 0, ack, static_cast<std::uint64_t>(released));
@@ -118,7 +121,6 @@ void TxSession::on_ack(std::uint32_t ack, sim::Time echo_stamp) {
 
 void TxSession::on_rnr(std::uint32_t ack, sim::Time hold) {
   if (unreachable_) return;
-  ++rnr_events_;
   rec(FlightKind::kRnr, 0, ack,
       static_cast<std::uint64_t>(hold.to_us() > 0 ? hold.to_us() : 0));
   // The NACK still carries a cumulative ack: release the prefix the
@@ -140,7 +142,7 @@ void TxSession::on_rnr(std::uint32_t ack, sim::Time hold) {
   consecutive_timeouts_ = 0;
   backoff_level_ = 0;
   dup_acks_ = 0;
-  if (path_good_) path_good_();
+  if (owner_ != nullptr) owner_->progress(peer_);
   last_progress_ = eng_.now();
   if (hold <= sim::Time::zero()) hold = cfg_.fc_rnr_backoff;
   rnr_hold_until_ = eng_.now() + hold;
@@ -179,7 +181,7 @@ sim::Task<void> TxSession::timer() {
       // the retry budget: a rotation hands the fresh path a fresh
       // escalation ladder, so a single dead spine is survived well before
       // the budget ripens into a peer-failure verdict.
-      if (path_strike_ && path_strike_()) {
+      if (owner_ != nullptr && owner_->strike(peer_)) {
         consecutive_timeouts_ = 0;
         backoff_level_ = 0;
       }
@@ -240,7 +242,7 @@ sim::Task<void> TxSession::retransmit_window() {
     copy.tx_stamp = eng_.now();  // the echo samples THIS copy's round trip
     // Re-stamp the path: after a failover the whole in-window replay must
     // ride the new route, not the dead one the copies were born with.
-    if (path_current_) copy.path_id = path_current_();
+    stamp_path(copy);
     ++retransmissions_;
     rec(FlightKind::kRetransmit, copy.msg_id, s);
     if (trace_ != nullptr) {
@@ -311,7 +313,7 @@ void TxSession::flush_notifies(std::uint32_t ack) {
   while (!notifies_.empty() && seq_leq(notifies_.front().seq, ack)) {
     const TxNotify n = notifies_.front();
     notifies_.pop_front();
-    if (completion_hook_) completion_hook_(n, BclErr::kOk);
+    complete(n, BclErr::kOk);
   }
 }
 
@@ -319,7 +321,7 @@ void TxSession::track(TxNotify n) {
   if (unreachable_) {
     // The teardown flush already ran; this entry raced it (the session
     // died between the final fragment's transmit and its registration).
-    if (completion_hook_) completion_hook_(n, fail_err_);
+    complete(n, fail_err_);
     return;
   }
   notifies_.push_back(std::move(n));
@@ -338,7 +340,7 @@ void TxSession::poison(BclErr err) {
   while (!notifies_.empty()) {
     const TxNotify n = notifies_.front();
     notifies_.pop_front();
-    if (completion_hook_) completion_hook_(n, err);
+    complete(n, err);
   }
   // Wake every sender parked on the window; they observe unreachable_ and
   // fail their sends instead of transmitting into the void.
@@ -349,8 +351,12 @@ void TxSession::poison(BclErr err) {
 
 void TxSession::fail_peer() {
   if (unreachable_) return;
-  poison(fail_verdict_ ? fail_verdict_() : BclErr::kPeerUnreachable);
-  if (failure_hook_) failure_hook_();
+  if (owner_ == nullptr) {
+    poison(BclErr::kPeerUnreachable);
+    return;
+  }
+  poison(owner_->verdict(peer_));
+  owner_->failed(peer_);
 }
 
 }  // namespace bcl

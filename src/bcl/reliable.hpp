@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "bcl/config.hpp"
 #include "bcl/recorder.hpp"
@@ -43,31 +42,64 @@ inline constexpr bool seq_leq(std::uint32_t a, std::uint32_t b) {
   return static_cast<std::int32_t>(a - b) <= 0;
 }
 
+// One end-to-end completion the MCP registered with a session
+// (cfg.e2e_completion): the message whose final fragment carries `seq`.
+struct TxNotify {
+  std::uint32_t seq = 0;
+  std::uint64_t msg_id = 0;
+  std::uint32_t src_port = 0;
+  PortId dst{};
+};
+
+// What a TxSession needs from whoever runs it (the MCP).  Every method
+// names the session's peer, so one owner can serve a session per node.
+class SessionOwner {
+ public:
+  SessionOwner() = default;
+  virtual ~SessionOwner() = default;
+
+  SessionOwner(const SessionOwner&) = delete;
+  SessionOwner& operator=(const SessionOwner&) = delete;
+
+  // Fabric path to stamp on every outbound packet, first launches and
+  // retransmits alike (kDefaultPath lets the fabric pick).
+  virtual std::uint8_t path(hw::NodeId peer) = 0;
+  // One RTO expiry charged to the current path.  True when the owner
+  // rotated to a fresh path: the session then resets its escalation (the
+  // old path's timeouts prove nothing about the new wire).  Only the
+  // timer strikes; ECN marks and congestion-inflated RTTs never do.
+  virtual bool strike(hw::NodeId peer) = 0;
+  // Forward progress (ack advance or RNR): the current path works.
+  virtual void progress(hw::NodeId peer) = 0;
+  // The error the retry-budget death poisons with (kPartitioned when
+  // every path to the peer is quarantined, else kPeerUnreachable).
+  virtual BclErr verdict(hw::NodeId peer) = 0;
+  // The session just died of its retry budget; called exactly once.
+  virtual void failed(hw::NodeId peer) = 0;
+  // A tracked completion resolved: kOk on its cumulative ack, the poison
+  // error if the session died first.  Called exactly once per entry.
+  virtual void completed(const TxNotify& n, BclErr err) = 0;
+};
+
 class TxSession {
  public:
-  // Invoked exactly once, when the retry budget is exhausted and the
-  // session transitions to unreachable.
-  using FailureHook = std::function<void()>;
-
   // With `handshake` set the session opens un-established: send() parks on
   // the establishment gate until the MCP's SYN/SYN-ACK exchange completes
   // (establish()) or the session is poisoned.  Cold-start sessions at
   // incarnation 0 skip the handshake — both ends begin at cfg.first_seq by
   // construction, and the extra control packets would perturb the
-  // paper-calibrated baselines.
+  // paper-calibrated baselines.  Without an `owner` the session rides the
+  // default path, dies kPeerUnreachable and resolves completions silently.
   TxSession(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
-            std::uint64_t seed = 1, bool handshake = false);
-
-  void set_failure_hook(FailureHook hook) { failure_hook_ = std::move(hook); }
+            std::uint64_t seed = 1, bool handshake = false,
+            SessionOwner* owner = nullptr, hw::NodeId peer = 0);
 
   // Observability taps (both optional): protocol events go into the NIC's
   // flight recorder; retransmit episodes are attributed to the victim
-  // message's MsgRecord in the trace.  `peer` labels the recorder entries.
-  void set_telemetry(FlightRecorder* rec, sim::Trace* trace,
-                     hw::NodeId peer) {
+  // message's MsgRecord in the trace.
+  void set_telemetry(FlightRecorder* rec, sim::Trace* trace) {
     recorder_ = rec;
     trace_ = trace;
-    peer_ = peer;
   }
 
   // Optional congestion controller (owned by the MCP).  When set, every
@@ -77,30 +109,6 @@ class TxSession {
   // manufactures timeouts.  First launches are paced by the MCP itself,
   // outside the tx mutex.
   void set_cc(cc::CongestionController* cc) { cc_ = cc; }
-
-  // -- multipath failover (installed by the MCP; see bcl::PathTable) ----------
-  // `current`: the path id to stamp on every outbound packet, first
-  // launches and retransmits alike — Nic::transmit re-expands the source
-  // route from it, so a post-failover replay really leaves over the new
-  // wire.  `strike`: one RTO expiry charged to the current path; returns
-  // true when the path table rotated to a new healthy path, in which case
-  // the session resets its escalation (the old path's timeouts prove
-  // nothing about the new wire).  `good`: forward progress (ack advance or
-  // RNR) — clears the current path's strikes.  Strikes come only from the
-  // timer: ECN marks and congestion-inflated RTTs never reach these hooks.
-  void set_path_hooks(std::function<std::uint8_t()> current,
-                      std::function<bool()> strike,
-                      std::function<void()> good) {
-    path_current_ = std::move(current);
-    path_strike_ = std::move(strike);
-    path_good_ = std::move(good);
-  }
-  // Overrides the error fail_peer() poisons with (default
-  // kPeerUnreachable); the MCP answers kPartitioned when every path to the
-  // peer is quarantined.
-  void set_fail_verdict(std::function<BclErr()> v) {
-    fail_verdict_ = std::move(v);
-  }
 
   // Stamps the next sequence number, records a retransmit copy, and
   // transmits.  Blocks while the window is full (and, for handshake
@@ -112,13 +120,13 @@ class TxSession {
   // Parameterized teardown: marks the session dead so every parked and
   // future send fails with `err`, clears the retransmit state, and flushes
   // the end-to-end completion ledger with the error.  fail_peer() is
-  // poison(kPeerUnreachable) plus the failure hook; the MCP's crash and
-  // peer-restart paths poison with kPeerRestarted and no hook (a restart
-  // is not a diagnosis event).  Idempotent.
+  // poison(owner verdict) plus SessionOwner::failed; the MCP's crash and
+  // peer-restart paths poison with kPeerRestarted and no verdict (a
+  // restart is not a diagnosis event).  Idempotent.
   void poison(BclErr err);
-  // Exhausts the session the retry-budget way: poison(kPeerUnreachable)
-  // and fire the failure hook.  Public so the MCP's SYN daemon can apply
-  // the ordinary verdict when the handshake ladder is spent.
+  // Exhausts the session the retry-budget way: poison with the owner's
+  // verdict and report the failure.  Public so the MCP's SYN daemon can
+  // apply the ordinary verdict when the handshake ladder is spent.
   void fail_peer();
 
   // -- establishment gate (crash–restart handshake) ---------------------------
@@ -127,21 +135,9 @@ class TxSession {
 
   // -- end-to-end completion ledger (cfg.e2e_completion) ----------------------
   // The MCP registers a message's final-fragment sequence here after
-  // staging; the hook fires exactly once per entry — with kOk when the
-  // cumulative ack passes the sequence, or with the poison error if the
-  // session dies first.
-  struct TxNotify {
-    std::uint32_t seq = 0;
-    std::uint64_t msg_id = 0;
-    std::uint32_t src_port = 0;
-    PortId dst{};
-  };
-  using CompletionHook = std::function<void(const TxNotify&, BclErr)>;
-  void set_completion_hook(CompletionHook h) {
-    completion_hook_ = std::move(h);
-  }
-  // Registers an entry; on an already-poisoned session the hook fires
-  // immediately with the poison error (the teardown flush already ran).
+  // staging; SessionOwner::completed resolves each entry exactly once.  On
+  // an already-poisoned session it resolves immediately with the poison
+  // error (the teardown flush already ran).
   void track(TxNotify n);
 
   // Newest sequence number handed to the wire (the final fragment's, right
@@ -170,7 +166,6 @@ class TxSession {
   std::uint64_t window_stalls() const { return window_stalls_; }
   std::uint64_t fast_retransmits() const { return fast_retransmits_; }
   std::uint64_t rtt_samples() const { return rtt_samples_; }
-  std::uint64_t rnr_events() const { return rnr_events_; }
   int backoff_level() const { return backoff_level_; }
   // Estimator state (zero until the first sample when adaptive).
   sim::Time srtt() const { return srtt_; }
@@ -199,8 +194,16 @@ class TxSession {
   sim::Task<void> retransmit_window();
   sim::Time effective_rto();
   void note_rtt(sim::Time sample);
-  // Fires completion hooks for every ledger entry with seq <= ack.
+  // Resolves every ledger entry with seq <= ack as kOk.
   void flush_notifies(std::uint32_t ack);
+  // Resolves one ledger entry through the owner (if any).
+  void complete(const TxNotify& n, BclErr err) {
+    if (owner_ != nullptr) owner_->completed(n, err);
+  }
+  // The path the owner wants stamped on the next outbound packet.
+  void stamp_path(hw::Packet& p) {
+    if (owner_ != nullptr) p.path_id = owner_->path(peer_);
+  }
   void rec(FlightKind kind, std::uint64_t msg_id = 0, std::uint32_t seq = 0,
            std::uint64_t aux = 0) {
     if (recorder_ != nullptr) {
@@ -245,22 +248,16 @@ class TxSession {
   // for handshake sessions.
   sim::Gate established_;
   std::deque<TxNotify> notifies_;  // e2e ledger, seq order
-  CompletionHook completion_hook_;
-  FailureHook failure_hook_;
-  std::function<std::uint8_t()> path_current_;
-  std::function<bool()> path_strike_;
-  std::function<void()> path_good_;
-  std::function<BclErr()> fail_verdict_;
+  SessionOwner* owner_;
+  hw::NodeId peer_;
   cc::CongestionController* cc_ = nullptr;
   FlightRecorder* recorder_ = nullptr;
   sim::Trace* trace_ = nullptr;
-  hw::NodeId peer_ = 0;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t window_stalls_ = 0;
   std::uint64_t fast_retransmits_ = 0;
   std::uint64_t rtt_samples_ = 0;
-  std::uint64_t rnr_events_ = 0;
 };
 
 class RxSession {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "bcl/bcl.hpp"
@@ -356,6 +357,115 @@ TEST(TxSessionUnit, DupAckWithEchoStampStillFeedsTheRttEstimator) {
   EXPECT_EQ(s.retransmissions(), 0u);
   EXPECT_EQ(s.fast_retransmits(), 0u);
   EXPECT_FALSE(s.peer_unreachable());
+}
+
+// A scripted two-path owner: strike() rotates to path 1 on its third call;
+// the death verdict is kPartitioned.  Records every callback.
+class TwoPathOwner : public bcl::SessionOwner {
+ public:
+  std::uint8_t path(hw::NodeId) override { return current; }
+  bool strike(hw::NodeId) override {
+    if (++strikes != 3) return false;
+    current = 1;
+    return true;
+  }
+  void progress(hw::NodeId) override { ++progress_calls; }
+  BclErr verdict(hw::NodeId) override { return BclErr::kPartitioned; }
+  void failed(hw::NodeId peer) override { failures.push_back(peer); }
+  void completed(const bcl::TxNotify& n, BclErr err) override {
+    done.emplace_back(n.msg_id, err);
+  }
+
+  std::uint8_t current = 0;
+  int strikes = 0;
+  int progress_calls = 0;
+  std::vector<hw::NodeId> failures;
+  std::vector<std::pair<std::uint64_t, BclErr>> done;
+};
+
+struct PathRecord {
+  Time at;
+  std::uint8_t path;
+};
+
+// The session's contract with its owner.  Every RTO expiry is a strike;
+// the strike that rotates resets the backoff ladder and the retry budget,
+// so the next resend leaves 2x base RTO later on the new path and the
+// budget (max_retries = 3) survives three more timeouts.  The budget's
+// death poisons with the owner's verdict, calls failed() exactly once, and
+// resolves every tracked completion through completed() exactly once —
+// including one tracked after the death.
+TEST(TxSessionUnit, OwnerRotationResetsEscalationAndResolvesOnce) {
+  sim::Engine eng;
+  hw::HostMemory mem{1u << 20};
+  hw::PciBus pci{eng, "pci", {}};
+  hw::Nic nic{eng, 0, "nic0", pci, mem, {}};
+  SinkFabric fab{eng, 64};  // roomy sink: sends never block in this test
+  fab.attach(0, nic);
+
+  bcl::CostConfig cost;
+  cost.rto = Time::us(100);
+  cost.adaptive_rto = false;
+  cost.rto_backoff_jitter = 0.0;
+  cost.dupack_k = 0;
+  cost.max_retries = 3;
+  TwoPathOwner owner;
+  constexpr hw::NodeId kPeer = 7;
+  bcl::TxSession s{eng, nic, cost, 1, false, &owner, kPeer};
+
+  std::vector<PathRecord> sent;
+  eng.spawn_daemon([](sim::Engine& eng, SinkFabric& fab,
+                      std::vector<PathRecord>& sent) -> Task<void> {
+    for (;;) {
+      hw::Packet p = co_await fab.ch.recv();
+      sent.push_back({eng.now(), p.path_id});
+    }
+  }(eng, fab, sent));
+  eng.spawn([](bcl::TxSession& s, hw::NodeId peer) -> Task<void> {
+    for (std::uint64_t msg = 1; msg <= 2; ++msg) {
+      hw::Packet p;
+      p.dst_node = peer;
+      EXPECT_EQ(co_await s.send(std::move(p)), BclErr::kOk);
+      s.track({s.last_seq(), msg, 0, PortId{peer, 0}});
+    }
+  }(s, kPeer));
+  eng.run();
+
+  // Expiries at 100, 300, 700 (rotation: ladder reset), 900, 1300, and the
+  // fatal one at 2100 us.  Without the reset the budget would have died at
+  // the fourth expiry, 1500 us.
+  EXPECT_EQ(s.timeouts(), 6u);
+  EXPECT_EQ(owner.strikes, 6);
+  EXPECT_EQ(owner.progress_calls, 0);
+  ASSERT_EQ(sent.size(), 12u);  // 2 first launches + 5 window replays
+  for (const PathRecord& r : sent) {
+    EXPECT_EQ(r.path, r.at < Time::us(700) ? 0 : 1) << r.at.str();
+  }
+  EXPECT_EQ(sent[6].at, Time::us(700));  // first replay on the new path
+  EXPECT_EQ(sent[8].at, Time::us(900));  // 2x base RTO later, not 8x
+
+  EXPECT_TRUE(s.peer_unreachable());
+  EXPECT_EQ(owner.failures, std::vector<hw::NodeId>{kPeer});
+  ASSERT_EQ(owner.done.size(), 2u);
+  EXPECT_EQ(owner.done[0], std::make_pair(std::uint64_t{1},
+                                          BclErr::kPartitioned));
+  EXPECT_EQ(owner.done[1], std::make_pair(std::uint64_t{2},
+                                          BclErr::kPartitioned));
+
+  // Dead is dead: a late entry resolves at once with the verdict, a send
+  // fails with it, and neither teardown path reports or resolves twice.
+  s.track({s.last_seq(), 3, 0, PortId{kPeer, 0}});
+  ASSERT_EQ(owner.done.size(), 3u);
+  EXPECT_EQ(owner.done[2].second, BclErr::kPartitioned);
+  eng.spawn([](bcl::TxSession& s) -> Task<void> {
+    EXPECT_EQ(co_await s.send(hw::Packet{}), BclErr::kPartitioned);
+  }(s));
+  eng.run();
+  s.fail_peer();
+  s.poison(BclErr::kPeerRestarted);
+  EXPECT_EQ(owner.failures.size(), 1u);
+  EXPECT_EQ(owner.done.size(), 3u);
+  EXPECT_EQ(sent.size(), 12u);
 }
 
 // ---------------------------------------------------------------------------

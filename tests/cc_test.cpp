@@ -29,12 +29,6 @@ namespace {
 using sim::Task;
 using sim::Time;
 
-bcl::CostConfig cc_cost() {
-  bcl::CostConfig cfg;
-  cfg.congestion_control = true;
-  return cfg;
-}
-
 // -- pacer ------------------------------------------------------------------
 
 // A throttled destination's launches are spaced at exactly bytes/rate: four
@@ -42,7 +36,7 @@ bcl::CostConfig cc_cost() {
 // first launch goes immediately).
 TEST(CcPacer, SpacesLaunchesAtConfiguredRate) {
   sim::Engine eng;
-  bcl::CostConfig cfg = cc_cost();
+  bcl::CostConfig cfg;
   cfg.cc_ai_rate = 0.0;  // freeze recovery so the rate stays pinned
   bcl::cc::Pacer pacer{eng, cfg};
   pacer.state(5).rate = 8e6;
@@ -66,7 +60,7 @@ TEST(CcPacer, SpacesLaunchesAtConfiguredRate) {
 // wire never sleeps in pace().
 TEST(CcPacer, LineRateAddsNoDelay) {
   sim::Engine eng;
-  bcl::CostConfig cfg = cc_cost();
+  bcl::CostConfig cfg;
   bcl::cc::Pacer pacer{eng, cfg};
 
   eng.spawn([](sim::Engine& e, bcl::cc::Pacer& p,
@@ -93,7 +87,7 @@ TEST(CcPacer, LineRateAddsNoDelay) {
 // additive increase, with alpha decayed to noise.
 TEST(CcAimd, OneDecreasePerEpochThenBoundedRecovery) {
   sim::Engine eng;
-  const bcl::CostConfig cfg = cc_cost();
+  const bcl::CostConfig cfg{};
   bcl::cc::CongestionController cc{eng, cfg, "t"};
 
   eng.spawn([](sim::Engine& e, bcl::cc::CongestionController& cc,
@@ -134,7 +128,7 @@ TEST(CcAimd, OneDecreasePerEpochThenBoundedRecovery) {
 // alpha lands at g*f.  A grazing mark (L=1) barely dents the rate; a
 // fully-marked window (L=levels) halves it.
 TEST(CcAimd, ScaledCutMatchesEveryFeedbackLevel) {
-  const bcl::CostConfig cfg = cc_cost();
+  const bcl::CostConfig cfg{};
   double prev_rate = 1e18;
   for (int level = 1; level <= cfg.cc_feedback_levels; ++level) {
     sim::Engine eng;
@@ -157,7 +151,7 @@ TEST(CcAimd, ScaledCutMatchesEveryFeedbackLevel) {
 // echo takes the classic DCQCN alpha/2 cut (alpha = g after one echo), the
 // same as a saturated one — batch CNP semantics for A/B comparison.
 TEST(CcAimd, BatchModeIgnoresFeedbackLevel) {
-  bcl::CostConfig cfg = cc_cost();
+  bcl::CostConfig cfg;
   cfg.cc_proportional = false;
   const double expect = cfg.cc_line_rate * (1.0 - cfg.cc_g / 2.0);
   {
@@ -177,7 +171,7 @@ TEST(CcAimd, BatchModeIgnoresFeedbackLevel) {
 // Level 0 is "no echo aboard" and must not touch the state.
 TEST(CcAimd, LevelZeroIsNoEcho) {
   sim::Engine eng;
-  const bcl::CostConfig cfg = cc_cost();
+  const bcl::CostConfig cfg{};
   bcl::cc::CongestionController cc{eng, cfg, "t"};
   cc.on_echo(9, 0);
   EXPECT_EQ(cc.rate_of(9), cfg.cc_line_rate);
@@ -194,7 +188,7 @@ TEST(CcAimd, LevelZeroIsNoEcho) {
 // epoch, skewing the postmortem's storming/recovering classification).
 TEST(CcPacer, RecoveryClampCountsOnlyEffectiveIncreases) {
   sim::Engine eng;
-  const bcl::CostConfig cfg = cc_cost();
+  const bcl::CostConfig cfg{};
   bcl::cc::Pacer pacer{eng, cfg};
   pacer.state(5).rate = cfg.cc_line_rate - 5e6;
 
@@ -215,7 +209,7 @@ TEST(CcPacer, RecoveryClampCountsOnlyEffectiveIncreases) {
 // rate emits nothing new.
 TEST(CcTrace, RateTrackSamplesOnRelativeMovesOnly) {
   sim::Engine eng;
-  const bcl::CostConfig cfg = cc_cost();
+  const bcl::CostConfig cfg{};
   bcl::cc::CongestionController cc{eng, cfg, "t"};
   sim::Trace tr{eng};
   tr.enable();

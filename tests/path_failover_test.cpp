@@ -5,7 +5,8 @@
 // destination, no repeated switch, hop agreement) at every supported
 // cluster size; the ECN-independence guarantee (congestion alone must
 // never trigger a failover); a spine killed mid-stream forcing a rotation
-// that completes every send with no unreachable verdict; all spines dead
+// that completes every send with no unreachable verdict; credit probes and
+// their answering updates riding the failed-over path; all spines dead
 // yielding the distinct "partitioned" verdict with a full per-path strike
 // table in the postmortem; and the malformed-route flight-recorder hook's
 // rate limit.
@@ -349,6 +350,48 @@ TEST(PathFailover, SpineKillFailsOverMidStreamAndProbeRestores) {
     failed_drops += l.failed_drops;
   }
   EXPECT_GT(failed_drops, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Credit return follows a failover.  Node 4 -> node 0 is cross-leaf and
+// both default routes ride spine 0, dead before any traffic.  The data
+// session fails over on its own; but once the receiver's pool holds the
+// sender's whole allowance, only credit probes and the updates answering
+// them can unblock it.  Probes take the session's current path, and an
+// update answering a probe rides the probe's arrival path (like an ack),
+// so both avoid the dead spine and all 100 sends get through.
+// ---------------------------------------------------------------------------
+TEST(PathFailover, CreditReturnFollowsFailover) {
+  constexpr int kMsgs = 100;
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 16;
+  cfg.node.mem_bytes = 8u << 20;
+  cfg.cost.rto = Time::us(80);
+  bcl::BclCluster c{cfg};
+  auto& fab = myrinet(c);
+  fab.fail_switch(fab.spine_switch_index(0));
+  auto& tx = c.open_endpoint(4);
+  auto& rx = c.open_endpoint(0);
+
+  int delivered = 0;
+  c.engine().spawn_daemon([](bcl::BclCluster& c, bcl::Endpoint& rx,
+                             int& delivered) -> Task<void> {
+    co_await c.engine().sleep(Time::ms(5));  // the sender runs dry meanwhile
+    co_await drain_rx(rx, delivered);
+  }(c, rx, delivered));
+  c.engine().spawn([](bcl::Endpoint& tx, bcl::PortId dst) -> Task<void> {
+    auto buf = tx.process().alloc(kBytes);
+    for (int i = 0; i < kMsgs; ++i) {
+      auto r = co_await tx.send_system(dst, buf, kBytes);
+      EXPECT_EQ(r.err, bcl::BclErr::kOk) << "msg " << i;
+    }
+  }(tx, rx.id()));
+  c.engine().run_until(Time::ms(200));
+
+  EXPECT_EQ(delivered, kMsgs);
+  EXPECT_GE(c.node(4).mcp().path_table().failovers(), 1u);
+  EXPECT_GE(c.node(0).mcp().stats().fc_probes_rx, 1u);
+  EXPECT_GE(c.node(4).mcp().stats().fc_updates_rx, 1u);
 }
 
 // ---------------------------------------------------------------------------

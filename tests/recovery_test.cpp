@@ -4,7 +4,8 @@
 // send exactly once (kPeerRestarted, never lost, never duplicated across
 // incarnations) and re-establish sessions behind the incarnation fence; a
 // peer declared unreachable must be rescinded when a revival probe is
-// answered after its node comes back.
+// answered after its node comes back; a credit update parked across a
+// restart must not touch the erased ledger.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -277,6 +278,39 @@ TEST(Recovery, AnsweredRevivalProbeRescindsUnreachableVerdict) {
   EXPECT_GE(c.node(1).mcp().stats().probes_rx, 1u);
   EXPECT_GE(c.node(0).mcp().stats().recovered_peers, 1u);
   EXPECT_EQ(c.node(1).mcp().stats().restarts, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// A standalone credit update parked on the pacer must not outlive its
+// ledger.  The receiver reserves ~6.5 ms of pacing cursor toward the
+// sender, so the update answering a credit probe waits behind it; a crash
+// and reboot erase every ledger meanwhile.  The update must look its
+// ledger up after the wait, find it gone, and stay silent.
+// ---------------------------------------------------------------------------
+TEST(Recovery, CreditUpdateParkedOnPacerSurvivesRestart) {
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.node.mem_bytes = 8u << 20;
+  bcl::BclCluster c{cfg};
+  auto& rx = c.open_endpoint(1);
+
+  c.engine().spawn([](bcl::BclCluster& c, bcl::PortId dst) -> Task<void> {
+    bcl::Mcp& receiver = c.node(1).mcp();
+    // 1 MiB at line rate: the cursor toward node 0 runs ~6.5 ms ahead.
+    co_await receiver.cc().pace(0, 1u << 20, /*reserve=*/true);
+    c.node(0).mcp().fc_probe(dst);
+    co_await c.engine().sleep(Time::us(100));  // probe in, update parked
+    EXPECT_EQ(receiver.stats().fc_probes_rx, 1u);
+    EXPECT_EQ(receiver.rx_credit_snapshot().size(), 1u);
+    receiver.crash();
+    co_await c.node(1).driver().reset_nic();
+  }(c, rx.id()));
+  c.engine().run();
+
+  const bcl::Mcp& receiver = c.node(1).mcp();
+  EXPECT_FALSE(receiver.crashed());
+  EXPECT_EQ(receiver.stats().fc_updates_tx, 0u);
+  EXPECT_TRUE(receiver.rx_credit_snapshot().empty());
 }
 
 // ---------------------------------------------------------------------------
