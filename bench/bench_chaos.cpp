@@ -145,7 +145,7 @@ Task<void> reaper(sim::Engine& eng, bcl::BclCluster& c,
   Time at = first_kill;
   for (std::size_t i = 0; i < victims.size(); ++i) {
     const auto v = static_cast<hw::NodeId>(victims[i]);
-    co_await eng.sleep(at - eng.now());
+    co_await eng.sleep_until(at);
     c.node(v).mcp().crash();
     co_await eng.sleep(downtime);
     co_await c.node(v).driver().reset_nic();

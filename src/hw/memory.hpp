@@ -2,12 +2,17 @@
 //
 // All message payloads ultimately live here; DMA engines and memcpy models
 // move actual bytes so the test suite can assert end-to-end integrity.
+//
+// The store is one anonymous private mapping: the kernel zero-fills each
+// page on first touch, so a node pays only for the pages it touches, and the
+// range stays contiguous for multi-page view()s.  Free frames are a bitmap;
+// allocation always takes the lowest free frame (or the lowest run), so
+// frame numbers, and with them physical addresses, are deterministic.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -26,10 +31,13 @@ struct PhysSegment {
 class HostMemory {
  public:
   explicit HostMemory(std::size_t bytes);
+  ~HostMemory();
+  HostMemory(const HostMemory&) = delete;
+  HostMemory& operator=(const HostMemory&) = delete;
 
-  std::size_t size() const { return store_.size(); }
-  std::size_t page_count() const { return store_.size() / kPageSize; }
-  std::size_t free_pages() const { return free_frames_.size(); }
+  std::size_t size() const { return size_; }
+  std::size_t page_count() const { return size_ / kPageSize; }
+  std::size_t free_pages() const { return free_count_; }
 
   // Page-frame allocation (frame index, not address).
   std::optional<std::uint64_t> alloc_frame();
@@ -47,9 +55,13 @@ class HostMemory {
 
  private:
   void check(PhysAddr addr, std::size_t len) const;
+  void take(std::uint64_t frame);
 
-  std::vector<std::byte> store_;
-  std::set<std::uint64_t> free_frames_;  // ordered, enables contiguity scans
+  std::size_t size_;
+  std::vector<std::uint64_t> free_bits_;  // bit f%64 of word f/64: frame f free
+  std::size_t free_count_;
+  std::size_t first_word_ = 0;  // no free frame lies in a word below this
+  std::byte* store_;            // mapped last: nothing after it can throw
 };
 
 }  // namespace hw

@@ -2,8 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <numeric>
+#include <optional>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
+
+#ifdef __linux__
+#include <sys/resource.h>
+#endif
 
 #include "hw/cpu.hpp"
 #include "hw/memory.hpp"
@@ -64,6 +73,146 @@ TEST(HostMemory, OutOfBoundsThrows) {
   EXPECT_THROW(mem.read(kPageSize, buf), std::out_of_range);
   EXPECT_THROW(mem.view(kPageSize - 1, 2), std::out_of_range);
 }
+
+// The ordered-set free list HostMemory used to keep, as the reference for
+// its allocation order: lowest free frame first, and the first ascending run
+// of free frames for a contiguous request.
+class SetFreeList {
+ public:
+  explicit SetFreeList(std::size_t pages) {
+    for (std::uint64_t f = 0; f < pages; ++f) free_.insert(f);
+  }
+  std::size_t free_pages() const { return free_.size(); }
+
+  std::optional<std::uint64_t> alloc_frame() {
+    if (free_.empty()) return std::nullopt;
+    const auto f = *free_.begin();
+    free_.erase(free_.begin());
+    return f;
+  }
+  void free_frame(std::uint64_t f) { ASSERT_TRUE(free_.insert(f).second); }
+
+  std::optional<std::uint64_t> alloc_contiguous(std::size_t pages) {
+    if (pages == 0) return std::nullopt;
+    std::uint64_t start = 0, prev = 0;
+    std::size_t len = 0;
+    for (const auto f : free_) {
+      if (len == 0 || f != prev + 1) {
+        start = f;
+        len = 0;
+      }
+      prev = f;
+      if (++len == pages) {
+        for (auto i = start; i < start + pages; ++i) free_.erase(i);
+        return start;
+      }
+    }
+    return std::nullopt;
+  }
+
+ private:
+  std::set<std::uint64_t> free_;
+};
+
+// Seeded random alloc/free sequences, first filling the pool and then
+// draining it, must draw the same frame numbers as the reference model.
+// 63, 64 and 65 pages straddle a bitmap word; 16384 is a node's default.
+TEST(HostMemory, AllocatorMatchesOrderedSetModel) {
+  for (const std::size_t pages : {1u, 63u, 64u, 65u, 16384u}) {
+    SCOPED_TRACE(pages);
+    HostMemory mem{pages * kPageSize};
+    SetFreeList model{pages};
+    std::mt19937_64 rng{pages};
+    std::vector<std::pair<std::uint64_t, std::size_t>> held;  // (first, n)
+    constexpr int kSteps = 4000;
+    for (int step = 0; step < kSteps; ++step) {
+      const bool filling = step < kSteps / 2;
+      const bool alloc = held.empty() || rng() % 10 < (filling ? 7u : 3u);
+      if (alloc && rng() % 2 == 0) {
+        const auto got = mem.alloc_frame();
+        ASSERT_EQ(got, model.alloc_frame());
+        if (got) held.emplace_back(*got, 1);
+      } else if (alloc) {
+        // Zero pages, runs shorter and longer than a bitmap word, and
+        // sometimes the whole pool or more.
+        const std::size_t longest = std::min<std::size_t>(pages, 100);
+        const std::size_t n = rng() % 50 == 0 ? pages + rng() % 2
+                                              : rng() % (longest + 1);
+        const auto got = mem.alloc_contiguous(n);
+        ASSERT_EQ(got, model.alloc_contiguous(n));
+        if (got) held.emplace_back(*got, n);
+      } else {
+        const auto i = rng() % held.size();
+        const auto [first, n] = held[i];
+        held[i] = held.back();
+        held.pop_back();
+        if (n == 1 && rng() % 2 == 0) {
+          mem.free_frame(first);
+        } else {
+          mem.free_contiguous(first, n);
+        }
+        for (auto f = first; f < first + n; ++f) model.free_frame(f);
+      }
+      ASSERT_EQ(mem.free_pages(), model.free_pages());
+    }
+  }
+}
+
+TEST(HostMemory, NeverWrittenFrameReadsZero) {
+  HostMemory mem{64u << 20};
+  mem.write(HostMemory::frame_addr(7), pattern(kPageSize));
+  std::vector<std::byte> out(kPageSize, std::byte{0xff});
+  mem.read(HostMemory::frame_addr(9000), out);
+  EXPECT_EQ(out, std::vector<std::byte>(kPageSize));
+}
+
+TEST(HostMemory, MultiFrameViewIsContiguous) {
+  HostMemory mem{16 * kPageSize};
+  // Starts mid-frame and spans four frames.
+  const hw::PhysAddr at = kPageSize + 100;
+  const auto data = pattern(3 * kPageSize + 7, 5);
+  const auto v = mem.view(at, data.size());
+  ASSERT_EQ(v.size(), data.size());
+  EXPECT_EQ(mem.view(at + 2 * kPageSize, 1).data(), v.data() + 2 * kPageSize);
+  std::memcpy(v.data(), data.data(), data.size());
+  std::vector<std::byte> out(data.size());
+  mem.read(at, out);
+  EXPECT_EQ(out, data);
+}
+
+TEST(HostMemory, FrameMisuseThrows) {
+  HostMemory mem{8 * kPageSize};
+  const auto f = mem.alloc_frame();
+  ASSERT_TRUE(f.has_value());
+  mem.free_frame(*f);
+  EXPECT_THROW(mem.free_frame(*f), std::logic_error);
+  EXPECT_THROW(mem.free_frame(8), std::out_of_range);
+  const auto run = mem.alloc_contiguous(4);
+  ASSERT_TRUE(run.has_value());
+  mem.free_contiguous(*run, 4);
+  EXPECT_THROW(mem.free_contiguous(*run, 4), std::logic_error);
+  EXPECT_EQ(mem.free_pages(), 8u);
+}
+
+#ifdef __linux__
+// Construction reserves address space only: 64 default-size node memories,
+// each with one frame written, must not show up as 4 GiB of resident pages.
+TEST(HostMemory, UntouchedPagesAreNotResident) {
+  const auto max_rss_kib = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_maxrss;  // KiB on Linux
+  };
+  const long before = max_rss_kib();
+  std::vector<std::unique_ptr<HostMemory>> nodes;
+  for (int i = 0; i < 64; ++i) {
+    nodes.push_back(std::make_unique<HostMemory>(64u << 20));
+    nodes.back()->write(HostMemory::frame_addr(*nodes.back()->alloc_frame()),
+                        pattern(kPageSize));
+  }
+  EXPECT_LT(max_rss_kib() - before, 64l << 10);
+}
+#endif
 
 TEST(Cpu, CycleCost) {
   Engine eng;
