@@ -163,8 +163,9 @@ int main(int argc, char** argv) {
   std::size_t flows = cluster.trace().flow_events().size();
   std::printf("simulated %s of an %d-node cluster under load\n",
               cluster.engine().now().str().c_str(), kNodes);
-  std::printf("  counters:   %zu\n", cluster.metrics().counters().size());
-  std::printf("  gauges:     %zu\n", cluster.metrics().gauges().size());
+  std::printf("  counters:   %zu\n",
+              cluster.metrics().counter_values().size());
+  std::printf("  gauges:     %zu\n", cluster.metrics().gauge_values().size());
   std::printf("  summaries:  %zu\n", cluster.metrics().summaries().size());
   std::printf("  histograms: %zu\n", cluster.metrics().histograms().size());
   std::printf("  sampler ticks: %zu\n", cluster.sampler().samples());

@@ -1,7 +1,9 @@
 # Runs metrics_dashboard and validates every export format:
 #   * metrics.json, trace.json, congestion.json, and postmortem.json parse
 #     with `python3 -m json.tool`
-#   * metrics.csv starts with a "time_us,..." header and has data rows
+#   * metrics.csv starts with a "time_us,..." header and has data rows, and
+#     its gauge columns carry values: node0.nic.sram_free_bytes (2 MiB of
+#     NIC SRAM, never exhausted by this run) reads nonzero on every row
 #   * metrics.prom carries "# TYPE bcl_..." exposition lines
 #   * congestion.json names links with utilization; postmortem.json carries
 #     the flight-recorder timeline and congestion-ranked links
@@ -43,6 +45,24 @@ list(GET csv_lines 0 csv_header)
 if(NOT csv_header MATCHES "^time_us,")
   message(FATAL_ERROR "metrics.csv header is '${csv_header}', expected time_us,...")
 endif()
+
+# A gauge that cannot read 0 in this run, so a CSV export that loses
+# gauge values (writing 0 in their columns) fails here.
+string(REPLACE "," ";" csv_columns "${csv_header}")
+list(FIND csv_columns "node0.nic.sram_free_bytes" sram_col)
+if(sram_col EQUAL -1)
+  message(FATAL_ERROR "metrics.csv has no node0.nic.sram_free_bytes column")
+endif()
+list(SUBLIST csv_lines 1 -1 csv_rows)
+foreach(row IN LISTS csv_rows)
+  string(REPLACE "," ";" fields "${row}")
+  list(GET fields ${sram_col} sram_free)
+  if(sram_free STREQUAL "0")
+    list(GET fields 0 row_time)
+    message(FATAL_ERROR "metrics.csv reads node0.nic.sram_free_bytes = 0 "
+                        "at time_us ${row_time}")
+  endif()
+endforeach()
 
 file(STRINGS "${OUT_DIR}/metrics.prom" prom_types REGEX "^# TYPE bcl_")
 list(LENGTH prom_types prom_count)

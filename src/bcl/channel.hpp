@@ -4,11 +4,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "hw/memory.hpp"
 #include "osk/process.hpp"
+#include "sim/fifo.hpp"
 
 namespace bcl {
 
@@ -18,7 +18,7 @@ struct SystemChannelState {
   std::size_t slot_bytes = 0;
   osk::UserBuffer pool{};                           // backing user memory
   std::vector<std::vector<hw::PhysSegment>> slots;  // per-slot phys layout
-  std::deque<int> free_slots;                       // NIC-visible free list
+  sim::Fifo<int> free_slots;                        // NIC-visible free list
 
   bool configured() const { return slot_bytes != 0; }
 };

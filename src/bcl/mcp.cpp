@@ -106,8 +106,7 @@ void Mcp::register_metrics(sim::MetricRegistry& m) {
           [this] { return static_cast<double>(rx_queue_hwm_); });
   m.gauge(prefix + "tx_in_flight",
           [this] { return static_cast<double>(tx_in_flight()); });
-  // Reliability-session aggregates under their own <nic>.rel.* prefix;
-  // per-peer estimator gauges are registered as sessions appear.
+  // Reliability-session aggregates under their own <nic>.rel.* prefix.
   const std::string rel = nic_.name() + ".rel.";
   stat(rel + "stray_acks", &Stats::stray_acks);
   m.counter(rel + "fast_retransmits", [this] { return fast_retransmits(); });
@@ -118,6 +117,26 @@ void Mcp::register_metrics(sim::MetricRegistry& m) {
           [this] { return static_cast<double>(tx_sessions_.size()); });
   m.gauge(rel + "unreachable_peers",
           [this] { return static_cast<double>(unreachable_peers()); });
+  // Per-peer estimator series, written at export time for every peer that
+  // ever had a session.  They read the CURRENT session, so a session
+  // replaced after a peer restart never leaves them on its graveyarded
+  // predecessor; a peer with no live session reads zero.
+  m.add_collector([this, rel](sim::MetricSink& out) {
+    for (const hw::NodeId dst : session_peers_) {
+      const TxSession* s = find_tx_session(dst);
+      const std::string p = rel + "peer" + std::to_string(dst) + ".";
+      out.gauge(p + "srtt_us", s != nullptr ? s->srtt().to_us() : 0.0);
+      out.gauge(p + "rto_us", s != nullptr ? s->rto().to_us() : 0.0);
+      out.gauge(p + "backoff", s != nullptr ? s->backoff_level() : 0);
+      out.gauge(p + "in_flight",
+                s != nullptr ? static_cast<double>(s->in_flight()) : 0.0);
+      out.gauge(p + "unreachable",
+                s != nullptr && s->peer_unreachable() ? 1.0 : 0.0);
+      out.counter(p + "fast_retransmits",
+                  s != nullptr ? s->fast_retransmits() : 0);
+      out.counter(p + "rtt_samples", s != nullptr ? s->rtt_samples() : 0);
+    }
+  });
   const std::string ccp = nic_.name() + ".cc";
   cc_->register_metrics(m, ccp);
   stat(ccp + ".marks_rx", &Stats::cc_marks_rx);
@@ -222,7 +241,13 @@ TxSession& Mcp::tx_session(hw::NodeId dst) {
       path_table_->init(dst, fab->route_count(nic_.node(), dst));
     }
     if (handshake) eng_.spawn_daemon(syn_daemon(dst, s.get()));
-    register_session_metrics(dst);
+    if (metrics_ != nullptr) {
+      const auto at =
+          std::lower_bound(session_peers_.begin(), session_peers_.end(), dst);
+      if (at == session_peers_.end() || *at != dst) {
+        session_peers_.insert(at, dst);
+      }
+    }
   }
   return *s;
 }
@@ -230,35 +255,6 @@ TxSession& Mcp::tx_session(hw::NodeId dst) {
 TxSession* Mcp::find_tx_session(hw::NodeId dst) {
   const auto it = tx_sessions_.find(dst);
   return it == tx_sessions_.end() ? nullptr : it->second.get();
-}
-
-void Mcp::register_session_metrics(hw::NodeId dst) {
-  if (metrics_ == nullptr) return;
-  // The registry binds one callback per name for the process lifetime, so
-  // the gauges resolve the CURRENT session by lookup — a session replaced
-  // after a peer restart must not leave them reading its graveyarded
-  // predecessor.
-  if (!session_metrics_registered_.insert(dst).second) return;
-  const std::string prefix =
-      nic_.name() + ".rel.peer" + std::to_string(dst) + ".";
-  // Wraps one session reading; a missing session reads as zero.
-  const auto live = [this, dst](auto read) {
-    return [this, dst, read] {
-      const TxSession* s = find_tx_session(dst);
-      using T = decltype(std::invoke(read, *s));
-      return s == nullptr ? T{} : std::invoke(read, *s);
-    };
-  };
-  metrics_->gauge(prefix + "srtt_us",
-                  live([](const TxSession& s) { return s.srtt().to_us(); }));
-  metrics_->gauge(prefix + "rto_us",
-                  live([](const TxSession& s) { return s.rto().to_us(); }));
-  metrics_->gauge(prefix + "backoff", live(&TxSession::backoff_level));
-  metrics_->gauge(prefix + "in_flight", live(&TxSession::in_flight));
-  metrics_->gauge(prefix + "unreachable", live(&TxSession::peer_unreachable));
-  metrics_->counter(prefix + "fast_retransmits",
-                    live(&TxSession::fast_retransmits));
-  metrics_->counter(prefix + "rtt_samples", live(&TxSession::rtt_samples));
 }
 
 sim::Task<void> Mcp::announce_peer_failure(hw::NodeId dst) {

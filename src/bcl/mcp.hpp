@@ -286,9 +286,9 @@ class Mcp : private SessionOwner {
   // every local port's send-event queue, and start the bounded revival
   // prober that can later rescind the verdict.
   sim::Task<void> announce_peer_failure(hw::NodeId dst);
-  // Registers the NIC-wide <nic>.mcp/.rel/.cc/.path/.fc metrics.
+  // Registers the NIC-wide <nic>.mcp/.rel/.cc/.path/.fc metrics and the
+  // collector for the per-peer <nic>.rel.peer<d>.* series.
   void register_metrics(sim::MetricRegistry& m);
-  void register_session_metrics(hw::NodeId dst);
   // Sums one per-session reading over the live sessions.
   template <typename T>
   std::uint64_t sum_sessions(T (TxSession::*read)() const) const;
@@ -390,10 +390,10 @@ class Mcp : private SessionOwner {
   // timer/rnr daemons may be asleep holding `this` and must wake on a live
   // object (they observe the poisoned flag and exit).
   std::vector<std::unique_ptr<TxSession>> session_graveyard_;
-  // Peers whose per-session gauges are already registered (the registry
-  // binds a callback once per name; replacement sessions are reached
-  // through find_tx_session lookups instead of rebinding).
-  std::set<hw::NodeId> session_metrics_registered_;
+  // Every peer that ever had a tx session, ascending (only kept with a
+  // registry): the per-peer metrics collector exports each one's series
+  // from whatever session is current, or zeros when there is none.
+  std::vector<hw::NodeId> session_peers_;
   // Peers whose next tx session must open with a SYN handshake (their
   // restart was detected, or a revival probe was answered).
   std::set<hw::NodeId> needs_syn_;

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "bcl/config.hpp"
 #include "bcl/recorder.hpp"
@@ -17,6 +16,7 @@
 #include "hw/nic.hpp"
 #include "hw/packet.hpp"
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 #include "sim/random.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -189,7 +189,7 @@ class TxSession {
   sim::Task<void> rnr_resume(sim::Time hold);
   // Go-back-N: resend the whole outstanding window in order.  Snapshots the
   // window's sequence numbers before the first co_await — on_ack pops the
-  // deque from the front while we are suspended in nic_.transmit, so
+  // ring from the front while we are suspended in nic_.transmit, so
   // iterating by index would skip live packets or resend freed slots.
   sim::Task<void> retransmit_window();
   sim::Time effective_rto();
@@ -216,7 +216,7 @@ class TxSession {
   const CostConfig& cfg_;
   sim::Semaphore window_;
   sim::Rng rng_;  // backoff jitter (per-session deterministic stream)
-  std::deque<Outstanding> unacked_;  // retransmit copies, seq order
+  sim::Fifo<Outstanding> unacked_;  // retransmit copies, seq order
   std::uint32_t next_seq_;
   std::uint32_t last_ack_;  // newest cumulative ack that released data
   int dup_acks_ = 0;
@@ -247,7 +247,7 @@ class TxSession {
   // the SYN-ACK (or by poison, so parked senders fail instead of hanging)
   // for handshake sessions.
   sim::Gate established_;
-  std::deque<TxNotify> notifies_;  // e2e ledger, seq order
+  sim::Fifo<TxNotify> notifies_;  // e2e ledger, seq order
   SessionOwner* owner_;
   hw::NodeId peer_;
   cc::CongestionController* cc_ = nullptr;

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -163,8 +162,8 @@ class Device {
   std::vector<osk::UserBuffer> staging_;
   std::map<std::uint64_t, int> staging_by_msg_;
 
-  std::deque<std::unique_ptr<PostedRecv>> posted_;
-  std::deque<Unexpected> unexpected_;
+  std::vector<std::unique_ptr<PostedRecv>> posted_;
+  std::vector<Unexpected> unexpected_;
   std::map<std::uint64_t, SendRendezvous> tx_rendezvous_;
   std::map<std::uint16_t, RecvRendezvous> rx_rendezvous_;  // by channel
   sim::Channel<std::uint16_t> free_channels_;

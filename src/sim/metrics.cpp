@@ -1,5 +1,6 @@
 #include "sim/metrics.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -52,6 +53,27 @@ std::string prom_name(const std::string& name) {
   return out;
 }
 
+constexpr auto kByName = [](const auto& a, const auto& b) {
+  return a.first < b.first;
+};
+
+// Instrument readings (map order) merged with sorted collector series.
+template <typename V, typename Instrument>
+std::vector<std::pair<std::string, V>> merge_values(
+    const std::map<std::string, std::unique_ptr<Instrument>>& instruments,
+    std::vector<std::pair<std::string, V>> collected) {
+  std::vector<std::pair<std::string, V>> out;
+  out.reserve(instruments.size() + collected.size());
+  for (const auto& [name, inst] : instruments) {
+    out.emplace_back(name, inst->value());
+  }
+  const auto n = static_cast<std::ptrdiff_t>(out.size());
+  out.insert(out.end(), std::make_move_iterator(collected.begin()),
+             std::make_move_iterator(collected.end()));
+  std::inplace_merge(out.begin(), out.begin() + n, out.end(), kByName);
+  return out;
+}
+
 }  // namespace
 
 Counter& MetricRegistry::counter(const std::string& name) {
@@ -92,6 +114,28 @@ Histogram& MetricRegistry::histogram(const std::string& name) {
   return *slot;
 }
 
+void MetricRegistry::add_collector(std::function<void(MetricSink&)> fn) {
+  collectors_.push_back(std::move(fn));
+}
+
+MetricSink MetricRegistry::collect() const {
+  MetricSink sink;
+  for (const auto& fn : collectors_) fn(sink);
+  std::sort(sink.counters_.begin(), sink.counters_.end(), kByName);
+  std::sort(sink.gauges_.begin(), sink.gauges_.end(), kByName);
+  return sink;
+}
+
+std::vector<std::pair<std::string, std::uint64_t>>
+MetricRegistry::counter_values() const {
+  return merge_values(counters_, collect().counters_);
+}
+
+std::vector<std::pair<std::string, double>> MetricRegistry::gauge_values()
+    const {
+  return merge_values(gauges_, collect().gauges_);
+}
+
 void MetricRegistry::reset() {
   for (auto& [name, c] : counters_) {
     if (!c->callback_backed()) c->reset();
@@ -106,30 +150,29 @@ void MetricRegistry::reset() {
 std::vector<std::pair<std::string, double>> MetricRegistry::scalar_values()
     const {
   std::vector<std::pair<std::string, double>> out;
-  out.reserve(counters_.size() + gauges_.size());
-  for (const auto& [name, c] : counters_) {
-    out.emplace_back(name, static_cast<double>(c->value()));
+  for (auto& [name, v] : counter_values()) {
+    out.emplace_back(std::move(name), static_cast<double>(v));
   }
-  for (const auto& [name, g] : gauges_) out.emplace_back(name, g->value());
+  auto gauges = gauge_values();
+  out.insert(out.end(), std::make_move_iterator(gauges.begin()),
+             std::make_move_iterator(gauges.end()));
   return out;
 }
 
 std::string MetricRegistry::to_json() const {
   std::string out = "{\n  \"counters\": {";
   bool first = true;
-  for (const auto& [name, c] : counters_) {
+  for (const auto& [name, v] : counter_values()) {
     out += first ? "\n" : ",\n";
-    out += "    \"" + json_escape(name) +
-           "\": " + std::to_string(c->value());
+    out += "    \"" + json_escape(name) + "\": " + std::to_string(v);
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"gauges\": {";
   first = true;
-  for (const auto& [name, g] : gauges_) {
+  for (const auto& [name, v] : gauge_values()) {
     out += first ? "\n" : ",\n";
-    out += "    \"" + json_escape(name) +
-           "\": " + format_metric_value(g->value());
+    out += "    \"" + json_escape(name) + "\": " + format_metric_value(v);
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
@@ -166,15 +209,15 @@ std::string MetricRegistry::to_json() const {
 
 std::string MetricRegistry::to_prometheus() const {
   std::string out;
-  for (const auto& [name, c] : counters_) {
+  for (const auto& [name, v] : counter_values()) {
     const std::string p = prom_name(name);
     out += "# TYPE " + p + " counter\n";
-    out += p + " " + std::to_string(c->value()) + "\n";
+    out += p + " " + std::to_string(v) + "\n";
   }
-  for (const auto& [name, g] : gauges_) {
+  for (const auto& [name, v] : gauge_values()) {
     const std::string p = prom_name(name);
     out += "# TYPE " + p + " gauge\n";
-    out += p + " " + format_metric_value(g->value()) + "\n";
+    out += p + " " + format_metric_value(v) + "\n";
   }
   for (const auto& [name, s] : summaries_) {
     const std::string p = prom_name(name);
@@ -208,8 +251,8 @@ void Sampler::tick() {
   t.at = eng_.now();
   t.values = reg_.scalar_values();
   if (trace_ != nullptr && trace_->enabled()) {
-    for (const auto& [name, g] : reg_.gauges()) {
-      trace_->counter(name, "value", g->value());
+    for (const auto& [name, v] : reg_.gauge_values()) {
+      trace_->counter(name, "value", v);
     }
   }
   ticks_.push_back(std::move(t));
@@ -239,13 +282,15 @@ std::string Sampler::to_csv() const {
   out += "\n";
   for (const auto& t : ticks_) {
     out += format_metric_value(t.at.to_us());
-    // Each tick's values are sorted by name (registry iteration order), so
-    // one linear merge against the header suffices.
-    auto it = t.values.begin();
+    // A tick holds two sorted runs (counters, then gauges); sort them into
+    // one so a single linear merge against the header finds every value.
+    auto values = t.values;
+    std::stable_sort(values.begin(), values.end(), kByName);
+    auto it = values.begin();
     for (const auto& n : names) {
-      while (it != t.values.end() && it->first < n) ++it;
+      while (it != values.end() && it->first < n) ++it;
       out += ',';
-      if (it != t.values.end() && it->first == n) {
+      if (it != values.end() && it->first == n) {
         out += format_metric_value(it->second);
       } else {
         out += '0';

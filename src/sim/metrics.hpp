@@ -12,7 +12,10 @@
 // steady-state cost of a metric is one integer add.  Gauges and Counters
 // may instead be backed by a callback, which lets existing layer state
 // (queue depths, pin-table occupancy, link byte counts) be exported
-// without touching the layer's hot path at all.
+// without touching the layer's hot path at all.  A collector goes one
+// step further for families of series that grow with the cluster (one
+// set per peer, per pair): it writes the whole family at export time, so
+// the registry stores nothing per series.
 //
 // The Sampler is a daemon coroutine that snapshots every counter and
 // gauge on a fixed period into an in-memory time series (exported as
@@ -74,6 +77,22 @@ class Gauge {
   std::function<double()> fn_;
 };
 
+// Where a collector writes its series (see MetricRegistry::add_collector).
+class MetricSink {
+ public:
+  void counter(std::string name, std::uint64_t value) {
+    counters_.emplace_back(std::move(name), value);
+  }
+  void gauge(std::string name, double value) {
+    gauges_.emplace_back(std::move(name), value);
+  }
+
+ private:
+  friend class MetricRegistry;
+  std::vector<std::pair<std::string, std::uint64_t>> counters_;
+  std::vector<std::pair<std::string, double>> gauges_;
+};
+
 class MetricRegistry {
  public:
   MetricRegistry() = default;
@@ -88,18 +107,24 @@ class MetricRegistry {
   Summary& summary(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  // Zeroes every owned instrument (callback-backed ones are left alone —
-  // their source of truth lives in the layer).  Used by benches to scope
-  // the registry to a measurement window.
+  // Export-time source of counter and gauge series.  Each
+  // counter_values() / gauge_values() call (and so every export, which
+  // builds on them) runs every collector and merges what it writes with
+  // the instruments in name order, exactly as if each series were a
+  // callback-backed instrument; a collector must therefore only read.
+  // Collector series are not instruments: their names must not collide
+  // with registered ones, and counter()/gauge() cannot look them up.
+  void add_collector(std::function<void(MetricSink&)> fn);
+
+  // Zeroes every owned instrument (callback-backed ones and collectors are
+  // left alone — their source of truth lives in the layer).  Used by
+  // benches to scope the registry to a measurement window.
   void reset();
 
   // -- introspection (sorted by name) -----------------------------------------
-  const std::map<std::string, std::unique_ptr<Counter>>& counters() const {
-    return counters_;
-  }
-  const std::map<std::string, std::unique_ptr<Gauge>>& gauges() const {
-    return gauges_;
-  }
+  // Every counter / gauge reading, instruments and collector series alike.
+  std::vector<std::pair<std::string, std::uint64_t>> counter_values() const;
+  std::vector<std::pair<std::string, double>> gauge_values() const;
   const std::map<std::string, std::unique_ptr<Summary>>& summaries() const {
     return summaries_;
   }
@@ -107,7 +132,9 @@ class MetricRegistry {
     return histograms_;
   }
 
-  // Counter and gauge values flattened to (name, value), sorted by name.
+  // counter_values() then gauge_values(), flattened to (name, value): two
+  // runs, each sorted by name, not one.  Callers that sum over it rely on
+  // this element order.
   std::vector<std::pair<std::string, double>> scalar_values() const;
 
   // -- exporters ---------------------------------------------------------------
@@ -119,10 +146,14 @@ class MetricRegistry {
   std::string to_prometheus() const;
 
  private:
+  // Every collector's series, each list sorted by name.
+  MetricSink collect() const;
+
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Summary>> summaries_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::vector<std::function<void(MetricSink&)>> collectors_;
 };
 
 // Periodic snapshot daemon.  start() spawns the loop; each tick records

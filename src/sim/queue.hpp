@@ -5,13 +5,13 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 
@@ -96,7 +96,7 @@ class Channel {
   bool empty() const { return items_.empty(); }
 
  private:
-  std::deque<T> items_;
+  Fifo<T> items_;
   Semaphore items_sem_;
   Semaphore slots_sem_;
   bool closed_ = false;

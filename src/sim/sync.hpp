@@ -4,13 +4,16 @@
 // inline), so wakeups are deterministic and re-entrancy free: a release()
 // performed at time t resumes the waiter at time t but after events already
 // queued for t.
+//
+// Waiter lists are sim::Fifo rings, so a primitive nobody has waited on
+// holds no heap memory.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 #include "sim/task.hpp"
 
 namespace sim {
@@ -57,7 +60,7 @@ class Semaphore {
  private:
   Engine& eng_;
   std::int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Fifo<std::coroutine_handle<>> waiters_;
 };
 
 // Non-recursive mutex.  Use `auto g = co_await m.scoped();` for RAII style.
@@ -107,7 +110,7 @@ class CondVar {
 
  private:
   Engine& eng_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Fifo<std::coroutine_handle<>> waiters_;
 };
 
 // One-shot broadcast gate: tasks wait() until somebody open()s it.
@@ -131,7 +134,7 @@ class Gate {
  private:
   Engine& eng_;
   bool open_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Fifo<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace sim

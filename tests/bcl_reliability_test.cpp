@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <random>
 #include <utility>
 #include <vector>
 
 #include "bcl/bcl.hpp"
 #include "bcl/reliable.hpp"
+#include "heap_counter.hpp"
 #include "hw/memory.hpp"
 #include "hw/myrinet_switch.hpp"
 #include "hw/pci.hpp"
@@ -466,6 +468,86 @@ TEST(TxSessionUnit, OwnerRotationResetsEscalationAndResolvesOnce) {
   EXPECT_EQ(owner.failures.size(), 1u);
   EXPECT_EQ(owner.done.size(), 3u);
   EXPECT_EQ(sent.size(), 12u);
+}
+
+// The retransmit ring and the completion ledger across many wraps: a
+// window of 8, 100 tracked messages, cumulative acks in random chunks.
+// Every completion resolves exactly once, in sequence order, and the
+// window never holds more than 8.
+TEST(TxSessionUnit, RandomAckChunksResolveCompletionsInOrder) {
+  sim::Engine eng;
+  hw::HostMemory mem{1u << 20};
+  hw::PciBus pci{eng, "pci", {}};
+  hw::Nic nic{eng, 0, "nic0", pci, mem, {}};
+  SinkFabric fab{eng, 256};
+  fab.attach(0, nic);
+
+  bcl::CostConfig cost;
+  cost.window = 8;
+  cost.rto = Time::ms(1);  // never expires: acks arrive every microsecond
+  cost.adaptive_rto = false;
+  cost.rto_backoff_jitter = 0.0;
+  cost.dupack_k = 0;
+  cost.max_retries = 0;
+  TwoPathOwner owner;
+  constexpr hw::NodeId kPeer = 3;
+  constexpr std::uint64_t kMsgs = 100;
+  bcl::TxSession s{eng, nic, cost, 1, false, &owner, kPeer};
+
+  eng.spawn_daemon([](SinkFabric& fab) -> Task<void> {
+    for (;;) (void)co_await fab.ch.recv();
+  }(fab));
+  eng.spawn([](bcl::TxSession& s, hw::NodeId peer) -> Task<void> {
+    for (std::uint64_t msg = 1; msg <= kMsgs; ++msg) {
+      hw::Packet p;
+      p.dst_node = peer;
+      EXPECT_EQ(co_await s.send(std::move(p)), BclErr::kOk);
+      s.track({s.last_seq(), msg, 0, PortId{peer, 0}});
+    }
+  }(s, kPeer));
+  std::size_t max_in_flight = 0;
+  eng.spawn([](sim::Engine& eng, bcl::TxSession& s, std::uint32_t first,
+               std::size_t& max_in_flight) -> Task<void> {
+    std::mt19937 rng{5};
+    std::uint32_t acked = first - 1;
+    while (acked != first - 1 + kMsgs) {
+      co_await eng.sleep(Time::us(1.0));
+      max_in_flight = std::max(max_in_flight, s.in_flight());
+      const std::uint32_t outstanding = s.last_seq() - acked;
+      if (outstanding == 0) continue;
+      acked += 1 + static_cast<std::uint32_t>(rng() % outstanding);
+      s.on_ack(acked);
+    }
+  }(eng, s, cost.first_seq, max_in_flight));
+  eng.run();
+
+  ASSERT_EQ(owner.done.size(), kMsgs);
+  for (std::uint64_t msg = 1; msg <= kMsgs; ++msg) {
+    EXPECT_EQ(owner.done[msg - 1], std::make_pair(msg, BclErr::kOk));
+  }
+  EXPECT_EQ(max_in_flight, 8u);
+  EXPECT_EQ(s.in_flight(), 0u);
+  EXPECT_EQ(s.retransmissions(), 0u);
+  EXPECT_EQ(s.timeouts(), 0u);
+}
+
+// Most of an N-node cluster's N*(N-1) sessions never carry traffic, so a
+// fresh session, cold-start or handshake, holds no heap memory.
+TEST(TxSessionUnit, FreshSessionAllocatesNothing) {
+  sim::Engine eng;
+  hw::HostMemory mem{1u << 20};
+  hw::PciBus pci{eng, "pci", {}};
+  hw::Nic nic{eng, 0, "nic0", pci, mem, {}};
+  const bcl::CostConfig cost;
+  for (const bool handshake : {false, true}) {
+    bool established = handshake;
+    const std::size_t bytes = heap_counter::bytes_during([&] {
+      bcl::TxSession s{eng, nic, cost, 1, handshake};
+      established = s.established();
+    });
+    EXPECT_EQ(bytes, 0u) << "handshake " << handshake;
+    EXPECT_EQ(established, !handshake);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,10 +7,19 @@
 //  * The per-NIC flight recorder ring wraps, keeping the newest events.
 //  * A forced fail-stop produces a post-mortem naming the faulted peer's
 //    links; a collective watchdog expiry on the mesh names mesh links.
+//  * Per-peer session series come from one collector per NIC and read the
+//    current session in every export; a session costs under 1 KiB of heap.
 #include <gtest/gtest.h>
+
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+#include <malloc.h>
+#define HAVE_MALLINFO2 1  // glibc 2.33+
+#endif
 
 #include <algorithm>
 #include <cstddef>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -470,6 +479,248 @@ TEST(Postmortem, RestartCountersAndIncarnationFieldsSurface) {
   const std::string js = c.postmortems_json();
   EXPECT_NE(js.find("\"incarnation\""), std::string::npos);
   EXPECT_NE(js.find("\"peer_incarnation\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Per-peer session series (<nic>.rel.peer<d>.*), written by each NIC's
+// collector at export time.
+
+// The seven series under `prefix` ("node0.nic.rel.peer1."), by suffix.
+std::map<std::string, double> peer_series(const sim::MetricRegistry& m,
+                                          const std::string& prefix) {
+  std::map<std::string, double> out;
+  for (const auto& [name, v] : m.scalar_values()) {
+    if (name.rfind(prefix, 0) == 0) out[name.substr(prefix.size())] = v;
+  }
+  return out;
+}
+
+// What those series must read for session `s`: its accessors, or zeros
+// when the peer has no live session.
+std::map<std::string, double> session_readings(const bcl::TxSession* s) {
+  if (s == nullptr) {
+    return {{"backoff", 0},     {"fast_retransmits", 0}, {"in_flight", 0},
+            {"rto_us", 0},      {"rtt_samples", 0},      {"srtt_us", 0},
+            {"unreachable", 0}};
+  }
+  return {{"backoff", static_cast<double>(s->backoff_level())},
+          {"fast_retransmits", static_cast<double>(s->fast_retransmits())},
+          {"in_flight", static_cast<double>(s->in_flight())},
+          {"rto_us", s->rto().to_us()},
+          {"rtt_samples", static_cast<double>(s->rtt_samples())},
+          {"srtt_us", s->srtt().to_us()},
+          {"unreachable", s->peer_unreachable() ? 1.0 : 0.0}};
+}
+
+std::string peer_prefix(int node, int peer) {
+  return "node" + std::to_string(node) + ".nic.rel.peer" +
+         std::to_string(peer) + ".";
+}
+
+// Column `name` of a Sampler CSV, one value per tick (empty when absent).
+std::vector<double> csv_column(const std::string& csv,
+                               const std::string& name) {
+  const auto fields = [](const std::string& row) {
+    std::vector<std::string> out;
+    std::istringstream in{row};
+    for (std::string f; std::getline(in, f, ',');) out.push_back(f);
+    return out;
+  };
+  std::istringstream lines{csv};
+  std::string line;
+  std::getline(lines, line);
+  const std::vector<std::string> header = fields(line);
+  const auto col = static_cast<std::size_t>(
+      std::find(header.begin(), header.end(), name) - header.begin());
+  std::vector<double> out;
+  while (col < header.size() && std::getline(lines, line)) {
+    out.push_back(std::stod(fields(line).at(col)));
+  }
+  return out;
+}
+
+TEST(PerPeerMetrics, SeriesMatchSessionAccessorsInEveryExport) {
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 3;
+  bcl::BclCluster c{cfg};
+  std::vector<bcl::Endpoint*> eps;
+  for (hw::NodeId n = 0; n < 3; ++n) eps.push_back(&c.open_endpoint(n));
+  c.trace().enable();
+  c.sampler().set_trace(&c.trace());
+  c.start_sampler();
+  // node0 -> node1, node0 -> node2, node2 -> node0; node1 only receives.
+  const auto sender = [](bcl::Endpoint& ep, bcl::PortId dst) -> Task<void> {
+    auto buf = ep.process().alloc(1024);
+    for (int i = 0; i < 4; ++i) {
+      auto r = co_await ep.send_system(dst, buf, 1024);
+      EXPECT_TRUE(r.ok());
+      (void)co_await ep.wait_send();
+    }
+  };
+  const auto receiver = [](bcl::Endpoint& ep, int n) -> Task<void> {
+    for (int i = 0; i < n; ++i) {
+      auto ev = co_await ep.wait_recv();
+      (void)co_await ep.copy_out_system(ev);
+    }
+  };
+  c.engine().spawn(sender(*eps[0], eps[1]->id()));
+  c.engine().spawn(sender(*eps[0], eps[2]->id()));
+  c.engine().spawn(sender(*eps[2], eps[0]->id()));
+  c.engine().spawn(receiver(*eps[0], 4));
+  c.engine().spawn(receiver(*eps[1], 4));
+  c.engine().spawn(receiver(*eps[2], 4));
+  c.engine().run();
+
+  const std::string json = c.metrics().to_json();
+  const std::string prom = c.metrics().to_prometheus();
+  const std::string csv = c.sampler().to_csv();
+  std::size_t series = 0;
+  for (int n = 0; n < 3; ++n) {
+    for (int p = 0; p < 3; ++p) {
+      if (p == n) continue;
+      const std::string prefix = peer_prefix(n, p);
+      const bcl::TxSession* s =
+          c.node(static_cast<hw::NodeId>(n)).mcp().find_tx_session(
+              static_cast<hw::NodeId>(p));
+      const auto got = peer_series(c.metrics(), prefix);
+      if (s == nullptr) {
+        EXPECT_TRUE(got.empty()) << prefix;  // never had a session
+        continue;
+      }
+      EXPECT_EQ(got, session_readings(s)) << prefix;
+      EXPECT_GT(got.at("rtt_samples"), 0) << prefix;
+      for (const auto& [suffix, v] : got) {
+        const std::string name = prefix + suffix;
+        const std::string entry =
+            "\"" + name + "\": " + sim::format_metric_value(v);
+        const std::size_t at = json.find(entry);
+        ASSERT_NE(at, std::string::npos) << name;
+        EXPECT_TRUE(json[at + entry.size()] == ',' ||
+                    json[at + entry.size()] == '\n')
+            << name;
+        std::string prom_name = "bcl_" + name;
+        std::replace(prom_name.begin(), prom_name.end(), '.', '_');
+        EXPECT_NE(prom.find("\n" + prom_name + " " +
+                            sim::format_metric_value(v) + "\n"),
+                  std::string::npos)
+            << name;
+        EXPECT_EQ(csv_column(csv, name).size(), c.sampler().samples())
+            << name;
+        ++series;
+      }
+      // The estimator gauge is live in the time series and the trace, not
+      // only in the final snapshot.
+      const std::string srtt = prefix + "srtt_us";
+      const std::vector<double> column = csv_column(csv, srtt);
+      EXPECT_TRUE(std::any_of(column.begin(), column.end(),
+                              [](double v) { return v > 0; }))
+          << srtt;
+      EXPECT_TRUE(std::any_of(c.trace().counter_events().begin(),
+                              c.trace().counter_events().end(),
+                              [&](const sim::TraceCounterEvent& e) {
+                                return e.track == srtt && e.value > 0;
+                              }))
+          << srtt;
+    }
+  }
+  EXPECT_EQ(series, 3u * 7u);  // three sessions, seven series each
+}
+
+// A peer's series follow its CURRENT session: while the peer is torn down
+// (restarted, session not yet replaced) they read zero, not the
+// graveyarded session's last values; once the handshake builds a
+// replacement they read the replacement.
+TEST(PerPeerMetrics, PeerRestartReadsReplacementAndTeardownReadsZero) {
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.node.mem_bytes = 8u << 20;
+  cfg.cost.rto = Time::us(60);
+  cfg.cost.max_retries = 3;
+  cfg.cost.e2e_completion = true;  // a send completes on its ack
+  bcl::BclCluster c{cfg};
+  auto& tx = c.open_endpoint(0);
+  auto& rx = c.open_endpoint(1);
+  c.engine().spawn_daemon([](bcl::Endpoint& rx) -> Task<void> {
+    for (;;) {
+      bcl::RecvEvent ev = co_await rx.wait_recv();
+      (void)co_await rx.copy_out_system(ev);
+    }
+  }(rx));
+
+  bool done = false;
+  c.engine().spawn([](bcl::BclCluster& c, bcl::Endpoint& tx, bcl::PortId dst,
+                      bool& done) -> Task<void> {
+    const std::string prefix = peer_prefix(0, 1);
+    bcl::Mcp& mcp = c.node(0).mcp();
+    auto buf = tx.process().alloc(64);
+    const auto one = [&]() -> Task<bcl::BclErr> {
+      auto r = co_await tx.send_system(dst, buf, 64);
+      if (r.err != bcl::BclErr::kOk) co_return r.err;
+      for (;;) {
+        bcl::SendEvent ev = co_await tx.wait_send();
+        if (ev.msg_id == r.value) co_return ev.err;
+      }
+    };
+    EXPECT_EQ(co_await one(), bcl::BclErr::kOk);
+    const bcl::TxSession* first = mcp.find_tx_session(1);
+    EXPECT_EQ(peer_series(c.metrics(), prefix), session_readings(first));
+    EXPECT_GT(peer_series(c.metrics(), prefix).at("rtt_samples"), 0);
+
+    c.node(1).mcp().crash();
+    EXPECT_NE(co_await one(), bcl::BclErr::kOk);  // budget exhausts
+    EXPECT_EQ(peer_series(c.metrics(), prefix).at("unreachable"), 1.0);
+    co_await c.engine().sleep(Time::ms(2));
+    co_await c.node(1).driver().reset_nic();
+    co_await c.engine().sleep(Time::ms(2));  // revival probe answered
+    // The restart tore the old session down; nothing replaced it yet.
+    EXPECT_EQ(mcp.find_tx_session(1), nullptr);
+    EXPECT_EQ(peer_series(c.metrics(), prefix), session_readings(nullptr));
+
+    EXPECT_EQ(co_await one(), bcl::BclErr::kOk);  // re-established epoch
+    const bcl::TxSession* second = mcp.find_tx_session(1);
+    EXPECT_NE(second, nullptr);
+    EXPECT_NE(second, first);
+    EXPECT_EQ(peer_series(c.metrics(), prefix), session_readings(second));
+    EXPECT_EQ(peer_series(c.metrics(), prefix).at("unreachable"), 0.0);
+    done = true;
+  }(c, tx, rx.id(), done));
+  c.engine().run();
+  EXPECT_TRUE(done);
+}
+
+// Per-pair state costs what it holds.  Opening every session of a 64-node
+// mesh (4032 ordered pairs) adds under 1 KiB of heap per pair, registry
+// included; with a std::deque per waiter list and queue, and seven
+// callback instruments per pair, it took 4.5 KiB.
+TEST(PerPeerMetrics, AllPairsSessionsCostUnderOneKiBOfHeapEach) {
+#if !defined(HAVE_MALLINFO2) || defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "measures glibc's heap through mallinfo2";
+#else
+  constexpr hw::NodeId kNodes = 64;
+  bcl::ClusterConfig cfg;
+  cfg.nodes = kNodes;
+  cfg.fabric.kind = hw::FabricKind::kNwrcMesh;
+  bcl::BclCluster c{cfg};
+  const auto heap = [] {
+    const struct mallinfo2 mi = mallinfo2();
+    return mi.uordblks + mi.hblkhd;
+  };
+  const std::size_t before = heap();
+  for (hw::NodeId n = 0; n < kNodes; ++n) {
+    for (hw::NodeId p = 0; p < kNodes; ++p) {
+      if (p != n) (void)c.node(n).mcp().tx_session(p);
+    }
+  }
+  const std::size_t after = heap();
+  constexpr double kPairs = kNodes * (kNodes - 1);
+  EXPECT_LT(static_cast<double>(after - before) / kPairs, 1024.0);
+  // Every pair still exports its series.
+  std::size_t peer_gauges = 0;
+  for (const auto& [name, v] : c.metrics().gauge_values()) {
+    peer_gauges += name.find(".rel.peer") != std::string::npos ? 1 : 0;
+  }
+  EXPECT_EQ(peer_gauges, static_cast<std::size_t>(kPairs) * 5);
+#endif
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bcl/bcl.hpp"
@@ -239,6 +242,141 @@ TEST(Sampler, TicksAndCsv) {
   std::size_t rows = 0;
   for (char ch : csv) rows += ch == '\n' ? 1 : 0;
   EXPECT_EQ(rows, sampler.samples() + 1);
+}
+
+// Column `name` of a Sampler CSV, one field per data row (metric names
+// carry no commas or quotes, so no CSV quoting to undo).
+std::vector<std::string> csv_column(const std::string& csv,
+                                    const std::string& name) {
+  std::istringstream lines{csv};
+  std::string line;
+  const auto fields = [](const std::string& row) {
+    std::vector<std::string> out;
+    std::istringstream in{row};
+    for (std::string f; std::getline(in, f, ',');) out.push_back(f);
+    return out;
+  };
+  std::getline(lines, line);
+  const std::vector<std::string> header = fields(line);
+  std::size_t col = 0;
+  while (col < header.size() && header[col] != name) ++col;
+  std::vector<std::string> out;
+  if (col == header.size()) return out;
+  while (std::getline(lines, line)) out.push_back(fields(line).at(col));
+  return out;
+}
+
+// scalar_values() is two sorted runs, counters then gauges.  A gauge
+// whose name sorts before a counter's must still land in its own column,
+// not read 0 because the merge against the header already walked past it.
+TEST(Sampler, CsvCarriesGaugesThatSortBeforeCounters) {
+  Engine eng;
+  MetricRegistry reg;
+  auto& count = reg.counter("b.count");
+  auto& level = reg.gauge("a.level");
+  Sampler sampler{eng, reg};
+  sampler.start(Time::us(10));
+  eng.spawn([](Engine& e, sim::Counter& c, sim::Gauge& g) -> Task<void> {
+    for (int i = 1; i <= 5; ++i) {
+      c.inc();
+      g.set(10.0 * i);
+      co_await e.sleep(Time::us(10));
+    }
+  }(eng, count, level));
+  eng.run();
+  const std::string csv = sampler.to_csv();
+  const std::vector<std::string> counts = csv_column(csv, "b.count");
+  const std::vector<std::string> levels = csv_column(csv, "a.level");
+  ASSERT_EQ(levels.size(), sampler.samples()) << csv;
+  ASSERT_EQ(counts.size(), levels.size());
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    EXPECT_EQ(std::stod(levels[i]), 10.0 * std::stod(counts[i])) << csv;
+  }
+  EXPECT_EQ(levels.back(), "50") << csv;
+}
+
+// A collector's series read exactly as if each were an instrument: at its
+// sorted position in every export, untouched by reset(), in the Sampler's
+// CSV and in its trace counter events.
+TEST(MetricRegistry, CollectorSeriesMergeAtSortedPositions) {
+  Engine eng;
+  MetricRegistry reg;
+  reg.counter("m.c2").inc(2);
+  reg.gauge("m.g2").set(2.5);
+  double level = 1.5;
+  reg.add_collector([&level](sim::MetricSink& out) {
+    out.gauge("m.g3", level);  // written out of order on purpose
+    out.counter("m.c3", 3);
+    out.gauge("m.g1", -level);
+    out.counter("m.c1", 1);
+  });
+  using Counters = std::vector<std::pair<std::string, std::uint64_t>>;
+  using Scalars = std::vector<std::pair<std::string, double>>;
+  EXPECT_EQ(reg.counter_values(),
+            (Counters{{"m.c1", 1}, {"m.c2", 2}, {"m.c3", 3}}));
+  EXPECT_EQ(reg.gauge_values(),
+            (Scalars{{"m.g1", -1.5}, {"m.g2", 2.5}, {"m.g3", 1.5}}));
+  EXPECT_EQ(reg.scalar_values(), (Scalars{{"m.c1", 1},
+                                          {"m.c2", 2},
+                                          {"m.c3", 3},
+                                          {"m.g1", -1.5},
+                                          {"m.g2", 2.5},
+                                          {"m.g3", 1.5}}));
+  const std::string json = reg.to_json();
+  EXPECT_TRUE(JsonChecker{json}.valid()) << json;
+  EXPECT_NE(json.find("{\n    \"m.c1\": 1,\n    \"m.c2\": 2,\n"
+                      "    \"m.c3\": 3\n  }"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\n    \"m.g1\": -1.5,\n    \"m.g2\": 2.5,\n"
+                      "    \"m.g3\": 1.5\n  }"),
+            std::string::npos)
+      << json;
+  const std::string prom = reg.to_prometheus();
+  EXPECT_EQ(prom.rfind("# TYPE bcl_m_c1 counter\nbcl_m_c1 1\n"
+                       "# TYPE bcl_m_c2 counter\nbcl_m_c2 2\n"
+                       "# TYPE bcl_m_c3 counter\nbcl_m_c3 3\n"
+                       "# TYPE bcl_m_g1 gauge\nbcl_m_g1 -1.5\n"
+                       "# TYPE bcl_m_g2 gauge\nbcl_m_g2 2.5\n"
+                       "# TYPE bcl_m_g3 gauge\nbcl_m_g3 1.5\n",
+                       0),
+            0u)
+      << prom;
+  reg.reset();  // zeroes the owned instruments only
+  EXPECT_EQ(reg.counter_values(),
+            (Counters{{"m.c1", 1}, {"m.c2", 0}, {"m.c3", 3}}));
+
+  sim::Trace tr{eng};
+  tr.enable();
+  Sampler sampler{eng, reg};
+  sampler.set_trace(&tr);
+  sampler.start(Time::us(10));
+  eng.spawn([](Engine& e, double& level) -> Task<void> {
+    co_await e.sleep(Time::us(5));
+    level = 4.0;
+    co_await e.sleep(Time::us(20));  // alive through the ticks at 10 and 20
+  }(eng, level));
+  eng.run();
+  const std::string csv = sampler.to_csv();
+  EXPECT_EQ(csv_column(csv, "m.g3"),
+            (std::vector<std::string>{"1.5", "4", "4"}))
+      << csv;
+  EXPECT_EQ(csv_column(csv, "m.g1"),
+            (std::vector<std::string>{"-1.5", "-4", "-4"}))
+      << csv;
+  EXPECT_EQ(csv_column(csv, "m.c3"),
+            (std::vector<std::string>{"3", "3", "3"}))
+      << csv;
+  // One counter event per gauge per tick, in name order.
+  std::vector<std::pair<std::string, double>> events;
+  for (const auto& ev : tr.counter_events()) {
+    events.emplace_back(ev.track, ev.value);
+  }
+  ASSERT_EQ(events.size(), 9u);
+  EXPECT_EQ(events[0], (std::pair<std::string, double>{"m.g1", -1.5}));
+  EXPECT_EQ(events[2], (std::pair<std::string, double>{"m.g3", 1.5}));
+  EXPECT_EQ(events[3], (std::pair<std::string, double>{"m.g1", -4.0}));
+  EXPECT_EQ(events[8], (std::pair<std::string, double>{"m.g3", 4.0}));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
-// Tests for Channel<T>: FIFO delivery, bounded backpressure, close().
+// Tests for Channel<T>: FIFO delivery, bounded backpressure, close(); and
+// for the Fifo ring underneath it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "heap_counter.hpp"
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 #include "sim/queue.hpp"
 
 namespace {
@@ -12,8 +19,178 @@ namespace {
 using sim::Channel;
 using sim::ChannelClosed;
 using sim::Engine;
+using sim::Fifo;
 using sim::Task;
 using sim::Time;
+
+// A value with heap storage that counts its live instances, so the tests
+// see moves across ring growth and destruction at pop time.
+struct Tracked {
+  static inline int live = 0;
+  std::string v;
+  explicit Tracked(std::string s) : v{std::move(s)} { ++live; }
+  Tracked(Tracked&& o) noexcept : v{std::move(o.v)} { ++live; }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() { --live; }
+};
+
+// Seeded random push / pop / iterate / clear against a std::deque model.
+// Push-heavy and pop-heavy phases alternate, so the ring grows while its
+// head sits mid-buffer (growth across the wrap) and drains back through it.
+TEST(Fifo, MatchesDequeModel) {
+  for (unsigned seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng{seed};
+    Fifo<Tracked> q;
+    std::deque<std::string> model;
+    int next = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const bool push_heavy = (step / 150) % 2 == 0;
+      const unsigned r = rng() % 100;
+      if (r < (push_heavy ? 65u : 35u)) {
+        // Long enough to live on the heap, not in the SSO buffer.
+        std::string v = "value-" + std::to_string(next++) + "-padding-padding";
+        q.push_back(Tracked{v});
+        model.push_back(std::move(v));
+      } else if (r < 97) {
+        if (!model.empty()) {
+          ASSERT_EQ(q.front().v, model.front());
+          q.pop_front();
+          model.pop_front();
+        }
+      } else if (r < 99) {
+        ASSERT_TRUE(std::equal(q.begin(), q.end(), model.begin(), model.end(),
+                               [](const Tracked& a, const std::string& b) {
+                                 return a.v == b;
+                               }));
+      } else {
+        q.clear();
+        model.clear();
+      }
+      ASSERT_EQ(q.size(), model.size()) << "seed " << seed << " step " << step;
+      ASSERT_EQ(q.empty(), model.empty());
+      ASSERT_EQ(Tracked::live, static_cast<int>(model.size()));
+      if (!model.empty()) {
+        ASSERT_EQ(q.front().v, model.front());
+        ASSERT_EQ(q.back().v, model.back());
+      }
+    }
+  }
+  EXPECT_EQ(Tracked::live, 0);
+}
+
+TEST(Fifo, IdleRingAllocatesNothingAndPopDestroysInPlace) {
+  EXPECT_EQ(heap_counter::bytes_during([] {
+              Fifo<Tracked> idle;
+              idle.clear();
+            }),
+            0u);
+  {
+    Fifo<Tracked> q;
+    q.push_back(Tracked{"a"});
+    q.push_back(Tracked{"b"});
+    EXPECT_EQ(Tracked::live, 2);
+    q.pop_front();
+    EXPECT_EQ(Tracked::live, 1);  // gone at pop, not when the slot is reused
+    EXPECT_EQ(q.front().v, "b");
+  }
+  EXPECT_EQ(Tracked::live, 0);
+}
+
+// Receivers queue up while try_send feeds them and more receivers arrive;
+// close() then fails the rest.  The k-th value goes to the k-th receiver
+// to arrive, and the leftovers see ChannelClosed in arrival order.
+TEST(Channel, InterleavedTrySendRecvCloseKeepsFifoOrder) {
+  Engine eng;
+  Channel<std::string> ch{eng};
+  int arrived = 0;
+  int sent = 0;
+  std::vector<std::pair<int, std::string>> got;  // (receiver, value)
+  std::vector<int> closed;
+  eng.spawn([](Engine& e, Channel<std::string>& ch, int& arrived, int& sent,
+               std::vector<std::pair<int, std::string>>& got,
+               std::vector<int>& closed) -> Task<void> {
+    const auto receive = [](Channel<std::string>& c,
+                            std::vector<std::pair<int, std::string>>& got,
+                            std::vector<int>& closed, int id) -> Task<void> {
+      try {
+        got.emplace_back(id, co_await c.recv());
+      } catch (const ChannelClosed&) {
+        closed.push_back(id);
+      }
+    };
+    std::mt19937 rng{3};
+    // Receiver-heavy and sender-heavy phases alternate, so both backlogs
+    // build up.
+    for (int step = 0; step < 400; ++step) {
+      const unsigned receiver_pct = (step / 40) % 2 == 0 ? 70 : 30;
+      if (rng() % 100 < receiver_pct) {
+        e.spawn(receive(ch, got, closed, arrived++));
+      } else {
+        EXPECT_TRUE(ch.try_send(std::to_string(sent++)));
+      }
+      co_await e.sleep(Time::us(1.0));
+    }
+    // Leave a few receivers waiting for close().
+    while (arrived < sent + 5) {
+      e.spawn(receive(ch, got, closed, arrived++));
+      co_await e.sleep(Time::us(1.0));
+    }
+    ch.close();
+  }(eng, ch, arrived, sent, got, closed));
+  eng.run();
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(sent));
+  for (int k = 0; k < sent; ++k) {
+    EXPECT_EQ(got[static_cast<std::size_t>(k)],
+              (std::pair<int, std::string>{k, std::to_string(k)}));
+  }
+  ASSERT_EQ(closed.size(), 5u);
+  for (std::size_t i = 0; i < closed.size(); ++i) {
+    EXPECT_EQ(closed[i], sent + static_cast<int>(i));
+  }
+  EXPECT_GT(sent, 150);
+}
+
+// Senders blocked on a full bounded channel resume in arrival order.
+TEST(Channel, BlockedSendersResumeInArrivalOrder) {
+  Engine eng;
+  Channel<std::string> ch{eng, 2};
+  constexpr int kSenders = 21;
+  for (int i = 0; i < kSenders; ++i) {
+    eng.schedule_fn(Time::us(i), [&eng, &ch, i] {
+      eng.spawn([](Channel<std::string>& c, int id) -> Task<void> {
+        co_await c.send(std::to_string(id));
+      }(ch, i));
+    });
+  }
+  std::vector<std::string> got;
+  eng.spawn([](Engine& e, Channel<std::string>& c,
+               std::vector<std::string>& got) -> Task<void> {
+    co_await e.sleep(Time::us(kSenders));
+    for (int i = 0; i < kSenders; ++i) {
+      got.push_back(co_await c.recv());
+      co_await e.sleep(Time::us(0.5));
+    }
+  }(eng, ch, got));
+  eng.run();
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kSenders));
+  for (int i = 0; i < kSenders; ++i) {
+    EXPECT_EQ(got[static_cast<std::size_t>(i)], std::to_string(i));
+  }
+}
+
+TEST(IdleFootprint, ChannelWithoutTrafficAllocatesNothing) {
+  Engine eng;
+  bool empty = false;
+  const std::size_t bytes = heap_counter::bytes_during([&] {
+    Channel<std::vector<std::string>> unbounded{eng};
+    Channel<std::vector<std::string>> bounded{eng, 4};
+    empty = !unbounded.try_recv().has_value() && bounded.empty();
+    bounded.close();
+  });
+  EXPECT_TRUE(empty);
+  EXPECT_EQ(bytes, 0u);
+}
 
 TEST(Channel, FifoDelivery) {
   Engine eng;

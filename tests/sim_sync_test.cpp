@@ -1,8 +1,12 @@
 // Tests for Semaphore, Mutex, CondVar, Gate, and Resource.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <numeric>
+#include <random>
 #include <vector>
 
+#include "heap_counter.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
 #include "sim/sync.hpp"
@@ -193,6 +197,112 @@ TEST(Gate, BroadcastsOnceOpen) {
   }(gate, passed));
   eng.run();
   EXPECT_TRUE(passed);
+}
+
+// Ids 0..n-1 in order: what a FIFO wake sequence of n arrivals looks like.
+std::vector<int> arrival_order(int n) {
+  std::vector<int> ids(static_cast<std::size_t>(n));
+  std::iota(ids.begin(), ids.end(), 0);
+  return ids;
+}
+
+// Acquirers keep arriving while earlier ones are being released, so the
+// waiter ring grows, drains and wraps around many times; permits still go
+// to waiters strictly in arrival order.
+TEST(Semaphore, InterleavedAcquireReleaseWakesInArrivalOrder) {
+  Engine eng;
+  Semaphore sem{eng, 0};
+  int arrived = 0;
+  std::vector<int> woke;
+  eng.spawn([](Engine& e, Semaphore& s, int& arrived,
+               std::vector<int>& woke) -> Task<void> {
+    std::mt19937 rng{7};
+    for (int step = 0; step < 400; ++step) {
+      if (rng() % 3 != 0) {
+        e.spawn([](Semaphore& s, std::vector<int>& w, int id) -> Task<void> {
+          co_await s.acquire();
+          w.push_back(id);
+        }(s, woke, arrived++));
+      } else {
+        s.release(static_cast<std::int64_t>(rng() % 4));
+      }
+      co_await e.sleep(Time::us(1.0));
+    }
+    s.release(arrived);  // let every remaining waiter through
+  }(eng, sem, arrived, woke));
+  eng.run();
+  EXPECT_GT(arrived, 200);
+  EXPECT_EQ(woke, arrival_order(arrived));
+}
+
+// notify_one wakes the longest waiter; notify_all wakes the rest in order.
+TEST(CondVar, InterleavedWaitNotifyWakesInArrivalOrder) {
+  Engine eng;
+  Mutex mu{eng};
+  CondVar cv{eng};
+  int arrived = 0;
+  std::vector<int> woke;
+  eng.spawn([](Engine& e, Mutex& m, CondVar& c, int& arrived,
+               std::vector<int>& woke) -> Task<void> {
+    std::mt19937 rng{11};
+    for (int step = 0; step < 300; ++step) {
+      if (rng() % 2 == 0) {
+        e.spawn([](Mutex& m, CondVar& c, std::vector<int>& w,
+                   int id) -> Task<void> {
+          co_await m.lock();
+          co_await c.wait(m);
+          w.push_back(id);
+          m.unlock();
+        }(m, c, woke, arrived++));
+      } else {
+        c.notify_one();
+      }
+      co_await e.sleep(Time::us(1.0));
+    }
+    c.notify_all();
+  }(eng, mu, cv, arrived, woke));
+  eng.run();
+  EXPECT_GT(arrived, 100);
+  EXPECT_EQ(woke, arrival_order(arrived));
+  EXPECT_EQ(cv.waiting(), 0u);
+}
+
+TEST(Gate, WakesWaitersInArrivalOrder) {
+  Engine eng;
+  Gate gate{eng};
+  std::vector<int> woke;
+  constexpr int kWaiters = 37;  // several ring doublings
+  for (int i = 0; i < kWaiters; ++i) {
+    eng.schedule_fn(Time::us(i), [&eng, &gate, &woke, i] {
+      eng.spawn([](Gate& g, std::vector<int>& w, int id) -> Task<void> {
+        co_await g.wait();
+        w.push_back(id);
+      }(gate, woke, i));
+    });
+  }
+  eng.schedule_fn(Time::us(kWaiters), [&gate] { gate.open(); });
+  eng.run();
+  EXPECT_EQ(woke, arrival_order(kWaiters));
+}
+
+// A primitive nobody has waited on holds no heap memory: per-pair protocol
+// state embeds several of these, and most pairs sit idle.
+TEST(IdleFootprint, PrimitivesWithoutWaitersAllocateNothing) {
+  Engine eng;
+  bool acquired = false;
+  const std::size_t bytes = heap_counter::bytes_during([&] {
+    Semaphore sem{eng, 1};
+    Mutex mu{eng};
+    CondVar cv{eng};
+    Gate gate{eng};
+    acquired = sem.try_acquire();
+    sem.release();
+    cv.notify_one();
+    cv.notify_all();
+    gate.open();
+  });
+  EXPECT_TRUE(acquired);
+  EXPECT_EQ(bytes, 0u);
 }
 
 TEST(Resource, SerializesUsers) {
