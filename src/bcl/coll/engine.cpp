@@ -123,17 +123,9 @@ GroupDescriptor* CollectiveEngine::find_group(std::uint16_t id) {
   return it == groups_.end() ? nullptr : &it->second;
 }
 
-CollectiveEngine::Neighborhood CollectiveEngine::neighbors(
-    const GroupDescriptor& g, int root) const {
-  Neighborhood nb;
-  const int n = g.size();
-  nb.rel = tree_rel(g.my_index, root, n);
-  const int prel = tree_parent_rel(nb.rel, g.arity);
-  nb.parent = prel < 0 ? -1 : tree_abs(prel, root, n);
-  for (const int c : tree_children_rel(nb.rel, g.arity, n)) {
-    nb.children.push_back(tree_abs(c, root, n));
-  }
-  return nb;
+TreeLinks CollectiveEngine::neighbors(const GroupDescriptor& g,
+                                      int root) const {
+  return tree_links(g.order, g.size(), g.arity, g.my_index, root);
 }
 
 hw::Packet CollectiveEngine::make_packet(const GroupDescriptor& g,
@@ -252,6 +244,9 @@ sim::Task<void> CollectiveEngine::watchdog(std::uint16_t gid,
   co_await eng_.sleep(cfg_.coll_op_timeout);
   const auto pit = pending_.find({gid, seq});
   if (pit == pending_.end()) co_return;  // completed
+  // Fragments held for the host wait on the host, not the network;
+  // host_done arms a fresh watchdog when it releases them.
+  if (held(pit->second)) co_return;
   GroupDescriptor* g = find_group(gid);
   if (g == nullptr) co_return;  // unregistered meanwhile
   ++stats_.op_timeouts;
@@ -407,7 +402,7 @@ sim::Task<void> CollectiveEngine::handle_post(CollPost post) {
     }
     case CollKind::kBcast: {
       // Only the root member posts a broadcast; everyone else just polls.
-      const Neighborhood nb = neighbors(*g, post.root);
+      const TreeLinks nb = neighbors(*g, post.root);
       if (trace_) {
         for (const int child : nb.children) {
           trace_->msg_link(member_key(*g, post.seq, g->my_index),
@@ -483,6 +478,10 @@ sim::Task<void> CollectiveEngine::handle_packet(hw::Packet p) {
   }
   if (g.failed) {
     ++stats_.drops;  // the group is dead; its traffic is noise
+    co_return;
+  }
+  if (root >= g.size()) {
+    ++stats_.drops;  // no such member: there is no tree to route along
     co_return;
   }
   switch (wire) {
@@ -641,11 +640,11 @@ void CollectiveEngine::send_partial_up(const GroupDescriptor& g,
 sim::Task<void> CollectiveEngine::advance_reduce(GroupDescriptor& g,
                                                  Pending& pd,
                                                  std::uint64_t seq) {
-  const Neighborhood nb = neighbors(g, pd.root);
+  const TreeLinks nb = neighbors(g, pd.root);
   const int need = static_cast<int>(nb.children.size()) + 1;
   if (!pd.acc_init || pd.have < need || pd.sent_up) co_return;
   pd.sent_up = true;
-  if (nb.rel == 0) {
+  if (nb.parent < 0) {
     // Root: DMA the final vector into the registration-pinned result
     // buffer — the only host DMA of the whole reduction.
     if (pd.len > 0) {
@@ -675,16 +674,17 @@ sim::Task<void> CollectiveEngine::handle_bcast_packet(GroupDescriptor& g,
                                                       hw::Packet p) {
   pd.kind = CollKind::kBcast;
   pd.len = static_cast<std::size_t>(p.msg_bytes);
-  if (trace_ && pd.frags_seen == 0) {
+  if (trace_ && pd.frags_seen == 0 && pd.stash.empty()) {
     // Non-root members never post; their record starts at the first
     // fragment (the parent edge arrived with msg_link, possibly earlier).
+    // A held fragment leaves frags_seen at 0 but sits in the stash.
     trace_->msg_begin(member_key(g, seq, g.my_index), "bcast",
                       static_cast<int>(g.members[g.my_index].node), -1,
                       static_cast<std::size_t>(p.msg_bytes));
   }
   // Forward to children first (cut-through, straight from the packet
   // buffer), then scatter the fragment into the pinned result buffer.
-  const Neighborhood nb = neighbors(g, pd.root);
+  const TreeLinks nb = neighbors(g, pd.root);
   std::vector<hw::Packet> batch;
   batch.reserve(nb.children.size());
   for (const int child : nb.children) {
@@ -707,6 +707,20 @@ sim::Task<void> CollectiveEngine::handle_bcast_packet(GroupDescriptor& g,
     batch.push_back(std::move(q));
   }
   emit_fanout(std::move(batch));
+  if (seq > g.host_done + 1) {
+    // The host has yet to read an earlier operation's result (a reduce
+    // rooted here may even land after this fragment): keep the fragment in
+    // SRAM until host_done releases it.
+    pd.stash.push_back(std::move(p));
+    co_return;
+  }
+  co_await deliver_fragment(g, pd, seq, p);
+}
+
+sim::Task<void> CollectiveEngine::deliver_fragment(GroupDescriptor& g,
+                                                   Pending& pd,
+                                                   std::uint64_t seq,
+                                                   const hw::Packet& p) {
   if (!p.payload.empty() && !pd.failed) {
     if (p.offset + p.payload.size() > g.result_buf.len) {
       // This member registered a smaller result buffer than the root's
@@ -731,6 +745,35 @@ sim::Task<void> CollectiveEngine::handle_bcast_packet(GroupDescriptor& g,
                         static_cast<std::size_t>(p.msg_bytes), true);
     }
     erase({g.id, seq});
+  }
+}
+
+void CollectiveEngine::host_done(std::uint16_t gid, std::uint64_t seq) {
+  GroupDescriptor* g = find_group(gid);
+  if (g == nullptr || seq <= g->host_done) return;
+  g->host_done = seq;
+  const auto it = pending_.find({gid, seq + 1});
+  if (it != pending_.end() && held(it->second)) {
+    eng_.spawn_daemon(deliver_held(gid, seq + 1));
+    if (cfg_.coll_op_timeout > sim::Time::zero()) {
+      eng_.spawn_daemon(watchdog(gid, seq + 1));
+    }
+  }
+}
+
+sim::Task<void> CollectiveEngine::deliver_held(std::uint16_t gid,
+                                               std::uint64_t seq) {
+  // Re-find the entry per fragment: a group failure, crash or unregister
+  // can drop it while a DMA is in flight.
+  for (;;) {
+    GroupDescriptor* g = find_group(gid);
+    const auto it = pending_.find({gid, seq});
+    if (g == nullptr || it == pending_.end() || it->second.stash.empty()) {
+      co_return;
+    }
+    const hw::Packet p = std::move(it->second.stash.front());
+    it->second.stash.erase(it->second.stash.begin());
+    co_await deliver_fragment(*g, it->second, seq, p);
   }
 }
 

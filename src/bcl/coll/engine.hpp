@@ -52,6 +52,12 @@ class CollectiveEngine {
   // Called by Mcp::handle_data for packets carrying SendOp::kColl.
   sim::Task<void> handle_packet(hw::Packet p);
 
+  // The host is done with operations up to `seq` of group `gid`: it has
+  // read their results out of the group's result buffer, which may now
+  // take the next operation's data.  The host library writes this consumer
+  // index (CollPort) into memory the NIC reads, so it costs no trap.
+  void host_done(std::uint16_t gid, std::uint64_t seq);
+
   // A reliability session exhausted its retry budget toward `node`: fail
   // every group with a member there (kPeerUnreachable completions, kFail
   // flooded over the tree so members that never talk to the dead node
@@ -96,16 +102,11 @@ class CollectiveEngine {
     bool failed = false;      // failure completion already emitted
     std::vector<double> acc;  // reduce accumulator (NIC SRAM)
     bool acc_init = false;
-    std::vector<hw::Packet> stash;  // partials arriving before the post
+    // Packets held back: reduce partials that arrive before the local
+    // post, broadcast fragments the host is not ready for (host_done).
+    std::vector<hw::Packet> stash;
     std::uint32_t frags_seen = 0;   // broadcast reassembly progress
     std::size_t sram = 0;           // bytes reserved for acc
-  };
-  // The tree neighbourhood of this member for an operation rooted at
-  // member `root` (relative-index arithmetic; see group.hpp).
-  struct Neighborhood {
-    int rel = 0;
-    int parent = -1;            // member index, -1 at the root
-    std::vector<int> children;  // member indices
   };
   using Key = std::pair<std::uint16_t, std::uint64_t>;
 
@@ -119,6 +120,15 @@ class CollectiveEngine {
                                        std::uint64_t seq, hw::Packet p);
   sim::Task<void> handle_bcast_packet(GroupDescriptor& g, Pending& pd,
                                       std::uint64_t seq, hw::Packet p);
+  // Lands one broadcast fragment in the result buffer and completes the
+  // operation with its last fragment.
+  sim::Task<void> deliver_fragment(GroupDescriptor& g, Pending& pd,
+                                   std::uint64_t seq, const hw::Packet& p);
+  sim::Task<void> deliver_held(std::uint16_t gid, std::uint64_t seq);
+  // A broadcast whose fragments wait in SRAM for the host (host_done).
+  static bool held(const Pending& pd) {
+    return pd.kind == CollKind::kBcast && !pd.stash.empty();
+  }
   sim::Task<void> advance_reduce(GroupDescriptor& g, Pending& pd,
                                  std::uint64_t seq);
   sim::Task<void> combine_fragment(GroupDescriptor& g, Pending& pd,
@@ -138,7 +148,8 @@ class CollectiveEngine {
   // failure event (seq 0) so hosts blocked on any sequence unblock.
   sim::Task<void> fail_group(GroupDescriptor& g);
 
-  Neighborhood neighbors(const GroupDescriptor& g, int root) const;
+  // This member's tree links for an operation rooted at member `root`.
+  TreeLinks neighbors(const GroupDescriptor& g, int root) const;
   hw::Packet make_packet(const GroupDescriptor& g, int dst_member,
                          CollWire wire, std::uint64_t seq, std::uint16_t root,
                          CollOp op) const;

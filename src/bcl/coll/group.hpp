@@ -9,17 +9,30 @@
 // combined and forwarded entirely by the MCP, with the host involved only
 // at the two ends (the posting ioctl and the completion-event poll).
 //
-// Trees are defined over *relative* member indices so any member can be the
-// root of a broadcast or reduction: rel = (index - root) mod n, and the
-// canonical k-ary heap layout parent(rel) = (rel-1)/k applies.  The
-// descriptor additionally stores the canonical root-0 parent/children used
-// by barriers, which are always rooted at member 0.
+// Tree layout.  Every operation runs over one k-ary heap: heap position h
+// has parent (h-1)/k and children k*h+1 .. k*h+k, so arity and depth are
+// the same for every group of n members.  Which member sits at which
+// position comes from the group's `order`, fixed at registration from the
+// fabric's geometry (tree_order):
+//   - on a switched fabric the order is empty and member index i sits at
+//     heap position (i - root) mod n, the plain index heap;
+//   - on the mesh the order lists the members along the fabric's Hilbert
+//     curve, and the j-th member after the root (wrapping at the end of
+//     the curve) takes the j-th heap position in DFS preorder, so every
+//     subtree is one contiguous, compact run of the curve.
+// Re-rooting rotates the member sequence, never the heap positions, so a
+// tree rooted anywhere keeps its locality.  tree_links is the one place
+// that arithmetic lives; the descriptor also caches the member-0 links
+// that barriers use.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "bcl/types.hpp"
+#include "hw/link.hpp"
 #include "hw/memory.hpp"
 #include "osk/process.hpp"
 
@@ -67,26 +80,114 @@ inline constexpr std::uint64_t coll_member_key(std::uint16_t group,
          ((static_cast<std::uint64_t>(node) + 1) << 32);
 }
 
-// -- k-ary tree arithmetic over relative indices --------------------------------
-inline constexpr int tree_rel(int index, int root, int n) {
-  return (index - root + n) % n;
-}
-inline constexpr int tree_abs(int rel, int root, int n) {
-  return (rel + root) % n;
-}
-inline constexpr int tree_parent_rel(int rel, int k) {
-  return rel == 0 ? -1 : (rel - 1) / k;
-}
-inline std::vector<int> tree_children_rel(int rel, int k, int n) {
-  std::vector<int> out;
-  for (int c = k * rel + 1; c <= k * rel + k && c < n; ++c) out.push_back(c);
-  return out;
-}
+// -- k-ary tree arithmetic ---------------------------------------------------
 // Depth of the deepest leaf (root = 0) — exported as a gauge.
 inline int tree_depth(int n, int k) {
   int depth = 0;
-  for (int rel = n - 1; rel > 0; rel = tree_parent_rel(rel, k)) ++depth;
+  for (int h = n - 1; h > 0; h = (h - 1) / k) ++depth;
   return depth;
+}
+
+// Heap positions in the subtree under position h of an n-node k-ary heap.
+inline int heap_subtree_size(int h, int n, int k) {
+  int size = 0;
+  for (std::int64_t lo = h, hi = h; lo < n; lo = lo * k + 1, hi = hi * k + k) {
+    size += static_cast<int>(std::min<std::int64_t>(hi, n - 1) - lo + 1);
+  }
+  return size;
+}
+
+// DFS-preorder rank of heap position h, and its inverse.
+inline int preorder_rank(int h, int n, int k) {
+  int rank = 0;
+  for (; h > 0; h = (h - 1) / k) {
+    rank += 1;  // the parent comes first
+    for (int s = (h - 1) / k * k + 1; s < h; ++s) {
+      rank += heap_subtree_size(s, n, k);  // then every elder sibling's subtree
+    }
+  }
+  return rank;
+}
+inline int preorder_position(int rank, int n, int k) {
+  int h = 0;
+  while (rank > 0) {
+    --rank;         // past h itself
+    h = h * k + 1;  // into its eldest child's subtree ...
+    for (int size = heap_subtree_size(h, n, k); rank >= size;
+         size = heap_subtree_size(++h, n, k)) {
+      rank -= size;  // ... or a younger sibling's
+    }
+  }
+  return h;
+}
+
+// A group's members in the order its tree is laid along: sorted by their
+// node's position on the fabric's locality curve.  Both tables are empty on
+// fabrics without one, which keeps the plain index heap.
+struct TreeOrder {
+  std::vector<int> members;  // curve slot -> member index
+  std::vector<int> slots;    // member index -> curve slot
+  bool empty() const { return members.empty(); }
+};
+inline TreeOrder tree_order(const hw::Fabric& fabric,
+                            const std::vector<PortId>& members) {
+  std::vector<std::int64_t> keys;
+  keys.reserve(members.size());
+  for (const PortId& m : members) {
+    keys.push_back(fabric.curve_index(m.node));
+    if (keys.back() < 0) return {};
+  }
+  TreeOrder order;
+  order.members.resize(members.size());
+  std::iota(order.members.begin(), order.members.end(), 0);
+  std::stable_sort(order.members.begin(), order.members.end(),
+                   [&keys](int a, int b) {
+                     return keys[static_cast<std::size_t>(a)] <
+                            keys[static_cast<std::size_t>(b)];
+                   });
+  order.slots.resize(members.size());
+  for (std::size_t s = 0; s < order.members.size(); ++s) {
+    order.slots[static_cast<std::size_t>(order.members[s])] =
+        static_cast<int>(s);
+  }
+  return order;
+}
+
+// Member `member`'s neighbourhood in the n-member tree rooted at member
+// `root`, laid along `order` (see the header comment).
+struct TreeLinks {
+  int parent = -1;            // member index, -1 at the root
+  std::vector<int> children;  // member indices
+};
+inline TreeLinks tree_links(const TreeOrder& order, int n, int k, int member,
+                            int root) {
+  const bool curve = !order.empty();
+  const auto slot = [&](int m) {
+    return curve ? order.slots[static_cast<std::size_t>(m)] : m;
+  };
+  const int base = slot(root);
+  const auto member_at = [&](int rank) {  // rank-th member after the root
+    const int s = (base + rank) % n;
+    return curve ? order.members[static_cast<std::size_t>(s)] : s;
+  };
+  // Heap position h of this member: rank h for the index heap, the
+  // rank-th position in preorder along a curve.
+  const int rank = (slot(member) - base + n) % n;
+  const int h = curve ? preorder_position(rank, n, k) : rank;
+  TreeLinks out;
+  if (h > 0) {
+    const int p = (h - 1) / k;
+    out.parent = member_at(curve ? preorder_rank(p, n, k) : p);
+  }
+  // In preorder the eldest child follows its parent and each younger one
+  // follows its elder sibling's subtree.
+  int next = rank + 1;
+  for (std::int64_t c = std::int64_t{k} * h + 1;
+       c <= std::int64_t{k} * h + k && c < n; ++c) {
+    out.children.push_back(member_at(curve ? next : static_cast<int>(c)));
+    if (curve) next += heap_subtree_size(static_cast<int>(c), n, k);
+  }
+  return out;
 }
 
 // What the register_group trap writes into NIC SRAM.
@@ -98,8 +199,11 @@ struct GroupDescriptor {
   CollOp default_op = CollOp::kSum;  // combine op registered with the group
   std::uint64_t next_seq = 1;        // registration-time sequence origin
 
-  // Canonical root-0 tree neighbourhood (used by barriers); broadcast and
-  // reduce re-root by relative-index arithmetic at packet-processing time.
+  // The members along the fabric's locality curve (tree_order); empty on
+  // switched fabrics.  Broadcast and reduce derive their links from it per
+  // root at packet-processing time (tree_links).
+  TreeOrder order;
+  // Canonical root-0 tree neighbourhood (used by barriers).
   int parent = -1;                   // member index, -1 at the root
   std::vector<int> children;         // member indices
 
@@ -107,6 +211,12 @@ struct GroupDescriptor {
   // here by DMA, so no per-operation host buffer registration is needed.
   osk::UserBuffer result_buf{};
   std::vector<hw::PhysSegment> result_segs;
+
+  // Host consumer index (CollectiveEngine::host_done): the last operation
+  // whose result the host has read out of result_buf.  A broadcast fragment
+  // for any later operation but the next waits in SRAM, or it would
+  // overwrite a result the host has yet to read.
+  std::uint64_t host_done = 0;
 
   // Set once a member becomes unreachable; every subsequent operation on
   // the group completes immediately with kPeerUnreachable.

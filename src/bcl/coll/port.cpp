@@ -84,17 +84,29 @@ sim::Task<CollEvent> CollPort::wait_event(std::uint64_t seq) {
   }
 }
 
-sim::Task<void> CollPort::copy_from_result(const osk::UserBuffer& dst,
+std::uint64_t CollPort::begin_op() {
+  const std::uint64_t seq = next_seq_++;
+  release(seq - 1);
+  return seq;
+}
+
+void CollPort::release(std::uint64_t seq) {
+  ep_.mcp().coll().host_done(id_, seq);
+}
+
+sim::Task<void> CollPort::copy_from_result(std::uint64_t seq,
+                                           const osk::UserBuffer& dst,
                                            std::size_t len) {
   if (len == 0) co_return;
   std::vector<std::byte> tmp(len);
   ep_.process().peek(buf_, 0, tmp);
+  release(seq);
   co_await ep_.process().cpu().busy(ep_.process().cpu().memcpy_time(len));
   ep_.process().poke(dst, 0, tmp);
 }
 
 sim::Task<BclErr> CollPort::barrier() {
-  const std::uint64_t seq = next_seq_++;
+  const std::uint64_t seq = begin_op();
   CollPostArgs a;
   a.group_id = id_;
   a.kind = CollKind::kBarrier;
@@ -103,12 +115,13 @@ sim::Task<BclErr> CollPort::barrier() {
       co_await ep_.driver().ioctl_coll_post(ep_.process(), ep_.port(), a);
   if (!r.ok()) co_return r.err;
   const CollEvent ev = co_await wait_event(seq);
+  release(seq);
   co_return ev.ok ? BclErr::kOk : event_err(ev);
 }
 
 sim::Task<BclErr> CollPort::bcast(const osk::UserBuffer& buf,
                                   std::size_t len, int root) {
-  const std::uint64_t seq = next_seq_++;
+  const std::uint64_t seq = begin_op();
   if (len > buf_.len) co_return BclErr::kTooBig;
   if (root == my_index_) {
     CollPostArgs a;
@@ -122,6 +135,7 @@ sim::Task<BclErr> CollPort::bcast(const osk::UserBuffer& buf,
         co_await ep_.driver().ioctl_coll_post(ep_.process(), ep_.port(), a);
     if (!r.ok()) co_return r.err;
     const CollEvent ev = co_await wait_event(seq);
+    release(seq);
     if (!ev.ok) co_return event_err(ev);
   } else {
     // Receivers only poll: the data lands in the pinned result buffer by
@@ -130,7 +144,7 @@ sim::Task<BclErr> CollPort::bcast(const osk::UserBuffer& buf,
     // group lost a member).
     const CollEvent ev = co_await wait_event(seq);
     if (!ev.ok) co_return event_err(ev);
-    co_await copy_from_result(buf, len);
+    co_await copy_from_result(seq, buf, len);
   }
   co_return BclErr::kOk;
 }
@@ -138,7 +152,7 @@ sim::Task<BclErr> CollPort::bcast(const osk::UserBuffer& buf,
 sim::Task<BclErr> CollPort::reduce(const osk::UserBuffer& src,
                                    const osk::UserBuffer& dst,
                                    std::size_t count, CollOp op, int root) {
-  const std::uint64_t seq = next_seq_++;
+  const std::uint64_t seq = begin_op();
   const std::size_t bytes = count * sizeof(double);
   if (bytes > buf_.len) co_return BclErr::kTooBig;
   CollPostArgs a;
@@ -153,8 +167,9 @@ sim::Task<BclErr> CollPort::reduce(const osk::UserBuffer& src,
       co_await ep_.driver().ioctl_coll_post(ep_.process(), ep_.port(), a);
   if (!r.ok()) co_return r.err;
   const CollEvent ev = co_await wait_event(seq);
+  if (root != my_index_) release(seq);
   if (!ev.ok) co_return event_err(ev);
-  if (root == my_index_) co_await copy_from_result(dst, bytes);
+  if (root == my_index_) co_await copy_from_result(seq, dst, bytes);
   co_return BclErr::kOk;
 }
 
@@ -165,7 +180,7 @@ sim::Task<BclErr> CollPort::allreduce(const osk::UserBuffer& src,
   if (bytes > buf_.len) co_return BclErr::kTooBig;
   // Phase 1: reduce to member 0 (result stays in 0's pinned buffer).
   {
-    const std::uint64_t seq = next_seq_++;
+    const std::uint64_t seq = begin_op();
     CollPostArgs a;
     a.group_id = id_;
     a.kind = CollKind::kReduce;
@@ -178,28 +193,29 @@ sim::Task<BclErr> CollPort::allreduce(const osk::UserBuffer& src,
         co_await ep_.driver().ioctl_coll_post(ep_.process(), ep_.port(), a);
     if (!r.ok()) co_return r.err;
     const CollEvent ev = co_await wait_event(seq);
+    // Member 0 still needs this result, but phase 2 is its own broadcast:
+    // nothing lands in its buffer before the final copy.
+    release(seq);
     if (!ev.ok) co_return event_err(ev);
   }
   // Phase 2: member 0 re-broadcasts straight out of the result buffer —
   // no host round trip between the reduction and the fan-out.
-  {
-    const std::uint64_t seq = next_seq_++;
-    if (my_index_ == 0) {
-      CollPostArgs a;
-      a.group_id = id_;
-      a.kind = CollKind::kBcast;
-      a.root = 0;
-      a.seq = seq;
-      a.len = bytes;
-      a.from_result_buf = true;
-      const auto r = co_await ep_.driver().ioctl_coll_post(ep_.process(),
-                                                           ep_.port(), a);
-      if (!r.ok()) co_return r.err;
-    }
-    const CollEvent ev = co_await wait_event(seq);
-    if (!ev.ok) co_return event_err(ev);
+  const std::uint64_t seq = begin_op();
+  if (my_index_ == 0) {
+    CollPostArgs a;
+    a.group_id = id_;
+    a.kind = CollKind::kBcast;
+    a.root = 0;
+    a.seq = seq;
+    a.len = bytes;
+    a.from_result_buf = true;
+    const auto r =
+        co_await ep_.driver().ioctl_coll_post(ep_.process(), ep_.port(), a);
+    if (!r.ok()) co_return r.err;
   }
-  co_await copy_from_result(dst, bytes);
+  const CollEvent ev = co_await wait_event(seq);
+  if (!ev.ok) co_return event_err(ev);
+  co_await copy_from_result(seq, dst, bytes);
   co_return BclErr::kOk;
 }
 

@@ -64,7 +64,17 @@ class CollPort {
   // completes.  Events for other sequence numbers (completions can ride
   // unordered packets) are held, not dropped.
   sim::Task<CollEvent> wait_event(std::uint64_t seq);
-  sim::Task<void> copy_from_result(const osk::UserBuffer& dst,
+  // Takes the next sequence number.  The host is done with every earlier
+  // operation, so the NIC may land this one's data.
+  std::uint64_t begin_op();
+  // Tells the NIC the host is done with the result buffer for operations
+  // up to `seq` (CollectiveEngine::host_done): called once an operation's
+  // result is read, or at its completion when it leaves none here.
+  void release(std::uint64_t seq);
+  // Copies operation `seq`'s result out of the pinned result buffer; once
+  // read, the buffer is free for the next operation's data.
+  sim::Task<void> copy_from_result(std::uint64_t seq,
+                                   const osk::UserBuffer& dst,
                                    std::size_t len);
   // The error a failed completion carries to the caller.
   static BclErr event_err(const CollEvent& ev) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "bcl/coll/engine.hpp"
 
@@ -319,12 +320,16 @@ sim::Task<BclErr> Driver::ioctl_register_group(osk::Process& proc,
     desc.my_index = args.my_index;
     desc.arity = std::max(1, cfg_.coll_arity);
     desc.result_buf = args.result_buf;
-    // Canonical root-0 tree neighbourhood (barriers); rooted operations
-    // re-derive theirs by relative-index arithmetic on the NIC.
-    const int rel = static_cast<int>(args.my_index);
-    desc.parent = coll::tree_parent_rel(rel, desc.arity);
-    desc.children = coll::tree_children_rel(rel, desc.arity,
-                                            static_cast<int>(n));
+    // The tree follows the fabric's geometry; the canonical root-0 links
+    // serve barriers, and rooted operations derive theirs on the NIC.
+    if (const hw::Fabric* fabric = kernel_.node().nic().fabric()) {
+      desc.order = coll::tree_order(*fabric, args.members);
+    }
+    coll::TreeLinks links =
+        coll::tree_links(desc.order, static_cast<int>(n), desc.arity,
+                         static_cast<int>(args.my_index), /*root=*/0);
+    desc.parent = links.parent;
+    desc.children = std::move(links.children);
     bool pin_failed = false;
     try {
       desc.result_segs = co_await kernel_.pindown().translate_and_pin(
@@ -335,10 +340,11 @@ sim::Task<BclErr> Driver::ioctl_register_group(osk::Process& proc,
     if (pin_failed) {
       err = BclErr::kNoResources;
     } else {
-      // The descriptor (members, tree links, buffer pages) goes to NIC
-      // SRAM word by word.
+      // The descriptor (members, tree links, curve order, buffer pages)
+      // goes to NIC SRAM word by word; the NIC inverts the order itself.
       co_await kernel_.node().pci().pio_write(
           cfg_.desc_words_base + 2 * static_cast<int>(n) +
+          static_cast<int>(desc.order.members.size()) +
           cfg_.desc_words_per_seg * static_cast<int>(desc.result_segs.size()));
       const osk::UserBuffer pinned = desc.result_buf;
       err = mcp_.coll().register_group(std::move(desc));

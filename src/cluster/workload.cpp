@@ -19,6 +19,8 @@ sim::Task<void> shift_traffic(minimpi::Mpi& me, int rounds,
     (void)co_await me.recv(rbuf, src, /*tag=*/900 + r);
     (void)co_await me.wait(sreq);
   }
+  me.process().free(sbuf);
+  me.process().free(rbuf);
 }
 
 sim::Task<void> bsp_ring(minimpi::Mpi& me, int rounds, std::size_t bytes,
@@ -39,6 +41,7 @@ sim::Task<void> bsp_ring(minimpi::Mpi& me, int rounds, std::size_t bytes,
     std::vector<minimpi::Mpi::Request> reqs{s1, s2, r1, r2};
     co_await me.waitall(std::move(reqs));
   }
+  for (const auto& buf : {out_l, out_r, in_l, in_r}) me.process().free(buf);
 }
 
 }  // namespace cluster::workload

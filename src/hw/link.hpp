@@ -61,6 +61,12 @@ class Fabric {
   // Fabrics with in-network or single-path routing report 1; the MCP's
   // path table sizes its per-destination health state from this.
   virtual int route_count(NodeId, NodeId) const { return 1; }
+  // Position of a node along a locality-preserving curve through the
+  // fabric's geometry: nodes near each other on the curve are few hops
+  // apart.  -1 on fabrics with no geometry worth following (a switched
+  // crossbar puts every pair of hosts the same distance apart).  NIC
+  // collective groups lay their trees along it (coll::tree_order).
+  virtual std::int64_t curve_index(NodeId) const { return -1; }
   // Exports wire-level observability (per-link bytes/packets/queue depth,
   // per-switch forward counts) as callback-backed metrics.  Call after
   // every node is attached; the fabric must outlive the registry reads.

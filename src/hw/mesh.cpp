@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 #include "hw/nic.hpp"
 #include "sim/metrics.hpp"
@@ -144,6 +145,29 @@ void MeshFabric::attach(NodeId id, Nic& nic) {
 
 int MeshFabric::hops(NodeId a, NodeId b) const {
   return std::abs(x_of(a) - x_of(b)) + std::abs(y_of(a) - y_of(b));
+}
+
+std::int64_t MeshFabric::curve_index(NodeId n) const {
+  int side = 1;
+  while (side < width_ || side < height_) side *= 2;
+  int x = x_of(n);
+  int y = y_of(n);
+  std::int64_t d = 0;
+  // Classic xy -> d: pick the quadrant at each scale, then rotate/flip the
+  // coordinates into that quadrant's frame.
+  for (int s = side / 2; s > 0; s /= 2) {
+    const int rx = (x & s) != 0 ? 1 : 0;
+    const int ry = (y & s) != 0 ? 1 : 0;
+    d += static_cast<std::int64_t>(s) * s * ((3 * rx) ^ ry);
+    if (ry == 0) {
+      if (rx == 1) {
+        x = side - 1 - x;
+        y = side - 1 - y;
+      }
+      std::swap(x, y);
+    }
+  }
+  return d;
 }
 
 void MeshFabric::register_metrics(sim::MetricRegistry& reg) const {

@@ -39,6 +39,10 @@ class MeshFabric : public Fabric {
   void stamp_route(Packet&) const override {}  // routed in-network
   std::string name() const override { return "nwrc-mesh"; }
   int hops(NodeId a, NodeId b) const override;
+  // Index along the Hilbert curve through the smallest power-of-two square
+  // that covers the mesh: consecutive nodes on a full square are one hop
+  // apart, and every aligned run of the curve stays compact in 2-D.
+  std::int64_t curve_index(NodeId n) const override;
   void register_metrics(sim::MetricRegistry& reg) const override;
   std::vector<LinkStats> congestion_report() const override;
   std::vector<std::string> links_of(NodeId n) const override;

@@ -65,6 +65,28 @@ TEST(Workload, BspRingCompletes) {
   SUCCEED();
 }
 
+// Each workload call frees the buffers it allocates: repeated calls leave
+// the node's free frames and the process's mapped pages where they found
+// them.
+TEST(Workload, RepeatedCallsReturnTheirBuffers) {
+  WorldConfig cfg;
+  cfg.cluster.nodes = 3;
+  World w{cfg, 3};  // one rank per node: each rank owns its node's frames
+  w.run([](World& world, int rank) -> Task<void> {
+    auto& me = world.mpi(rank);
+    const hw::HostMemory& mem =
+        world.cluster().node(static_cast<hw::NodeId>(rank)).node().memory();
+    const std::size_t free0 = mem.free_pages();
+    const std::size_t mapped0 = me.process().mapped_pages();
+    for (int i = 0; i < 4; ++i) {
+      co_await cluster::workload::shift_traffic(me, 2, 6000, 5 + i);
+      co_await cluster::workload::bsp_ring(me, 2, 6000, 1.0);
+    }
+    EXPECT_EQ(mem.free_pages(), free0) << "rank " << rank;
+    EXPECT_EQ(me.process().mapped_pages(), mapped0) << "rank " << rank;
+  });
+}
+
 TEST(Harness, BclOnewayMatchesCalibration) {
   bcl::ClusterConfig cfg;
   cfg.nodes = 2;

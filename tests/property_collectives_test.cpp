@@ -3,7 +3,9 @@
 // and element counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <random>
 #include <tuple>
 #include <vector>
@@ -374,6 +376,127 @@ TEST(CollEngineGroups, TwoGroupsOnOnePortDemuxEvents) {
     ep.process().free(b1);
     ep.process().free(b2);
   });
+}
+
+// On the mesh the trees follow the Hilbert curve and re-root by rotating
+// it.  With member order unrelated to node order, every root's broadcast
+// must reach every member and every root must hold the exact reduction.
+TEST(CollEngineGroups, MeshCurveTreesServeEveryRoot) {
+  using bcl::coll::CollPort;
+  constexpr std::uint16_t kGid = 44;
+  constexpr int kNodes = 9;           // 3x3 mesh
+  constexpr std::size_t kLen = 6000;  // two fragments
+  constexpr std::size_t kCount = 300;
+  WorldConfig cfg = world_cfg(kNodes);
+  cfg.cluster.fabric.kind = hw::FabricKind::kNwrcMesh;
+  World w{cfg, kNodes};
+  const std::vector<int> node_of{4, 0, 8, 2, 6, 1, 7, 3, 5};  // by member
+  std::vector<bcl::PortId> members;
+  for (const int node : node_of) members.push_back(w.endpoint(node).id());
+  int checked = 0;
+  w.run([&](World& world, int rank) -> Task<void> {
+    auto& ep = world.endpoint(rank);
+    auto& mpi = world.mpi(rank);
+    const int me = static_cast<int>(
+        std::find(node_of.begin(), node_of.end(), rank) - node_of.begin());
+    auto port = co_await CollPort::create(ep, kGid, members, 8192);
+    EXPECT_TRUE(port.ok());
+    if (!port.ok()) co_return;
+    auto buf = ep.process().alloc(kLen);
+    auto src = ep.process().alloc(kCount * sizeof(double));
+    auto dst = ep.process().alloc(kCount * sizeof(double));
+    std::vector<double> mine(kCount);
+    for (std::size_t j = 0; j < kCount; ++j) {
+      mine[j] = static_cast<double>((me + 1) * (j + 1));
+    }
+    mpi.write_doubles(src, mine);
+    for (int root = 0; root < kNodes; ++root) {
+      const auto seed = static_cast<unsigned>(50 + root);
+      if (me == root) ep.process().fill_pattern(buf, seed);
+      EXPECT_EQ(co_await port.value->bcast(buf, kLen, root),
+                bcl::BclErr::kOk);
+      EXPECT_TRUE(ep.process().check_pattern(buf, seed))
+          << "member " << me << " root " << root;
+      EXPECT_EQ(co_await port.value->reduce(src, dst, kCount,
+                                            bcl::coll::CollOp::kSum, root),
+                bcl::BclErr::kOk);
+      if (me == root) {
+        // Members contribute (m + 1) * (j + 1); 1 + 2 + ... + 9 = 45.
+        std::vector<double> want(kCount);
+        for (std::size_t j = 0; j < kCount; ++j) {
+          want[j] = 45.0 * static_cast<double>(j + 1);
+        }
+        EXPECT_EQ(mpi.read_doubles(dst, kCount), want) << "root " << root;
+        ++checked;
+      }
+    }
+  });
+  EXPECT_EQ(checked, kNodes);
+}
+
+// A member whose host arrives late must still read each broadcast's own
+// payload: the root's next broadcast may not overwrite a result the host
+// has yet to read, and waiting on a slow host is no collective timeout.
+TEST(CollEngineGroups, LateReceiverReadsEveryBroadcast) {
+  using bcl::coll::CollPort;
+  constexpr std::uint16_t kGid = 66;
+  constexpr std::size_t kLen = 2048;
+  World w{world_cfg(3), 3};
+  std::vector<bcl::PortId> members;
+  for (int r = 0; r < 3; ++r) members.push_back(w.endpoint(r).id());
+  const sim::Time late = sim::Time::ms(40);
+  ASSERT_GT(late, w.cluster().config().cost.coll_op_timeout);
+  w.run([&](World& world, int rank) -> Task<void> {
+    auto& ep = world.endpoint(rank);
+    auto port = co_await CollPort::create(ep, kGid, members, 4096);
+    EXPECT_TRUE(port.ok());
+    if (!port.ok()) co_return;
+    auto buf = ep.process().alloc(kLen);
+    // Both of the root's broadcasts reach rank 2 while its host is away.
+    if (rank == 2) co_await world.engine().sleep(late);
+    for (unsigned round = 1; round <= 2; ++round) {
+      if (rank == 0) ep.process().fill_pattern(buf, round);
+      EXPECT_EQ(co_await port.value->bcast(buf, kLen, 0), bcl::BclErr::kOk)
+          << "rank " << rank << " round " << round;
+      EXPECT_TRUE(ep.process().check_pattern(buf, round))
+          << "rank " << rank << " round " << round;
+    }
+  });
+}
+
+// A collective packet naming a root outside the group is dropped: the
+// root indexes the group's curve order.
+TEST(CollEngineGroups, PacketWithRootOutsideGroupIsDropped) {
+  using bcl::coll::CollPort;
+  constexpr std::uint16_t kGid = 55;
+  WorldConfig cfg = world_cfg(4);
+  cfg.cluster.fabric.kind = hw::FabricKind::kNwrcMesh;
+  World w{cfg, 4};
+  std::vector<bcl::PortId> members;
+  for (int r = 0; r < 4; ++r) members.push_back(w.endpoint(r).id());
+  std::vector<std::unique_ptr<CollPort>> ports(4);
+  w.run([&](World& world, int rank) -> Task<void> {
+    auto port = co_await CollPort::create(world.endpoint(rank), kGid,
+                                          members, 4096);
+    EXPECT_TRUE(port.ok());
+    if (port.ok()) {
+      ports[static_cast<std::size_t>(rank)] = std::move(port.value);
+    }
+  });
+  auto& engine = w.cluster().node(1).mcp().coll();
+  const std::uint64_t drops = engine.stats().drops;
+  hw::Packet p;
+  p.dst_node = 1;
+  p.dst_port = members[1].port;
+  p.src_port = members[0].port;
+  p.channel = kGid | (std::uint32_t{200} << 16);  // root 200 of 4
+  p.op_flags = bcl::coll::coll_op_flags(bcl::coll::CollWire::kData);
+  p.msg_id = 1;
+  p.frag_count = 1;
+  w.engine().spawn(engine.handle_packet(p));
+  w.engine().run();
+  EXPECT_EQ(engine.stats().drops, drops + 1);
+  EXPECT_EQ(engine.pending_ops(), 0u);
 }
 
 // A member whose registered result buffer is smaller than the root's
