@@ -8,17 +8,19 @@
 
 #include "hw/memory.hpp"
 #include "osk/process.hpp"
-#include "sim/fifo.hpp"
 
 namespace bcl {
 
-// System channel: a FIFO pool of fixed-size slots, filled by the MCP in
-// arrival order; the incoming message is discarded when no slot is free.
+// System channel: a pool of fixed-size slots the MCP fills as messages
+// arrive; the incoming message is discarded when no slot is free.  The free
+// list is a stack: the MCP takes the most recently freed slot, so a port
+// that keeps few messages in flight touches only that many of the pool's
+// pages.
 struct SystemChannelState {
   std::size_t slot_bytes = 0;
   osk::UserBuffer pool{};                           // backing user memory
   std::vector<std::vector<hw::PhysSegment>> slots;  // per-slot phys layout
-  sim::Fifo<int> free_slots;                        // NIC-visible free list
+  std::vector<int> free_slots;  // NIC-visible free stack (top = back)
 
   bool configured() const { return slot_bytes != 0; }
 };

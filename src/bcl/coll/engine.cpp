@@ -17,6 +17,8 @@ const char* kind_name(CollKind k) {
       return "bcast";
     case CollKind::kReduce:
       return "reduce";
+    case CollKind::kAllreduce:
+      return "allreduce";
   }
   return "?";
 }
@@ -371,9 +373,14 @@ sim::Task<void> CollectiveEngine::handle_post(CollPost post) {
       co_await handle_barrier_arrive(*g, pd, post.seq);
       break;
     }
-    case CollKind::kReduce: {
+    case CollKind::kReduce:
+    case CollKind::kAllreduce: {
       Pending& pd = touch_pending(*g, post.seq);
-      pd.kind = CollKind::kReduce;
+      // From here on only this post says which operation the entry is: a
+      // child's partial can land while the contribution DMA below is in
+      // flight, and must not turn an allreduce back into a reduce.
+      pd.kind = post.kind;
+      pd.local_posted = true;
       pd.root = post.root;
       pd.op = post.op;
       pd.len = std::max(pd.len, post.len);
@@ -395,50 +402,57 @@ sim::Task<void> CollectiveEngine::handle_post(CollPost post) {
       std::vector<hw::Packet> stash = std::move(pd.stash);
       pd.stash.clear();
       for (const auto& sp : stash) co_await combine_fragment(*g, pd, sp);
-      pd.local_posted = true;
       ++pd.have;
       co_await advance_reduce(*g, pd, post.seq);
       break;
     }
-    case CollKind::kBcast: {
+    case CollKind::kBcast:
       // Only the root member posts a broadcast; everyone else just polls.
-      const TreeLinks nb = neighbors(*g, post.root);
-      if (trace_) {
-        for (const int child : nb.children) {
-          trace_->msg_link(member_key(*g, post.seq, g->my_index),
-                           member_key(*g, post.seq, child));
-        }
-      }
-      const std::uint32_t frags = static_cast<std::uint32_t>(
-          std::max<std::uint64_t>(
-              1, (post.len + cfg_.mtu - 1) / cfg_.mtu));
-      for (std::uint32_t i = 0; i < frags; ++i) {
-        const std::uint64_t off = static_cast<std::uint64_t>(i) * cfg_.mtu;
-        const std::size_t flen = static_cast<std::size_t>(
-            std::min<std::uint64_t>(cfg_.mtu, post.len - off));
-        std::vector<std::byte> chunk;
-        if (flen > 0) {
-          co_await nic_.dma_gather(slice_segments(post.segs, off, flen),
-                                   chunk, cfg_.dma_lead_bytes);
-        }
-        std::vector<hw::Packet> batch;
-        batch.reserve(nb.children.size());
-        for (const int child : nb.children) {
-          hw::Packet q = make_packet(*g, child, CollWire::kData, post.seq,
-                                     post.root, post.op);
-          q.frag_index = i;
-          q.frag_count = frags;
-          q.msg_bytes = post.len;
-          q.offset = off;
-          q.payload = chunk;
-          batch.push_back(std::move(q));
-        }
-        emit_fanout(std::move(batch));
-      }
+      co_await fan_out(*g, post.seq, post.root, post.op, post.len, {},
+                       post.segs);
       co_await complete(*g, post.seq, CollKind::kBcast, post.root, post.len,
                         true);
       break;
+  }
+}
+
+sim::Task<void> CollectiveEngine::fan_out(
+    const GroupDescriptor& g, std::uint64_t seq, std::uint16_t root,
+    CollOp op, std::size_t len, const std::vector<std::byte>& sram,
+    const std::vector<hw::PhysSegment>& host) {
+  const TreeLinks nb = neighbors(g, root);
+  if (trace_) {
+    for (const int child : nb.children) {
+      trace_->msg_link(member_key(g, seq, g.my_index),
+                       member_key(g, seq, child));
     }
+  }
+  const std::uint32_t frags = static_cast<std::uint32_t>(
+      std::max<std::uint64_t>(1, (len + cfg_.mtu - 1) / cfg_.mtu));
+  for (std::uint32_t i = 0; i < frags; ++i) {
+    const std::uint64_t off = static_cast<std::uint64_t>(i) * cfg_.mtu;
+    const std::size_t flen = static_cast<std::size_t>(
+        std::min<std::uint64_t>(cfg_.mtu, len - off));
+    std::vector<std::byte> chunk;
+    if (flen > 0 && !sram.empty()) {
+      chunk.assign(sram.begin() + static_cast<std::ptrdiff_t>(off),
+                   sram.begin() + static_cast<std::ptrdiff_t>(off + flen));
+    } else if (flen > 0) {
+      co_await nic_.dma_gather(slice_segments(host, off, flen), chunk,
+                               cfg_.dma_lead_bytes);
+    }
+    std::vector<hw::Packet> batch;
+    batch.reserve(nb.children.size());
+    for (const int child : nb.children) {
+      hw::Packet q = make_packet(g, child, CollWire::kData, seq, root, op);
+      q.frag_index = i;
+      q.frag_count = frags;
+      q.msg_bytes = len;
+      q.offset = off;
+      q.payload = chunk;
+      batch.push_back(std::move(q));
+    }
+    emit_fanout(std::move(batch));
   }
 }
 
@@ -575,7 +589,9 @@ sim::Task<void> CollectiveEngine::handle_reduce_packet(GroupDescriptor& g,
                                                        Pending& pd,
                                                        std::uint64_t seq,
                                                        hw::Packet p) {
-  pd.kind = CollKind::kReduce;
+  // A partial that beats the local post marks the entry a reduce until the
+  // post says which operation it is.
+  if (!pd.local_posted) pd.kind = CollKind::kReduce;
   pd.op = static_cast<CollOp>(p.reply_channel);
   pd.len = std::max(pd.len, static_cast<std::size_t>(p.msg_bytes));
   const bool last = p.frag_index + 1 == p.frag_count;
@@ -644,18 +660,8 @@ sim::Task<void> CollectiveEngine::advance_reduce(GroupDescriptor& g,
   const int need = static_cast<int>(nb.children.size()) + 1;
   if (!pd.acc_init || pd.have < need || pd.sent_up) co_return;
   pd.sent_up = true;
-  if (nb.parent < 0) {
-    // Root: DMA the final vector into the registration-pinned result
-    // buffer — the only host DMA of the whole reduction.
-    if (pd.len > 0) {
-      std::vector<std::byte> bytes(pd.len);
-      std::memcpy(bytes.data(), pd.acc.data(), pd.len);
-      co_await nic_.dma_scatter(bytes,
-                                slice_segments(g.result_segs, 0, pd.len),
-                                cfg_.dma_lead_bytes);
-    }
-    co_await complete(g, seq, CollKind::kReduce, pd.root, pd.len, true);
-  } else {
+  const Key key{g.id, seq};
+  if (nb.parent >= 0) {
     // Interior/leaf: hand the combined subtree partial to the parent; the
     // host is never touched.
     if (trace_) {
@@ -663,21 +669,48 @@ sim::Task<void> CollectiveEngine::advance_reduce(GroupDescriptor& g,
                        member_key(g, seq, g.my_index));
     }
     send_partial_up(g, nb.parent, seq, pd);
+    // An allreduce member completes when the result comes back down.
+    if (pd.kind == CollKind::kAllreduce) co_return;
     co_await complete(g, seq, CollKind::kReduce, pd.root, 0, true);
+    erase(key);
+    co_return;
   }
-  erase({g.id, seq});
+  // Root: the combined vector is final.  An allreduce sends it back down
+  // the tree straight out of SRAM, as this operation's data fragments,
+  // before the root's own copy; then the root's only host DMA lands it in
+  // the registration-pinned result buffer.
+  std::vector<std::byte> result(pd.len);
+  if (pd.len > 0) std::memcpy(result.data(), pd.acc.data(), pd.len);
+  if (pd.kind == CollKind::kAllreduce) {
+    co_await fan_out(g, seq, pd.root, pd.op, pd.len, result, {});
+  }
+  if (pd.len > 0) {
+    co_await nic_.dma_scatter(result,
+                              slice_segments(g.result_segs, 0, pd.len),
+                              cfg_.dma_lead_bytes);
+  }
+  // A crash or a group failure during the DMA has completed the operation
+  // already (and may have dropped the descriptor).
+  const auto it = pending_.find(key);
+  const GroupDescriptor* live = find_group(key.first);
+  if (it == pending_.end() || live == nullptr) co_return;
+  co_await complete(*live, seq, it->second.kind, it->second.root,
+                    it->second.len, true);
+  erase(key);
 }
 
 sim::Task<void> CollectiveEngine::handle_bcast_packet(GroupDescriptor& g,
                                                       Pending& pd,
                                                       std::uint64_t seq,
                                                       hw::Packet p) {
-  pd.kind = CollKind::kBcast;
+  // Broadcast receivers never post.  An allreduce member has posted: its
+  // entry and causal record are its post's, and this is the result.
+  if (!pd.local_posted) pd.kind = CollKind::kBcast;
   pd.len = static_cast<std::size_t>(p.msg_bytes);
-  if (trace_ && pd.frags_seen == 0 && pd.stash.empty()) {
-    // Non-root members never post; their record starts at the first
-    // fragment (the parent edge arrived with msg_link, possibly earlier).
-    // A held fragment leaves frags_seen at 0 but sits in the stash.
+  if (trace_ && !pd.local_posted && pd.frags_seen == 0 && pd.stash.empty()) {
+    // A receiver's record starts at the first fragment (the parent edge
+    // arrived with msg_link, possibly earlier).  A held fragment leaves
+    // frags_seen at 0 but sits in the stash.
     trace_->msg_begin(member_key(g, seq, g.my_index), "bcast",
                       static_cast<int>(g.members[g.my_index].node), -1,
                       static_cast<std::size_t>(p.msg_bytes));
@@ -729,8 +762,7 @@ sim::Task<void> CollectiveEngine::deliver_fragment(GroupDescriptor& g,
       // fragments drain below so the pending entry is reclaimed.
       ++stats_.drops;
       pd.failed = true;
-      co_await complete(g, seq, CollKind::kBcast, pd.root, 0, false,
-                        BclErr::kTooBig);
+      co_await complete(g, seq, pd.kind, pd.root, 0, false, BclErr::kTooBig);
     } else {
       co_await nic_.dma_scatter(
           p.payload,
@@ -741,7 +773,7 @@ sim::Task<void> CollectiveEngine::deliver_fragment(GroupDescriptor& g,
   ++pd.frags_seen;
   if (pd.frags_seen == p.frag_count) {
     if (!pd.failed) {
-      co_await complete(g, seq, CollKind::kBcast, pd.root,
+      co_await complete(g, seq, pd.kind, pd.root,
                         static_cast<std::size_t>(p.msg_bytes), true);
     }
     erase({g.id, seq});

@@ -1,14 +1,17 @@
 // CollectiveEngine: the MCP firmware extension that executes barrier,
-// broadcast, and reduce entirely on the NIC.
+// broadcast, reduce, and allreduce entirely on the NIC.
 //
 // The engine owns the group descriptors the driver's register_group trap
 // PIOs into NIC SRAM, plus a post queue (one entry per locally-initiated
 // collective).  Collective packets are recognised by Mcp::handle_data (low
 // byte of op_flags == SendOp::kColl) and handed here; the engine combines
-// barrier arrivals and reduce partials in NIC SRAM, forwards broadcast
+// barrier arrivals and (all)reduce partials in NIC SRAM, forwards broadcast
 // fragments to tree children straight out of the packet buffer, and DMAs a
 // single completion event into the port's collective event queue — the host
-// is involved only at the posting ioctl and the completion poll.
+// is involved only at the posting ioctl and the completion poll.  An
+// allreduce's root turns the combined result around in SRAM: it fans it out
+// as the operation's data fragments, so every member completes the whole
+// allreduce on one post and one event.
 //
 // Deadlock rule (see docs/INTERNALS.md): handle_packet runs on the MCP's
 // rx pump, which must never block on the tx mutex, so every packet the
@@ -92,6 +95,8 @@ class CollectiveEngine {
  private:
   // One in-flight collective operation on this NIC, keyed (group, seq).
   struct Pending {
+    // Once local_posted, only the local post sets the kind; before it, a
+    // packet names the operation it belongs to.
     CollKind kind = CollKind::kBarrier;
     std::uint16_t root = 0;
     CollOp op = CollOp::kSum;
@@ -100,12 +105,13 @@ class CollectiveEngine {
     bool local_posted = false;
     bool sent_up = false;     // this subtree already reported / forwarded
     bool failed = false;      // failure completion already emitted
-    std::vector<double> acc;  // reduce accumulator (NIC SRAM)
+    std::vector<double> acc;  // (all)reduce accumulator (NIC SRAM)
     bool acc_init = false;
-    // Packets held back: reduce partials that arrive before the local
-    // post, broadcast fragments the host is not ready for (host_done).
+    // Packets held back: (all)reduce partials that arrive before the local
+    // contribution, broadcast fragments the host is not ready for
+    // (host_done).
     std::vector<hw::Packet> stash;
-    std::uint32_t frags_seen = 0;   // broadcast reassembly progress
+    std::uint32_t frags_seen = 0;   // data-fragment reassembly progress
     std::size_t sram = 0;           // bytes reserved for acc
   };
   using Key = std::pair<std::uint16_t, std::uint64_t>;
@@ -131,6 +137,15 @@ class CollectiveEngine {
   }
   sim::Task<void> advance_reduce(GroupDescriptor& g, Pending& pd,
                                  std::uint64_t seq);
+  // Fans operation seq's `len`-byte payload out to this member's children
+  // in the tree rooted at `root`, one MTU-sized data fragment per fan-out
+  // batch.  The payload is either already in NIC SRAM (`sram`: an
+  // allreduce root's result) or in host pages the NIC DMAs one fragment at
+  // a time (`host`: a broadcast root's source buffer).
+  sim::Task<void> fan_out(const GroupDescriptor& g, std::uint64_t seq,
+                          std::uint16_t root, CollOp op, std::size_t len,
+                          const std::vector<std::byte>& sram,
+                          const std::vector<hw::PhysSegment>& host);
   sim::Task<void> combine_fragment(GroupDescriptor& g, Pending& pd,
                                    const hw::Packet& p);
   // Takes the descriptor by value: completions may run as deferred daemons

@@ -5,9 +5,12 @@
 // into a k-ary combining/forwarding tree.  The kernel driver validates the
 // membership and pins the result buffer at registration time
 // (Driver::ioctl_register_group), then PIOs this descriptor into NIC SRAM;
-// from then on barrier, broadcast, and reduce traffic for the group is
-// combined and forwarded entirely by the MCP, with the host involved only
-// at the two ends (the posting ioctl and the completion-event poll).
+// from then on barrier, broadcast, reduce and allreduce traffic for the
+// group is combined and forwarded entirely by the MCP, with the host
+// involved only at the two ends (the posting ioctl and the completion-event
+// poll).  An allreduce is one operation under one sequence number: partials
+// combine up the tree as in a reduce, and the root's MCP sends the result
+// straight back down as that operation's data fragments.
 //
 // Tree layout.  Every operation runs over one k-ary heap: heap position h
 // has parent (h-1)/k and children k*h+1 .. k*h+k, so arity and depth are
@@ -42,15 +45,20 @@ namespace bcl::coll {
 // (matching the mini-MPI element type).
 enum class CollOp : std::uint8_t { kSum = 0, kProd, kMin, kMax };
 
-enum class CollKind : std::uint8_t { kBarrier = 0, kBcast, kReduce };
+enum class CollKind : std::uint8_t {
+  kBarrier = 0,
+  kBcast,
+  kReduce,
+  kAllreduce,
+};
 
 // Wire opcodes carried in the high byte of Packet::op_flags (the low byte
 // is SendOp::kColl, which is what routes the packet to the engine).
 enum class CollWire : std::uint8_t {
   kArrive = 1,   // barrier: subtree-complete, child -> parent
   kRelease = 2,  // barrier: root decision, parent -> children
-  kData = 3,     // broadcast fragment, parent -> children
-  kPartial = 4,  // reduce: combined subtree partial, child -> parent
+  kData = 3,     // broadcast or allreduce-result fragment, parent -> children
+  kPartial = 4,  // (all)reduce: combined subtree partial, child -> parent
   kFail = 5,     // group failure (unreachable member), flooded over the tree
 };
 
@@ -232,7 +240,8 @@ struct CollEvent {
   std::uint64_t seq = 0;  // 0 = group-wide failure notification
   CollKind kind = CollKind::kBarrier;
   std::uint16_t root = 0;
-  std::size_t len = 0;  // payload bytes delivered (bcast / reduce at root)
+  // Payload bytes delivered: bcast, allreduce, and reduce at its root.
+  std::size_t len = 0;
   bool ok = true;
   BclErr err = BclErr::kOk;  // why ok is false
 };

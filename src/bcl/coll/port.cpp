@@ -178,41 +178,18 @@ sim::Task<BclErr> CollPort::allreduce(const osk::UserBuffer& src,
                                       std::size_t count, CollOp op) {
   const std::size_t bytes = count * sizeof(double);
   if (bytes > buf_.len) co_return BclErr::kTooBig;
-  // Phase 1: reduce to member 0 (result stays in 0's pinned buffer).
-  {
-    const std::uint64_t seq = begin_op();
-    CollPostArgs a;
-    a.group_id = id_;
-    a.kind = CollKind::kReduce;
-    a.root = 0;
-    a.op = op;
-    a.seq = seq;
-    a.vaddr = src.vaddr;
-    a.len = bytes;
-    const auto r =
-        co_await ep_.driver().ioctl_coll_post(ep_.process(), ep_.port(), a);
-    if (!r.ok()) co_return r.err;
-    const CollEvent ev = co_await wait_event(seq);
-    // Member 0 still needs this result, but phase 2 is its own broadcast:
-    // nothing lands in its buffer before the final copy.
-    release(seq);
-    if (!ev.ok) co_return event_err(ev);
-  }
-  // Phase 2: member 0 re-broadcasts straight out of the result buffer —
-  // no host round trip between the reduction and the fan-out.
   const std::uint64_t seq = begin_op();
-  if (my_index_ == 0) {
-    CollPostArgs a;
-    a.group_id = id_;
-    a.kind = CollKind::kBcast;
-    a.root = 0;
-    a.seq = seq;
-    a.len = bytes;
-    a.from_result_buf = true;
-    const auto r =
-        co_await ep_.driver().ioctl_coll_post(ep_.process(), ep_.port(), a);
-    if (!r.ok()) co_return r.err;
-  }
+  CollPostArgs a;
+  a.group_id = id_;
+  a.kind = CollKind::kAllreduce;
+  a.root = 0;
+  a.op = op;
+  a.seq = seq;
+  a.vaddr = src.vaddr;
+  a.len = bytes;
+  const auto r =
+      co_await ep_.driver().ioctl_coll_post(ep_.process(), ep_.port(), a);
+  if (!r.ok()) co_return r.err;
   const CollEvent ev = co_await wait_event(seq);
   if (!ev.ok) co_return event_err(ev);
   co_await copy_from_result(seq, dst, bytes);

@@ -51,8 +51,9 @@ class CollPort {
   sim::Task<BclErr> reduce(const osk::UserBuffer& src,
                            const osk::UserBuffer& dst, std::size_t count,
                            CollOp op, int root);
-  // Reduce to member 0, then re-broadcast straight out of the pinned
-  // result buffer (no intermediate host copy); dst is written everywhere.
+  // One NIC operation: partials combine up the tree to member 0, whose MCP
+  // sends the result straight back down out of NIC SRAM, so every member
+  // posts once and polls one completion; dst is written everywhere.
   sim::Task<BclErr> allreduce(const osk::UserBuffer& src,
                               const osk::UserBuffer& dst, std::size_t count,
                               CollOp op);

@@ -377,12 +377,13 @@ sim::Task<Result<std::uint64_t>> Driver::ioctl_coll_post(
     err = BclErr::kBadPid;
   } else if (args.len > g->result_buf.len) {
     err = BclErr::kTooBig;  // the pinned result buffer must hold it
-  } else if (args.kind == coll::CollKind::kReduce &&
+  } else if ((args.kind == coll::CollKind::kReduce ||
+              args.kind == coll::CollKind::kAllreduce) &&
              args.len % sizeof(double) != 0) {
     // Reductions combine whole doubles; a ragged length would make the
     // NIC accumulator read past its last element.
     err = BclErr::kBadBuffer;
-  } else if (args.len > 0 && !args.from_result_buf &&
+  } else if (args.len > 0 &&
              kernel_.validate_buffer(proc, args.vaddr, args.len) !=
                  osk::KernErr::kOk) {
     err = BclErr::kBadBuffer;
@@ -395,11 +396,7 @@ sim::Task<Result<std::uint64_t>> Driver::ioctl_coll_post(
     post.op = args.op;
     post.seq = args.seq;
     post.len = args.len;
-    if (args.len > 0 && args.from_result_buf) {
-      // Already pinned at registration: a table lookup, no new pins.
-      co_await proc.cpu().busy(kernel_.config().pindown.lookup);
-      post.segs = slice_segments(g->result_segs, 0, args.len);
-    } else if (args.len > 0) {
+    if (args.len > 0) {
       bool pin_failed = false;
       try {
         post.segs = co_await kernel_.pindown().translate_and_pin(
@@ -450,11 +447,12 @@ BclErr Driver::setup_system_channel(osk::Process& proc, Port& port, int slots,
   sys.slot_bytes = slot_bytes;
   sys.pool = proc.alloc(static_cast<std::size_t>(slots) * slot_bytes);
   sys.slots.reserve(static_cast<std::size_t>(slots));
+  sys.free_slots.reserve(static_cast<std::size_t>(slots));
   for (int i = 0; i < slots; ++i) {
     sys.slots.push_back(proc.translate(
         sys.pool.vaddr + static_cast<std::uint64_t>(i) * slot_bytes,
         slot_bytes));
-    sys.free_slots.push_back(i);
+    sys.free_slots.push_back(slots - 1 - i);  // slot 0 on top
   }
   return BclErr::kOk;
 }

@@ -52,9 +52,6 @@ struct CollPostArgs {
   std::uint64_t seq = 0;
   osk::VirtAddr vaddr = 0;  // contribution / broadcast source
   std::size_t len = 0;
-  // Broadcast straight out of the group's pinned result buffer (allreduce
-  // fan-out: the reduction result is re-broadcast without an extra copy).
-  bool from_result_buf = false;
 };
 
 class Driver {

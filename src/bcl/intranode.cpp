@@ -130,8 +130,8 @@ sim::Task<void> IntraNode::receiver(Pipe& pipe) {
               ++stats_.sys_drops;
               ++port->sys_drops;
             } else {
-              pipe.sys_slot = sys.free_slots.front();
-              sys.free_slots.pop_front();
+              pipe.sys_slot = sys.free_slots.back();
+              sys.free_slots.pop_back();
             }
           }
           if (!pipe.dropping) {

@@ -940,8 +940,8 @@ sim::Task<bool> Mcp::handle_data(hw::Packet p) {
       if (cfg_.flow_control) {
         ++rx_credit(port->id().port, p.src_node).delivered;
       }
-      const int slot = sys.free_slots.front();
-      sys.free_slots.pop_front();
+      const int slot = sys.free_slots.back();
+      sys.free_slots.pop_back();
       co_await scatter(p, sys.slots[static_cast<std::size_t>(slot)], 0);
       ++port->messages_received;
       co_await deliver_recv_event(

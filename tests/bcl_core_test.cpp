@@ -2,6 +2,7 @@
 // events, RMA, ordering — over the Myrinet model and the nwrc mesh.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -248,6 +249,43 @@ TEST(BclCore, SystemChannelFifoOrder) {
   c.engine().run();
   EXPECT_EQ(order.size(), 16u);
   for (unsigned i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
+}
+
+// The system pool's free list is a stack: a ping-pong that holds one
+// message at a time keeps reusing the lowest slots instead of cycling
+// through (and first-touching) every page of the 64-slot pool.
+TEST(BclCore, SystemChannelReusesMostRecentlyFreedSlot) {
+  BclCluster c{small_cluster(2)};
+  auto& a = c.open_endpoint(0);
+  auto& b = c.open_endpoint(1);
+  constexpr int kRounds = 200;
+  std::vector<int> slots;  // every receive's pool slot, both sides
+  c.engine().spawn([](Endpoint& a, PortId peer,
+                      std::vector<int>& slots) -> Task<void> {
+    auto buf = a.process().alloc(64);
+    for (int i = 0; i < kRounds; ++i) {
+      EXPECT_EQ((co_await a.send_system(peer, buf, 64)).err, BclErr::kOk);
+      (void)co_await a.wait_send();
+      RecvEvent ev = co_await a.wait_recv();
+      slots.push_back(ev.sys_slot);
+      (void)co_await a.copy_out_system(ev);
+    }
+  }(a, b.id(), slots));
+  c.engine().spawn([](Endpoint& b, PortId peer,
+                      std::vector<int>& slots) -> Task<void> {
+    auto buf = b.process().alloc(64);
+    for (int i = 0; i < kRounds; ++i) {
+      RecvEvent ev = co_await b.wait_recv();
+      slots.push_back(ev.sys_slot);
+      (void)co_await b.copy_out_system(ev);
+      EXPECT_EQ((co_await b.send_system(peer, buf, 64)).err, BclErr::kOk);
+      (void)co_await b.wait_send();
+    }
+  }(b, a.id(), slots));
+  c.engine().run();
+  ASSERT_EQ(slots.size(), 2u * kRounds);
+  EXPECT_LE(*std::max_element(slots.begin(), slots.end()), 1);
+  EXPECT_GE(*std::min_element(slots.begin(), slots.end()), 0);
 }
 
 TEST(BclCore, RmaWriteInterNode) {
