@@ -157,10 +157,10 @@ Task<void> reaper(sim::Engine& eng, bcl::BclCluster& c,
 // succeed again.  Re-establishment needs an answered revival probe (or a
 // restart notice) first, so the harness retries with fresh uids — each
 // attempt is its own exactly-once message — until one lands kOk.
-Task<void> prove_recovered(sim::Engine& eng, bcl::BclCluster& c,
-                           bcl::Endpoint& from, std::uint32_t from_node,
-                           std::uint32_t to_node, std::uint32_t uid_base,
-                           const osk::UserBuffer& buf, Soak& soak) {
+Task<void> prove_recovered(sim::Engine& eng, bcl::Endpoint& from,
+                           std::uint32_t from_node, std::uint32_t to_node,
+                           std::uint32_t uid_base, const osk::UserBuffer& buf,
+                           Soak& soak) {
   bool okd = false;
   for (std::uint32_t attempt = 0; attempt < 24 && !okd; ++attempt) {
     const bcl::BclErr err =
@@ -224,8 +224,7 @@ int run(std::uint64_t seed, std::uint32_t msgs_per_node) {
 
   // Post-restart phase: waits for the senders and the reaper, then proves
   // both directions of each victim work again.
-  c.engine().spawn([](sim::Engine& eng, bcl::BclCluster& c,
-                      std::vector<bcl::Endpoint*>& eps,
+  c.engine().spawn([](sim::Engine& eng, std::vector<bcl::Endpoint*>& eps,
                       const std::vector<std::uint32_t>& victims,
                       Soak& soak) -> Task<void> {
     const auto nodes = static_cast<int>(eps.size());
@@ -236,13 +235,13 @@ int run(std::uint64_t seed, std::uint32_t msgs_per_node) {
       const std::uint32_t other = v == 0 ? 1 : 0;
       auto in = eps[other]->process().alloc(kBytes);
       auto out = eps[v]->process().alloc(kBytes);
-      co_await prove_recovered(eng, c, *eps[other], other, v, uid_base, in,
+      co_await prove_recovered(eng, *eps[other], other, v, uid_base, in,
                                soak);
-      co_await prove_recovered(eng, c, *eps[v], v, other, uid_base + 100,
+      co_await prove_recovered(eng, *eps[v], v, other, uid_base + 100,
                                out, soak);
       uid_base += 1'000;
     }
-  }(c.engine(), c, eps, victims, soak));
+  }(c.engine(), eps, victims, soak));
 
   c.engine().run();
 

@@ -31,6 +31,12 @@ std::uint64_t member_key(const GroupDescriptor& g, std::uint64_t seq,
       static_cast<int>(g.members[static_cast<std::size_t>(member)].node));
 }
 
+// Operations whose root sends the combined result back down the tree: a
+// barrier is a zero-byte allreduce.
+bool is_allreduce(CollKind k) {
+  return k == CollKind::kAllreduce || k == CollKind::kBarrier;
+}
+
 }  // namespace
 
 CollectiveEngine::CollectiveEngine(sim::Engine& eng, hw::Nic& nic, Mcp& mcp,
@@ -133,7 +139,7 @@ TreeLinks CollectiveEngine::neighbors(const GroupDescriptor& g,
 hw::Packet CollectiveEngine::make_packet(const GroupDescriptor& g,
                                          int dst_member, CollWire wire,
                                          std::uint64_t seq,
-                                         std::uint16_t root,
+                                         std::uint16_t root, CollKind kind,
                                          CollOp op) const {
   hw::Packet p;
   const PortId dst = g.members.at(static_cast<std::size_t>(dst_member));
@@ -145,7 +151,7 @@ hw::Packet CollectiveEngine::make_packet(const GroupDescriptor& g,
   p.channel = static_cast<std::uint32_t>(g.id) |
               (static_cast<std::uint32_t>(root) << 16);
   p.op_flags = coll_op_flags(wire);
-  p.reply_channel = static_cast<std::uint16_t>(op);
+  p.reply_channel = coll_reply_channel(kind, op);
   p.msg_id = seq;
   return p;
 }
@@ -228,12 +234,18 @@ void CollectiveEngine::erase(const Key& key) {
   pending_.erase(it);
 }
 
+CollectiveEngine::Pending* CollectiveEngine::find_pending(const Key& key) {
+  const auto it = pending_.find(key);
+  return it == pending_.end() ? nullptr : &it->second;
+}
+
 CollectiveEngine::Pending& CollectiveEngine::touch_pending(
-    const GroupDescriptor& g, std::uint64_t seq) {
+    const GroupDescriptor& g, std::uint64_t seq, CollKind kind) {
   const Key key{g.id, seq};
   auto it = pending_.find(key);
   if (it == pending_.end()) {
     it = pending_.emplace(key, Pending{}).first;
+    it->second.kind = kind;
     if (cfg_.coll_op_timeout > sim::Time::zero()) {
       eng_.spawn_daemon(watchdog(g.id, seq));
     }
@@ -244,18 +256,17 @@ CollectiveEngine::Pending& CollectiveEngine::touch_pending(
 sim::Task<void> CollectiveEngine::watchdog(std::uint16_t gid,
                                            std::uint64_t seq) {
   co_await eng_.sleep(cfg_.coll_op_timeout);
-  const auto pit = pending_.find({gid, seq});
-  if (pit == pending_.end()) co_return;  // completed
+  const Pending* pd = find_pending({gid, seq});
+  if (pd == nullptr) co_return;  // completed
   // Fragments held for the host wait on the host, not the network;
   // host_done arms a fresh watchdog when it releases them.
-  if (held(pit->second)) co_return;
-  GroupDescriptor* g = find_group(gid);
-  if (g == nullptr) co_return;  // unregistered meanwhile
+  if (held(*pd)) co_return;
+  if (find_group(gid) == nullptr) co_return;  // unregistered meanwhile
   ++stats_.op_timeouts;
   // Record the expiry and fire the post-mortem hook while the victim op's
   // state is still intact; fail_group tears it down next.
-  mcp_.report_coll_timeout(gid, seq, kind_name(pit->second.kind));
-  co_await fail_group(*g);
+  mcp_.report_coll_timeout(gid, seq, kind_name(pd->kind));
+  co_await fail_group(gid);
 }
 
 sim::Task<void> CollectiveEngine::on_peer_failure(hw::NodeId node) {
@@ -269,46 +280,55 @@ sim::Task<void> CollectiveEngine::on_peer_failure(hw::NodeId node) {
       }
     }
   }
-  for (const std::uint16_t id : ids) {
-    GroupDescriptor* g = find_group(id);
-    if (g != nullptr && !g->failed) co_await fail_group(*g);
-  }
+  for (const std::uint16_t id : ids) co_await fail_group(id);
 }
 
-sim::Task<void> CollectiveEngine::fail_group(GroupDescriptor& g) {
-  if (g.failed) co_return;
-  g.failed = true;
+sim::Task<void> CollectiveEngine::fail_group(std::uint16_t gid) {
+  GroupDescriptor* g = find_group(gid);
+  if (g == nullptr || g->failed) co_return;
+  g->failed = true;
   ++stats_.groups_failed;
   mcp_.recorder().record(
-      {eng_.now(), FlightKind::kGroupFailed, 0, 0, 0, g.id});
-  // Flood the canonical tree so members that never exchange a packet with
+      {eng_.now(), FlightKind::kGroupFailed, 0, 0, 0, gid});
+  // Flood the member-0 tree so members that never exchange a packet with
   // the dead node (or with us) still learn within tree-depth hops.
-  if (g.parent >= 0) {
-    emit(make_packet(g, g.parent, CollWire::kFail, 0, 0, CollOp::kSum));
+  const TreeLinks nb = neighbors(*g, 0);
+  if (nb.parent >= 0) {
+    emit(make_packet(*g, nb.parent, CollWire::kFail, 0, 0,
+                     CollKind::kBarrier, CollOp::kSum));
   }
-  for (const int child : g.children) {
-    emit(make_packet(g, child, CollWire::kFail, 0, 0, CollOp::kSum));
+  for (const int child : nb.children) {
+    emit(make_packet(*g, child, CollWire::kFail, 0, 0, CollKind::kBarrier,
+                     CollOp::kSum));
   }
-  // Fail every in-flight operation of the group.
-  std::vector<std::pair<std::uint64_t, Pending>> doomed;
+  const Member me = member(*g);
+  // Fail every in-flight operation of the group.  A crash during one of
+  // these completions completes the ones still pending itself.
+  std::vector<std::uint64_t> doomed;
   for (const auto& [key, pd] : pending_) {
-    if (key.first == g.id) doomed.emplace_back(key.second, pd);
+    if (key.first == gid) doomed.push_back(key.second);
   }
-  for (const auto& [seq, pd] : doomed) {
-    erase({g.id, seq});
-    co_await complete(g, seq, pd.kind, pd.root, 0, false,
+  for (const std::uint64_t seq : doomed) {
+    const Pending* pd = find_pending({gid, seq});
+    if (pd == nullptr) continue;
+    const CollKind kind = pd->kind;
+    const std::uint16_t root = pd->root;
+    erase({gid, seq});
+    co_await complete(me, seq, kind, root, 0, false,
                       BclErr::kPeerUnreachable);
   }
   // One group-wide failure notification (seq 0): a member may be blocked
   // on a sequence that never produced a pending entry here (e.g. a
-  // broadcast receiver whose root died before sending).
-  co_await complete(g, 0, CollKind::kBarrier, 0, 0, false,
+  // broadcast receiver whose root died before sending).  It is owed even
+  // if a crash has dropped the descriptor meanwhile, because on_local_crash
+  // leaves failed groups to this notice.
+  co_await complete(me, 0, CollKind::kBarrier, 0, 0, false,
                     BclErr::kPeerUnreachable);
 }
 
 void CollectiveEngine::on_local_crash() {
   // Complete every in-flight operation with the restart verdict before
-  // dropping the SRAM.  complete() copies the descriptor into its frame,
+  // dropping the SRAM.  complete() holds the member's identity by value,
   // so clearing groups_ below cannot invalidate the spawned daemons.
   std::vector<std::pair<Key, Pending>> doomed(pending_.begin(),
                                               pending_.end());
@@ -316,8 +336,8 @@ void CollectiveEngine::on_local_crash() {
     GroupDescriptor* g = find_group(key.first);
     erase(key);  // releases the accumulator's SRAM reservation
     if (g != nullptr && !pd.failed) {
-      eng_.spawn_daemon(complete(*g, key.second, pd.kind, pd.root, 0, false,
-                                 BclErr::kPeerRestarted));
+      eng_.spawn_daemon(complete(member(*g), key.second, pd.kind, pd.root, 0,
+                                 false, BclErr::kPeerRestarted));
     }
   }
   // One group-wide seq-0 failure per live group: a member may be blocked
@@ -325,7 +345,7 @@ void CollectiveEngine::on_local_crash() {
   for (auto& [id, g] : groups_) {
     if (g.failed) continue;
     ++stats_.groups_failed;
-    eng_.spawn_daemon(complete(g, 0, CollKind::kBarrier, 0, 0, false,
+    eng_.spawn_daemon(complete(member(g), 0, CollKind::kBarrier, 0, 0, false,
                                BclErr::kPeerRestarted));
   }
   groups_.clear();
@@ -347,6 +367,7 @@ sim::Task<void> CollectiveEngine::handle_post(CollPost post) {
     ++stats_.drops;  // driver validated; only an unregister race lands here
     co_return;
   }
+  const Key key{g->id, post.seq};
   mcp_.recorder().record(
       {eng_.now(), FlightKind::kCollPost, 0, post.seq, 0, g->id});
   if (trace_) {
@@ -360,71 +381,70 @@ sim::Task<void> CollectiveEngine::handle_post(CollPost post) {
   }
   if (g->failed) {
     // The group lost a member; every subsequent op fails fast.
-    co_await complete(*g, post.seq, post.kind, post.root, 0, false,
+    co_await complete(member(*g), post.seq, post.kind, post.root, 0, false,
                       BclErr::kPeerUnreachable);
     co_return;
   }
-  switch (post.kind) {
-    case CollKind::kBarrier: {
-      Pending& pd = touch_pending(*g, post.seq);
-      pd.kind = CollKind::kBarrier;
-      pd.local_posted = true;
-      ++pd.have;
-      co_await handle_barrier_arrive(*g, pd, post.seq);
-      break;
-    }
-    case CollKind::kReduce:
-    case CollKind::kAllreduce: {
-      Pending& pd = touch_pending(*g, post.seq);
-      // From here on only this post says which operation the entry is: a
-      // child's partial can land while the contribution DMA below is in
-      // flight, and must not turn an allreduce back into a reduce.
-      pd.kind = post.kind;
-      pd.local_posted = true;
-      pd.root = post.root;
-      pd.op = post.op;
-      pd.len = std::max(pd.len, post.len);
-      // The local contribution moves host -> NIC SRAM by DMA and becomes
-      // (or merges into) the accumulator.
-      std::vector<std::byte> bytes;
-      if (post.len > 0) {
-        co_await nic_.dma_gather(slice_segments(post.segs, 0, post.len),
-                                 bytes, cfg_.dma_lead_bytes);
-      }
-      pd.acc.resize(post.len / sizeof(double));
-      if (!bytes.empty()) {
-        std::memcpy(pd.acc.data(), bytes.data(),
-                    pd.acc.size() * sizeof(double));
-      }
-      reserve_sram(pd, post.len);
-      pd.acc_init = true;
-      // Child partials that arrived before the post combine now.
-      std::vector<hw::Packet> stash = std::move(pd.stash);
-      pd.stash.clear();
-      for (const auto& sp : stash) co_await combine_fragment(*g, pd, sp);
-      ++pd.have;
-      co_await advance_reduce(*g, pd, post.seq);
-      break;
-    }
-    case CollKind::kBcast:
-      // Only the root member posts a broadcast; everyone else just polls.
-      co_await fan_out(*g, post.seq, post.root, post.op, post.len, {},
-                       post.segs);
-      co_await complete(*g, post.seq, CollKind::kBcast, post.root, post.len,
-                        true);
-      break;
+  if (post.kind == CollKind::kBcast) {
+    // Only the root member posts a broadcast; everyone else just polls.
+    const Member me = member(*g);
+    co_await fan_out(key, post.root, post.kind, post.op, post.len, {},
+                     post.segs);
+    if (find_group(key.first) == nullptr) co_return;  // dropped meanwhile
+    co_await complete(me, post.seq, CollKind::kBcast, post.root, post.len,
+                      true);
+    co_return;
   }
+  // Barrier, reduce or allreduce: the post is this member's contribution.
+  {
+    Pending& pd = touch_pending(*g, post.seq, post.kind);
+    if (pd.kind != post.kind) {
+      ++stats_.drops;  // earlier packets named another operation
+      co_await fail_group(key.first);
+      co_return;
+    }
+    pd.local_posted = true;
+    pd.root = post.root;
+    pd.op = post.op;
+    pd.len = std::max(pd.len, post.len);
+  }
+  // The local contribution moves host -> NIC SRAM by DMA and becomes
+  // (or merges into) the accumulator.
+  std::vector<std::byte> bytes;
+  if (post.len > 0) {
+    co_await nic_.dma_gather(slice_segments(post.segs, 0, post.len), bytes,
+                             cfg_.dma_lead_bytes);
+  }
+  Pending* pd = find_pending(key);
+  if (pd == nullptr) co_return;
+  pd->acc.resize(post.len / sizeof(double));
+  if (!bytes.empty()) {
+    std::memcpy(pd->acc.data(), bytes.data(), pd->acc.size() * sizeof(double));
+  }
+  reserve_sram(*pd, post.len);
+  pd->acc_init = true;
+  // Child partials that arrived before the post combine now.
+  std::vector<hw::Packet> stash = std::move(pd->stash);
+  pd->stash.clear();
+  for (const auto& sp : stash) co_await combine_fragment(key, sp);
+  pd = find_pending(key);
+  if (pd == nullptr) co_return;
+  ++pd->have;
+  co_await advance_reduce(key);
 }
 
 sim::Task<void> CollectiveEngine::fan_out(
-    const GroupDescriptor& g, std::uint64_t seq, std::uint16_t root,
-    CollOp op, std::size_t len, const std::vector<std::byte>& sram,
+    Key key, std::uint16_t root, CollKind kind, CollOp op, std::size_t len,
+    const std::vector<std::byte>& sram,
     const std::vector<hw::PhysSegment>& host) {
-  const TreeLinks nb = neighbors(g, root);
+  const GroupDescriptor* g = find_group(key.first);
+  if (g == nullptr) co_return;
+  const std::uint64_t seq = key.second;
+  const TreeLinks nb = neighbors(*g, root);
   if (trace_) {
     for (const int child : nb.children) {
-      trace_->msg_link(member_key(g, seq, g.my_index),
-                       member_key(g, seq, child));
+      trace_->msg_link(member_key(*g, seq, g->my_index),
+                       member_key(*g, seq, child));
     }
   }
   const std::uint32_t frags = static_cast<std::uint32_t>(
@@ -440,11 +460,14 @@ sim::Task<void> CollectiveEngine::fan_out(
     } else if (flen > 0) {
       co_await nic_.dma_gather(slice_segments(host, off, flen), chunk,
                                cfg_.dma_lead_bytes);
+      g = find_group(key.first);
+      if (g == nullptr) co_return;
     }
     std::vector<hw::Packet> batch;
     batch.reserve(nb.children.size());
     for (const int child : nb.children) {
-      hw::Packet q = make_packet(g, child, CollWire::kData, seq, root, op);
+      hw::Packet q =
+          make_packet(*g, child, CollWire::kData, seq, root, kind, op);
       q.frag_index = i;
       q.frag_count = frags;
       q.msg_bytes = len;
@@ -483,11 +506,11 @@ sim::Task<void> CollectiveEngine::handle_packet(hw::Packet p) {
     co_return;
   }
   GroupDescriptor& g = it->second;
-  const std::uint64_t seq = p.msg_id;
-  if (trace_) trace_->flow_step(comp(), "coll", coll_flow_key(gid, seq));
+  const Key key{gid, p.msg_id};
+  if (trace_) trace_->flow_step(comp(), "coll", coll_flow_key(gid, key.second));
   const auto wire = static_cast<CollWire>(p.op_flags >> 8);
   if (wire == CollWire::kFail) {
-    co_await fail_group(g);  // no-op if already failed (stops the flood)
+    co_await fail_group(gid);  // no-op if already failed (stops the flood)
     co_return;
   }
   if (g.failed) {
@@ -498,130 +521,53 @@ sim::Task<void> CollectiveEngine::handle_packet(hw::Packet p) {
     ++stats_.drops;  // no such member: there is no tree to route along
     co_return;
   }
-  switch (wire) {
-    case CollWire::kArrive: {
-      Pending& pd = touch_pending(g, seq);
-      pd.kind = CollKind::kBarrier;
-      ++pd.have;
-      co_await handle_barrier_arrive(g, pd, seq);
-      break;
-    }
-    case CollWire::kRelease:
-      co_await handle_barrier_release(g, seq);
-      break;
-    case CollWire::kData: {
-      Pending& pd = touch_pending(g, seq);
-      pd.root = root;
-      co_await handle_bcast_packet(g, pd, seq, std::move(p));
-      break;
-    }
-    case CollWire::kPartial: {
-      Pending& pd = touch_pending(g, seq);
-      pd.root = root;
-      co_await handle_reduce_packet(g, pd, seq, std::move(p));
-      break;
-    }
-    default:
-      ++stats_.drops;
-      break;
+  if (wire != CollWire::kData && wire != CollWire::kPartial) {
+    ++stats_.drops;
+    co_return;
   }
-}
-
-// Barriers always run on the canonical root-0 tree stored in the
-// descriptor: combine arrivals up, then release down.
-sim::Task<void> CollectiveEngine::handle_barrier_arrive(GroupDescriptor& g,
-                                                        Pending& pd,
-                                                        std::uint64_t seq) {
-  const int need = static_cast<int>(g.children.size()) + 1;
-  if (!pd.local_posted || pd.have < need || pd.sent_up) co_return;
-  pd.sent_up = true;
-  if (g.parent < 0) {
-    // Root: the whole group has arrived; release the tree.
-    std::vector<hw::Packet> batch;
-    batch.reserve(g.children.size());
-    for (const int child : g.children) {
-      if (trace_) {
-        trace_->msg_link(member_key(g, seq, g.my_index),
-                         member_key(g, seq, child));
-      }
-      batch.push_back(make_packet(g, child, CollWire::kRelease, seq, 0,
-                                  pd.op));
-    }
-    emit_fanout(std::move(batch));
-    // The host completion is off the combine path: the release cascade is
-    // already launched, and the event-build/DMA charges run as a daemon so
-    // they never serialize behind the next hop's packet processing.
-    erase({g.id, seq});
-    eng_.spawn_daemon(complete(g, seq, CollKind::kBarrier, 0, 0, true));
-  } else {
-    if (trace_) {
-      trace_->msg_link(member_key(g, seq, g.parent),
-                       member_key(g, seq, g.my_index));
-    }
-    emit(make_packet(g, g.parent, CollWire::kArrive, seq, 0, pd.op));
-    // Completion arrives with the release from above.
+  const auto kind = static_cast<CollKind>(p.reply_channel >> 8);
+  Pending& pd = touch_pending(g, key.second, kind);
+  if (pd.kind != kind) {
+    ++stats_.drops;  // the members disagree on which operation this is
+    co_await fail_group(gid);
+    co_return;
   }
-}
-
-sim::Task<void> CollectiveEngine::handle_barrier_release(GroupDescriptor& g,
-                                                         std::uint64_t seq) {
-  std::vector<hw::Packet> batch;
-  batch.reserve(g.children.size());
-  for (const int child : g.children) {
-    if (trace_) {
-      trace_->msg_link(member_key(g, seq, g.my_index),
-                       member_key(g, seq, child));
-    }
-    batch.push_back(
-        make_packet(g, child, CollWire::kRelease, seq, 0, CollOp::kSum));
+  pd.root = root;
+  if (wire == CollWire::kData) {
+    co_await handle_bcast_packet(key, std::move(p));
+    co_return;
   }
-  emit_fanout(std::move(batch));
-  // Asynchronous completion: the old inline event-build + event-DMA here
-  // added ~1.25 us of rx-pump occupancy at EVERY tree level, which is what
-  // kept the NIC barrier under 2x the host tree.  The release keeps
-  // cascading; the host learns via the daemon.
-  erase({g.id, seq});
-  eng_.spawn_daemon(complete(g, seq, CollKind::kBarrier, 0, 0, true));
-  co_return;
-}
-
-sim::Task<void> CollectiveEngine::handle_reduce_packet(GroupDescriptor& g,
-                                                       Pending& pd,
-                                                       std::uint64_t seq,
-                                                       hw::Packet p) {
-  // A partial that beats the local post marks the entry a reduce until the
-  // post says which operation it is.
-  if (!pd.local_posted) pd.kind = CollKind::kReduce;
-  pd.op = static_cast<CollOp>(p.reply_channel);
+  // A child subtree's partial.
+  pd.op = static_cast<CollOp>(p.reply_channel & 0xff);
   pd.len = std::max(pd.len, static_cast<std::size_t>(p.msg_bytes));
   const bool last = p.frag_index + 1 == p.frag_count;
   if (!pd.acc_init) {
     pd.stash.push_back(std::move(p));  // no accumulator until the post
   } else {
-    co_await combine_fragment(g, pd, p);
+    co_await combine_fragment(key, p);
   }
-  if (last) {
-    ++pd.have;  // one child subtree fully accounted
-    co_await advance_reduce(g, pd, seq);
-  }
+  if (!last) co_return;
+  Pending* live = find_pending(key);
+  if (live == nullptr) co_return;
+  ++live->have;  // one child subtree fully accounted
+  co_await advance_reduce(key);
 }
 
-sim::Task<void> CollectiveEngine::combine_fragment(GroupDescriptor& g,
-                                                   Pending& pd,
+sim::Task<void> CollectiveEngine::combine_fragment(Key key,
                                                    const hw::Packet& p) {
-  (void)g;
+  // A barrier's partials are empty: there is nothing to combine or count.
   const std::size_t elems = p.payload.size() / sizeof(double);
-  if (elems > 0) {
-    co_await nic_.lanai().use(cfg_.coll_combine_per_element *
-                              static_cast<double>(elems));
-    const std::size_t base =
-        static_cast<std::size_t>(p.offset) / sizeof(double);
-    if (base + elems > pd.acc.size()) pd.acc.resize(base + elems);
-    for (std::size_t i = 0; i < elems; ++i) {
-      double v = 0;
-      std::memcpy(&v, p.payload.data() + i * sizeof(double), sizeof(double));
-      pd.acc[base + i] = coll_apply(pd.op, pd.acc[base + i], v);
-    }
+  if (elems == 0) co_return;
+  co_await nic_.lanai().use(cfg_.coll_combine_per_element *
+                            static_cast<double>(elems));
+  Pending* pd = find_pending(key);
+  if (pd == nullptr) co_return;
+  const std::size_t base = static_cast<std::size_t>(p.offset) / sizeof(double);
+  if (base + elems > pd->acc.size()) pd->acc.resize(base + elems);
+  for (std::size_t i = 0; i < elems; ++i) {
+    double v = 0;
+    std::memcpy(&v, p.payload.data() + i * sizeof(double), sizeof(double));
+    pd->acc[base + i] = coll_apply(pd->op, pd->acc[base + i], v);
   }
   ++stats_.combines;
   stats_.combined_elements += elems;
@@ -636,9 +582,8 @@ void CollectiveEngine::send_partial_up(const GroupDescriptor& g,
     const std::uint64_t off = static_cast<std::uint64_t>(i) * cfg_.mtu;
     const std::size_t flen = static_cast<std::size_t>(
         std::min<std::uint64_t>(cfg_.mtu, pd.len - off));
-    hw::Packet q =
-        make_packet(g, parent_member, CollWire::kPartial, seq, pd.root,
-                    pd.op);
+    hw::Packet q = make_packet(g, parent_member, CollWire::kPartial, seq,
+                               pd.root, pd.kind, pd.op);
     q.frag_index = i;
     q.frag_count = frags;
     q.msg_bytes = pd.len;
@@ -653,25 +598,26 @@ void CollectiveEngine::send_partial_up(const GroupDescriptor& g,
   }
 }
 
-sim::Task<void> CollectiveEngine::advance_reduce(GroupDescriptor& g,
-                                                 Pending& pd,
-                                                 std::uint64_t seq) {
-  const TreeLinks nb = neighbors(g, pd.root);
+sim::Task<void> CollectiveEngine::advance_reduce(Key key) {
+  const GroupDescriptor* g = find_group(key.first);
+  Pending* pd = find_pending(key);
+  if (g == nullptr || pd == nullptr) co_return;
+  const std::uint64_t seq = key.second;
+  const TreeLinks nb = neighbors(*g, pd->root);
   const int need = static_cast<int>(nb.children.size()) + 1;
-  if (!pd.acc_init || pd.have < need || pd.sent_up) co_return;
-  pd.sent_up = true;
-  const Key key{g.id, seq};
+  if (!pd->acc_init || pd->have < need || pd->sent_up) co_return;
+  pd->sent_up = true;
   if (nb.parent >= 0) {
     // Interior/leaf: hand the combined subtree partial to the parent; the
     // host is never touched.
     if (trace_) {
-      trace_->msg_link(member_key(g, seq, nb.parent),
-                       member_key(g, seq, g.my_index));
+      trace_->msg_link(member_key(*g, seq, nb.parent),
+                       member_key(*g, seq, g->my_index));
     }
-    send_partial_up(g, nb.parent, seq, pd);
+    send_partial_up(*g, nb.parent, seq, *pd);
     // An allreduce member completes when the result comes back down.
-    if (pd.kind == CollKind::kAllreduce) co_return;
-    co_await complete(g, seq, CollKind::kReduce, pd.root, 0, true);
+    if (is_allreduce(pd->kind)) co_return;
+    co_await complete(member(*g), seq, pd->kind, pd->root, 0, true);
     erase(key);
     co_return;
   }
@@ -679,57 +625,50 @@ sim::Task<void> CollectiveEngine::advance_reduce(GroupDescriptor& g,
   // the tree straight out of SRAM, as this operation's data fragments,
   // before the root's own copy; then the root's only host DMA lands it in
   // the registration-pinned result buffer.
-  std::vector<std::byte> result(pd.len);
-  if (pd.len > 0) std::memcpy(result.data(), pd.acc.data(), pd.len);
-  if (pd.kind == CollKind::kAllreduce) {
-    co_await fan_out(g, seq, pd.root, pd.op, pd.len, result, {});
+  const std::size_t len = pd->len;
+  std::vector<std::byte> result(len);
+  if (len > 0) std::memcpy(result.data(), pd->acc.data(), len);
+  const std::vector<hw::PhysSegment> segs =
+      slice_segments(g->result_segs, 0, len);
+  if (is_allreduce(pd->kind)) {
+    co_await fan_out(key, pd->root, pd->kind, pd->op, len, result, {});
   }
-  if (pd.len > 0) {
-    co_await nic_.dma_scatter(result,
-                              slice_segments(g.result_segs, 0, pd.len),
-                              cfg_.dma_lead_bytes);
-  }
-  // A crash or a group failure during the DMA has completed the operation
-  // already (and may have dropped the descriptor).
-  const auto it = pending_.find(key);
-  const GroupDescriptor* live = find_group(key.first);
-  if (it == pending_.end() || live == nullptr) co_return;
-  co_await complete(*live, seq, it->second.kind, it->second.root,
-                    it->second.len, true);
-  erase(key);
+  if (len > 0) co_await nic_.dma_scatter(result, segs, cfg_.dma_lead_bytes);
+  co_await finish(key);
 }
 
-sim::Task<void> CollectiveEngine::handle_bcast_packet(GroupDescriptor& g,
-                                                      Pending& pd,
-                                                      std::uint64_t seq,
+sim::Task<void> CollectiveEngine::handle_bcast_packet(Key key,
                                                       hw::Packet p) {
-  // Broadcast receivers never post.  An allreduce member has posted: its
-  // entry and causal record are its post's, and this is the result.
-  if (!pd.local_posted) pd.kind = CollKind::kBcast;
-  pd.len = static_cast<std::size_t>(p.msg_bytes);
-  if (trace_ && !pd.local_posted && pd.frags_seen == 0 && pd.stash.empty()) {
+  const GroupDescriptor* g = find_group(key.first);
+  Pending* pd = find_pending(key);
+  if (g == nullptr || pd == nullptr) co_return;
+  const std::uint64_t seq = key.second;
+  pd->len = static_cast<std::size_t>(p.msg_bytes);
+  if (trace_ && !pd->local_posted && pd->frags_seen == 0 &&
+      pd->stash.empty()) {
     // A receiver's record starts at the first fragment (the parent edge
     // arrived with msg_link, possibly earlier).  A held fragment leaves
-    // frags_seen at 0 but sits in the stash.
-    trace_->msg_begin(member_key(g, seq, g.my_index), "bcast",
-                      static_cast<int>(g.members[g.my_index].node), -1,
+    // frags_seen at 0 but sits in the stash.  An allreduce member has
+    // posted: its causal record is its post's.
+    trace_->msg_begin(member_key(*g, seq, g->my_index), "bcast",
+                      static_cast<int>(g->members[g->my_index].node), -1,
                       static_cast<std::size_t>(p.msg_bytes));
   }
   // Forward to children first (cut-through, straight from the packet
   // buffer), then scatter the fragment into the pinned result buffer.
-  const TreeLinks nb = neighbors(g, pd.root);
+  const TreeLinks nb = neighbors(*g, pd->root);
   std::vector<hw::Packet> batch;
   batch.reserve(nb.children.size());
   for (const int child : nb.children) {
     if (trace_) {
-      trace_->msg_link(member_key(g, seq, g.my_index),
-                       member_key(g, seq, child));
+      trace_->msg_link(member_key(*g, seq, g->my_index),
+                       member_key(*g, seq, child));
     }
     hw::Packet q = p;
-    const PortId dst = g.members.at(static_cast<std::size_t>(child));
+    const PortId dst = g->members.at(static_cast<std::size_t>(child));
     q.dst_node = dst.node;
     q.dst_port = dst.port;
-    q.src_port = g.members[g.my_index].port;
+    q.src_port = g->members[g->my_index].port;
     q.seq = 0;
     q.ack = 0;
     q.corrupted = false;
@@ -740,98 +679,116 @@ sim::Task<void> CollectiveEngine::handle_bcast_packet(GroupDescriptor& g,
     batch.push_back(std::move(q));
   }
   emit_fanout(std::move(batch));
-  if (seq > g.host_done + 1) {
+  if (seq > g->host_done + 1) {
     // The host has yet to read an earlier operation's result (a reduce
     // rooted here may even land after this fragment): keep the fragment in
     // SRAM until host_done releases it.
-    pd.stash.push_back(std::move(p));
+    pd->stash.push_back(std::move(p));
     co_return;
   }
-  co_await deliver_fragment(g, pd, seq, p);
+  co_await deliver_fragment(key, p);
 }
 
-sim::Task<void> CollectiveEngine::deliver_fragment(GroupDescriptor& g,
-                                                   Pending& pd,
-                                                   std::uint64_t seq,
+sim::Task<void> CollectiveEngine::deliver_fragment(Key key,
                                                    const hw::Packet& p) {
-  if (!p.payload.empty() && !pd.failed) {
-    if (p.offset + p.payload.size() > g.result_buf.len) {
-      // This member registered a smaller result buffer than the root's
-      // payload.  Fail the operation visibly — a silent drop would leave
-      // the polling host waiting forever — and let the remaining
-      // fragments drain below so the pending entry is reclaimed.
-      ++stats_.drops;
-      pd.failed = true;
-      co_await complete(g, seq, pd.kind, pd.root, 0, false, BclErr::kTooBig);
-    } else {
-      co_await nic_.dma_scatter(
-          p.payload,
-          slice_segments(g.result_segs, p.offset, p.payload.size()),
-          cfg_.dma_lead_bytes);
+  {
+    const GroupDescriptor* g = find_group(key.first);
+    Pending* pd = find_pending(key);
+    if (g == nullptr || pd == nullptr) co_return;
+    if (!p.payload.empty() && !pd->failed) {
+      if (p.offset + p.payload.size() > g->result_buf.len) {
+        // This member registered a smaller result buffer than the root's
+        // payload.  Fail the operation visibly — a silent drop would leave
+        // the polling host waiting forever — and let the remaining
+        // fragments drain below so the pending entry is reclaimed.
+        ++stats_.drops;
+        pd->failed = true;
+        co_await complete(member(*g), key.second, pd->kind, pd->root, 0,
+                          false, BclErr::kTooBig);
+      } else {
+        co_await nic_.dma_scatter(
+            p.payload,
+            slice_segments(g->result_segs, p.offset, p.payload.size()),
+            cfg_.dma_lead_bytes);
+      }
     }
   }
-  ++pd.frags_seen;
-  if (pd.frags_seen == p.frag_count) {
-    if (!pd.failed) {
-      co_await complete(g, seq, pd.kind, pd.root,
-                        static_cast<std::size_t>(p.msg_bytes), true);
-    }
-    erase({g.id, seq});
+  Pending* pd = find_pending(key);
+  if (pd == nullptr) co_return;
+  ++pd->frags_seen;
+  if (pd->frags_seen != p.frag_count) co_return;
+  if (pd->failed) {
+    erase(key);
+  } else {
+    co_await finish(key);
   }
+}
+
+sim::Task<void> CollectiveEngine::finish(Key key) {
+  const GroupDescriptor* g = find_group(key.first);
+  const Pending* pd = find_pending(key);
+  if (g == nullptr || pd == nullptr) co_return;
+  const Member me = member(*g);
+  const CollKind kind = pd->kind;
+  const std::uint16_t root = pd->root;
+  const std::size_t len = pd->len;
+  if (len == 0) {
+    erase(key);
+    eng_.spawn_daemon(complete(me, key.second, kind, root, 0, true));
+    co_return;
+  }
+  co_await complete(me, key.second, kind, root, len, true);
+  erase(key);
 }
 
 void CollectiveEngine::host_done(std::uint16_t gid, std::uint64_t seq) {
   GroupDescriptor* g = find_group(gid);
   if (g == nullptr || seq <= g->host_done) return;
   g->host_done = seq;
-  const auto it = pending_.find({gid, seq + 1});
-  if (it != pending_.end() && held(it->second)) {
-    eng_.spawn_daemon(deliver_held(gid, seq + 1));
+  const Pending* pd = find_pending({gid, seq + 1});
+  if (pd != nullptr && held(*pd)) {
+    eng_.spawn_daemon(deliver_held({gid, seq + 1}));
     if (cfg_.coll_op_timeout > sim::Time::zero()) {
       eng_.spawn_daemon(watchdog(gid, seq + 1));
     }
   }
 }
 
-sim::Task<void> CollectiveEngine::deliver_held(std::uint16_t gid,
-                                               std::uint64_t seq) {
-  // Re-find the entry per fragment: a group failure, crash or unregister
-  // can drop it while a DMA is in flight.
+sim::Task<void> CollectiveEngine::deliver_held(Key key) {
   for (;;) {
-    GroupDescriptor* g = find_group(gid);
-    const auto it = pending_.find({gid, seq});
-    if (g == nullptr || it == pending_.end() || it->second.stash.empty()) {
+    Pending* pd = find_pending(key);
+    if (find_group(key.first) == nullptr || pd == nullptr ||
+        pd->stash.empty()) {
       co_return;
     }
-    const hw::Packet p = std::move(it->second.stash.front());
-    it->second.stash.erase(it->second.stash.begin());
-    co_await deliver_fragment(*g, it->second, seq, p);
+    const hw::Packet p = std::move(pd->stash.front());
+    pd->stash.erase(pd->stash.begin());
+    co_await deliver_fragment(key, p);
   }
 }
 
-sim::Task<void> CollectiveEngine::complete(GroupDescriptor g,
-                                           std::uint64_t seq, CollKind kind,
-                                           std::uint16_t root,
+sim::Task<void> CollectiveEngine::complete(Member m, std::uint64_t seq,
+                                           CollKind kind, std::uint16_t root,
                                            std::size_t len, bool ok,
                                            BclErr err) {
-  Port* port = mcp_.find_port(g.members[g.my_index].port);
+  Port* port = mcp_.find_port(m.port.port);
   co_await nic_.lanai().use(cfg_.mcp_event_proc);
   co_await eng_.sleep(cfg_.event_dma);
   ++stats_.completions;
   if (trace_) {
     // Mirror the driver's convention: only the operation's root member
-    // (member 0 for barriers) terminates the per-collective flow arrow.
-    const std::uint16_t origin = kind == CollKind::kBarrier ? 0 : root;
-    if (g.my_index == origin) {
-      trace_->flow_end(comp(), "coll", coll_flow_key(g.id, seq));
+    // terminates the per-collective flow arrow.
+    if (m.index == root) {
+      trace_->flow_end(comp(), "coll", coll_flow_key(m.group, seq));
     } else {
-      trace_->flow_step(comp(), "coll", coll_flow_key(g.id, seq));
+      trace_->flow_step(comp(), "coll", coll_flow_key(m.group, seq));
     }
-    trace_->msg_end(member_key(g, seq, g.my_index), ok);
+    trace_->msg_end(
+        coll_member_key(m.group, seq, static_cast<int>(m.port.node)), ok);
   }
   if (port != nullptr) {
-    co_await port->coll_events(g.id).send(CollEvent{g.id, seq, kind, root,
-                                                    len, ok, err});
+    co_await port->coll_events(m.group).send(
+        CollEvent{m.group, seq, kind, root, len, ok, err});
   }
 }
 

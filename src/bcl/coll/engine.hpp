@@ -5,17 +5,25 @@
 // PIOs into NIC SRAM, plus a post queue (one entry per locally-initiated
 // collective).  Collective packets are recognised by Mcp::handle_data (low
 // byte of op_flags == SendOp::kColl) and handed here; the engine combines
-// barrier arrivals and (all)reduce partials in NIC SRAM, forwards broadcast
-// fragments to tree children straight out of the packet buffer, and DMAs a
-// single completion event into the port's collective event queue — the host
-// is involved only at the posting ioctl and the completion poll.  An
-// allreduce's root turns the combined result around in SRAM: it fans it out
-// as the operation's data fragments, so every member completes the whole
-// allreduce on one post and one event.
+// (all)reduce partials in NIC SRAM, forwards data fragments to tree
+// children straight out of the packet buffer, and DMAs a single completion
+// event into the port's collective event queue — the host is involved only
+// at the posting ioctl and the completion poll.  An allreduce's root turns
+// the combined result around in SRAM: it fans it out as the operation's
+// data fragments, so every member completes the whole allreduce on one post
+// and one event.  A barrier is a zero-byte allreduce: it has no path of its
+// own.
 //
 // Deadlock rule (see docs/INTERNALS.md): handle_packet runs on the MCP's
 // rx pump, which must never block on the tx mutex, so every packet the
 // engine originates is emitted through a spawned daemon (Mcp::coll_send).
+//
+// Suspension rule: a crash, a group failure or an unregister can drop a
+// descriptor or a pending entry while a coroutine waits on a DMA or a
+// LANai charge.  So every coroutine names its operation by its (group,
+// seq) key, looks the group and the entry up again after each co_await,
+// and returns without completing if either is gone: whoever dropped it has
+// completed the operation already.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +89,7 @@ class CollectiveEngine {
     std::uint64_t combines = 0;      // fragment-combine operations
     std::uint64_t combined_elements = 0;
     std::uint64_t completions = 0;
-    std::uint64_t drops = 0;         // unknown group after replay budget
+    std::uint64_t drops = 0;         // packets or posts the engine refused
     std::uint64_t sram_exhausted = 0;
     std::uint64_t op_timeouts = 0;   // watchdog-expired pending operations
     std::uint64_t groups_failed = 0;
@@ -95,8 +103,8 @@ class CollectiveEngine {
  private:
   // One in-flight collective operation on this NIC, keyed (group, seq).
   struct Pending {
-    // Once local_posted, only the local post sets the kind; before it, a
-    // packet names the operation it belongs to.
+    // Set by whatever created the entry, the local post or a packet; a post
+    // or packet naming another kind fails the group.
     CollKind kind = CollKind::kBarrier;
     std::uint16_t root = 0;
     CollOp op = CollOp::kSum;
@@ -115,59 +123,65 @@ class CollectiveEngine {
     std::size_t sram = 0;           // bytes reserved for acc
   };
   using Key = std::pair<std::uint16_t, std::uint64_t>;
+  // The local member of a group, by value: a completion can outlive the
+  // descriptor it was issued for.
+  struct Member {
+    std::uint16_t group = 0;
+    std::uint16_t index = 0;
+    PortId port;
+  };
+  static Member member(const GroupDescriptor& g) {
+    return {g.id, g.my_index, g.members[g.my_index]};
+  }
 
   sim::Task<void> post_pump();
   sim::Task<void> handle_post(CollPost post);
-  sim::Task<void> handle_barrier_arrive(GroupDescriptor& g, Pending& pd,
-                                        std::uint64_t seq);
-  sim::Task<void> handle_barrier_release(GroupDescriptor& g,
-                                         std::uint64_t seq);
-  sim::Task<void> handle_reduce_packet(GroupDescriptor& g, Pending& pd,
-                                       std::uint64_t seq, hw::Packet p);
-  sim::Task<void> handle_bcast_packet(GroupDescriptor& g, Pending& pd,
-                                      std::uint64_t seq, hw::Packet p);
-  // Lands one broadcast fragment in the result buffer and completes the
+  sim::Task<void> handle_bcast_packet(Key key, hw::Packet p);
+  // Lands one data fragment in the result buffer and completes the
   // operation with its last fragment.
-  sim::Task<void> deliver_fragment(GroupDescriptor& g, Pending& pd,
-                                   std::uint64_t seq, const hw::Packet& p);
-  sim::Task<void> deliver_held(std::uint16_t gid, std::uint64_t seq);
+  sim::Task<void> deliver_fragment(Key key, const hw::Packet& p);
+  sim::Task<void> deliver_held(Key key);
   // A broadcast whose fragments wait in SRAM for the host (host_done).
   static bool held(const Pending& pd) {
     return pd.kind == CollKind::kBcast && !pd.stash.empty();
   }
-  sim::Task<void> advance_reduce(GroupDescriptor& g, Pending& pd,
-                                 std::uint64_t seq);
-  // Fans operation seq's `len`-byte payload out to this member's children
+  sim::Task<void> advance_reduce(Key key);
+  // Fans operation `key`'s `len`-byte payload out to this member's children
   // in the tree rooted at `root`, one MTU-sized data fragment per fan-out
   // batch.  The payload is either already in NIC SRAM (`sram`: an
   // allreduce root's result) or in host pages the NIC DMAs one fragment at
   // a time (`host`: a broadcast root's source buffer).
-  sim::Task<void> fan_out(const GroupDescriptor& g, std::uint64_t seq,
-                          std::uint16_t root, CollOp op, std::size_t len,
+  sim::Task<void> fan_out(Key key, std::uint16_t root, CollKind kind,
+                          CollOp op, std::size_t len,
                           const std::vector<std::byte>& sram,
                           const std::vector<hw::PhysSegment>& host);
-  sim::Task<void> combine_fragment(GroupDescriptor& g, Pending& pd,
-                                   const hw::Packet& p);
-  // Takes the descriptor by value: completions may run as deferred daemons
-  // (async barrier path), and the group can be unregistered before they run.
-  sim::Task<void> complete(GroupDescriptor g, std::uint64_t seq,
-                           CollKind kind, std::uint16_t root, std::size_t len,
-                           bool ok, BclErr err = BclErr::kOk);
+  sim::Task<void> combine_fragment(Key key, const hw::Packet& p);
+  // Completes the local member's operation `key` once its data has landed
+  // (or, at a root, been sent), and drops the entry.  An operation that
+  // lands data completes inline; one that lands none (a barrier) completes
+  // from a daemon, so a release hop never holds the rx pump for the event
+  // build and DMA.
+  sim::Task<void> finish(Key key);
+  sim::Task<void> complete(Member m, std::uint64_t seq, CollKind kind,
+                           std::uint16_t root, std::size_t len, bool ok,
+                           BclErr err = BclErr::kOk);
   sim::Task<void> replay(hw::Packet p);
-  // Looks up or creates the pending entry for (g.id, seq); creation arms
-  // the per-operation watchdog (cfg.coll_op_timeout).
-  Pending& touch_pending(const GroupDescriptor& g, std::uint64_t seq);
+  Pending* find_pending(const Key& key);
+  // Looks up or creates the pending entry for (g.id, seq); creation takes
+  // `kind` and arms the per-operation watchdog (cfg.coll_op_timeout).
+  Pending& touch_pending(const GroupDescriptor& g, std::uint64_t seq,
+                         CollKind kind);
   sim::Task<void> watchdog(std::uint16_t gid, std::uint64_t seq);
   // First failure wins: marks the group failed, floods kFail over the
-  // canonical tree, fails every pending op, and emits one group-wide
+  // member-0 tree, fails every pending op, and emits one group-wide
   // failure event (seq 0) so hosts blocked on any sequence unblock.
-  sim::Task<void> fail_group(GroupDescriptor& g);
+  sim::Task<void> fail_group(std::uint16_t gid);
 
   // This member's tree links for an operation rooted at member `root`.
   TreeLinks neighbors(const GroupDescriptor& g, int root) const;
   hw::Packet make_packet(const GroupDescriptor& g, int dst_member,
                          CollWire wire, std::uint64_t seq, std::uint16_t root,
-                         CollOp op) const;
+                         CollKind kind, CollOp op) const;
   void emit(hw::Packet p);  // spawn a daemon through Mcp::coll_send
   // Congestion-aware fan-out: each packet's emission daemon first sleeps
   // out its destination's current pacing delay (peeked from the rate

@@ -10,7 +10,9 @@
 // involved only at the two ends (the posting ioctl and the completion-event
 // poll).  An allreduce is one operation under one sequence number: partials
 // combine up the tree as in a reduce, and the root's MCP sends the result
-// straight back down as that operation's data fragments.
+// straight back down as that operation's data fragments.  A barrier is a
+// zero-byte allreduce: its arrivals are empty partials and its release is
+// the root's empty fan-out.
 //
 // Tree layout.  Every operation runs over one k-ary heap: heap position h
 // has parent (h-1)/k and children k*h+1 .. k*h+k, so arity and depth are
@@ -25,8 +27,9 @@
 //     subtree is one contiguous, compact run of the curve.
 // Re-rooting rotates the member sequence, never the heap positions, so a
 // tree rooted anywhere keeps its locality.  tree_links is the one place
-// that arithmetic lives; the descriptor also caches the member-0 links
-// that barriers use.
+// that arithmetic lives: the engine derives every member's links from the
+// order per operation, the member-0 tree included (a barrier's, and the
+// one the group-failure flood travels).
 #pragma once
 
 #include <algorithm>
@@ -53,12 +56,11 @@ enum class CollKind : std::uint8_t {
 };
 
 // Wire opcodes carried in the high byte of Packet::op_flags (the low byte
-// is SendOp::kColl, which is what routes the packet to the engine).
+// is SendOp::kColl, which is what routes the packet to the engine).  Every
+// operation is one walk of its tree: partials up, then data down.
 enum class CollWire : std::uint8_t {
-  kArrive = 1,   // barrier: subtree-complete, child -> parent
-  kRelease = 2,  // barrier: root decision, parent -> children
-  kData = 3,     // broadcast or allreduce-result fragment, parent -> children
-  kPartial = 4,  // (all)reduce: combined subtree partial, child -> parent
+  kData = 3,     // bcast fragment or (all)reduce result, parent -> children
+  kPartial = 4,  // combined subtree partial (a barrier's is empty), up
   kFail = 5,     // group failure (unreachable member), flooded over the tree
 };
 
@@ -66,6 +68,15 @@ inline constexpr std::uint16_t coll_op_flags(CollWire wire) {
   return static_cast<std::uint16_t>(
       static_cast<std::uint16_t>(SendOp::kColl) |
       (static_cast<std::uint16_t>(wire) << 8));
+}
+
+// Every collective packet names its operation in Packet::reply_channel:
+// the CollKind in the high byte, the CollOp in the low one.  A member
+// whose own post or earlier packets name another kind for the same
+// sequence number fails the group instead of mixing two operations.
+inline constexpr std::uint16_t coll_reply_channel(CollKind kind, CollOp op) {
+  return static_cast<std::uint16_t>(static_cast<std::uint16_t>(op) |
+                                    (static_cast<std::uint16_t>(kind) << 8));
 }
 
 // Perfetto flow id for one collective operation: unlike point-to-point
@@ -208,12 +219,9 @@ struct GroupDescriptor {
   std::uint64_t next_seq = 1;        // registration-time sequence origin
 
   // The members along the fabric's locality curve (tree_order); empty on
-  // switched fabrics.  Broadcast and reduce derive their links from it per
-  // root at packet-processing time (tree_links).
+  // switched fabrics.  Every operation derives its links from it per root
+  // at packet-processing time (tree_links).
   TreeOrder order;
-  // Canonical root-0 tree neighbourhood (used by barriers).
-  int parent = -1;                   // member index, -1 at the root
-  std::vector<int> children;         // member indices
 
   // Pinned result buffer: broadcast payloads and the final reduction land
   // here by DMA, so no per-operation host buffer registration is needed.

@@ -176,9 +176,9 @@ sim::Task<BclErr> CollPort::reduce(const osk::UserBuffer& src,
 sim::Task<BclErr> CollPort::allreduce(const osk::UserBuffer& src,
                                       const osk::UserBuffer& dst,
                                       std::size_t count, CollOp op) {
+  const std::uint64_t seq = begin_op();
   const std::size_t bytes = count * sizeof(double);
   if (bytes > buf_.len) co_return BclErr::kTooBig;
-  const std::uint64_t seq = begin_op();
   CollPostArgs a;
   a.group_id = id_;
   a.kind = CollKind::kAllreduce;

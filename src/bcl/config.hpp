@@ -38,7 +38,6 @@ struct CostConfig {
   sim::Time event_dma = sim::Time::us(0.75);
 
   std::size_t mtu = 4096;    // fragment payload size
-  int tx_pipeline_depth = 4; // staging buffers in NIC SRAM
   // LANai streams host DMA into the link (and the reverse): only this much
   // of each fragment's DMA sits on the latency path; the rest overlaps the
   // wire.  This is what places half-bandwidth below 4 KB (Fig. 9).

@@ -320,16 +320,11 @@ sim::Task<BclErr> Driver::ioctl_register_group(osk::Process& proc,
     desc.my_index = args.my_index;
     desc.arity = std::max(1, cfg_.coll_arity);
     desc.result_buf = args.result_buf;
-    // The tree follows the fabric's geometry; the canonical root-0 links
-    // serve barriers, and rooted operations derive theirs on the NIC.
+    // The tree follows the fabric's geometry; every operation derives its
+    // links from this order on the NIC.
     if (const hw::Fabric* fabric = kernel_.node().nic().fabric()) {
       desc.order = coll::tree_order(*fabric, args.members);
     }
-    coll::TreeLinks links =
-        coll::tree_links(desc.order, static_cast<int>(n), desc.arity,
-                         static_cast<int>(args.my_index), /*root=*/0);
-    desc.parent = links.parent;
-    desc.children = std::move(links.children);
     bool pin_failed = false;
     try {
       desc.result_segs = co_await kernel_.pindown().translate_and_pin(
@@ -340,8 +335,8 @@ sim::Task<BclErr> Driver::ioctl_register_group(osk::Process& proc,
     if (pin_failed) {
       err = BclErr::kNoResources;
     } else {
-      // The descriptor (members, tree links, curve order, buffer pages)
-      // goes to NIC SRAM word by word; the NIC inverts the order itself.
+      // The descriptor (members, curve order, buffer pages) goes to NIC
+      // SRAM word by word; the NIC inverts the order itself.
       co_await kernel_.node().pci().pio_write(
           cfg_.desc_words_base + 2 * static_cast<int>(n) +
           static_cast<int>(desc.order.members.size()) +
@@ -377,11 +372,13 @@ sim::Task<Result<std::uint64_t>> Driver::ioctl_coll_post(
     err = BclErr::kBadPid;
   } else if (args.len > g->result_buf.len) {
     err = BclErr::kTooBig;  // the pinned result buffer must hold it
-  } else if ((args.kind == coll::CollKind::kReduce ||
-              args.kind == coll::CollKind::kAllreduce) &&
-             args.len % sizeof(double) != 0) {
-    // Reductions combine whole doubles; a ragged length would make the
-    // NIC accumulator read past its last element.
+  } else if ((args.kind == coll::CollKind::kBarrier && args.len != 0) ||
+             ((args.kind == coll::CollKind::kReduce ||
+               args.kind == coll::CollKind::kAllreduce) &&
+              args.len % sizeof(double) != 0)) {
+    // A barrier carries nothing, and reductions combine whole doubles; a
+    // ragged length would make the NIC accumulator read past its last
+    // element.
     err = BclErr::kBadBuffer;
   } else if (args.len > 0 &&
              kernel_.validate_buffer(proc, args.vaddr, args.len) !=
@@ -389,6 +386,8 @@ sim::Task<Result<std::uint64_t>> Driver::ioctl_coll_post(
     err = BclErr::kBadBuffer;
   }
   coll::CollPost post;
+  // Read before the pin and PIO below: a crash meanwhile frees `g`.
+  const bool origin = err == BclErr::kOk && g->my_index == args.root;
   if (err == BclErr::kOk) {
     post.group = args.group_id;
     post.kind = args.kind;
@@ -421,11 +420,9 @@ sim::Task<Result<std::uint64_t>> Driver::ioctl_coll_post(
   co_await kernel_.node().pci().pio_write(pio_words);
   if (m_pio_words_) m_pio_words_->add(static_cast<std::uint64_t>(pio_words));
   if (trace_) {
-    // One flow arrow per collective: the operation's root member (member 0
-    // for barriers) owns begin/end; everyone else contributes steps.
-    const std::uint16_t origin =
-        args.kind == coll::CollKind::kBarrier ? 0 : args.root;
-    if (g->my_index == origin) {
+    // One flow arrow per collective: the operation's root member owns
+    // begin/end; everyone else contributes steps.
+    if (origin) {
       trace_->flow_begin(comp_of(kernel_), "coll",
                          coll::coll_flow_key(args.group_id, args.seq));
     } else {

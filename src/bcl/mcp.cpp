@@ -575,28 +575,34 @@ void Mcp::completed(const TxNotify& n, BclErr err) {
 }
 
 template <typename T>
-std::uint64_t Mcp::sum_sessions(T (TxSession::*read)() const) const {
+std::uint64_t Mcp::sum_sessions(T (TxSession::*read)() const,
+                                bool retired) const {
   std::uint64_t n = 0;
   for (const auto& [node, s] : tx_sessions_) {
     n += static_cast<std::uint64_t>(std::invoke(read, *s));
+  }
+  if (retired) {
+    for (const auto& s : session_graveyard_) {
+      n += static_cast<std::uint64_t>(std::invoke(read, *s));
+    }
   }
   return n;
 }
 
 std::uint64_t Mcp::retransmissions() const {
-  return sum_sessions(&TxSession::retransmissions);
+  return sum_sessions(&TxSession::retransmissions, /*retired=*/true);
 }
 
 std::uint64_t Mcp::timeouts() const {
-  return sum_sessions(&TxSession::timeouts);
+  return sum_sessions(&TxSession::timeouts, /*retired=*/true);
 }
 
 std::uint64_t Mcp::window_stalls() const {
-  return sum_sessions(&TxSession::window_stalls);
+  return sum_sessions(&TxSession::window_stalls, /*retired=*/true);
 }
 
 std::uint64_t Mcp::fast_retransmits() const {
-  return sum_sessions(&TxSession::fast_retransmits);
+  return sum_sessions(&TxSession::fast_retransmits, /*retired=*/true);
 }
 
 std::size_t Mcp::tx_in_flight() const {

@@ -171,6 +171,9 @@ class Mcp : private SessionOwner {
     }
     return out;
   }
+  // NIC-wide reliability counters over every session this NIC has run,
+  // retired ones included; tx_in_flight and unreachable_peers are gauges
+  // over the live sessions.
   std::uint64_t retransmissions() const;
   std::uint64_t timeouts() const;
   std::uint64_t window_stalls() const;
@@ -289,9 +292,12 @@ class Mcp : private SessionOwner {
   // Registers the NIC-wide <nic>.mcp/.rel/.cc/.path/.fc metrics and the
   // collector for the per-peer <nic>.rel.peer<d>.* series.
   void register_metrics(sim::MetricRegistry& m);
-  // Sums one per-session reading over the live sessions.
+  // Sums one per-session reading over the live sessions, and with
+  // `retired` over the torn-down ones too: a NIC-wide counter must not go
+  // back when a reboot or a peer restart retires the sessions that counted.
   template <typename T>
-  std::uint64_t sum_sessions(T (TxSession::*read)() const) const;
+  std::uint64_t sum_sessions(T (TxSession::*read)() const,
+                             bool retired = false) const;
 
   // -- SessionOwner -----------------------------------------------------------
   std::uint8_t path(hw::NodeId peer) override;

@@ -244,7 +244,9 @@ TEST(CollAllreduce, MeshInterleavesWithRootedOperations) {
     EXPECT_NE(g, nullptr);
     // The last operation is a reduce: its root's host read the result, and
     // every other member released it at completion.
-    if (g != nullptr) EXPECT_EQ(g->host_done, kOps) << "member " << me;
+    if (g != nullptr) {
+      EXPECT_EQ(g->host_done, kOps) << "member " << me;
+    }
   });
   EXPECT_EQ(checked, kNodes);
   for (int node = 0; node < kNodes; ++node) {

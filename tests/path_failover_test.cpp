@@ -415,15 +415,15 @@ TEST(PathFailover, AllSpinesDeadYieldsPartitionedVerdict) {
   c.engine().spawn_daemon(drain_rx(rx, delivered));
 
   std::vector<bcl::BclErr> errs;
-  c.engine().spawn([](bcl::BclCluster& c, hw::MyrinetFabric& fab,
-                      bcl::Endpoint& tx, bcl::PortId dst,
+  c.engine().spawn([](hw::MyrinetFabric& fab, bcl::Endpoint& tx,
+                      bcl::PortId dst,
                       std::vector<bcl::BclErr>& errs) -> Task<void> {
     co_await send_stream(tx, dst, 1, errs);  // healthy first
     for (std::size_t s = 0; s < fab.spine_count(); ++s) {
       fab.fail_switch(fab.spine_switch_index(s));
     }
     co_await send_stream(tx, dst, 1, errs);  // rides into the partition
-  }(c, fab, tx, rx.id(), errs));
+  }(fab, tx, rx.id(), errs));
   c.engine().run();
 
   ASSERT_EQ(errs.size(), 2u);
