@@ -116,9 +116,9 @@ SweepPoint sweep_point(double p, std::uint64_t msgs) {
   out.goodput_mbps =
       static_cast<double>(msgs * kBytes) / elapsed_us;  // bytes/us = MB/s
   auto& mcp = c.node(0).mcp();
-  out.retransmissions = mcp.retransmissions();
-  out.fast_retransmits = mcp.fast_retransmits();
-  out.timeouts = mcp.timeouts();
+  out.retransmissions = mcp.recorder().count(bcl::NicEvent::kRetransmit);
+  out.fast_retransmits = mcp.recorder().count(bcl::NicEvent::kFastRetransmit);
+  out.timeouts = mcp.recorder().count(bcl::NicEvent::kTimeout);
   return out;
 }
 

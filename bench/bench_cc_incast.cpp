@@ -157,7 +157,8 @@ Result run_incast(int senders, std::uint64_t per_sender,
     res.fabric_marks += l.ecn_marks;
     res.blocked_marks += l.blocked_marks;
   }
-  res.marks_rx = c.node(rx_node).mcp().stats().cc_marks_rx;
+  res.marks_rx =
+      c.node(rx_node).mcp().recorder().count(bcl::NicEvent::kEcnMarkRx);
   for (const auto& s : res.per_sender) {
     res.max_decreases = std::max(res.max_decreases, s.decreases);
   }

@@ -277,8 +277,8 @@ int run(std::uint64_t seed, std::uint32_t msgs_per_node) {
   bool victims_clean = true;
   for (const std::uint32_t n : victims) {
     const auto& mcp = c.node(static_cast<hw::NodeId>(n)).mcp();
-    if (mcp.stats().restarts != 1 || mcp.incarnation() != 1 ||
-        mcp.crashed()) {
+    if (mcp.recorder().count(bcl::NicEvent::kRestart) != 1 ||
+        mcp.incarnation() != 1 || mcp.crashed()) {
       victims_clean = false;
     }
   }

@@ -132,12 +132,14 @@ Task<void> monitor(sim::Engine& eng, bcl::BclCluster& c, Ctx& cx) {
   co_await eng.sleep(cx.t_kill - eng.now());
   const std::uint32_t nodes = c.config().nodes;
   for (std::uint32_t n = 0; n < nodes; ++n) {
-    cx.base_failovers[n] = c.node(n).mcp().path_table().failovers();
+    cx.base_failovers[n] =
+        c.node(n).mcp().recorder().count(bcl::NicEvent::kPathFailover);
   }
   while (eng.now() < cx.t_end) {
     for (std::uint32_t n = 0; n < nodes; ++n) {
       if (!cx.failover_seen[n] &&
-          c.node(n).mcp().path_table().failovers() > cx.base_failovers[n]) {
+          c.node(n).mcp().recorder().count(bcl::NicEvent::kPathFailover) >
+              cx.base_failovers[n]) {
         cx.failover_seen[n] = true;
         cx.failover_at[n] = eng.now();
       }
@@ -207,9 +209,9 @@ FailoverResult run_failover(std::uint64_t seed, bool smoke) {
   fr.partitioned = cx.partitioned;
   for (std::uint32_t n = 0; n < kNodes; ++n) {
     const auto& mcp = c.node(static_cast<hw::NodeId>(n)).mcp();
-    fr.peer_failures += mcp.stats().peer_failures;
+    fr.peer_failures += mcp.recorder().count(bcl::NicEvent::kPeerFailure);
     fr.flap_failovers += cx.base_failovers[n];
-    fr.restores += mcp.path_table().restores();
+    fr.restores += mcp.recorder().count(bcl::NicEvent::kPathRestore);
     if (cx.failover_seen[n]) {
       ++fr.failover_nodes;
       const double lat = (cx.failover_at[n] - cx.t_kill).to_us();

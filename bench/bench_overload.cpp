@@ -78,8 +78,9 @@ Point slow_receiver_point(double drain_us, bool fc, std::uint64_t msgs) {
   p.delivered = rx.port().messages_received;
   p.pool_drops = rx.port().sys_drops + rx.port().not_posted_drops;
   p.stalls = c.node(0).mcp().flow().stalls();
-  p.rnr_tx = c.node(1).mcp().stats().rnr_nacks_tx;
-  p.fc_updates = c.node(1).mcp().stats().fc_updates_tx;
+  p.rnr_tx = c.node(1).mcp().recorder().count(bcl::NicEvent::kRnrNackTx);
+  p.fc_updates =
+      c.node(1).mcp().recorder().count(bcl::NicEvent::kCreditUpdateTx);
   p.credit_rtt_us = c.metrics().summary("node0.nic.fc.credit_rtt_us").mean();
   const double elapsed_us = last_arrival.to_us();
   if (elapsed_us > 0.0) {
@@ -134,8 +135,9 @@ Point incast_point(bool fc, int senders, std::uint64_t per_sender) {
   for (int s = 0; s < senders; ++s) {
     p.stalls += c.node(static_cast<hw::NodeId>(s)).mcp().flow().stalls();
   }
-  p.rnr_tx = c.node(rx_node).mcp().stats().rnr_nacks_tx;
-  p.fc_updates = c.node(rx_node).mcp().stats().fc_updates_tx;
+  p.rnr_tx = c.node(rx_node).mcp().recorder().count(bcl::NicEvent::kRnrNackTx);
+  p.fc_updates =
+      c.node(rx_node).mcp().recorder().count(bcl::NicEvent::kCreditUpdateTx);
   const double elapsed_us = last_arrival.to_us();
   if (elapsed_us > 0.0) {
     p.goodput_mbps = static_cast<double>(p.delivered * kBytes) / elapsed_us;

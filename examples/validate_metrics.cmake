@@ -7,6 +7,8 @@
 #   * metrics.prom carries "# TYPE bcl_..." exposition lines
 #   * congestion.json names links with utilization; postmortem.json carries
 #     the flight-recorder timeline and congestion-ranked links
+#   * the node0.* series in metrics.json, each with its section, are exactly
+#     the ones listed in metrics_node0_series.txt
 # Invoked as a ctest case:
 #   cmake -DDASHBOARD=<exe> -DOUT_DIR=<dir> -P validate_metrics.cmake
 
@@ -75,6 +77,43 @@ if(NOT congestion MATCHES "\"util\"" OR NOT congestion MATCHES "\"queue_wait_us\
   message(FATAL_ERROR "congestion.json is missing link gauges")
 endif()
 
+# One node's series names, pinned: a series a refactor drops or renames
+# fails here by name instead of reading 0 in whatever sums it.
+file(READ "${OUT_DIR}/metrics.json" metrics)
+set(actual_series "")
+foreach(section counters gauges summaries histograms)
+  string(JSON members GET "${metrics}" ${section})
+  string(JSON count LENGTH "${members}")
+  if(count EQUAL 0)
+    continue()
+  endif()
+  math(EXPR last "${count} - 1")
+  foreach(i RANGE ${last})
+    string(JSON name MEMBER "${members}" ${i})
+    if(name MATCHES "^node0\\.")
+      list(APPEND actual_series "${section} ${name}")
+    endif()
+  endforeach()
+endforeach()
+file(STRINGS "${CMAKE_CURRENT_LIST_DIR}/metrics_node0_series.txt"
+     pinned_series REGEX "^[a-z]+ node0\\.")
+set(missing_series ${pinned_series})
+if(actual_series)
+  list(REMOVE_ITEM missing_series ${actual_series})
+endif()
+set(extra_series ${actual_series})
+if(pinned_series)
+  list(REMOVE_ITEM extra_series ${pinned_series})
+endif()
+if(missing_series OR extra_series)
+  list(JOIN missing_series "\n  " missing_text)
+  list(JOIN extra_series "\n  " extra_text)
+  message(FATAL_ERROR "metrics.json node0 series differ from "
+                      "metrics_node0_series.txt\nmissing:\n  ${missing_text}"
+                      "\nextra:\n  ${extra_text}")
+endif()
+list(LENGTH actual_series series_count)
+
 file(READ "${OUT_DIR}/postmortem.json" postmortem)
 foreach(key reason timeline top_links sessions)
   if(NOT postmortem MATCHES "\"${key}\"")
@@ -83,4 +122,5 @@ foreach(key reason timeline top_links sessions)
 endforeach()
 
 message(STATUS "exports validated: json ok, csv ${csv_count} lines, "
-               "${prom_count} prometheus series")
+               "${prom_count} prometheus series, ${series_count} node0 "
+               "series as pinned")

@@ -45,29 +45,14 @@ CollectiveEngine::CollectiveEngine(sim::Engine& eng, hw::Nic& nic, Mcp& mcp,
     : eng_{eng},
       nic_{nic},
       mcp_{mcp},
+      recorder_{mcp.recorder()},
       cfg_{cfg},
       trace_{trace},
       posts_{eng, cfg.request_queue_depth} {
+  // The engine's counters are NIC events (Mcp::register_metrics exports
+  // them); only its gauges are its own.
   if (metrics != nullptr) {
     const std::string prefix = nic_.name() + ".coll.";
-    metrics->counter(prefix + "posts", [this] { return stats_.posts; });
-    metrics->counter(prefix + "rx_packets",
-                     [this] { return stats_.packets_in; });
-    metrics->counter(prefix + "forwards", [this] { return stats_.forwards; });
-    metrics->counter(prefix + "combines", [this] { return stats_.combines; });
-    metrics->counter(prefix + "combined_elements",
-                     [this] { return stats_.combined_elements; });
-    metrics->counter(prefix + "completions",
-                     [this] { return stats_.completions; });
-    metrics->counter(prefix + "drops", [this] { return stats_.drops; });
-    metrics->counter(prefix + "sram_exhausted",
-                     [this] { return stats_.sram_exhausted; });
-    metrics->counter(prefix + "op_timeouts",
-                     [this] { return stats_.op_timeouts; });
-    metrics->counter(prefix + "groups_failed",
-                     [this] { return stats_.groups_failed; });
-    metrics->counter(prefix + "staggered",
-                     [this] { return stats_.staggered; });
     metrics->gauge(prefix + "sram_bytes", [this] {
       return static_cast<double>(sram_bytes_);
     });
@@ -161,7 +146,7 @@ void CollectiveEngine::emit(hw::Packet p) {
 }
 
 void CollectiveEngine::emit_after(sim::Time delay, hw::Packet p) {
-  ++stats_.forwards;
+  recorder_.add(NicEvent::kCollForward);
   if (trace_) {
     trace_->flow_step(comp(), "coll",
                       coll_flow_key(static_cast<std::uint16_t>(p.channel),
@@ -173,7 +158,7 @@ void CollectiveEngine::emit_after(sim::Time delay, hw::Packet p) {
   if (delay <= sim::Time::zero()) {
     eng_.spawn_daemon(mcp_.coll_send(std::move(p)));
   } else {
-    ++stats_.staggered;
+    recorder_.add(NicEvent::kCollStaggered);
     eng_.spawn_daemon(delayed_send(delay, std::move(p)));
   }
 }
@@ -220,7 +205,7 @@ void CollectiveEngine::reserve_sram(Pending& pd, std::size_t bytes) {
     pd.sram = bytes;
     sram_bytes_ += bytes;
   } else {
-    ++stats_.sram_exhausted;  // accounting only; combining proceeds
+    recorder_.add(NicEvent::kCollSramExhausted);  // combining proceeds anyway
   }
 }
 
@@ -262,7 +247,6 @@ sim::Task<void> CollectiveEngine::watchdog(std::uint16_t gid,
   // host_done arms a fresh watchdog when it releases them.
   if (held(*pd)) co_return;
   if (find_group(gid) == nullptr) co_return;  // unregistered meanwhile
-  ++stats_.op_timeouts;
   // Record the expiry and fire the post-mortem hook while the victim op's
   // state is still intact; fail_group tears it down next.
   mcp_.report_coll_timeout(gid, seq, kind_name(pd->kind));
@@ -287,9 +271,7 @@ sim::Task<void> CollectiveEngine::fail_group(std::uint16_t gid) {
   GroupDescriptor* g = find_group(gid);
   if (g == nullptr || g->failed) co_return;
   g->failed = true;
-  ++stats_.groups_failed;
-  mcp_.recorder().record(
-      {eng_.now(), FlightKind::kGroupFailed, 0, 0, 0, gid});
+  recorder_.record({eng_.now(), NicEvent::kGroupFailed, 0, 0, 0, gid});
   // Flood the member-0 tree so members that never exchange a packet with
   // the dead node (or with us) still learn within tree-depth hops.
   const TreeLinks nb = neighbors(*g, 0);
@@ -344,7 +326,7 @@ void CollectiveEngine::on_local_crash() {
   // on a sequence that never produced a pending entry here.
   for (auto& [id, g] : groups_) {
     if (g.failed) continue;
-    ++stats_.groups_failed;
+    recorder_.add(NicEvent::kGroupFailed);  // counted, not kept in the ring
     eng_.spawn_daemon(complete(member(g), 0, CollKind::kBarrier, 0, 0, false,
                                BclErr::kPeerRestarted));
   }
@@ -360,16 +342,16 @@ sim::Task<void> CollectiveEngine::post_pump() {
 }
 
 sim::Task<void> CollectiveEngine::handle_post(CollPost post) {
-  ++stats_.posts;
+  recorder_.add(NicEvent::kCollPost);
   co_await nic_.lanai().use(cfg_.mcp_coll_proc);
   GroupDescriptor* g = find_group(post.group);
   if (g == nullptr) {
-    ++stats_.drops;  // driver validated; only an unregister race lands here
+    recorder_.add(NicEvent::kCollDrop);  // driver-validated: unregister race
     co_return;
   }
   const Key key{g->id, post.seq};
-  mcp_.recorder().record(
-      {eng_.now(), FlightKind::kCollPost, 0, post.seq, 0, g->id});
+  recorder_.record(
+      {eng_.now(), NicEvent::kCollStart, 0, post.seq, 0, g->id});
   if (trace_) {
     trace_->flow_step(comp(), "coll", coll_flow_key(g->id, post.seq));
     // The local member's causal record: one per member per operation,
@@ -399,7 +381,7 @@ sim::Task<void> CollectiveEngine::handle_post(CollPost post) {
   {
     Pending& pd = touch_pending(*g, post.seq, post.kind);
     if (pd.kind != post.kind) {
-      ++stats_.drops;  // earlier packets named another operation
+      recorder_.add(NicEvent::kCollDrop);  // earlier packets named another op
       co_await fail_group(key.first);
       co_return;
     }
@@ -480,7 +462,7 @@ sim::Task<void> CollectiveEngine::fan_out(
 }
 
 sim::Task<void> CollectiveEngine::handle_packet(hw::Packet p) {
-  ++stats_.packets_in;
+  recorder_.add(NicEvent::kCollRxPacket);
   co_await nic_.lanai().use(cfg_.mcp_coll_proc);
   const std::uint16_t gid = static_cast<std::uint16_t>(p.channel & 0xffff);
   const std::uint16_t root = static_cast<std::uint16_t>(p.channel >> 16);
@@ -493,7 +475,7 @@ sim::Task<void> CollectiveEngine::handle_packet(hw::Packet p) {
     auto parked = pre_reg_.find(gid);
     if (parked == pre_reg_.end()) {
       if (pre_reg_.size() >= cfg_.coll_max_groups) {
-        ++stats_.drops;
+        recorder_.add(NicEvent::kCollDrop);
         co_return;
       }
       parked = pre_reg_.emplace(gid, std::vector<hw::Packet>{}).first;
@@ -501,7 +483,7 @@ sim::Task<void> CollectiveEngine::handle_packet(hw::Packet p) {
     if (parked->second.size() < cfg_.coll_park_per_group) {
       parked->second.push_back(std::move(p));
     } else {
-      ++stats_.drops;
+      recorder_.add(NicEvent::kCollDrop);
     }
     co_return;
   }
@@ -514,21 +496,21 @@ sim::Task<void> CollectiveEngine::handle_packet(hw::Packet p) {
     co_return;
   }
   if (g.failed) {
-    ++stats_.drops;  // the group is dead; its traffic is noise
+    recorder_.add(NicEvent::kCollDrop);  // the group is dead: noise
     co_return;
   }
   if (root >= g.size()) {
-    ++stats_.drops;  // no such member: there is no tree to route along
+    recorder_.add(NicEvent::kCollDrop);  // no such member: no tree to route
     co_return;
   }
   if (wire != CollWire::kData && wire != CollWire::kPartial) {
-    ++stats_.drops;
+    recorder_.add(NicEvent::kCollDrop);
     co_return;
   }
   const auto kind = static_cast<CollKind>(p.reply_channel >> 8);
   Pending& pd = touch_pending(g, key.second, kind);
   if (pd.kind != kind) {
-    ++stats_.drops;  // the members disagree on which operation this is
+    recorder_.add(NicEvent::kCollDrop);  // members disagree on the operation
     co_await fail_group(gid);
     co_return;
   }
@@ -569,8 +551,8 @@ sim::Task<void> CollectiveEngine::combine_fragment(Key key,
     std::memcpy(&v, p.payload.data() + i * sizeof(double), sizeof(double));
     pd->acc[base + i] = coll_apply(pd->op, pd->acc[base + i], v);
   }
-  ++stats_.combines;
-  stats_.combined_elements += elems;
+  recorder_.add(NicEvent::kCollCombine);
+  recorder_.add(NicEvent::kCollCombinedElements, elems);
 }
 
 void CollectiveEngine::send_partial_up(const GroupDescriptor& g,
@@ -701,7 +683,7 @@ sim::Task<void> CollectiveEngine::deliver_fragment(Key key,
         // payload.  Fail the operation visibly — a silent drop would leave
         // the polling host waiting forever — and let the remaining
         // fragments drain below so the pending entry is reclaimed.
-        ++stats_.drops;
+        recorder_.add(NicEvent::kCollDrop);
         pd->failed = true;
         co_await complete(member(*g), key.second, pd->kind, pd->root, 0,
                           false, BclErr::kTooBig);
@@ -774,7 +756,7 @@ sim::Task<void> CollectiveEngine::complete(Member m, std::uint64_t seq,
   Port* port = mcp_.find_port(m.port.port);
   co_await nic_.lanai().use(cfg_.mcp_event_proc);
   co_await eng_.sleep(cfg_.event_dma);
-  ++stats_.completions;
+  recorder_.add(NicEvent::kCollCompletion);
   if (trace_) {
     // Mirror the driver's convention: only the operation's root member
     // terminates the per-collective flow arrow.

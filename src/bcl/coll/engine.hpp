@@ -14,6 +14,11 @@
 // and one event.  A barrier is a zero-byte allreduce: it has no path of its
 // own.
 //
+// The engine's counters (posts, forwards, combines, drops, timeouts, ...)
+// are NIC events in the MCP's recorder (bcl/recorder.hpp): one call per
+// event, read back with recorder().count(NicEvent::kColl...), exported as
+// <nic>.coll.* with the MCP's own events.
+//
 // Deadlock rule (see docs/INTERNALS.md): handle_packet runs on the MCP's
 // rx pump, which must never block on the tx mutex, so every packet the
 // engine originates is emitted through a spawned daemon (Mcp::coll_send).
@@ -33,6 +38,7 @@
 
 #include "bcl/coll/group.hpp"
 #include "bcl/config.hpp"
+#include "bcl/recorder.hpp"
 #include "hw/nic.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
@@ -82,20 +88,6 @@ class CollectiveEngine {
   // blocked hosts unblock; after reboot the groups must re-register.
   void on_local_crash();
 
-  struct Stats {
-    std::uint64_t posts = 0;
-    std::uint64_t packets_in = 0;
-    std::uint64_t forwards = 0;      // packets originated (up or down)
-    std::uint64_t combines = 0;      // fragment-combine operations
-    std::uint64_t combined_elements = 0;
-    std::uint64_t completions = 0;
-    std::uint64_t drops = 0;         // packets or posts the engine refused
-    std::uint64_t sram_exhausted = 0;
-    std::uint64_t op_timeouts = 0;   // watchdog-expired pending operations
-    std::uint64_t groups_failed = 0;
-    std::uint64_t staggered = 0;     // fan-out packets delayed by the pacer
-  };
-  const Stats& stats() const { return stats_; }
   std::size_t sram_bytes() const { return sram_bytes_; }
   std::size_t pending_ops() const { return pending_.size(); }
   std::size_t group_count() const { return groups_.size(); }
@@ -202,6 +194,7 @@ class CollectiveEngine {
   sim::Engine& eng_;
   hw::Nic& nic_;
   Mcp& mcp_;
+  FlightRecorder& recorder_;  // the MCP's: the engine's events are NIC events
   const CostConfig& cfg_;
   sim::Trace* trace_;
   sim::Channel<CollPost> posts_;
@@ -213,7 +206,6 @@ class CollectiveEngine {
   // starve unrelated groups racing their registration.
   std::map<std::uint16_t, std::vector<hw::Packet>> pre_reg_;
   std::size_t sram_bytes_ = 0;
-  Stats stats_;
 };
 
 }  // namespace coll

@@ -82,22 +82,15 @@ void Mcp::register_metrics(sim::MetricRegistry& m) {
   m_dma_tx_bytes_ = &m.counter(prefix + "dma_tx_bytes");
   m_dma_rx_bytes_ = &m.counter(prefix + "dma_rx_bytes");
   m_tx_descriptors_ = &m.counter(prefix + "tx_descriptors");
-  // The MCP already keeps its own counters; export them by callback so the
-  // hot paths stay untouched.
-  const auto stat = [this, &m](const std::string& name,
-                               std::uint64_t Stats::*field) {
-    m.counter(name, [this, field] { return stats_.*field; });
-  };
-  stat(prefix + "rx_packets", &Stats::data_packets_in);
-  stat(prefix + "crc_drops", &Stats::crc_drops);
-  stat(prefix + "seq_drops", &Stats::seq_drops);
-  stat(prefix + "no_port_drops", &Stats::no_port_drops);
-  stat(prefix + "acks_sent", &Stats::acks_sent);
-  stat(prefix + "messages_sent", &Stats::messages_sent);
-  stat(prefix + "rma_reads_served", &Stats::rma_reads_served);
-  m.counter(prefix + "retransmissions", [this] { return retransmissions(); });
-  m.counter(prefix + "timeouts", [this] { return timeouts(); });
-  m.counter(prefix + "window_stalls", [this] { return window_stalls(); });
+  // Every NIC event with a series, by callback: the recorder is the count's
+  // one home, and MetricRegistry::reset() leaves it alone.
+  for (std::size_t i = 0; i < kNicEventCount; ++i) {
+    const auto kind = static_cast<NicEvent>(i);
+    if (const char* series = series_name(kind)) {
+      m.counter(nic_.name() + "." + series,
+                [this, kind] { return recorder_.count(kind); });
+    }
+  }
   m.gauge(prefix + "request_ring",
           [this] { return static_cast<double>(requests_.size()); });
   m.gauge(prefix + "request_ring_hwm",
@@ -106,13 +99,7 @@ void Mcp::register_metrics(sim::MetricRegistry& m) {
           [this] { return static_cast<double>(rx_queue_hwm_); });
   m.gauge(prefix + "tx_in_flight",
           [this] { return static_cast<double>(tx_in_flight()); });
-  // Reliability-session aggregates under their own <nic>.rel.* prefix.
   const std::string rel = nic_.name() + ".rel.";
-  stat(rel + "stray_acks", &Stats::stray_acks);
-  m.counter(rel + "fast_retransmits", [this] { return fast_retransmits(); });
-  stat(rel + "peer_failures", &Stats::peer_failures);
-  stat(rel + "restarts", &Stats::restarts);
-  stat(rel + "recovered_peers", &Stats::recovered_peers);
   m.gauge(rel + "sessions",
           [this] { return static_cast<double>(tx_sessions_.size()); });
   m.gauge(rel + "unreachable_peers",
@@ -137,35 +124,17 @@ void Mcp::register_metrics(sim::MetricRegistry& m) {
       out.counter(p + "rtt_samples", s != nullptr ? s->rtt_samples() : 0);
     }
   });
-  const std::string ccp = nic_.name() + ".cc";
-  cc_->register_metrics(m, ccp);
-  stat(ccp + ".marks_rx", &Stats::cc_marks_rx);
-  stat(ccp + ".echoes_tx", &Stats::cc_echoes_tx);
-  // Multipath failover state under its own <nic>.path.* prefix.
-  const std::string pathp = nic_.name() + ".path.";
-  m.counter(pathp + "failovers", [this] { return path_table_->failovers(); });
-  m.counter(pathp + "restores", [this] { return path_table_->restores(); });
-  m.counter(pathp + "partitions",
-            [this] { return path_table_->partitions(); });
-  stat(pathp + "probes_tx", &Stats::path_probes_tx);
-  stat(pathp + "probes_rx", &Stats::path_probes_rx);
-  m.gauge(pathp + "quarantined", [this] {
+  cc_->register_metrics(m, nic_.name() + ".cc");
+  m.gauge(nic_.name() + ".path.quarantined", [this] {
     return static_cast<double>(path_table_->quarantined_count());
   });
-  // Flow-control aggregates under their own <nic>.fc.* prefix (the
-  // credit_rtt_us summary is registered by the FlowController itself).
+  // Flow-control aggregates the FlowController keeps (it registers its
+  // credit_rtt_us summary itself).
   const std::string fc = nic_.name() + ".fc.";
   m.counter(fc + "stalls", [this] { return flow_->stalls(); });
   m.counter(fc + "credits_consumed",
             [this] { return flow_->credits_consumed(); });
   m.counter(fc + "grants_rx", [this] { return flow_->grants_rx(); });
-  stat(fc + "credits_granted", &Stats::fc_credits_granted);
-  stat(fc + "rnr_nacks_tx", &Stats::rnr_nacks_tx);
-  stat(fc + "rnr_nacks_rx", &Stats::rnr_nacks_rx);
-  stat(fc + "credit_updates_tx", &Stats::fc_updates_tx);
-  stat(fc + "credit_updates_rx", &Stats::fc_updates_rx);
-  stat(fc + "probes_tx", &Stats::fc_probes_tx);
-  stat(fc + "probes_rx", &Stats::fc_probes_rx);
   m.gauge(fc + "send_credits", [this] { return flow_->total_available(); });
   m.gauge(fc + "rx_outstanding", [this] {
     double n = 0;
@@ -287,7 +256,7 @@ void Mcp::crash() {
   crashed_ = true;
   nic_.halt();
   recorder_.record(
-      {eng_.now(), FlightKind::kCrash, 0, 0, 0, nic_.incarnation()});
+      {eng_.now(), NicEvent::kCrash, 0, 0, 0, nic_.incarnation()});
   // Every tx session dies with its SRAM.  Poisoning fails parked and
   // in-flight sends with kPeerRestarted — exactly once each, through the
   // failing fragment's event or the e2e ledger's error flush.
@@ -326,9 +295,8 @@ void Mcp::reset() {
   flow_->reset_all();
   nic_.reboot();
   crashed_ = false;
-  ++stats_.restarts;
   recorder_.record(
-      {eng_.now(), FlightKind::kRestart, 0, 0, 0, nic_.incarnation()});
+      {eng_.now(), NicEvent::kRestart, 0, 0, 0, nic_.incarnation()});
 }
 
 bool Mcp::fence_incarnation(const hw::Packet& p) {
@@ -338,12 +306,12 @@ bool Mcp::fence_incarnation(const hw::Packet& p) {
   // turns it into a session teardown.
   if (p.dst_incarnation != nic_.incarnation() &&
       p.dst_incarnation != hw::kAnyIncarnation) {
-    ++stats_.stale_inc_drops;
+    recorder_.add(NicEvent::kStaleIncDrop);
     const auto it = last_restart_notice_.find(p.src_node);
     if (it == last_restart_notice_.end() ||
         eng_.now() - it->second >= kRestartNoticeInterval) {
       last_restart_notice_[p.src_node] = eng_.now();
-      ++stats_.restart_notices_tx;
+      recorder_.add(NicEvent::kRestartNoticeTx);
       eng_.spawn_daemon(
           send_ctrl(p.src_node, SendOp::kProbeAck, 0, p.src_incarnation));
     }
@@ -353,7 +321,7 @@ bool Mcp::fence_incarnation(const hw::Packet& p) {
   if (p.src_incarnation < it->second) {
     // Old-epoch straggler: fenced before its pre-crash sequence number
     // can alias the fresh session's space.
-    ++stats_.stale_inc_drops;
+    recorder_.add(NicEvent::kStaleIncDrop);
     return false;
   }
   if (p.src_incarnation > it->second) {
@@ -364,8 +332,7 @@ bool Mcp::fence_incarnation(const hw::Packet& p) {
 }
 
 void Mcp::handle_peer_restart(hw::NodeId src) {
-  ++stats_.peer_restarts;
-  recorder_.record({eng_.now(), FlightKind::kPeerRestart, src, 0, 0,
+  recorder_.record({eng_.now(), NicEvent::kPeerRestart, src, 0, 0,
                     peer_incarnation_[src]});
   teardown_session(src, BclErr::kPeerRestarted);
   // The peer's rx half and both credit ledgers died with it; ours restart
@@ -440,9 +407,8 @@ sim::Task<void> Mcp::syn_daemon(hw::NodeId dst, TxSession* s) {
   for (int attempt = 0; attempt < kSynAttempts; ++attempt) {
     if (find_tx_session(dst) != s) co_return;  // replaced: not ours anymore
     if (s->established() || s->peer_unreachable()) co_return;
-    ++stats_.syns_tx;
     recorder_.record(
-        {eng_.now(), FlightKind::kSyn, dst, nonce, cfg_.first_seq, 0});
+        {eng_.now(), NicEvent::kSynTx, dst, nonce, cfg_.first_seq, 0});
     co_await send_ctrl(dst, SendOp::kSyn, cfg_.first_seq, peer_inc(dst),
                        nonce);
     co_await eng_.sleep(kSynRetry);
@@ -470,22 +436,21 @@ sim::Task<void> Mcp::prober(hw::NodeId dst, std::uint8_t path) {
     if (revival) {
       TxSession* s = find_tx_session(dst);
       if (s == nullptr || !s->peer_unreachable()) break;  // already revived
-      ++stats_.probes_tx;
-    } else {
-      if (!path_table_->is_quarantined(dst, path)) break;  // requalified
-      ++stats_.path_probes_tx;
+    } else if (!path_table_->is_quarantined(dst, path)) {
+      break;  // requalified
     }
-    recorder_.record(
-        {eng_.now(), FlightKind::kProbe, dst, 0, seq, revival ? 0u : 1u});
+    recorder_.record({eng_.now(),
+                      revival ? NicEvent::kRevivalProbeTx
+                              : NicEvent::kPathProbeTx,
+                      dst, 0, seq, revival ? 0u : 1u});
     co_await send_ctrl(dst, SendOp::kProbe, seq, hw::kAnyIncarnation, 0, path);
   }
   probing_.erase({dst, path});
 }
 
 void Mcp::handle_syn(const hw::Packet& p) {
-  ++stats_.syns_rx;
   recorder_.record(
-      {eng_.now(), FlightKind::kSyn, p.src_node, p.msg_id, p.seq, 1});
+      {eng_.now(), NicEvent::kSynRx, p.src_node, p.msg_id, p.seq, 1});
   const auto key = std::make_pair(p.src_incarnation, p.msg_id);
   auto [it, inserted] = syn_seen_.try_emplace(p.src_node, key);
   if (inserted || it->second != key) {
@@ -504,8 +469,7 @@ void Mcp::handle_syn_ack(const hw::Packet& p) {
   TxSession* s = find_tx_session(p.src_node);
   if (s == nullptr || s->established() || s->peer_unreachable()) return;
   recorder_.record(
-      {eng_.now(), FlightKind::kSynAck, p.src_node, p.msg_id, p.seq, 0});
-  ++stats_.recovered_peers;
+      {eng_.now(), NicEvent::kSynAck, p.src_node, p.msg_id, p.seq, 0});
   s->establish();
 }
 
@@ -518,7 +482,7 @@ void Mcp::handle_probe_ack(const hw::Packet& p) {
     const auto path = static_cast<std::uint8_t>(p.seq - 1);
     if (path_table_->restore(p.src_node, path)) {
       recorder_.record(
-          {eng_.now(), FlightKind::kPathRestore, p.src_node, 0, p.seq, path});
+          {eng_.now(), NicEvent::kPathRestore, p.src_node, 0, p.seq, path});
     }
   }
   // A rebooted peer was already handled by the src fence (higher epoch →
@@ -546,13 +510,14 @@ bool Mcp::strike(hw::NodeId dst) {
   // probe can requalify it (and rescind a partition verdict).
   spawn_prober(dst, old_path);
   if (result == PathTable::StrikeResult::kFailedOver) {
-    recorder_.record({eng_.now(), FlightKind::kPathFailover, dst, 0, old_path,
+    recorder_.record({eng_.now(), NicEvent::kPathFailover, dst, 0, old_path,
                       path_table_->current(dst)});
     return true;
   }
   // kPartitioned: no healthy path remains.  The session keeps its
   // escalation (no reset) so the retry budget ripens into the partitioned
   // verdict instead of rotating forever.
+  recorder_.add(NicEvent::kPathPartition);
   return false;
 }
 
@@ -564,7 +529,7 @@ BclErr Mcp::verdict(hw::NodeId peer) {
 }
 
 void Mcp::failed(hw::NodeId peer) {
-  ++stats_.peer_failures;
+  recorder_.add(NicEvent::kPeerFailure);
   eng_.spawn_daemon(announce_peer_failure(peer));
 }
 
@@ -575,34 +540,12 @@ void Mcp::completed(const TxNotify& n, BclErr err) {
 }
 
 template <typename T>
-std::uint64_t Mcp::sum_sessions(T (TxSession::*read)() const,
-                                bool retired) const {
+std::uint64_t Mcp::sum_sessions(T (TxSession::*read)() const) const {
   std::uint64_t n = 0;
   for (const auto& [node, s] : tx_sessions_) {
     n += static_cast<std::uint64_t>(std::invoke(read, *s));
   }
-  if (retired) {
-    for (const auto& s : session_graveyard_) {
-      n += static_cast<std::uint64_t>(std::invoke(read, *s));
-    }
-  }
   return n;
-}
-
-std::uint64_t Mcp::retransmissions() const {
-  return sum_sessions(&TxSession::retransmissions, /*retired=*/true);
-}
-
-std::uint64_t Mcp::timeouts() const {
-  return sum_sessions(&TxSession::timeouts, /*retired=*/true);
-}
-
-std::uint64_t Mcp::window_stalls() const {
-  return sum_sessions(&TxSession::window_stalls, /*retired=*/true);
-}
-
-std::uint64_t Mcp::fast_retransmits() const {
-  return sum_sessions(&TxSession::fast_retransmits, /*retired=*/true);
 }
 
 std::size_t Mcp::tx_in_flight() const {
@@ -637,7 +580,7 @@ std::vector<Mcp::SessionSnapshot> Mcp::session_snapshot() const {
 
 void Mcp::report_coll_timeout(std::uint16_t gid, std::uint64_t seq,
                               const char* what) {
-  recorder_.record({eng_.now(), FlightKind::kCollTimeout, 0, seq, 0, gid});
+  recorder_.record({eng_.now(), NicEvent::kCollTimeout, 0, seq, 0, gid});
   if (diagnosis_hook_) {
     diagnosis_hook_("collective-timeout", -1,
                     std::string(what) + " group " + std::to_string(gid) +
@@ -741,7 +684,7 @@ sim::Task<void> Mcp::send_message(const SendDescriptor& d) {
       co_await nic_.transmit(std::move(p));
     }
   }
-  ++stats_.messages_sent;
+  recorder_.add(NicEvent::kMessageSent);
   // End-to-end mode: the session's ledger completes the send (completed()).
   if (cfg_.reliable && cfg_.e2e_completion) co_return;
   // Local completion: the message is staged on the NIC (retransmission is
@@ -774,7 +717,7 @@ sim::Task<void> Mcp::rx_pump() {
         apply_piggyback(p);
         TxSession* s = find_tx_session(p.src_node);
         if (s == nullptr) {
-          ++stats_.stray_acks;  // late/stray ack: no session, don't make one
+          recorder_.add(NicEvent::kStrayAck);  // no session: don't make one
           break;
         }
         s->on_ack(p.ack, p.echo_stamp);
@@ -792,11 +735,11 @@ sim::Task<void> Mcp::rx_pump() {
         // — hand the session the hold hint instead of a timeout.
         co_await nic_.lanai().use(cfg_.mcp_ack_proc);
         if (p.corrupted) {
-          ++stats_.crc_drops;
+          recorder_.add(NicEvent::kCrcDrop);
           break;
         }
         apply_piggyback(p);
-        ++stats_.rnr_nacks_rx;
+        recorder_.add(NicEvent::kRnrNackRx);
         if (TxSession* s = find_tx_session(p.src_node)) {
           s->on_rnr(p.ack, sim::Time::us(static_cast<double>(p.nack_hint_us)));
         }
@@ -811,12 +754,12 @@ sim::Task<void> Mcp::rx_pump() {
           // through the rx session.
           co_await nic_.lanai().use(cfg_.mcp_fc_proc);
           if (p.corrupted) {
-            ++stats_.crc_drops;
+            recorder_.add(NicEvent::kCrcDrop);
             break;
           }
           apply_piggyback(p);
           if (op == SendOp::kFcProbe) {
-            ++stats_.fc_probes_rx;
+            recorder_.add(NicEvent::kCreditProbeRx);
             if (cfg_.flow_control) {
               if (Port* port = find_port(p.dst_port)) {
                 fc_top_up(*port, rx_credit(p.dst_port, p.src_node));
@@ -835,18 +778,18 @@ sim::Task<void> Mcp::rx_pump() {
             // path+1): any answer carries our live incarnation; the echoed
             // seq names the path the probe tested, and the reply rides the
             // arrival path so the proof is round-trip.
-            ++stats_.probes_rx;
-            if (p.seq > 0) ++stats_.path_probes_rx;
+            recorder_.add(p.seq > 0 ? NicEvent::kPathProbeRx
+                                    : NicEvent::kRevivalProbeRx);
             eng_.spawn_daemon(send_ctrl(p.src_node, SendOp::kProbeAck, p.seq,
                                         p.src_incarnation, 0, p.path_id));
           } else if (op == SendOp::kProbeAck) {
             handle_probe_ack(p);
           } else {
-            ++stats_.fc_updates_rx;
+            recorder_.add(NicEvent::kCreditUpdateRx);
           }
           break;
         }
-        ++stats_.data_packets_in;
+        recorder_.add(NicEvent::kRxPacket);
         {
           auto span = trace_ ? trace_->span(comp(), "mcp-rx-proc", p.msg_id)
                              : sim::Trace::Span{};
@@ -854,14 +797,14 @@ sim::Task<void> Mcp::rx_pump() {
         }
         if (p.corrupted) {
           // CRC failure: drop; go-back-N recovers by timeout.
-          ++stats_.crc_drops;
+          recorder_.add(NicEvent::kCrcDrop);
           break;
         }
         apply_piggyback(p);  // reverse-traffic credit for our sender side
         if (cfg_.reliable) {
           auto& rx = rx_session(p.src_node);
           if (!rx.accept(p.seq)) {
-            ++stats_.seq_drops;
+            recorder_.add(NicEvent::kSeqDrop);
             // Duplicate / out-of-order: refresh the sender's view.  The
             // dup still gets its stamp echoed — during a go-back-N resend
             // of a congested window these are the only acks flowing, and
@@ -917,7 +860,7 @@ sim::Task<bool> Mcp::handle_data(hw::Packet p) {
   }
   Port* port = find_port(p.dst_port);
   if (port == nullptr) {
-    ++stats_.no_port_drops;
+    recorder_.add(NicEvent::kNoPortDrop);
     co_return true;
   }
   if (trace_) trace_->flow_step(comp(), "msg", flow_key(p.src_node, p.msg_id));
@@ -1021,7 +964,7 @@ sim::Task<void> Mcp::handle_rma_read(const hw::Packet& p) {
     ++port->rma_errors;
     co_return;
   }
-  ++stats_.rma_reads_served;
+  recorder_.add(NicEvent::kRmaReadServed);
   // Reply: a normal-channel message back to the requester, sent through
   // the regular tx path (serialized with local sends by the tx mutex).
   SendDescriptor d;
@@ -1039,7 +982,7 @@ sim::Task<void> Mcp::handle_rma_read(const hw::Packet& p) {
 
 sim::Task<void> Mcp::send_ack(hw::NodeId dst, std::uint32_t ack,
                               sim::Time echo, std::uint8_t path, bool rnr) {
-  ++(rnr ? stats_.rnr_nacks_tx : stats_.acks_sent);
+  recorder_.add(rnr ? NicEvent::kRnrNackTx : NicEvent::kAckTx);
   const auto kind = rnr ? hw::PacketKind::kNack : hw::PacketKind::kAck;
   hw::Packet p = ctrl_packet(dst, kind, SendOp::kSend, path);
   p.ack = ack;  // cumulative: everything the pool did take stays acked
@@ -1078,7 +1021,7 @@ std::uint32_t Mcp::fc_top_up(Port& port, RxCredit& rc) {
   if (outstanding >= cap) return 0;
   const std::uint32_t grant = cap - outstanding;
   rc.limit += grant;
-  stats_.fc_credits_granted += grant;
+  recorder_.add(NicEvent::kCreditGranted, grant);
   return grant;
 }
 
@@ -1115,7 +1058,7 @@ void Mcp::note_ecn(const hw::Packet& p) {
   ++w.accepted;
   if (p.ecn) {
     ++w.marked;
-    ++stats_.cc_marks_rx;
+    recorder_.add(NicEvent::kEcnMarkRx);
   }
 }
 
@@ -1129,7 +1072,7 @@ void Mcp::attach_cc_echo(hw::Packet& p) {
     if (w.marked == 0) return;
     p.ecn_echo = 0xff;  // saturated: "congestion, extent unknown"
     w = EcnEchoWindow{};
-    ++stats_.cc_echoes_tx;
+    recorder_.add(NicEvent::kEcnEchoTx);
     return;
   }
   // QCN-style quantization: let the window fill before judging it — an
@@ -1149,7 +1092,7 @@ void Mcp::attach_cc_echo(hw::Packet& p) {
       levels, (levels * w.marked + w.accepted - 1) / w.accepted);
   p.ecn_echo = static_cast<std::uint8_t>(std::max(1u, lvl));
   w = EcnEchoWindow{};
-  ++stats_.cc_echoes_tx;
+  recorder_.add(NicEvent::kEcnEchoTx);
 }
 
 void Mcp::credit_doorbell(std::uint32_t port_no) {
@@ -1190,7 +1133,7 @@ sim::Task<void> Mcp::send_fc_update(std::uint32_t port_no, hw::NodeId dst,
   co_await cc_->pace(dst, kCtrlHeaderBytes);
   const auto it = rx_credits_.find(RxCreditKey{port_no, dst});
   if (it == rx_credits_.end()) co_return;
-  ++stats_.fc_updates_tx;
+  recorder_.add(NicEvent::kCreditUpdateTx);
   hw::Packet p =
       ctrl_packet(dst, hw::PacketKind::kCtrl, SendOp::kFcUpdate, path);
   p.credit_port = static_cast<std::uint16_t>(port_no);
@@ -1206,7 +1149,7 @@ void Mcp::fc_probe(PortId dst) {
 
 sim::Task<void> Mcp::send_fc_probe(PortId dst) {
   co_await cc_->pace(dst.node, kCtrlHeaderBytes);
-  ++stats_.fc_probes_tx;
+  recorder_.add(NicEvent::kCreditProbeTx);
   hw::Packet p =
       ctrl_packet(dst.node, hw::PacketKind::kCtrl, SendOp::kFcProbe);
   p.dst_port = dst.port;

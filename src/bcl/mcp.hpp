@@ -9,6 +9,12 @@
 // open RMA window), scatters payload into user memory by DMA, and DMAs a
 // completion event into the user-space event queue — no host kernel, no
 // interrupt (the defining property of the semi-user-level architecture).
+//
+// Every protocol event the MCP, its sessions and its collective engine
+// see is one call into the NIC's recorder (bcl/recorder.hpp), which counts
+// it over the NIC's whole life and keeps it in the flight ring when its
+// kind has a flight name; recorder().count(kind) reads it back, and
+// register_metrics exports every kind that names a series.
 #pragma once
 
 #include <cstdint>
@@ -120,42 +126,6 @@ class Mcp : private SessionOwner {
   TxSession* find_tx_session(hw::NodeId dst);
   std::size_t tx_session_count() const { return tx_sessions_.size(); }
 
-  struct Stats {
-    std::uint64_t data_packets_in = 0;
-    std::uint64_t crc_drops = 0;
-    std::uint64_t seq_drops = 0;
-    std::uint64_t no_port_drops = 0;
-    std::uint64_t acks_sent = 0;
-    std::uint64_t messages_sent = 0;
-    std::uint64_t rma_reads_served = 0;
-    std::uint64_t stray_acks = 0;      // acks with no matching tx session
-    std::uint64_t peer_failures = 0;   // sessions declared unreachable
-    // Flow control.
-    std::uint64_t rnr_nacks_tx = 0;    // pool full: NACKed instead of dropped
-    std::uint64_t rnr_nacks_rx = 0;
-    std::uint64_t fc_updates_tx = 0;   // standalone credit-update packets
-    std::uint64_t fc_updates_rx = 0;
-    std::uint64_t fc_probes_tx = 0;
-    std::uint64_t fc_probes_rx = 0;
-    std::uint64_t fc_credits_granted = 0;  // cumulative limit advance
-    // Congestion control.
-    std::uint64_t cc_marks_rx = 0;    // ECN-marked packets accepted here
-    std::uint64_t cc_echoes_tx = 0;   // echoes piggybacked on acks/grants
-    // Crash–restart recovery.
-    std::uint64_t restarts = 0;           // local MCP reboots completed
-    std::uint64_t recovered_peers = 0;    // sessions re-established (SYN-ACK)
-    std::uint64_t peer_restarts = 0;      // higher peer incarnations seen
-    std::uint64_t stale_inc_drops = 0;    // packets fenced on incarnation
-    std::uint64_t restart_notices_tx = 0; // stale-dst notify replies sent
-    std::uint64_t syns_tx = 0;
-    std::uint64_t syns_rx = 0;
-    std::uint64_t probes_tx = 0;          // revival probes launched
-    std::uint64_t probes_rx = 0;
-    // Multipath failover.
-    std::uint64_t path_probes_tx = 0;     // quarantined-path probes launched
-    std::uint64_t path_probes_rx = 0;
-  };
-  const Stats& stats() const { return stats_; }
   // Diagnostic snapshot of the receiver-side ledgers:
   // (local port, sending node) -> (cumulative limit, cumulative delivered).
   struct RxCreditSnapshot {
@@ -171,13 +141,7 @@ class Mcp : private SessionOwner {
     }
     return out;
   }
-  // NIC-wide reliability counters over every session this NIC has run,
-  // retired ones included; tx_in_flight and unreachable_peers are gauges
-  // over the live sessions.
-  std::uint64_t retransmissions() const;
-  std::uint64_t timeouts() const;
-  std::uint64_t window_stalls() const;
-  std::uint64_t fast_retransmits() const;
+  // Gauges over the live sessions.
   std::size_t tx_in_flight() const;
   std::size_t unreachable_peers() const;
 
@@ -190,6 +154,7 @@ class Mcp : private SessionOwner {
   using DiagnosisHook = std::function<void(
       const std::string& reason, int peer, const std::string& victim)>;
   void set_diagnosis_hook(DiagnosisHook h) { diagnosis_hook_ = std::move(h); }
+  // The NIC's protocol events: lifetime counts and the flight ring.
   FlightRecorder& recorder() { return recorder_; }
   const FlightRecorder& recorder() const { return recorder_; }
   // Collective watchdog expiry: record it and fire the diagnosis hook
@@ -289,15 +254,13 @@ class Mcp : private SessionOwner {
   // every local port's send-event queue, and start the bounded revival
   // prober that can later rescind the verdict.
   sim::Task<void> announce_peer_failure(hw::NodeId dst);
-  // Registers the NIC-wide <nic>.mcp/.rel/.cc/.path/.fc metrics and the
-  // collector for the per-peer <nic>.rel.peer<d>.* series.
+  // Registers every NIC event that has a series (recorder.hpp), the
+  // NIC-wide gauges, and the collector for the per-peer <nic>.rel.peer<d>.*
+  // series.
   void register_metrics(sim::MetricRegistry& m);
-  // Sums one per-session reading over the live sessions, and with
-  // `retired` over the torn-down ones too: a NIC-wide counter must not go
-  // back when a reboot or a peer restart retires the sessions that counted.
+  // Sums one per-session reading over the live sessions.
   template <typename T>
-  std::uint64_t sum_sessions(T (TxSession::*read)() const,
-                             bool retired = false) const;
+  std::uint64_t sum_sessions(T (TxSession::*read)() const) const;
 
   // -- SessionOwner -----------------------------------------------------------
   std::uint8_t path(hw::NodeId peer) override;
@@ -412,7 +375,6 @@ class Mcp : private SessionOwner {
   // SYN-ACK without resetting an rx session that already took data.
   std::map<hw::NodeId, std::pair<std::uint32_t, std::uint64_t>> syn_seen_;
 
-  Stats stats_;
   FlightRecorder recorder_;
   DiagnosisHook diagnosis_hook_;
   std::size_t req_ring_hwm_ = 0;

@@ -44,12 +44,10 @@ PathTable::StrikeResult PathTable::strike(hw::NodeId dst) {
     const std::size_t cand = (d.current + i) % n;
     if (!d.paths[cand].quarantined) {
       d.current = static_cast<std::uint8_t>(cand);
-      ++failovers_;
       return StrikeResult::kFailedOver;
     }
   }
   d.partitioned = true;
-  ++partitions_;
   return StrikeResult::kPartitioned;
 }
 
@@ -65,7 +63,6 @@ bool PathTable::restore(hw::NodeId dst, std::uint8_t path) {
   p.last_good = eng_.now();
   d.partitioned = false;
   if (d.paths[d.current].quarantined) d.current = path;
-  ++restores_;
   return true;
 }
 

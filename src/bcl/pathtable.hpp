@@ -90,15 +90,11 @@ class PathTable {
 
   std::vector<DestSnapshot> snapshot() const;
 
-  // MCP fail-stop: SRAM contents are gone.
-  void reset() {
-    dests_.clear();
-    failovers_ = restores_ = partitions_ = 0;
-  }
+  // MCP fail-stop: SRAM contents are gone.  The lifecycle counts are the
+  // MCP's NIC events (path.failovers, .restores, .partitions), which
+  // outlive a reboot.
+  void reset() { dests_.clear(); }
 
-  std::uint64_t failovers() const { return failovers_; }
-  std::uint64_t restores() const { return restores_; }
-  std::uint64_t partitions() const { return partitions_; }
   std::uint64_t quarantined_count() const;
 
  private:
@@ -111,9 +107,6 @@ class PathTable {
   sim::Engine& eng_;
   int failover_retries_;
   std::map<hw::NodeId, Dest> dests_;
-  std::uint64_t failovers_ = 0;
-  std::uint64_t restores_ = 0;
-  std::uint64_t partitions_ = 0;
 };
 
 }  // namespace bcl

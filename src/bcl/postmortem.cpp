@@ -49,9 +49,9 @@ std::string num(double v) {
   return buf;
 }
 
-bool is_retx_kind(FlightKind k) {
-  return k == FlightKind::kRetransmit || k == FlightKind::kTimeout ||
-         k == FlightKind::kFastRetransmit;
+bool is_retx_kind(NicEvent k) {
+  return k == NicEvent::kRetransmit || k == NicEvent::kTimeout ||
+         k == NicEvent::kFastRetransmit;
 }
 
 // Diagnoses one destination's rate state (see Postmortem::CcRate).  The
@@ -181,7 +181,7 @@ std::string Postmortem::to_json() const {
     const auto& e = timeline[i];
     os << (i ? ",\n" : "\n");
     os << "    {\"t_us\": " << num(e.t.to_us()) << ", \"event\": \""
-       << to_string(e.kind) << "\", \"peer\": " << e.peer
+       << flight_name(e.kind) << "\", \"peer\": " << e.peer
        << ", \"msg_id\": " << e.msg_id << ", \"seq\": " << e.seq
        << ", \"aux\": " << e.aux << "}";
   }

@@ -35,7 +35,7 @@ sim::Task<BclErr> TxSession::send(hw::Packet p) {
   }
   if (!window_.try_acquire()) {
     ++window_stalls_;  // go-back-N window full: the MCP tx path blocks here
-    rec(FlightKind::kWindowStall, p.msg_id);
+    rec(NicEvent::kWindowStall, p.msg_id);
     co_await window_.acquire();
     // poison() releases parked senders; they must not transmit.
     if (unreachable_) co_return fail_err_;
@@ -46,7 +46,7 @@ sim::Task<BclErr> TxSession::send(hw::Packet p) {
   p.seq = next_seq_++;
   p.tx_stamp = eng_.now();
   stamp_path(p);
-  rec(FlightKind::kSend, p.msg_id, p.seq);
+  rec(NicEvent::kSend, p.msg_id, p.seq);
   if (unacked_.empty()) last_progress_ = eng_.now();
   unacked_.push_back({p, eng_.now(), false});  // retransmit copy
   arm_timer();
@@ -100,7 +100,7 @@ void TxSession::on_ack(std::uint32_t ack, sim::Time echo_stamp) {
     if (owner_ != nullptr) owner_->progress(peer_);
     if (in_recovery_ && seq_leq(recover_, ack)) in_recovery_ = false;
     window_.release(released);
-    rec(FlightKind::kAckRx, 0, ack, static_cast<std::uint64_t>(released));
+    rec(NicEvent::kAckRx, 0, ack, static_cast<std::uint64_t>(released));
     flush_notifies(ack);
   } else if (!unacked_.empty() && ack == last_ack_) {
     // Duplicate cumulative ack: the receiver is re-acking because packets
@@ -112,7 +112,7 @@ void TxSession::on_ack(std::uint32_t ack, sim::Time echo_stamp) {
         !retransmitting_ && !in_recovery_ && eng_.now() >= rnr_hold_until_) {
       dup_acks_ = 0;
       ++fast_retransmits_;
-      rec(FlightKind::kFastRetransmit, 0, ack);
+      rec(NicEvent::kFastRetransmit, 0, ack);
       eng_.spawn_daemon(retransmit_window());
     }
   }
@@ -121,7 +121,7 @@ void TxSession::on_ack(std::uint32_t ack, sim::Time echo_stamp) {
 
 void TxSession::on_rnr(std::uint32_t ack, sim::Time hold) {
   if (unreachable_) return;
-  rec(FlightKind::kRnr, 0, ack,
+  rec(NicEvent::kRnr, 0, ack,
       static_cast<std::uint64_t>(hold.to_us() > 0 ? hold.to_us() : 0));
   // The NACK still carries a cumulative ack: release the prefix the
   // receiver did take.  No RTT sample — the reply timing reflects pool
@@ -175,7 +175,7 @@ sim::Task<void> TxSession::timer() {
     if (eng_.now() < rnr_hold_until_) continue;
     if (eng_.now() - last_progress_ >= wait && !retransmitting_) {
       ++timeouts_;
-      rec(FlightKind::kTimeout, 0, 0,
+      rec(NicEvent::kTimeout, 0, 0,
           static_cast<std::uint64_t>(backoff_level_));
       // Charge the expiry to the current fabric path before it can burn
       // the retry budget: a rotation hands the fresh path a fresh
@@ -244,7 +244,7 @@ sim::Task<void> TxSession::retransmit_window() {
     // ride the new route, not the dead one the copies were born with.
     stamp_path(copy);
     ++retransmissions_;
-    rec(FlightKind::kRetransmit, copy.msg_id, s);
+    rec(NicEvent::kRetransmit, copy.msg_id, s);
     if (trace_ != nullptr) {
       trace_->msg_retransmit(flow_key(nic_.node(), copy.msg_id));
     }
@@ -331,7 +331,7 @@ void TxSession::poison(BclErr err) {
   if (unreachable_) return;
   unreachable_ = true;
   fail_err_ = err;
-  rec(FlightKind::kPeerFailed, 0, 0,
+  rec(NicEvent::kSessionPoisoned, 0, 0,
       static_cast<std::uint64_t>(unacked_.size()));
   const auto freed = static_cast<std::int64_t>(unacked_.size());
   unacked_.clear();

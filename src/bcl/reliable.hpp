@@ -95,8 +95,9 @@ class TxSession {
             SessionOwner* owner = nullptr, hw::NodeId peer = 0);
 
   // Observability taps (both optional): protocol events go into the NIC's
-  // flight recorder; retransmit episodes are attributed to the victim
-  // message's MsgRecord in the trace.
+  // recorder, which counts them NIC-wide and keeps them in its flight ring;
+  // retransmit episodes are attributed to the victim message's MsgRecord in
+  // the trace.
   void set_telemetry(FlightRecorder* rec, sim::Trace* trace) {
     recorder_ = rec;
     trace_ = trace;
@@ -161,6 +162,8 @@ class TxSession {
 
   std::size_t in_flight() const { return unacked_.size(); }
   bool peer_unreachable() const { return unreachable_; }
+  // This session's own counts (the post-mortem's session ledger and the
+  // per-peer series); the NIC-wide ones are the recorder's.
   std::uint64_t retransmissions() const { return retransmissions_; }
   std::uint64_t timeouts() const { return timeouts_; }
   std::uint64_t window_stalls() const { return window_stalls_; }
@@ -204,7 +207,7 @@ class TxSession {
   void stamp_path(hw::Packet& p) {
     if (owner_ != nullptr) p.path_id = owner_->path(peer_);
   }
-  void rec(FlightKind kind, std::uint64_t msg_id = 0, std::uint32_t seq = 0,
+  void rec(NicEvent kind, std::uint64_t msg_id = 0, std::uint32_t seq = 0,
            std::uint64_t aux = 0) {
     if (recorder_ != nullptr) {
       recorder_->record({eng_.now(), kind, peer_, msg_id, seq, aux});

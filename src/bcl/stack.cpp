@@ -111,7 +111,7 @@ BclCluster::BclCluster(const ClusterConfig& cfg)
         [this](const std::string&, const hw::Packet& p) {
           if (p.src_node >= stacks_.size()) return;
           stacks_[p.src_node]->mcp().recorder().record(
-              {eng_.now(), FlightKind::kRouteError, p.dst_node, p.msg_id,
+              {eng_.now(), NicEvent::kRouteError, p.dst_node, p.msg_id,
                p.seq, p.route_pos});
         });
   }

@@ -24,11 +24,11 @@ ClusterReport collect_report(bcl::BclCluster& cluster) {
     }
     rep.resources.push_back(usage_of(stack.node().pci().bus(), elapsed));
     rep.resources.push_back(usage_of(stack.node().nic().lanai(), elapsed));
-    const auto& st = stack.mcp().stats();
-    rep.messages_sent += st.messages_sent;
-    rep.packets_in += st.data_packets_in;
-    rep.acks_sent += st.acks_sent;
-    rep.retransmissions += stack.mcp().retransmissions();
+    const bcl::FlightRecorder& events = stack.mcp().recorder();
+    rep.messages_sent += events.count(bcl::NicEvent::kMessageSent);
+    rep.packets_in += events.count(bcl::NicEvent::kRxPacket);
+    rep.acks_sent += events.count(bcl::NicEvent::kAckTx);
+    rep.retransmissions += events.count(bcl::NicEvent::kRetransmit);
     rep.kernel_traps += stack.kernel().traps();
     rep.security_rejects += stack.driver().security_rejects();
   }

@@ -197,7 +197,8 @@ TEST(BclCore, SecurityRejectsBadTargets) {
   }(tx));
   c.engine().run();
   EXPECT_EQ(c.node(0).driver().security_rejects(), 3u);
-  EXPECT_EQ(c.node(0).mcp().stats().messages_sent, 0u);  // NIC untouched
+  // NIC untouched
+  EXPECT_EQ(c.node(0).mcp().recorder().count(bcl::NicEvent::kMessageSent), 0u);
 }
 
 TEST(BclCore, SecurityRejectsUnmappedBuffer) {
@@ -351,7 +352,8 @@ TEST(BclCore, RmaReadInterNode) {
     }
   }(reader, owner.id()));
   c.engine().run();
-  EXPECT_EQ(c.node(1).mcp().stats().rma_reads_served, 1u);
+  EXPECT_EQ(c.node(1).mcp().recorder().count(bcl::NicEvent::kRmaReadServed),
+            1u);
 }
 
 TEST(BclCore, RmaOutOfBoundsCounted) {

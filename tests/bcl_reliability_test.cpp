@@ -70,8 +70,8 @@ TEST(BclReliability, LossyLinkDeliversExactlyOnceInOrder) {
   EXPECT_EQ(order.size(), static_cast<std::size_t>(kMsgs));
   for (unsigned i = 0; i < kMsgs; ++i) EXPECT_EQ(order[i], i);
   // Some packets must actually have been corrupted and recovered.
-  EXPECT_GT(c.node(1).mcp().stats().crc_drops, 0u);
-  EXPECT_GT(c.node(0).mcp().retransmissions(), 0u);
+  EXPECT_GT(c.node(1).mcp().recorder().count(bcl::NicEvent::kCrcDrop), 0u);
+  EXPECT_GT(c.node(0).mcp().recorder().count(bcl::NicEvent::kRetransmit), 0u);
 }
 
 TEST(BclReliability, LargeMessageSurvivesCorruption) {
@@ -103,7 +103,7 @@ TEST(BclReliability, LargeMessageSurvivesCorruption) {
   }(tx, rx.id(), kLen));
   c.engine().run();
   EXPECT_TRUE(verified);
-  EXPECT_GT(c.node(0).mcp().retransmissions(), 0u);
+  EXPECT_GT(c.node(0).mcp().recorder().count(bcl::NicEvent::kRetransmit), 0u);
 }
 
 TEST(BclReliability, UnreliableModeLosesOnCorruption) {
@@ -120,10 +120,10 @@ TEST(BclReliability, UnreliableModeLosesOnCorruption) {
     }
   }(tx, rx.id()));
   c.engine().run();  // no receiver: just count deliveries at the port
-  const auto& st = c.node(1).mcp().stats();
-  EXPECT_GT(st.crc_drops, 0u);
+  const auto& st = c.node(1).mcp().recorder();
+  EXPECT_GT(st.count(bcl::NicEvent::kCrcDrop), 0u);
   EXPECT_LT(rx.port().messages_received, 50u);  // losses visible
-  EXPECT_EQ(c.node(0).mcp().retransmissions(), 0u);
+  EXPECT_EQ(c.node(0).mcp().recorder().count(bcl::NicEvent::kRetransmit), 0u);
 }
 
 TEST(BclReliability, CleanLinkNeverRetransmits) {
@@ -145,9 +145,9 @@ TEST(BclReliability, CleanLinkNeverRetransmits) {
     }
   }(rx));
   c.engine().run();
-  EXPECT_EQ(c.node(0).mcp().retransmissions(), 0u);
-  EXPECT_EQ(c.node(1).mcp().stats().seq_drops, 0u);
-  EXPECT_GT(c.node(1).mcp().stats().acks_sent, 0u);
+  EXPECT_EQ(c.node(0).mcp().recorder().count(bcl::NicEvent::kRetransmit), 0u);
+  EXPECT_EQ(c.node(1).mcp().recorder().count(bcl::NicEvent::kSeqDrop), 0u);
+  EXPECT_GT(c.node(1).mcp().recorder().count(bcl::NicEvent::kAckTx), 0u);
 }
 
 TEST(BclReliability, WindowBackpressureStallsNotLoses) {
@@ -610,7 +610,7 @@ TEST(BclReliability, SequenceWraparoundSurvivesCorruption) {
   c.engine().run();
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kMsgs));
   for (unsigned i = 0; i < kMsgs; ++i) EXPECT_EQ(order[i], i);
-  EXPECT_GT(c.node(0).mcp().retransmissions(), 0u);
+  EXPECT_GT(c.node(0).mcp().recorder().count(bcl::NicEvent::kRetransmit), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -631,9 +631,9 @@ TEST(BclReliability, StrayAckDoesNotCreateASession) {
     co_await eng.sleep(Time::us(50));
   }(c.engine()));
   c.engine().run();
-  EXPECT_EQ(c.node(0).mcp().stats().stray_acks, 1u);
+  EXPECT_EQ(c.node(0).mcp().recorder().count(bcl::NicEvent::kStrayAck), 1u);
   EXPECT_EQ(c.node(0).mcp().tx_session_count(), 0u);
-  EXPECT_EQ(c.node(0).mcp().retransmissions(), 0u);
+  EXPECT_EQ(c.node(0).mcp().recorder().count(bcl::NicEvent::kRetransmit), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -672,7 +672,7 @@ TEST(BclReliability, FailStoppedPeerSurfacesUnreachable) {
   }(tx, rx.id(), failures));
   c.engine().run();
   EXPECT_EQ(failures, 2);
-  EXPECT_EQ(c.node(0).mcp().stats().peer_failures, 1u);
+  EXPECT_EQ(c.node(0).mcp().recorder().count(bcl::NicEvent::kPeerFailure), 1u);
   EXPECT_EQ(c.node(0).mcp().unreachable_peers(), 1u);
   EXPECT_EQ(rx.port().messages_received, 0u);
 }

@@ -468,18 +468,20 @@ void check_cc_propagation(bcl::BclCluster& c, int senders,
   }
   EXPECT_GT(fabric_marks, 0u) << "incast never congested the fabric";
 
-  const auto& rx_stats = c.node(rx_node).mcp().stats();
-  EXPECT_GT(rx_stats.cc_marks_rx, 0u);
-  EXPECT_GT(rx_stats.cc_echoes_tx, 0u);
+  const auto& rx_stats = c.node(rx_node).mcp().recorder();
+  EXPECT_GT(rx_stats.count(bcl::NicEvent::kEcnMarkRx), 0u);
+  EXPECT_GT(rx_stats.count(bcl::NicEvent::kEcnEchoTx), 0u);
   // Accepted-only counting: the duplicates and go-back-N replays the
   // fault plan provoked (seq_drops) arrive marked too, and none of them
   // may be tallied twice.
-  EXPECT_GT(rx_stats.seq_drops, 0u) << "fault plan never exercised dups";
-  const std::uint64_t accepted = rx_stats.data_packets_in -
-                                 rx_stats.crc_drops - rx_stats.seq_drops -
-                                 rx_stats.no_port_drops;
-  EXPECT_LE(rx_stats.cc_marks_rx, accepted);
-  EXPECT_LE(rx_stats.cc_marks_rx, fabric_marks);
+  EXPECT_GT(rx_stats.count(bcl::NicEvent::kSeqDrop), 0u)
+      << "fault plan never exercised dups";
+  const std::uint64_t accepted = rx_stats.count(bcl::NicEvent::kRxPacket) -
+                                 rx_stats.count(bcl::NicEvent::kCrcDrop) -
+                                 rx_stats.count(bcl::NicEvent::kSeqDrop) -
+                                 rx_stats.count(bcl::NicEvent::kNoPortDrop);
+  EXPECT_LE(rx_stats.count(bcl::NicEvent::kEcnMarkRx), accepted);
+  EXPECT_LE(rx_stats.count(bcl::NicEvent::kEcnMarkRx), fabric_marks);
 
   std::uint64_t echoes = 0, decreases = 0;
   for (int s = 0; s < senders; ++s) {
@@ -590,10 +592,10 @@ TEST(CcQuietPath, SingleLossRecoversWithoutStorm) {
 
   EXPECT_EQ(delivered, kMsgs);
   const auto& mcp = c.node(0).mcp();
-  EXPECT_EQ(mcp.fast_retransmits(), 1u);
-  EXPECT_EQ(mcp.timeouts(), 0u);
+  EXPECT_EQ(mcp.recorder().count(bcl::NicEvent::kFastRetransmit), 1u);
+  EXPECT_EQ(mcp.recorder().count(bcl::NicEvent::kTimeout), 0u);
   // One dup-ack replay covers the hole plus the few packets behind it.
-  EXPECT_LE(mcp.retransmissions(), 8u);
+  EXPECT_LE(mcp.recorder().count(bcl::NicEvent::kRetransmit), 8u);
   const auto rates = mcp.cc().snapshot();
   ASSERT_EQ(rates.size(), 1u);
   EXPECT_DOUBLE_EQ(rates[0].paced_wait_us, 0.0)

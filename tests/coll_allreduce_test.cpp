@@ -4,7 +4,8 @@
 // operation's data fragments.  These tests pin that shape (one post, one
 // trap and one completion per member), the kind race it must survive, its
 // interleaving with rooted broadcasts and reduces on the shared result
-// buffer, and a root that fail-stops before its fan-out.
+// buffer, a root that fail-stops before its fan-out, and packets that reach
+// a member before it registers the group.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -122,10 +123,12 @@ TEST_P(OneNicOperation, OnePostOneTrapOneEventPerMember) {
         ep.driver().kernel().traps() - traps_before;
   });
   for (int m = 0; m < n; ++m) {
-    const auto& stats = w.endpoint(m).mcp().coll().stats();
-    EXPECT_EQ(stats.posts, static_cast<std::uint64_t>(kRounds))
+    const auto& stats = w.endpoint(m).mcp().recorder();
+    EXPECT_EQ(stats.count(bcl::NicEvent::kCollPost),
+              static_cast<std::uint64_t>(kRounds))
         << "member " << m;
-    EXPECT_EQ(stats.completions, static_cast<std::uint64_t>(kRounds))
+    EXPECT_EQ(stats.count(bcl::NicEvent::kCollCompletion),
+              static_cast<std::uint64_t>(kRounds))
         << "member " << m;
     EXPECT_EQ(traps[static_cast<std::size_t>(m)],
               static_cast<std::uint64_t>(kRounds))
@@ -158,16 +161,19 @@ TEST(CollAllreduce, PartialDuringLocalContributionDmaStillFansOut) {
   // The race, observed: the root has taken its post and a partial has
   // arrived, but the accumulator (reserved in SRAM once the contribution
   // DMA lands) does not exist yet.
+  const auto& root_events = w.endpoint(0).mcp().recorder();
   w.engine().spawn([](sim::Engine& eng, bcl::coll::CollectiveEngine& nic,
-                      const bool& done, bool& raced) -> Task<void> {
+                      const bcl::FlightRecorder& events, const bool& done,
+                      bool& raced) -> Task<void> {
     while (!done && eng.now() < kProbeDeadline) {
-      if (nic.stats().posts == 1 && nic.stats().packets_in > 0 &&
+      if (events.count(bcl::NicEvent::kCollPost) == 1 &&
+          events.count(bcl::NicEvent::kCollRxPacket) > 0 &&
           nic.sram_bytes() == 0) {
         raced = true;
       }
       co_await eng.sleep(Time::us(1));
     }
-  }(w.engine(), root_nic, done, raced));
+  }(w.engine(), root_nic, root_events, done, raced));
   int finished = 0;
   w.run([&](World& world, int rank) -> Task<void> {
     auto& ep = world.endpoint(rank);
@@ -185,7 +191,7 @@ TEST(CollAllreduce, PartialDuringLocalContributionDmaStillFansOut) {
     if (++finished == 2) done = true;
   });
   EXPECT_TRUE(raced) << "the partial never landed mid-DMA; retune the delay";
-  EXPECT_EQ(root_nic.stats().op_timeouts, 0u);
+  EXPECT_EQ(root_events.count(bcl::NicEvent::kCollTimeout), 0u);
 }
 
 // ------------------------------------------------------- mixed sequences
@@ -285,7 +291,7 @@ TEST(CollAllreduce, RootFailStopBeforeFanOutUnblocksSurvivors) {
   bool crashed = false;
   w.engine().spawn([](sim::Engine& eng, bcl::Mcp& root,
                       std::uint64_t children, bool& crashed) -> Task<void> {
-    while (root.coll().stats().combines < 2 * children) {
+    while (root.recorder().count(bcl::NicEvent::kCollCombine) < 2 * children) {
       if (eng.now() > kProbeDeadline) co_return;
       co_await eng.sleep(Time::ns(100));
     }
@@ -313,6 +319,124 @@ TEST(CollAllreduce, RootFailStopBeforeFanOutUnblocksSurvivors) {
   for (int m = 1; m < kNodes; ++m) {
     EXPECT_EQ(second[static_cast<std::size_t>(m)], BclErr::kPeerUnreachable)
         << "member " << m;
+  }
+}
+
+// ------------------------------------------------- before registration
+
+// Member 0 of a 3-member group, the root and the parent of both leaves,
+// registers 400 us after the others.  What the leaves send it meanwhile
+// (two partial fragments each for an allreduce, one empty partial each for
+// a barrier, a broadcast's two fragments from member 1) reaches a NIC with
+// no group to take it: the engine parks it and replays it on
+// registration, and every member completes with the exact result.
+enum class EarlyOp { kAllreduce, kBarrier, kBcast };
+struct Early {
+  const char* name;
+  bool mesh;
+  EarlyOp op;
+  std::uint64_t parked;  // collective packets at member 0 before it registers
+};
+void PrintTo(const Early& e, std::ostream* os) { *os << e.name; }
+
+constexpr std::uint16_t kEarlyGid = 29;
+constexpr std::size_t kEarlyCount = 1000;  // two MTU fragments
+constexpr Time kLateRegistration = Time::us(400);
+
+class EarlyPackets : public ::testing::TestWithParam<Early> {};
+
+TEST_P(EarlyPackets, ParkedUntilRegistrationThenReplayed) {
+  const Early e = GetParam();
+  World w{world_cfg(3, e.mesh), 3};
+  const auto members = members_of(w, {0, 1, 2});
+  int finished = 0;
+  w.run([&](World& world, int rank) -> Task<void> {
+    auto& ep = world.endpoint(rank);
+    if (rank == 0) {
+      co_await world.engine().sleep(kLateRegistration);
+      EXPECT_EQ(ep.mcp().coll().group_count(), 0u);
+      EXPECT_EQ(ep.mcp().recorder().count(bcl::NicEvent::kCollRxPacket),
+                e.parked);
+    }
+    auto port = co_await CollPort::create(ep, kEarlyGid, members,
+                                          kEarlyCount * sizeof(double));
+    EXPECT_TRUE(port.ok());
+    if (!port.ok()) co_return;
+    auto src = ep.process().alloc(kEarlyCount * sizeof(double));
+    auto dst = ep.process().alloc(kEarlyCount * sizeof(double));
+    switch (e.op) {
+      case EarlyOp::kAllreduce:
+        co_await checked_allreduce(*port.value, world.mpi(rank), src, dst,
+                                   kEarlyCount, rank, 3, 0);
+        break;
+      case EarlyOp::kBarrier:
+        EXPECT_EQ(co_await port.value->barrier(), BclErr::kOk);
+        break;
+      case EarlyOp::kBcast: {
+        const std::size_t len = kEarlyCount * sizeof(double);
+        if (rank == 1) ep.process().fill_pattern(dst, 41);
+        EXPECT_EQ(co_await port.value->bcast(dst, len, 1), BclErr::kOk);
+        EXPECT_TRUE(ep.process().check_pattern(dst, 41)) << "member " << rank;
+        break;
+      }
+    }
+    ++finished;
+  });
+  EXPECT_EQ(finished, 3);
+  for (int node = 0; node < 3; ++node) {
+    EXPECT_EQ(w.endpoint(node).mcp().coll().pending_ops(), 0u)
+        << "node " << node;
+    EXPECT_EQ(
+        w.endpoint(node).mcp().recorder().count(bcl::NicEvent::kCollDrop), 0u)
+        << "node " << node;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fabrics, EarlyPackets,
+    ::testing::Values(Early{"MyrinetAllreduce", false, EarlyOp::kAllreduce, 4},
+                      Early{"MyrinetBarrier", false, EarlyOp::kBarrier, 2},
+                      Early{"MyrinetBcast", false, EarlyOp::kBcast, 2},
+                      Early{"MeshAllreduce", true, EarlyOp::kAllreduce, 4},
+                      Early{"MeshBarrier", true, EarlyOp::kBarrier, 2},
+                      Early{"MeshBcast", true, EarlyOp::kBcast, 2}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// With room to park only two packets per group, two of the four allreduce
+// partials are dropped before member 0 registers.  The operation can never
+// combine, so the watchdog fails the group and every member returns
+// kPeerUnreachable about one watchdog period in, instead of hanging.
+TEST(CollPreRegistration, ParkingOverflowFailsTheGroupInsteadOfHanging) {
+  WorldConfig cfg = world_cfg(3, false);
+  cfg.cluster.cost.coll_park_per_group = 2;
+  cfg.cluster.cost.coll_op_timeout = Time::ms(2);
+  World w{cfg, 3};
+  const auto members = members_of(w, {0, 1, 2});
+  std::vector<BclErr> errs(3, BclErr::kOk);
+  std::vector<Time> returned(3, Time::zero());
+  w.run([&](World& world, int rank) -> Task<void> {
+    auto& ep = world.endpoint(rank);
+    if (rank == 0) co_await world.engine().sleep(kLateRegistration);
+    auto port = co_await CollPort::create(ep, kEarlyGid, members,
+                                          kEarlyCount * sizeof(double));
+    EXPECT_TRUE(port.ok());
+    if (!port.ok()) co_return;
+    auto src = ep.process().alloc(kEarlyCount * sizeof(double));
+    auto dst = ep.process().alloc(kEarlyCount * sizeof(double));
+    world.mpi(rank).write_doubles(
+        src, std::vector<double>(kEarlyCount, rank + 1.0));
+    const auto r = static_cast<std::size_t>(rank);
+    errs[r] = co_await port.value->allreduce(src, dst, kEarlyCount,
+                                             CollOp::kSum);
+    returned[r] = world.engine().now();
+  });
+  EXPECT_EQ(w.endpoint(0).mcp().recorder().count(bcl::NicEvent::kCollDrop),
+            2u);
+  for (int m = 0; m < 3; ++m) {
+    const auto r = static_cast<std::size_t>(m);
+    EXPECT_EQ(errs[r], BclErr::kPeerUnreachable) << "member " << m;
+    EXPECT_GE(returned[r], Time::ms(2)) << "member " << m;
+    EXPECT_LT(returned[r], Time::us(2500)) << "member " << m;
   }
 }
 

@@ -97,15 +97,17 @@ TEST_P(BarrierShape, OnePostOneTrapOneEventNoCombines) {
         << "round " << round;
   }
   for (int m = 0; m < n; ++m) {
-    const auto& stats = w.endpoint(m).mcp().coll().stats();
-    EXPECT_EQ(stats.posts, static_cast<std::uint64_t>(kRounds))
+    const auto& stats = w.endpoint(m).mcp().recorder();
+    EXPECT_EQ(stats.count(bcl::NicEvent::kCollPost),
+              static_cast<std::uint64_t>(kRounds))
         << "member " << m;
-    EXPECT_EQ(stats.completions, static_cast<std::uint64_t>(kRounds))
+    EXPECT_EQ(stats.count(bcl::NicEvent::kCollCompletion),
+              static_cast<std::uint64_t>(kRounds))
         << "member " << m;
     EXPECT_EQ(traps[static_cast<std::size_t>(m)],
               static_cast<std::uint64_t>(kRounds))
         << "member " << m;
-    EXPECT_EQ(stats.combines, 0u) << "member " << m;
+    EXPECT_EQ(stats.count(bcl::NicEvent::kCollCombine), 0u) << "member " << m;
     EXPECT_EQ(w.endpoint(m).mcp().coll().pending_ops(), 0u) << "member " << m;
   }
 }
@@ -175,7 +177,10 @@ TEST(CollBarrier, InterleavesWithEveryOperationFromEveryRoot) {
   for (int node = 0; node < kNodes; ++node) {
     const auto& nic = w.endpoint(node).mcp().coll();
     EXPECT_EQ(nic.pending_ops(), 0u) << "node " << node;
-    EXPECT_EQ(nic.stats().op_timeouts, 0u) << "node " << node;
+    EXPECT_EQ(w.endpoint(node).mcp().recorder().count(
+                  bcl::NicEvent::kCollTimeout),
+              0u)
+        << "node " << node;
   }
 }
 
@@ -243,7 +248,9 @@ TEST(CollBarrier, PostWithPayloadIsRejected) {
     EXPECT_EQ(co_await port.value->barrier(), BclErr::kOk);
   });
   for (int m = 0; m < 2; ++m) {
-    EXPECT_EQ(w.endpoint(m).mcp().coll().stats().posts, 1u) << "member " << m;
+    EXPECT_EQ(w.endpoint(m).mcp().recorder().count(bcl::NicEvent::kCollPost),
+              1u)
+        << "member " << m;
   }
 }
 
@@ -317,9 +324,9 @@ TEST(CollOpNaming, PacketNamingAnotherOperationFailsTheGroup) {
         << "member " << m;
     EXPECT_LT(at[static_cast<std::size_t>(m)], Time::us(200))
         << "member " << m;
-    const auto& stats = w.endpoint(m).mcp().coll().stats();
-    drops += stats.drops;
-    EXPECT_EQ(stats.op_timeouts, 0u) << "member " << m;
+    const auto& stats = w.endpoint(m).mcp().recorder();
+    drops += stats.count(bcl::NicEvent::kCollDrop);
+    EXPECT_EQ(stats.count(bcl::NicEvent::kCollTimeout), 0u) << "member " << m;
   }
   EXPECT_GE(drops, 1u);
 }
@@ -350,9 +357,9 @@ TEST(CollOpNaming, PostNamingAnotherOperationFailsTheGroup) {
   });
   EXPECT_EQ(err[0], BclErr::kPeerUnreachable);
   EXPECT_EQ(err[1], BclErr::kPeerUnreachable);
-  const auto& root = w.endpoint(0).mcp().coll().stats();
-  EXPECT_EQ(root.drops, 1u);
-  EXPECT_EQ(root.op_timeouts, 0u);
+  const auto& root = w.endpoint(0).mcp().recorder();
+  EXPECT_EQ(root.count(bcl::NicEvent::kCollDrop), 1u);
+  EXPECT_EQ(root.count(bcl::NicEvent::kCollTimeout), 0u);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 namespace {
 
 using bcl::BclErr;
+using bcl::NicEvent;
 using bcl::coll::CollOp;
 using bcl::coll::CollPort;
 using cluster::World;
@@ -116,7 +117,9 @@ Task<std::optional<BclErr>> bcast_from_0(World& world, CollPort& port,
 // one's watchdog fails the group.
 TEST(CollCrashMidSuspension, BcastRootBetweenFragmentDmas) {
   Battery b;
-  b.crash_when(0, [&b] { return b.coll(0).stats().posts > 0; }, Time::us(60));
+  b.crash_when(
+      0, [&b] { return b.mcp(0).recorder().count(NicEvent::kCollPost) > 0; },
+      Time::us(60));
   b.run(bcast_from_0);
   b.expect_drained(0, BclErr::kPeerRestarted);
   for (int m = 1; m < kNodes; ++m) {
@@ -128,7 +131,9 @@ TEST(CollCrashMidSuspension, BcastRootBetweenFragmentDmas) {
 // 2. An allreduce member dies while its contribution DMAs into SRAM.
 TEST(CollCrashMidSuspension, AllreduceMemberDuringContributionDma) {
   Battery b;
-  b.crash_when(1, [&b] { return b.coll(1).stats().posts > 0; }, Time::us(4));
+  b.crash_when(
+      1, [&b] { return b.mcp(1).recorder().count(NicEvent::kCollPost) > 0; },
+      Time::us(4));
   b.run([](World& world, CollPort& port,
            int m) -> Task<std::optional<BclErr>> {
     auto& proc = world.endpoint(m).process();
@@ -144,8 +149,10 @@ TEST(CollCrashMidSuspension, AllreduceMemberDuringContributionDma) {
 // result buffer.
 TEST(CollCrashMidSuspension, BcastReceiverDuringScatterDma) {
   Battery b;
-  b.crash_when(1, [&b] { return b.coll(1).stats().packets_in > 0; },
-               Time::us(2));
+  b.crash_when(
+      1,
+      [&b] { return b.mcp(1).recorder().count(NicEvent::kCollRxPacket) > 0; },
+      Time::us(2));
   b.run(bcast_from_0);
   b.expect_drained(1, BclErr::kPeerRestarted);
 }
@@ -155,8 +162,10 @@ TEST(CollCrashMidSuspension, BcastReceiverDuringScatterDma) {
 // so that partial combines at once instead of waiting in the stash.
 TEST(CollCrashMidSuspension, ReduceRootDuringCombine) {
   Battery b;
-  b.crash_when(0, [&b] { return b.coll(0).stats().packets_in > 0; },
-               Time::us(2));
+  b.crash_when(
+      0,
+      [&b] { return b.mcp(0).recorder().count(NicEvent::kCollRxPacket) > 0; },
+      Time::us(2));
   b.run([&b](World& world, CollPort& port,
              int m) -> Task<std::optional<BclErr>> {
     auto& proc = world.endpoint(m).process();

@@ -88,15 +88,16 @@ TEST(FaultInjection, NicCollectivesCorrectUnderCombinedFaults) {
 
   // The offload path was really exercised, the faults really happened, and
   // the reliability layer really recovered them.
-  const auto& coll = w.cluster().node(0).mcp().coll().stats();
-  EXPECT_GT(coll.posts, 0u);
-  EXPECT_EQ(coll.groups_failed, 0u);
-  EXPECT_EQ(coll.op_timeouts, 0u);
+  const auto& coll = w.cluster().node(0).mcp().recorder();
+  EXPECT_GT(coll.count(bcl::NicEvent::kCollPost), 0u);
+  EXPECT_EQ(coll.count(bcl::NicEvent::kGroupFailed), 0u);
+  EXPECT_EQ(coll.count(bcl::NicEvent::kCollTimeout), 0u);
   const auto& link = myrinet(w).host_uplink(0);
   EXPECT_GT(link.dropped() + link.reordered(), 0u);
   std::uint64_t retrans = 0;
   for (hw::NodeId nid = 0; nid < 8; ++nid) {
-    retrans += w.cluster().node(nid).mcp().retransmissions();
+    retrans += w.cluster().node(nid).mcp().recorder().count(
+        bcl::NicEvent::kRetransmit);
     EXPECT_EQ(w.cluster().node(nid).mcp().unreachable_peers(), 0u);
   }
   EXPECT_GT(retrans, 0u);
@@ -152,10 +153,13 @@ TEST(FaultInjection, MiniMpiSoakUnderCombinedFaults) {
 
   std::uint64_t retrans = 0;
   for (hw::NodeId nid = 0; nid < 4; ++nid) {
-    retrans += w.cluster().node(nid).mcp().retransmissions();
+    retrans += w.cluster().node(nid).mcp().recorder().count(
+        bcl::NicEvent::kRetransmit);
   }
   EXPECT_GT(retrans, 0u);
-  EXPECT_GT(w.cluster().node(1).mcp().stats().messages_sent, 0u);
+  EXPECT_GT(
+      w.cluster().node(1).mcp().recorder().count(bcl::NicEvent::kMessageSent),
+      0u);
 }
 
 // A peer that fail-stops mid-run must surface as PeerUnreachableError at
@@ -218,7 +222,8 @@ TEST(FaultInjection, FailStoppedPeerUnblocksSurvivors) {
   EXPECT_EQ(fast_failed, 7);
   std::uint64_t groups_failed = 0;
   for (hw::NodeId nid = 0; nid < 7; ++nid) {
-    groups_failed += w.cluster().node(nid).mcp().coll().stats().groups_failed;
+    groups_failed += w.cluster().node(nid).mcp().recorder().count(
+        bcl::NicEvent::kGroupFailed);
   }
   EXPECT_GT(groups_failed, 0u);
 }
@@ -303,13 +308,16 @@ TEST(FaultInjection, IncastSlowReceiverLossyLinkLosesNothing) {
   // the retry budget; only real silence may exhaust it).
   for (int s = 0; s < kSenders; ++s) {
     const auto nid = static_cast<hw::NodeId>(s);
-    EXPECT_EQ(c.node(nid).mcp().stats().peer_failures, 0u) << "sender " << s;
+    EXPECT_EQ(c.node(nid).mcp().recorder().count(bcl::NicEvent::kPeerFailure),
+              0u)
+        << "sender " << s;
     EXPECT_EQ(c.node(nid).mcp().unreachable_peers(), 0u) << "sender " << s;
   }
   // The overload was real (pushback happened) and recovery was loss-driven
   // retransmission, not silent drops.
-  EXPECT_GE(c.node(rx_node).mcp().stats().rnr_nacks_tx +
-                c.node(rx_node).mcp().stats().fc_updates_tx,
+  const auto& rx_events = c.node(rx_node).mcp().recorder();
+  EXPECT_GE(rx_events.count(bcl::NicEvent::kRnrNackTx) +
+                rx_events.count(bcl::NicEvent::kCreditUpdateTx),
             1u);
   // Bounded completion: 240 x 512B through one receiver draining at 5 us
   // per message is ~2 ms of pure drain; allow generous headroom for RNR

@@ -77,7 +77,8 @@ TEST(FlowControl, CreditsConsumeAndReplenish) {
   EXPECT_EQ(flow.credits_consumed(), static_cast<std::uint64_t>(kMsgs));
   EXPECT_GE(flow.grants_rx(), 1u);
   // Receiver handed out more allowance than the initial grant.
-  EXPECT_GE(c.node(1).mcp().stats().fc_credits_granted, 1u);
+  EXPECT_GE(c.node(1).mcp().recorder().count(bcl::NicEvent::kCreditGranted),
+            1u);
   EXPECT_EQ(c.node(0).driver().leaked_pages(), 0u);
 }
 
@@ -199,15 +200,15 @@ TEST(FlowControl, RnrSlowReceiverNotMisdiagnosed) {
   EXPECT_EQ(rx.port().sys_drops, 0u);
   // The overload was real: the receiver had to push back at least once
   // (8 credits granted against 4 slots guarantees an overcommit window).
-  EXPECT_GE(c.node(2).mcp().stats().rnr_nacks_tx, 1u);
+  EXPECT_GE(c.node(2).mcp().recorder().count(bcl::NicEvent::kRnrNackTx), 1u);
   EXPECT_GE(rx.port().rnr_events, 1u);
-  EXPECT_GE(c.node(0).mcp().stats().rnr_nacks_rx +
-                c.node(1).mcp().stats().rnr_nacks_rx,
+  EXPECT_GE(c.node(0).mcp().recorder().count(bcl::NicEvent::kRnrNackRx) +
+                c.node(1).mcp().recorder().count(bcl::NicEvent::kRnrNackRx),
             1u);
   // ...and was never misread as peer death, despite max_retries = 4.
   for (int n : {0, 1}) {
-    EXPECT_EQ(c.node(static_cast<std::uint32_t>(n)).mcp().stats()
-                  .peer_failures,
+    EXPECT_EQ(c.node(static_cast<std::uint32_t>(n)).mcp().recorder().count(
+                  bcl::NicEvent::kPeerFailure),
               0u)
         << "sender " << n;
     EXPECT_EQ(c.node(static_cast<std::uint32_t>(n)).mcp().unreachable_peers(),
@@ -322,7 +323,7 @@ TEST(FlowControl, PeerFailureSurfacesAsCompletion) {
   }(tx, rx.id(), checked));
   c.engine().run();
   EXPECT_TRUE(checked);
-  EXPECT_EQ(c.node(0).mcp().stats().peer_failures, 1u);
+  EXPECT_EQ(c.node(0).mcp().recorder().count(bcl::NicEvent::kPeerFailure), 1u);
   EXPECT_EQ(c.node(0).driver().leaked_pages(), 0u);
 }
 

@@ -1,7 +1,8 @@
-// The NIC-wide reliability counters (<nic>.mcp.retransmissions, timeouts,
-// window_stalls and <nic>.rel.fast_retransmits) count over every session
-// the NIC has run.  A reboot retires the sessions that did the counting,
-// and the counters must not go back to zero with them.
+// The NIC-wide counters are the recorder's event counts, over the NIC's
+// whole life.  A reboot retires the sessions that counted retransmissions,
+// timeouts, window stalls and fast retransmits, and empties the path table
+// that counted failovers and restores; none of those counters may go back
+// with them.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -56,10 +57,12 @@ TEST(McpCounters, ReliabilityCountersSurviveReboot) {
   const auto exported = [&c, &nic](const std::string& name) {
     return c.metrics().counter(nic + name).value();
   };
-  const std::uint64_t retx = mcp.retransmissions();
-  const std::uint64_t timeouts = mcp.timeouts();
-  const std::uint64_t stalls = mcp.window_stalls();
-  const std::uint64_t fast = mcp.fast_retransmits();
+  const std::uint64_t retx = mcp.recorder().count(bcl::NicEvent::kRetransmit);
+  const std::uint64_t timeouts = mcp.recorder().count(bcl::NicEvent::kTimeout);
+  const std::uint64_t stalls =
+      mcp.recorder().count(bcl::NicEvent::kWindowStall);
+  const std::uint64_t fast =
+      mcp.recorder().count(bcl::NicEvent::kFastRetransmit);
   ASSERT_GT(retx, 0u);  // the fault window really bit
   ASSERT_GT(timeouts, 0u);
 
@@ -70,10 +73,10 @@ TEST(McpCounters, ReliabilityCountersSurviveReboot) {
   c.engine().run();
 
   EXPECT_FALSE(mcp.crashed());
-  EXPECT_EQ(mcp.retransmissions(), retx);
-  EXPECT_EQ(mcp.timeouts(), timeouts);
-  EXPECT_EQ(mcp.window_stalls(), stalls);
-  EXPECT_EQ(mcp.fast_retransmits(), fast);
+  EXPECT_EQ(mcp.recorder().count(bcl::NicEvent::kRetransmit), retx);
+  EXPECT_EQ(mcp.recorder().count(bcl::NicEvent::kTimeout), timeouts);
+  EXPECT_EQ(mcp.recorder().count(bcl::NicEvent::kWindowStall), stalls);
+  EXPECT_EQ(mcp.recorder().count(bcl::NicEvent::kFastRetransmit), fast);
   EXPECT_EQ(exported(".mcp.retransmissions"), retx);
   EXPECT_EQ(exported(".mcp.timeouts"), timeouts);
   EXPECT_EQ(exported(".mcp.window_stalls"), stalls);
@@ -81,6 +84,82 @@ TEST(McpCounters, ReliabilityCountersSurviveReboot) {
   // The gauges describe the live sessions only, and there are none.
   EXPECT_EQ(mcp.tx_in_flight(), 0u);
   EXPECT_EQ(mcp.unreachable_peers(), 0u);
+}
+
+// 16-node leaf/spine: node 0 streams to node 12 over spine 0, which dies
+// after 10 deliveries and revives 2 ms later.  Node 0 fails over once, and
+// one answered probe restores the revived path.  Node 0 then reboots,
+// which empties its path table; the path counters keep their counts.
+TEST(McpCounters, PathCountersSurviveReboot) {
+  constexpr int kMsgs = 40;
+  constexpr std::size_t kBytes = 256;
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 16;
+  cfg.node.mem_bytes = 8u << 20;
+  cfg.cost.rto = Time::us(80);
+  cfg.cost.e2e_completion = true;
+  bcl::BclCluster c{cfg};
+  auto& fab = dynamic_cast<hw::MyrinetFabric&>(c.fabric());
+  const std::size_t spine = fab.spine_switch_index(0);
+  auto& tx = c.open_endpoint(0);
+  auto& rx = c.open_endpoint(12);
+  c.engine().spawn_daemon([](bcl::BclCluster& c, bcl::Endpoint& rx,
+                             hw::MyrinetFabric& fab,
+                             std::size_t spine) -> Task<void> {
+    for (int delivered = 1;; ++delivered) {
+      bcl::RecvEvent ev = co_await rx.wait_recv();
+      (void)co_await rx.copy_out_system(ev);
+      if (delivered != 10) continue;
+      fab.fail_switch(spine);
+      c.engine().spawn([](sim::Engine& eng, hw::MyrinetFabric& fab,
+                          std::size_t spine) -> Task<void> {
+        co_await eng.sleep(Time::ms(2));
+        fab.revive_switch(spine);
+      }(c.engine(), fab, spine));
+    }
+  }(c, rx, fab, spine));
+  c.engine().spawn([](bcl::Endpoint& tx, bcl::PortId dst) -> Task<void> {
+    auto buf = tx.process().alloc(kBytes);
+    for (int i = 0; i < kMsgs; ++i) {
+      auto r = co_await tx.send_system(dst, buf, kBytes);
+      EXPECT_EQ(r.err, bcl::BclErr::kOk);
+      if (r.err != bcl::BclErr::kOk) continue;
+      for (;;) {
+        bcl::SendEvent ev = co_await tx.wait_send();
+        if (ev.msg_id != r.value) continue;
+        EXPECT_EQ(ev.err, bcl::BclErr::kOk) << "msg " << i;
+        break;
+      }
+    }
+  }(tx, rx.id()));
+  c.engine().run();
+
+  auto& mcp = c.node(0).mcp();
+  const auto& events = mcp.recorder();
+  const std::string nic = c.node(0).node().nic().name();
+  const auto exported = [&c, &nic](const std::string& name) {
+    return c.metrics().counter(nic + name).value();
+  };
+  ASSERT_EQ(events.count(bcl::NicEvent::kPathFailover), 1u);
+  ASSERT_EQ(events.count(bcl::NicEvent::kPathRestore), 1u);
+  ASSERT_EQ(events.count(bcl::NicEvent::kPathProbeTx), 4u);
+
+  mcp.crash();
+  c.engine().spawn([](bcl::Driver& driver) -> Task<void> {
+    co_await driver.reset_nic();
+  }(c.node(0).driver()));
+  c.engine().run();
+
+  EXPECT_FALSE(mcp.crashed());
+  EXPECT_FALSE(mcp.path_table().tracked(12));  // the table itself is empty
+  EXPECT_EQ(events.count(bcl::NicEvent::kPathFailover), 1u);
+  EXPECT_EQ(events.count(bcl::NicEvent::kPathRestore), 1u);
+  EXPECT_EQ(events.count(bcl::NicEvent::kPathPartition), 0u);
+  EXPECT_EQ(events.count(bcl::NicEvent::kPathProbeTx), 4u);
+  EXPECT_EQ(exported(".path.failovers"), 1u);
+  EXPECT_EQ(exported(".path.restores"), 1u);
+  EXPECT_EQ(exported(".path.partitions"), 0u);
+  EXPECT_EQ(exported(".path.probes_tx"), 4u);
 }
 
 }  // namespace

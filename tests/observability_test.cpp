@@ -4,7 +4,8 @@
 //  * LatencyBreakdown stage sums reproduce the measured end-to-end latency.
 //  * Go-back-N retransmissions are attributed to the message they hit.
 //  * Collective fan-out trees link per-member records parent -> child.
-//  * The per-NIC flight recorder ring wraps, keeping the newest events.
+//  * The per-NIC flight recorder ring wraps, keeping the newest events; the
+//    recorder counts every NIC event, ring or no ring.
 //  * A forced fail-stop produces a post-mortem naming the faulted peer's
 //    links; a collective watchdog expiry on the mesh names mesh links.
 //  * Per-peer session series come from one collector per NIC and read the
@@ -194,7 +195,7 @@ TEST(Breakdown, RetransmitsAttributedToMessage) {
   }(rx));
   c.engine().run();
 
-  ASSERT_GT(c.node(0).mcp().retransmissions(), 0u);
+  ASSERT_GT(c.node(0).mcp().recorder().count(bcl::NicEvent::kRetransmit), 0u);
   std::uint32_t attributed = 0;
   for (const auto& [key, rec] : c.trace().msg_records()) {
     attributed += rec.retransmits;
@@ -204,8 +205,8 @@ TEST(Breakdown, RetransmitsAttributedToMessage) {
   const auto timeline = c.node(0).mcp().recorder().snapshot();
   const bool storm = std::any_of(
       timeline.begin(), timeline.end(), [](const bcl::FlightEvent& e) {
-        return e.kind == bcl::FlightKind::kRetransmit ||
-               e.kind == bcl::FlightKind::kTimeout;
+        return e.kind == bcl::NicEvent::kRetransmit ||
+               e.kind == bcl::NicEvent::kTimeout;
       });
   EXPECT_TRUE(storm);
   // Per-link retransmit heat shows on the faulted uplink.
@@ -257,7 +258,7 @@ TEST(CollectiveTrace, BcastRecordsFormParentChildTree) {
 TEST(FlightRecorderRing, WrapKeepsNewestEvents) {
   bcl::FlightRecorder r{4};
   for (int i = 0; i < 10; ++i) {
-    r.record({Time::us(i), bcl::FlightKind::kSend, 0,
+    r.record({Time::us(i), bcl::NicEvent::kSend, 0,
               static_cast<std::uint64_t>(i), 0, 0});
   }
   EXPECT_EQ(r.capacity(), 4u);
@@ -269,10 +270,38 @@ TEST(FlightRecorderRing, WrapKeepsNewestEvents) {
     EXPECT_EQ(snap[static_cast<std::size_t>(i)].msg_id,
               static_cast<std::uint64_t>(6 + i));  // oldest-first: 6,7,8,9
   }
-  // Depth 0 disables recording entirely.
+  // Depth 0 keeps nothing in the ring.
   bcl::FlightRecorder off{0};
-  off.record({Time::zero(), bcl::FlightKind::kSend, 0, 0, 0, 0});
+  off.record({Time::zero(), bcl::NicEvent::kSend, 0, 0, 0, 0});
   EXPECT_EQ(off.size(), 0u);
+}
+
+// The recorder counts every event, ring or no ring; the ring keeps only the
+// kinds with a flight name, and total() counts ring entries alone.
+TEST(FlightRecorderRing, CountsEveryEventKeepsOnlyFlightKinds) {
+  bcl::FlightRecorder r{8};
+  r.record({Time::us(1), bcl::NicEvent::kRetransmit, 2, 5, 9, 0});
+  r.record({Time::us(2), bcl::NicEvent::kRxPacket, 0, 0, 0, 0});
+  r.add(bcl::NicEvent::kGroupFailed);
+  r.add(bcl::NicEvent::kCreditGranted, 7);
+  EXPECT_EQ(r.count(bcl::NicEvent::kRetransmit), 1u);
+  EXPECT_EQ(r.count(bcl::NicEvent::kRxPacket), 1u);
+  EXPECT_EQ(r.count(bcl::NicEvent::kGroupFailed), 1u);
+  EXPECT_EQ(r.count(bcl::NicEvent::kCreditGranted), 7u);
+  EXPECT_EQ(r.count(bcl::NicEvent::kTimeout), 0u);
+  EXPECT_EQ(r.total(), 1u);
+  const auto snap = r.snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_EQ(snap[0].kind, bcl::NicEvent::kRetransmit);
+  EXPECT_STREQ(bcl::flight_name(snap[0].kind), "retransmit");
+  EXPECT_STREQ(bcl::series_name(bcl::NicEvent::kRetransmit),
+               "mcp.retransmissions");
+  EXPECT_EQ(bcl::flight_name(bcl::NicEvent::kRxPacket), nullptr);
+  // Depth 0 keeps nothing, but still counts.
+  bcl::FlightRecorder off{0};
+  off.record({Time::zero(), bcl::NicEvent::kSend, 0, 0, 0, 0});
+  EXPECT_EQ(off.count(bcl::NicEvent::kSend), 1u);
+  EXPECT_EQ(off.total(), 0u);
 }
 
 // Rank 7 fail-stops mid-run; the survivors' retry budgets expire and the
@@ -369,8 +398,8 @@ TEST(Postmortem, CollectiveTimeoutOnMeshNamesMeshLinks) {
   }
   const bool coll_event_kept = std::any_of(
       pm->timeline.begin(), pm->timeline.end(), [](const bcl::FlightEvent& e) {
-        return e.kind == bcl::FlightKind::kCollPost ||
-               e.kind == bcl::FlightKind::kCollTimeout;
+        return e.kind == bcl::NicEvent::kCollStart ||
+               e.kind == bcl::NicEvent::kCollTimeout;
       });
   EXPECT_TRUE(coll_event_kept);
 }

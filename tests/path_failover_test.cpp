@@ -9,7 +9,7 @@
 // their answering updates riding the failed-over path; all spines dead
 // yielding the distinct "partitioned" verdict with a full per-path strike
 // table in the postmortem; and the malformed-route flight-recorder hook's
-// rate limit.
+// rate limit and its wiring to the sender's recorder.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -35,7 +35,7 @@ hw::MyrinetFabric& myrinet(bcl::BclCluster& c) {
   return dynamic_cast<hw::MyrinetFabric&>(c.fabric());
 }
 
-std::uint64_t count_kind(const bcl::Mcp& m, bcl::FlightKind k) {
+std::uint64_t count_kind(const bcl::Mcp& m, bcl::NicEvent k) {
   std::uint64_t n = 0;
   for (const auto& e : m.recorder().snapshot()) n += e.kind == k ? 1 : 0;
   return n;
@@ -123,10 +123,6 @@ TEST(PathTable, StrikeQuarantineRotateRestorePartition) {
   EXPECT_FALSE(t.partitioned(9));
   EXPECT_EQ(t.current(9), 2);
   EXPECT_FALSE(t.restore(9, 2));
-
-  EXPECT_EQ(t.failovers(), 3u);
-  EXPECT_EQ(t.partitions(), 1u);
-  EXPECT_EQ(t.restores(), 1u);
 
   const auto snap = t.snapshot();
   ASSERT_EQ(snap.size(), 1u);
@@ -264,7 +260,8 @@ TEST(PathFailover, CongestionAloneNeverTriggersFailover) {
 
   EXPECT_EQ(delivered, kSenders * kPerSender);
   // The incast really congested: the receiver saw ECN-marked packets.
-  EXPECT_GT(c.node(rx_node).mcp().stats().cc_marks_rx, 0u);
+  EXPECT_GT(c.node(rx_node).mcp().recorder().count(bcl::NicEvent::kEcnMarkRx),
+            0u);
   for (int s = 0; s < kSenders; ++s) {
     const auto nid = static_cast<hw::NodeId>(4 + s);
     const auto& mcp = c.node(nid).mcp();
@@ -273,11 +270,13 @@ TEST(PathFailover, CongestionAloneNeverTriggersFailover) {
     }
     // The guarantee under test: zero failovers, zero quarantines, zero
     // kPathFailover events — congestion never looks like a dead path.
-    EXPECT_EQ(mcp.path_table().failovers(), 0u) << "sender " << nid;
-    EXPECT_EQ(mcp.path_table().quarantined_count(), 0u) << "sender " << nid;
-    EXPECT_EQ(count_kind(mcp, bcl::FlightKind::kPathFailover), 0u)
+    EXPECT_EQ(mcp.recorder().count(bcl::NicEvent::kPathFailover), 0u)
         << "sender " << nid;
-    EXPECT_EQ(mcp.stats().peer_failures, 0u) << "sender " << nid;
+    EXPECT_EQ(mcp.path_table().quarantined_count(), 0u) << "sender " << nid;
+    EXPECT_EQ(count_kind(mcp, bcl::NicEvent::kPathFailover), 0u)
+        << "sender " << nid;
+    EXPECT_EQ(mcp.recorder().count(bcl::NicEvent::kPeerFailure), 0u)
+        << "sender " << nid;
   }
 }
 
@@ -335,14 +334,14 @@ TEST(PathFailover, SpineKillFailsOverMidStreamAndProbeRestores) {
   EXPECT_EQ(delivered, kMsgs);
   const auto& mcp = c.node(0).mcp();
   // The kill bit, the failover happened, nobody was declared dead.
-  EXPECT_EQ(mcp.stats().peer_failures, 0u);
+  EXPECT_EQ(mcp.recorder().count(bcl::NicEvent::kPeerFailure), 0u);
   EXPECT_EQ(mcp.unreachable_peers(), 0u);
-  EXPECT_GE(mcp.path_table().failovers(), 1u);
-  EXPECT_GE(count_kind(mcp, bcl::FlightKind::kPathFailover), 1u);
+  EXPECT_GE(mcp.recorder().count(bcl::NicEvent::kPathFailover), 1u);
+  EXPECT_GE(count_kind(mcp, bcl::NicEvent::kPathFailover), 1u);
   // The revived spine was requalified by an answered probe.
-  EXPECT_GE(mcp.stats().path_probes_tx, 1u);
-  EXPECT_GE(mcp.path_table().restores(), 1u);
-  EXPECT_GE(count_kind(mcp, bcl::FlightKind::kPathRestore), 1u);
+  EXPECT_GE(mcp.recorder().count(bcl::NicEvent::kPathProbeTx), 1u);
+  EXPECT_GE(mcp.recorder().count(bcl::NicEvent::kPathRestore), 1u);
+  EXPECT_GE(count_kind(mcp, bcl::NicEvent::kPathRestore), 1u);
   EXPECT_EQ(mcp.path_table().quarantined_count(), 0u);
   // The dead spine's wire ate traffic while it was down.
   std::uint64_t failed_drops = 0;
@@ -389,9 +388,11 @@ TEST(PathFailover, CreditReturnFollowsFailover) {
   c.engine().run_until(Time::ms(200));
 
   EXPECT_EQ(delivered, kMsgs);
-  EXPECT_GE(c.node(4).mcp().path_table().failovers(), 1u);
-  EXPECT_GE(c.node(0).mcp().stats().fc_probes_rx, 1u);
-  EXPECT_GE(c.node(4).mcp().stats().fc_updates_rx, 1u);
+  EXPECT_GE(c.node(4).mcp().recorder().count(bcl::NicEvent::kPathFailover), 1u);
+  EXPECT_GE(c.node(0).mcp().recorder().count(bcl::NicEvent::kCreditProbeRx),
+            1u);
+  EXPECT_GE(c.node(4).mcp().recorder().count(bcl::NicEvent::kCreditUpdateRx),
+            1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -432,9 +433,9 @@ TEST(PathFailover, AllSpinesDeadYieldsPartitionedVerdict) {
   EXPECT_EQ(delivered, 1);
 
   const auto& mcp = c.node(0).mcp();
-  EXPECT_EQ(mcp.stats().peer_failures, 1u);
+  EXPECT_EQ(mcp.recorder().count(bcl::NicEvent::kPeerFailure), 1u);
   EXPECT_TRUE(mcp.path_table().partitioned(12));
-  EXPECT_EQ(mcp.path_table().partitions(), 1u);
+  EXPECT_EQ(mcp.recorder().count(bcl::NicEvent::kPathPartition), 1u);
   EXPECT_EQ(mcp.path_table().quarantined_count(), fab.spine_count());
 
   // The postmortem says "partitioned" and carries the strike table.
@@ -512,6 +513,38 @@ TEST(PathFailover, MalformedRouteHookIsRateLimited) {
   EXPECT_EQ(sw.route_errors(), 4u);
   EXPECT_EQ(fires, 2);
   EXPECT_EQ(from, "swX");
+}
+
+// ---------------------------------------------------------------------------
+// The cluster wires that hook to the offending sender's recorder: a
+// route-less packet from node 3 discarded at the crossbar leaves exactly
+// one route-error entry in node 3's ring, naming the packet's destination
+// and keeping its msg id, and no entry anywhere else.
+// ---------------------------------------------------------------------------
+TEST(PathFailover, MalformedRouteLandsInSendersRecorder) {
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 4;
+  cfg.node.mem_bytes = 8u << 20;
+  bcl::BclCluster c{cfg};
+  hw::Packet p;
+  p.src_node = 3;
+  p.dst_node = 1;
+  p.msg_id = 77;
+  myrinet(c).switch_at(0).input_sink(0)(std::move(p));
+  c.engine().run();
+
+  EXPECT_EQ(myrinet(c).switch_at(0).route_errors(), 1u);
+  const auto& rec = c.node(3).mcp().recorder();
+  EXPECT_EQ(rec.count(bcl::NicEvent::kRouteError), 1u);
+  const auto ring = rec.snapshot();
+  ASSERT_EQ(ring.size(), 1u);
+  EXPECT_EQ(ring[0].kind, bcl::NicEvent::kRouteError);
+  EXPECT_EQ(ring[0].peer, 1u);
+  EXPECT_EQ(ring[0].msg_id, 77u);
+  for (const hw::NodeId n : {0u, 1u, 2u}) {
+    EXPECT_EQ(count_kind(c.node(n).mcp(), bcl::NicEvent::kRouteError), 0u)
+        << "node " << n;
+  }
 }
 
 }  // namespace

@@ -269,7 +269,8 @@ CollOutputs run_trial(bool nic, int nprocs, std::uint32_t nodes,
                       out.allreduce[static_cast<std::size_t>(rank)]);
   });
   for (int r = 0; r < nprocs; ++r) {
-    out.nic_posts += w.endpoint(r).mcp().coll().stats().posts;
+    out.nic_posts +=
+        w.endpoint(r).mcp().recorder().count(bcl::NicEvent::kCollPost);
   }
   return out;
 }
@@ -484,7 +485,8 @@ TEST(CollEngineGroups, PacketWithRootOutsideGroupIsDropped) {
     }
   });
   auto& engine = w.cluster().node(1).mcp().coll();
-  const std::uint64_t drops = engine.stats().drops;
+  const auto& events = w.cluster().node(1).mcp().recorder();
+  const std::uint64_t drops = events.count(bcl::NicEvent::kCollDrop);
   hw::Packet p;
   p.dst_node = 1;
   p.dst_port = members[1].port;
@@ -495,7 +497,7 @@ TEST(CollEngineGroups, PacketWithRootOutsideGroupIsDropped) {
   p.frag_count = 1;
   w.engine().spawn(engine.handle_packet(p));
   w.engine().run();
-  EXPECT_EQ(engine.stats().drops, drops + 1);
+  EXPECT_EQ(events.count(bcl::NicEvent::kCollDrop), drops + 1);
   EXPECT_EQ(engine.pending_ops(), 0u);
 }
 
@@ -604,7 +606,7 @@ TEST(CollEngineGroups, SplitCommunicatorsShareEndpointsSafely) {
   });
   std::uint64_t posts = 0;
   for (int r = 0; r < kProcs; ++r) {
-    posts += w.endpoint(r).mcp().coll().stats().posts;
+    posts += w.endpoint(r).mcp().recorder().count(bcl::NicEvent::kCollPost);
   }
   EXPECT_GT(posts, 0u);  // the offload path really ran
 }

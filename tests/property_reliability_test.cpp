@@ -66,7 +66,8 @@ TEST_P(LossSweep, ExactlyOnceInOrder) {
 
   EXPECT_EQ(order.size(), static_cast<std::size_t>(kMsgs));
   for (unsigned i = 0; i < kMsgs; ++i) EXPECT_EQ(order[i], i);
-  const auto retrans = cluster.node(0).mcp().retransmissions();
+  const auto retrans =
+      cluster.node(0).mcp().recorder().count(bcl::NicEvent::kRetransmit);
   if (c.corrupt_prob == 0.0) {
     EXPECT_EQ(retrans, 0u);
   } else if (c.corrupt_prob >= 0.05) {
@@ -207,7 +208,8 @@ TEST_P(FaultPlanSweep, ExactlyOnceInOrderBoundedRetransmissions) {
     // Deterministic per seed: every schedule here actually injects faults.
     EXPECT_GT(link.dropped() + link.duplicated() + link.reordered(), 0u);
   }
-  const auto retrans = cluster.node(0).mcp().retransmissions();
+  const auto retrans =
+      cluster.node(0).mcp().recorder().count(bcl::NicEvent::kRetransmit);
   if (fc.drop == 0.0 && fc.reorder == 0.0) {
     // Duplicates alone never create a hole, so nothing needs resending
     // (each dup re-acks the current cumulative ack, below dupack_k in a
@@ -271,8 +273,9 @@ TEST(FaultPlanSweep, DeterministicReplay) {
     }(rx));
     cluster.engine().run();
     const auto& link = fabric.host_uplink(0);
-    return std::tuple{link.dropped(), link.duplicated(), link.reordered(),
-                      cluster.node(0).mcp().retransmissions()};
+    return std::tuple{
+        link.dropped(), link.duplicated(), link.reordered(),
+        cluster.node(0).mcp().recorder().count(bcl::NicEvent::kRetransmit)};
   };
   EXPECT_EQ(run(), run());
 }
@@ -309,7 +312,8 @@ TEST(RmaUnderLoss, ReadSurvivesCorruption) {
     }
   }(reader, owner.id()));
   cluster.engine().run();
-  EXPECT_GT(cluster.node(1).mcp().retransmissions(), 0u);
+  EXPECT_GT(cluster.node(1).mcp().recorder().count(bcl::NicEvent::kRetransmit),
+            0u);
 }
 
 }  // namespace

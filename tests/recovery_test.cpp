@@ -4,12 +4,15 @@
 // send exactly once (kPeerRestarted, never lost, never duplicated across
 // incarnations) and re-establish sessions behind the incarnation fence; a
 // peer declared unreachable must be rescinded when a revival probe is
-// answered after its node comes back; a credit update parked across a
-// restart must not touch the erased ledger.
+// answered after its node comes back, and when a link heals after the
+// verdict without any reboot; a credit update parked across a restart must
+// not touch the erased ledger; a crash fails the descriptors still queued
+// in the request ring exactly once.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <vector>
 
@@ -100,7 +103,7 @@ TEST(Recovery, FaultWindowClosingBeforeBudgetHealsInPlace) {
   for (int i = 0; i < kMsgs; ++i) {
     EXPECT_EQ(delivered[static_cast<std::size_t>(i)], 1) << "msg " << i;
   }
-  EXPECT_EQ(c.node(0).mcp().stats().peer_failures, 0u);
+  EXPECT_EQ(c.node(0).mcp().recorder().count(bcl::NicEvent::kPeerFailure), 0u);
   EXPECT_EQ(c.node(0).mcp().unreachable_peers(), 0u);
   const auto sessions = c.node(0).mcp().session_snapshot();
   ASSERT_EQ(sessions.size(), 1u);
@@ -209,15 +212,15 @@ TEST(Recovery, CrashRestartSurfacesExactlyOnceAndReestablishes) {
   EXPECT_EQ(delivered[kMsgs - 1], 1);
   EXPECT_TRUE(reverse_ok);
 
-  EXPECT_EQ(c.node(1).mcp().stats().restarts, 1u);
+  EXPECT_EQ(c.node(1).mcp().recorder().count(bcl::NicEvent::kRestart), 1u);
   EXPECT_EQ(c.node(1).mcp().incarnation(), 1u);
-  EXPECT_GE(c.node(0).mcp().stats().peer_restarts, 1u);
-  EXPECT_GE(c.node(0).mcp().stats().recovered_peers, 1u);
-  EXPECT_GE(c.node(0).mcp().stats().syns_tx, 1u);
-  EXPECT_GE(c.node(1).mcp().stats().syns_rx, 1u);
-  EXPECT_GT(c.node(1).mcp().stats().stale_inc_drops, 0u);
+  EXPECT_GE(c.node(0).mcp().recorder().count(bcl::NicEvent::kPeerRestart), 1u);
+  EXPECT_GE(c.node(0).mcp().recorder().count(bcl::NicEvent::kSynAck), 1u);
+  EXPECT_GE(c.node(0).mcp().recorder().count(bcl::NicEvent::kSynTx), 1u);
+  EXPECT_GE(c.node(1).mcp().recorder().count(bcl::NicEvent::kSynRx), 1u);
+  EXPECT_GT(c.node(1).mcp().recorder().count(bcl::NicEvent::kStaleIncDrop), 0u);
   // Neither side ever concluded "unreachable": the restart path healed it.
-  EXPECT_EQ(c.node(0).mcp().stats().peer_failures, 0u);
+  EXPECT_EQ(c.node(0).mcp().recorder().count(bcl::NicEvent::kPeerFailure), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -273,11 +276,13 @@ TEST(Recovery, AnsweredRevivalProbeRescindsUnreachableVerdict) {
   EXPECT_EQ(delivered[0], 1);
   EXPECT_EQ(delivered[1], 0);  // died with the crash, never resent
   EXPECT_EQ(delivered[2], 1);
-  EXPECT_EQ(c.node(0).mcp().stats().peer_failures, 1u);
-  EXPECT_GE(c.node(0).mcp().stats().probes_tx, 1u);
-  EXPECT_GE(c.node(1).mcp().stats().probes_rx, 1u);
-  EXPECT_GE(c.node(0).mcp().stats().recovered_peers, 1u);
-  EXPECT_EQ(c.node(1).mcp().stats().restarts, 1u);
+  EXPECT_EQ(c.node(0).mcp().recorder().count(bcl::NicEvent::kPeerFailure), 1u);
+  EXPECT_GE(c.node(0).mcp().recorder().count(bcl::NicEvent::kRevivalProbeTx),
+            1u);
+  EXPECT_GE(c.node(1).mcp().recorder().count(bcl::NicEvent::kRevivalProbeRx),
+            1u);
+  EXPECT_GE(c.node(0).mcp().recorder().count(bcl::NicEvent::kSynAck), 1u);
+  EXPECT_EQ(c.node(1).mcp().recorder().count(bcl::NicEvent::kRestart), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -300,7 +305,7 @@ TEST(Recovery, CreditUpdateParkedOnPacerSurvivesRestart) {
     co_await receiver.cc().pace(0, 1u << 20, /*reserve=*/true);
     c.node(0).mcp().fc_probe(dst);
     co_await c.engine().sleep(Time::us(100));  // probe in, update parked
-    EXPECT_EQ(receiver.stats().fc_probes_rx, 1u);
+    EXPECT_EQ(receiver.recorder().count(bcl::NicEvent::kCreditProbeRx), 1u);
     EXPECT_EQ(receiver.rx_credit_snapshot().size(), 1u);
     receiver.crash();
     co_await c.node(1).driver().reset_nic();
@@ -309,7 +314,7 @@ TEST(Recovery, CreditUpdateParkedOnPacerSurvivesRestart) {
 
   const bcl::Mcp& receiver = c.node(1).mcp();
   EXPECT_FALSE(receiver.crashed());
-  EXPECT_EQ(receiver.stats().fc_updates_tx, 0u);
+  EXPECT_EQ(receiver.recorder().count(bcl::NicEvent::kCreditUpdateTx), 0u);
   EXPECT_TRUE(receiver.rx_credit_snapshot().empty());
 }
 
@@ -389,4 +394,132 @@ TEST(Recovery, FailedGroupReregistersAfterRestart) {
   EXPECT_TRUE(done);
 }
 
+// ---------------------------------------------------------------------------
+// A link that heals after the retry budget died rescinds the verdict with
+// no reboot anywhere: node 1's uplink is down from 100 us to 3 ms, so the
+// second send draws kPeerUnreachable (its data got through; only the acks
+// were lost).  Once the link heals, a revival probe is answered at the
+// very epoch that failed, and a send 6 ms later re-establishes the session
+// and completes.
+// ---------------------------------------------------------------------------
+TEST(Recovery, HealedLinkRescindsVerdictWithoutReboot) {
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.node.mem_bytes = 8u << 20;
+  cfg.cost.rto = Time::us(60);
+  cfg.cost.max_retries = 3;
+  cfg.cost.e2e_completion = true;  // staging would report the loss as kOk
+  bcl::BclCluster c{cfg};
+  hw::FaultPlan window;
+  window.fail_from = Time::us(100);
+  window.fail_until = Time::ms(3);
+  myrinet(c).set_host_link_fault_plan(1, window);
+  auto& tx = c.open_endpoint(0);
+  auto& rx = c.open_endpoint(1);
+
+  std::vector<int> delivered(3, 0);
+  c.engine().spawn_daemon(count_deliveries(rx, delivered));
+
+  std::vector<bcl::BclErr> errs;
+  c.engine().spawn([](bcl::BclCluster& c, bcl::Endpoint& tx, bcl::PortId dst,
+                      std::vector<bcl::BclErr>& errs) -> Task<void> {
+    auto buf = tx.process().alloc(kBytes);
+    tx.process().fill_pattern(buf, 4);
+    const auto one = [&](std::uint32_t uid) -> Task<bcl::BclErr> {
+      encode_uid(tx.process(), buf, uid);
+      auto r = co_await tx.send_system(dst, buf, kBytes);
+      if (r.err != bcl::BclErr::kOk) co_return r.err;
+      // Match by msg_id: the verdict's port-wide advisory has msg_id 0.
+      for (;;) {
+        bcl::SendEvent ev = co_await tx.wait_send();
+        if (ev.msg_id == r.value) co_return ev.err;
+      }
+    };
+    errs.push_back(co_await one(0));  // before the fault window
+    co_await c.engine().sleep(Time::us(100));
+    errs.push_back(co_await one(1));  // acks lost: budget exhausts
+    co_await c.engine().sleep(Time::ms(6));
+    errs.push_back(co_await one(2));  // rescinded: re-establish + deliver
+  }(c, tx, rx.id(), errs));
+  c.engine().run();
+
+  ASSERT_EQ(errs.size(), 3u);
+  EXPECT_EQ(errs[0], bcl::BclErr::kOk);
+  EXPECT_EQ(errs[1], bcl::BclErr::kPeerUnreachable);
+  EXPECT_EQ(errs[2], bcl::BclErr::kOk);
+  EXPECT_EQ(delivered[0], 1);
+  EXPECT_EQ(delivered[2], 1);
+  const auto& sender = c.node(0).mcp().recorder();
+  EXPECT_EQ(sender.count(bcl::NicEvent::kPeerFailure), 1u);
+  EXPECT_EQ(sender.count(bcl::NicEvent::kSynAck), 1u);  // rel.recovered_peers
+  // The same-epoch branch: nobody rebooted and no new epoch was seen.
+  EXPECT_EQ(sender.count(bcl::NicEvent::kPeerRestart), 0u);
+  for (const hw::NodeId n : {0u, 1u}) {
+    EXPECT_EQ(c.node(n).mcp().recorder().count(bcl::NicEvent::kRestart), 0u)
+        << "node " << n;
+    EXPECT_EQ(c.node(n).mcp().incarnation(), 0u) << "node " << n;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A fail-stop with descriptors still queued in the request ring.  Node 1's
+// acks never come back, so after a 4-packet window the MCP stalls on the
+// fifth of twelve back-to-back sends while the other seven wait in the
+// ring.  The crash fails the stalled send through its poisoned session and
+// the seven queued ones through the host-resident event queue: every send
+// draws exactly one completion.
+// ---------------------------------------------------------------------------
+TEST(Recovery, CrashFailsDescriptorsStillInRequestRing) {
+  constexpr int kMsgs = 12;
+  constexpr int kWindow = 4;
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.node.mem_bytes = 8u << 20;
+  cfg.cost.window = kWindow;
+  cfg.cost.flow_control = false;  // sends queue in the ring, not on credits
+  cfg.cost.rto = Time::ms(5);     // no retransmission before the crash
+  bcl::BclCluster c{cfg};
+  hw::FaultPlan dead;
+  dead.fail_from = Time::zero();
+  myrinet(c).set_host_link_fault_plan(1, dead);
+  auto& tx = c.open_endpoint(0);
+  auto& rx = c.open_endpoint(1);
+  std::vector<int> delivered(kMsgs, 0);
+  c.engine().spawn_daemon(count_deliveries(rx, delivered));
+
+  std::size_t queued_at_crash = 0;
+  std::map<std::uint64_t, std::vector<bcl::BclErr>> events;
+  c.engine().spawn([](bcl::BclCluster& c, bcl::Endpoint& tx, bcl::PortId dst,
+                      std::size_t& queued,
+                      std::map<std::uint64_t, std::vector<bcl::BclErr>>&
+                          events) -> Task<void> {
+    auto buf = tx.process().alloc(kBytes);
+    for (int i = 0; i < kMsgs; ++i) {
+      auto r = co_await tx.send_system(dst, buf, kBytes);
+      EXPECT_EQ(r.err, bcl::BclErr::kOk) << "msg " << i;
+    }
+    bcl::Mcp& mcp = c.node(0).mcp();
+    queued = mcp.requests().size();
+    mcp.crash();
+    for (int i = 0; i < kMsgs; ++i) {
+      const bcl::SendEvent ev = co_await tx.wait_send();
+      events[ev.msg_id].push_back(ev.err);
+    }
+  }(c, tx, rx.id(), queued_at_crash, events));
+  c.engine().run();
+
+  EXPECT_EQ(queued_at_crash, static_cast<std::size_t>(kMsgs - kWindow - 1));
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(kMsgs));
+  int ok = 0;
+  for (const auto& [msg_id, errs] : events) {
+    ASSERT_EQ(errs.size(), 1u) << "msg " << msg_id;
+    if (errs[0] == bcl::BclErr::kOk) {
+      ++ok;
+    } else {
+      EXPECT_EQ(errs[0], bcl::BclErr::kPeerRestarted) << "msg " << msg_id;
+    }
+  }
+  EXPECT_EQ(ok, kWindow);  // staged before the window closed
+  EXPECT_EQ(tx.port().send_events().size(), 0u);  // nothing else arrived
+}
 }  // namespace

@@ -144,7 +144,8 @@ TEST(Security, RmaReadCannotLeakOutsideWindow) {
   }(c.engine(), attacker, victim.id()));
   c.engine().run_until(Time::ms(5));
   EXPECT_GE(victim.port().rma_errors, 1u);
-  EXPECT_EQ(c.node(1).mcp().stats().rma_reads_served, 0u);
+  EXPECT_EQ(c.node(1).mcp().recorder().count(bcl::NicEvent::kRmaReadServed),
+            0u);
 }
 
 TEST(Security, IntraNodeBadBufferRejectedAtUserLevel) {

@@ -240,7 +240,7 @@ TEST_P(AckCoalesceSweep, DeliveryUnchangedFewerAcks) {
   EXPECT_TRUE(verified);
   // Higher coalescing -> at most as many acks as every-packet acking.
   if (every > 1) {
-    EXPECT_LT(c.node(1).mcp().stats().acks_sent, 20u);
+    EXPECT_LT(c.node(1).mcp().recorder().count(bcl::NicEvent::kAckTx), 20u);
   }
 }
 
