@@ -65,14 +65,15 @@ namespace bcl {
   /* Crash-restart recovery. */                                              \
   X(kCrash, nullptr, "mcp-crash")     /* aux = incarnation at death */       \
   X(kRestart, "rel.restarts", "mcp-restart") /* aux = new incarnation */     \
-  X(kPeerRestart, nullptr, "peer-restart") /* aux = the peer's epoch */      \
-  X(kStaleIncDrop, nullptr, nullptr)  /* fenced on incarnation */            \
-  X(kRestartNoticeTx, nullptr, nullptr) /* answers to a stale dst */         \
-  X(kSynTx, nullptr, "syn")           /* msg_id = nonce, seq = iss, aux 0 */ \
-  X(kSynRx, nullptr, "syn")           /* msg_id = nonce, seq = iss, aux 1 */ \
+  X(kPeerRestart, "rel.peer_restarts", "peer-restart") /* aux = epoch */     \
+  X(kStaleIncDrop, "rel.stale_inc_drops", nullptr) /* incarnation fence */   \
+  X(kRestartNoticeTx, "rel.restart_notices_tx", nullptr) /* to stale dst */  \
+  X(kSynTx, "rel.syns_tx", "syn")     /* msg_id = nonce, seq = iss, aux 0 */ \
+  X(kSynRx, "rel.syns_rx", "syn")     /* msg_id = nonce, seq = iss, aux 1 */ \
   X(kSynAck, "rel.recovered_peers", "syn-ack") /* session re-established */  \
-  X(kRevivalProbeTx, nullptr, "revival-probe") /* seq 0, aux 0 */            \
-  X(kRevivalProbeRx, nullptr, nullptr)                                       \
+  X(kRevivalProbeTx, "rel.revival_probes_tx", "revival-probe") /* seq 0, */  \
+                                                               /* aux 0 */   \
+  X(kRevivalProbeRx, "rel.revival_probes_rx", nullptr)                       \
   /* Multipath failover. */                                                  \
   X(kPathFailover, "path.failovers", "path-failover") /* seq = old path, */  \
                                                       /* aux = new path */   \

@@ -1,25 +1,38 @@
 #include "eadi/eadi.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
 namespace eadi {
 
+namespace {
+
+// Byte offsets of the envelope's fields on the wire.
+constexpr std::size_t kKindAt = 0;
+constexpr std::size_t kChannelAt = 2;
+constexpr std::size_t kTagAt = 4;
+constexpr std::size_t kContextAt = 8;
+constexpr std::size_t kLenAt = 12;
+constexpr std::size_t kXidAt = 20;
+constexpr std::size_t kOffsetAt = 28;  // 32 bits: chunks are < 4 GiB
+static_assert(kOffsetAt + sizeof(std::uint32_t) == kEnvelopeBytes);
+
+}  // namespace
+
 Device::Device(sim::Engine& eng, bcl::Endpoint& ep, const DeviceConfig& cfg)
     : eng_{eng},
       ep_{ep},
       cfg_{cfg},
-      eager_threshold_{0},
+      slot_bytes_{ep.port().system().slot_bytes},
       staging_free_{eng, static_cast<std::size_t>(cfg.staging_buffers)},
       free_channels_{eng, ep.port().normal_count()} {
-  const std::size_t slot = ep_.port().system().slot_bytes;
-  if (slot <= cfg_.envelope_bytes) {
+  if (slot_bytes_ <= kEnvelopeBytes) {
     throw std::invalid_argument("system slot smaller than the envelope");
   }
-  eager_threshold_ = slot - cfg_.envelope_bytes;
   for (int i = 0; i < cfg_.staging_buffers; ++i) {
-    staging_.push_back(ep_.process().alloc(slot));
+    staging_.push_back(ep_.process().alloc(slot_bytes_));
     (void)staging_free_.try_send(i);
   }
   for (std::uint16_t c = 0; c < ep_.port().normal_count(); ++c) {
@@ -31,29 +44,42 @@ Device::Device(sim::Engine& eng, bcl::Endpoint& ep, const DeviceConfig& cfg)
 
 Device::~Device() = default;
 
+Device::DebugCounts Device::debug_counts() const {
+  DebugCounts d{staging_free_.size(),  staging_by_msg_.size(),
+                free_channels_.size(), posted_.size(),
+                unexpected_.size(),    tx_rendezvous_.size(),
+                rx_rendezvous_.size()};
+  for (const auto& u : unexpected_) {
+    if (u.env.kind == Kind::kEager && !u.whole()) ++d.awaiting_continuation;
+  }
+  for (const auto& p : posted_) {
+    if (p->awaiting_xid != 0) ++d.awaiting_continuation;
+  }
+  return d;
+}
+
 void Device::encode(const Envelope& env, std::span<std::byte> out) {
-  std::memset(out.data(), 0, out.size());
-  std::memcpy(out.data() + 0, &env.kind, 1);
-  std::memcpy(out.data() + 2, &env.channel, 2);
-  std::memcpy(out.data() + 4, &env.tag, 4);
-  std::memcpy(out.data() + 8, &env.context, 4);
-  std::memcpy(out.data() + 12, &env.len, 8);
-  std::memcpy(out.data() + 20, &env.xid, 8);
-  // offset packed into the remaining 4 bytes (chunks are < 4 GiB).
+  std::memset(out.data(), 0, kEnvelopeBytes);
+  std::memcpy(out.data() + kKindAt, &env.kind, 1);
+  std::memcpy(out.data() + kChannelAt, &env.channel, 2);
+  std::memcpy(out.data() + kTagAt, &env.tag, 4);
+  std::memcpy(out.data() + kContextAt, &env.context, 4);
+  std::memcpy(out.data() + kLenAt, &env.len, 8);
+  std::memcpy(out.data() + kXidAt, &env.xid, 8);
   const std::uint32_t off32 = static_cast<std::uint32_t>(env.offset);
-  std::memcpy(out.data() + 28, &off32, 4);
+  std::memcpy(out.data() + kOffsetAt, &off32, 4);
 }
 
 Device::Envelope Device::decode(std::span<const std::byte> in) {
   Envelope env;
-  std::memcpy(&env.kind, in.data() + 0, 1);
-  std::memcpy(&env.channel, in.data() + 2, 2);
-  std::memcpy(&env.tag, in.data() + 4, 4);
-  std::memcpy(&env.context, in.data() + 8, 4);
-  std::memcpy(&env.len, in.data() + 12, 8);
-  std::memcpy(&env.xid, in.data() + 20, 8);
+  std::memcpy(&env.kind, in.data() + kKindAt, 1);
+  std::memcpy(&env.channel, in.data() + kChannelAt, 2);
+  std::memcpy(&env.tag, in.data() + kTagAt, 4);
+  std::memcpy(&env.context, in.data() + kContextAt, 4);
+  std::memcpy(&env.len, in.data() + kLenAt, 8);
+  std::memcpy(&env.xid, in.data() + kXidAt, 8);
   std::uint32_t off32 = 0;
-  std::memcpy(&off32, in.data() + 28, 4);
+  std::memcpy(&off32, in.data() + kOffsetAt, 4);
   env.offset = off32;
   return env;
 }
@@ -66,18 +92,38 @@ bool Device::matches(const PostedRecv& p, const Envelope& env,
   return true;
 }
 
+Device::PostedRecv* Device::claim(const Envelope& env, bcl::PortId src) {
+  for (const auto& p : posted_) {
+    if (p->claimed || !matches(*p, env, src)) continue;
+    p->claimed = true;
+    p->result = RecvResult{src, env.tag, static_cast<std::size_t>(env.len)};
+    return p.get();
+  }
+  return nullptr;
+}
+
+sim::Task<void> Device::land(PostedRecv& p, std::size_t offset,
+                             std::span<const std::byte> bytes) {
+  if (offset >= p.buf.len) co_return;
+  const std::size_t n = std::min(bytes.size(), p.buf.len - offset);
+  if (n == 0) co_return;
+  auto& proc = ep_.process();
+  co_await proc.cpu().busy(proc.cpu().memcpy_time(n));
+  proc.poke(p.buf, offset, bytes.first(n));
+}
+
 sim::Task<void> Device::send_envelope(bcl::PortId dst, const Envelope& env,
                                       std::span<const std::byte> payload) {
   auto& proc = ep_.process();
   const int slot = co_await staging_free_.recv();
-  const std::size_t total = cfg_.envelope_bytes + payload.size();
+  const std::size_t total = kEnvelopeBytes + payload.size();
   co_await proc.cpu().busy(cfg_.pack_setup +
                            sim::Time::bytes_at(total, cfg_.pack_bw));
-  std::vector<std::byte> head(cfg_.envelope_bytes);
+  std::array<std::byte, kEnvelopeBytes> head;
   encode(env, head);
   proc.poke(staging_[static_cast<std::size_t>(slot)], 0, head);
   if (!payload.empty()) {
-    proc.poke(staging_[static_cast<std::size_t>(slot)], cfg_.envelope_bytes,
+    proc.poke(staging_[static_cast<std::size_t>(slot)], kEnvelopeBytes,
               payload);
   }
   auto r = co_await ep_.send_deadline(dst, bcl::ChannelRef{},
@@ -113,15 +159,31 @@ sim::Task<void> Device::send(bcl::PortId dst, std::int32_t context,
                              std::size_t len) {
   auto& proc = ep_.process();
   co_await proc.cpu().busy(cfg_.call_overhead);
-  if (len <= eager_threshold_) {
+  // Eager when the payload fits beside the envelope in one system slot.
+  // Toward another node a payload that fits the slot alone is eager too,
+  // in two messages: the receiver then takes no trap, where a rendezvous
+  // costs it two (the post and the CTS).  Within a node the shared-memory
+  // rendezvous is the faster of the two at that size.
+  const std::size_t head_room = slot_bytes_ - kEnvelopeBytes;
+  const bool local = dst.node == id().node;
+  if (len <= (local ? head_room : slot_bytes_)) {
     Envelope env;
     env.kind = Kind::kEager;
     env.context = context;
     env.tag = tag;
     env.len = len;
+    const std::size_t head = std::min(len, head_room);
+    if (head < len) env.xid = next_xid_++;
     std::vector<std::byte> payload(len);
     if (len > 0) proc.peek(buf, 0, payload);
-    co_await send_envelope(dst, env, payload);
+    co_await send_envelope(dst, env, std::span{payload}.first(head));
+    if (head < len) {
+      // The system channel is FIFO per (source, destination), so the
+      // continuation lands after its head.
+      env.kind = Kind::kContinuation;
+      env.offset = head;
+      co_await send_envelope(dst, env, std::span{payload}.subspan(head));
+    }
     co_return;
   }
   // Rendezvous: RTS, then one chunk per CTS grant.
@@ -158,41 +220,40 @@ sim::Task<RecvResult> Device::recv(std::int32_t context, std::int32_t tag,
   PostedRecv* p = posted.get();
 
   // Check the unexpected queue first.
-  for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-    if (!matches(*p, it->env, it->src)) continue;
+  const auto it = std::find_if(
+      unexpected_.begin(), unexpected_.end(),
+      [&](const Unexpected& u) { return matches(*p, u.env, u.src); });
+  if (it == unexpected_.end()) {
+    posted_.push_back(std::move(posted));
+  } else {
     Unexpected u = std::move(*it);
     unexpected_.erase(it);
-    if (u.env.kind == Kind::kEager) {
-      const std::size_t n =
-          std::min<std::size_t>(u.payload.size(), buf.len);
-      if (n > 0) {
-        co_await proc.cpu().busy(proc.cpu().memcpy_time(n));
-        proc.poke(buf, 0, std::span{u.payload.data(), n});
-      }
-      co_return RecvResult{u.src, u.env.tag,
-                           static_cast<std::size_t>(u.env.len)};
-    }
-    // Unexpected RTS: start the rendezvous now that a buffer exists.
     p->claimed = true;
     p->result = RecvResult{u.src, u.env.tag,
                            static_cast<std::size_t>(u.env.len)};
-    const std::uint16_t channel = co_await free_channels_.recv();
-    auto& rr = rx_rendezvous_[channel];
-    rr.posted = p;
-    rr.src = u.src;
-    rr.xid = u.env.xid;
-    rr.total = u.env.len;
-    rr.received = 0;
-    co_await grant_chunk(rr, channel);
-    posted_.push_back(std::move(posted));  // completed via the gate
-    co_await p->done.wait();
-    const RecvResult res = p->result;
-    posted_.erase(std::find_if(posted_.begin(), posted_.end(),
-                               [p](const auto& q) { return q.get() == p; }));
-    co_return res;
+    if (u.env.kind == Kind::kEager) {
+      const bool whole = u.whole();
+      if (!whole) {
+        // Only the head is here: post before the copy suspends, so the
+        // continuation finds this receive whenever it lands.
+        p->awaiting_xid = u.env.xid;
+        posted_.push_back(std::move(posted));
+      }
+      co_await land(*p, 0, u.payload);
+      if (whole) co_return p->result;
+    } else {
+      // Unexpected RTS: start the rendezvous now that a buffer exists.
+      const std::uint16_t channel = co_await free_channels_.recv();
+      auto& rr = rx_rendezvous_[channel];
+      rr.posted = p;
+      rr.src = u.src;
+      rr.xid = u.env.xid;
+      rr.total = u.env.len;
+      rr.received = 0;
+      co_await grant_chunk(rr, channel);
+      posted_.push_back(std::move(posted));  // completed via the gate
+    }
   }
-
-  posted_.push_back(std::move(posted));
   co_await p->done.wait();
   const RecvResult res = p->result;
   posted_.erase(std::find_if(posted_.begin(), posted_.end(),
@@ -244,19 +305,11 @@ sim::Task<void> Device::handle_envelope(Envelope env, bcl::PortId src,
   co_await proc.cpu().busy(cfg_.match_cost);
   switch (env.kind) {
     case Kind::kEager: {
-      for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-        PostedRecv* p = it->get();
-        if (p->claimed || !matches(*p, env, src)) continue;
-        p->claimed = true;
-        const std::size_t n =
-            std::min<std::size_t>(payload.size(), p->buf.len);
-        if (n > 0) {
-          co_await proc.cpu().busy(proc.cpu().memcpy_time(n));
-          proc.poke(p->buf, 0, std::span{payload.data(), n});
-        }
-        p->result =
-            RecvResult{src, env.tag, static_cast<std::size_t>(env.len)};
-        p->done.open();
+      if (PostedRecv* p = claim(env, src)) {
+        const bool whole = payload.size() == env.len;
+        if (!whole) p->awaiting_xid = env.xid;
+        co_await land(*p, 0, payload);
+        if (whole) p->done.open();
         co_return;
       }
       unexpected_.push_back(Unexpected{env, src, std::move(payload)});
@@ -264,13 +317,27 @@ sim::Task<void> Device::handle_envelope(Envelope env, bcl::PortId src,
           std::max<std::uint64_t>(unexpected_peak_, unexpected_.size());
       break;
     }
+    case Kind::kContinuation: {
+      // The head is still unexpected, or a receive took it.
+      for (auto& u : unexpected_) {
+        if (u.env.kind != Kind::kEager || u.env.xid != env.xid ||
+            !(u.src == src)) {
+          continue;
+        }
+        u.payload.insert(u.payload.end(), payload.begin(), payload.end());
+        co_return;
+      }
+      for (const auto& p : posted_) {
+        if (p->awaiting_xid != env.xid || !(p->result.src == src)) continue;
+        p->awaiting_xid = 0;
+        co_await land(*p, static_cast<std::size_t>(env.offset), payload);
+        p->done.open();
+        co_return;
+      }
+      throw std::logic_error("eadi: continuation without its head");
+    }
     case Kind::kRts: {
-      for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-        PostedRecv* p = it->get();
-        if (p->claimed || !matches(*p, env, src)) continue;
-        p->claimed = true;
-        p->result =
-            RecvResult{src, env.tag, static_cast<std::size_t>(env.len)};
+      if (PostedRecv* p = claim(env, src)) {
         // Claiming a channel can block; do it off the progress loop.
         eng_.spawn_daemon([](Device& d, PostedRecv* p, Envelope env,
                              bcl::PortId src) -> sim::Task<void> {
@@ -306,13 +373,12 @@ sim::Task<void> Device::progress() {
     const bcl::RecvEvent ev = co_await ep_.wait_recv();
     if (ev.channel.kind == bcl::ChanKind::kSystem) {
       auto bytes = co_await ep_.copy_out_system(ev);
-      if (bytes.size() < cfg_.envelope_bytes) {
+      if (bytes.size() < kEnvelopeBytes) {
         throw std::logic_error("eadi: runt system message");
       }
       Envelope env = decode(bytes);
       std::vector<std::byte> payload(
-          bytes.begin() +
-              static_cast<std::ptrdiff_t>(cfg_.envelope_bytes),
+          bytes.begin() + static_cast<std::ptrdiff_t>(kEnvelopeBytes),
           bytes.end());
       co_await handle_envelope(env, ev.src, std::move(payload));
     } else if (ev.channel.kind == bcl::ChanKind::kNormal) {

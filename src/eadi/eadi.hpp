@@ -1,11 +1,14 @@
 // EADI-2: the middle-level communication device layer of Fig. 1.
 //
 // ADI-2-style device built on one BCL endpoint per process.  Small messages
-// travel eagerly through the system channel with a 32-byte envelope; large
-// messages use an RTS/CTS rendezvous that moves data in chunks over
-// dynamically-assigned normal channels.  Tag/context/source matching with
-// wildcards and an unexpected-message queue support the MPI and PVM
-// implementations above it (which the paper reports in Table 3).
+// travel eagerly through the system channel behind a 32-byte envelope; a
+// message to another node whose payload fits one system slot goes eager
+// too, as a head (envelope and the slot's remaining bytes) plus a
+// continuation carrying the rest.  Larger messages, and page-sized ones
+// between processes of one node, use an RTS/CTS rendezvous that moves data
+// in chunks over dynamically-assigned normal channels.  Tag/context/source
+// matching with wildcards and an unexpected-message queue support the MPI
+// and PVM implementations above it (which the paper reports in Table 3).
 #pragma once
 
 #include <cstdint>
@@ -20,9 +23,10 @@ namespace eadi {
 
 inline constexpr std::int32_t kAnyTag = -1;
 inline constexpr hw::NodeId kAnyNode = 0xffffffff;
+// Every system-channel message starts with this fixed-layout envelope.
+inline constexpr std::size_t kEnvelopeBytes = 32;
 
 struct DeviceConfig {
-  std::size_t envelope_bytes = 32;
   // Per-call software overhead (request objects, queue management) —
   // calibrated against Table 3's MPI/PVM deltas over raw BCL.
   sim::Time call_overhead = sim::Time::us(1.30);
@@ -56,7 +60,6 @@ class Device {
   bcl::Endpoint& endpoint() { return ep_; }
   osk::Process& process() { return ep_.process(); }
   const DeviceConfig& config() const { return cfg_; }
-  std::size_t eager_threshold() const { return eager_threshold_; }
 
   // Blocking send of buf[0, len) with (context, tag) addressing.
   sim::Task<void> send(bcl::PortId dst, std::int32_t context,
@@ -65,7 +68,8 @@ class Device {
 
   // Blocking receive into `buf`; src.node == kAnyNode matches any source,
   // tag == kAnyTag matches any tag.  Eager messages longer than the buffer
-  // are truncated (result.len reports the full length).
+  // are truncated (result.len reports the full length).  A two-part eager
+  // message matches on its head and completes when its continuation lands.
   sim::Task<RecvResult> recv(std::int32_t context, std::int32_t tag,
                              bcl::PortId src, const osk::UserBuffer& buf);
 
@@ -88,25 +92,25 @@ class Device {
     std::size_t unexpected = 0;
     std::size_t tx_rendezvous = 0;
     std::size_t rx_rendezvous = 0;
+    // Eager heads whose continuation has not landed yet, queued as
+    // unexpected or already matched to a receive.
+    std::size_t awaiting_continuation = 0;
   };
-  DebugCounts debug_counts() const {
-    return {staging_free_.size(),  staging_by_msg_.size(),
-            free_channels_.size(), posted_.size(),
-            unexpected_.size(),    tx_rendezvous_.size(),
-            rx_rendezvous_.size()};
-  }
+  DebugCounts debug_counts() const;
 
  private:
-  enum class Kind : std::uint8_t { kEager = 1, kRts, kCts };
+  // kContinuation carries the bytes of a two-part eager message that did
+  // not fit beside the envelope in its head.
+  enum class Kind : std::uint8_t { kEager = 1, kRts, kCts, kContinuation };
 
   struct Envelope {
     Kind kind = Kind::kEager;
     std::int32_t context = 0;
     std::int32_t tag = 0;
     std::uint64_t len = 0;
-    std::uint64_t xid = 0;      // rendezvous id
+    std::uint64_t xid = 0;      // rendezvous or two-part eager message id
     std::uint16_t channel = 0;  // CTS: receiver's normal channel
-    std::uint64_t offset = 0;   // CTS: chunk offset granted
+    std::uint64_t offset = 0;   // CTS: chunk granted; continuation: its bytes
   };
 
   struct PostedRecv {
@@ -117,6 +121,9 @@ class Device {
     sim::Gate done;
     RecvResult result{};
     bool claimed = false;  // matched to a message; skip in match scans
+    // Nonzero once a two-part eager head landed here: the xid its
+    // continuation (from result.src) carries.
+    std::uint64_t awaiting_xid = 0;
     PostedRecv(sim::Engine& e, std::int32_t c, std::int32_t t, bcl::PortId s,
                const osk::UserBuffer& b)
         : context{c}, tag{t}, src{s}, buf{b}, done{e} {}
@@ -125,7 +132,9 @@ class Device {
   struct Unexpected {
     Envelope env;
     bcl::PortId src;
-    std::vector<std::byte> payload;  // eager only
+    // Eager only; a head's first part until its continuation lands.
+    std::vector<std::byte> payload;
+    bool whole() const { return payload.size() == env.len; }
   };
 
   struct SendRendezvous {
@@ -142,6 +151,11 @@ class Device {
 
   bool matches(const PostedRecv& p, const Envelope& env,
                bcl::PortId src) const;
+  // The first unclaimed posted receive matching (env, src), now claimed.
+  PostedRecv* claim(const Envelope& env, bcl::PortId src);
+  // Copies `bytes` to p.buf at `offset`, truncated to the buffer.
+  sim::Task<void> land(PostedRecv& p, std::size_t offset,
+                       std::span<const std::byte> bytes);
   sim::Task<void> progress();
   sim::Task<void> drain_send_events();
   sim::Task<void> handle_envelope(Envelope env, bcl::PortId src,
@@ -156,7 +170,7 @@ class Device {
   sim::Engine& eng_;
   bcl::Endpoint& ep_;
   DeviceConfig cfg_;
-  std::size_t eager_threshold_;
+  std::size_t slot_bytes_;  // one system-channel message, envelope included
 
   sim::Channel<int> staging_free_;
   std::vector<osk::UserBuffer> staging_;

@@ -162,4 +162,69 @@ TEST(McpCounters, PathCountersSurviveReboot) {
   EXPECT_EQ(exported(".path.probes_tx"), 4u);
 }
 
+// Node 1 crashes twice while node 0 streams to it.  The first time it
+// reboots within the retry budget: node 0 sees the restart and re-SYNs,
+// and node 1 fences and answers the old epoch's stragglers.  The second
+// time it stays down until node 0 declares it unreachable and starts
+// revival probes, one of which the rebooted node answers.  Every recovery
+// event the recorder counts reads the same through its "<nic>.rel." series.
+TEST(McpCounters, RecoveryEventsExported) {
+  constexpr std::size_t kBytes = 256;
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.node.mem_bytes = 8u << 20;
+  cfg.cost.rto = Time::us(60);
+  cfg.cost.max_retries = 3;
+  cfg.cost.e2e_completion = true;
+  bcl::BclCluster c{cfg};
+  auto& tx = c.open_endpoint(0);
+  auto& rx = c.open_endpoint(1);
+  c.engine().spawn_daemon(drain(rx));
+  c.engine().spawn([](bcl::BclCluster& c, bcl::Endpoint& tx,
+                      bcl::PortId dst) -> Task<void> {
+    auto buf = tx.process().alloc(kBytes);
+    const auto one = [&]() -> Task<void> {
+      auto r = co_await tx.send_system(dst, buf, kBytes);
+      if (r.err != bcl::BclErr::kOk) co_return;
+      for (;;) {
+        if ((co_await tx.wait_send()).msg_id == r.value) co_return;
+      }
+    };
+    const auto reboot_after = [&c](Time t) -> Task<void> {
+      co_await c.engine().sleep(t);
+      co_await c.node(1).driver().reset_nic();
+    };
+    for (int i = 0; i < 4; ++i) co_await one();
+    c.node(1).mcp().crash();
+    c.engine().spawn(reboot_after(Time::us(100)));
+    for (int i = 0; i < 4; ++i) co_await one();
+    c.node(1).mcp().crash();
+    co_await one();  // the retry budget runs out: unreachable
+    co_await reboot_after(Time::ms(2));
+    co_await c.engine().sleep(Time::ms(2));
+    co_await one();
+  }(c, tx, rx.id()));
+  c.engine().run();
+
+  using bcl::NicEvent;
+  const NicEvent kinds[] = {
+      NicEvent::kPeerRestart,     NicEvent::kStaleIncDrop,
+      NicEvent::kRestartNoticeTx, NicEvent::kSynTx,
+      NicEvent::kSynRx,           NicEvent::kRevivalProbeTx,
+      NicEvent::kRevivalProbeRx};
+  for (const NicEvent kind : kinds) {
+    const char* series = bcl::series_name(kind);
+    ASSERT_NE(series, nullptr);
+    std::uint64_t total = 0;
+    for (hw::NodeId n = 0; n < 2; ++n) {
+      const std::uint64_t count = c.node(n).mcp().recorder().count(kind);
+      const std::string name =
+          c.node(n).node().nic().name() + "." + series;
+      EXPECT_EQ(c.metrics().counter(name).value(), count) << name;
+      total += count;
+    }
+    EXPECT_GT(total, 0u) << series << " never happened";
+  }
+}
+
 }  // namespace

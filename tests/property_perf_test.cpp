@@ -64,6 +64,18 @@ TEST(PerfShape, EachLayerAddsLatency) {
   EXPECT_GT(pvm, raw);
 }
 
+TEST(PerfShape, PageSizedMpiMessageGoesEagerBetweenNodes) {
+  // A payload that fits one 4096-byte system slot goes eager to another
+  // node, so 4064 -> 4096 B adds only a continuation message, while
+  // 4096 -> 4097 B adds the rendezvous round trip.
+  const cluster::WorldConfig wcfg;
+  const double fits_beside_envelope =
+      harness::mpi_oneway(wcfg, 4064, false).oneway_us;
+  const double fits_slot = harness::mpi_oneway(wcfg, 4096, false).oneway_us;
+  const double rendezvous = harness::mpi_oneway(wcfg, 4097, false).oneway_us;
+  EXPECT_LT(fits_slot - fits_beside_envelope, rendezvous - fits_slot);
+}
+
 TEST(PerfShape, ArchitectureLatencyOrdering) {
   // user-level < semi-user-level < kernel-level — the paper's whole point.
   bcl::ClusterConfig cfg;
