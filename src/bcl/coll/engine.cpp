@@ -40,8 +40,8 @@ bool is_allreduce(CollKind k) {
 }  // namespace
 
 CollectiveEngine::CollectiveEngine(sim::Engine& eng, hw::Nic& nic, Mcp& mcp,
-                                   const CostConfig& cfg, sim::Trace* trace,
-                                   sim::MetricRegistry* metrics)
+                                   const CostConfig& cfg, sim::Trace& trace,
+                                   sim::MetricRegistry& metrics)
     : eng_{eng},
       nic_{nic},
       mcp_{mcp},
@@ -51,25 +51,17 @@ CollectiveEngine::CollectiveEngine(sim::Engine& eng, hw::Nic& nic, Mcp& mcp,
       posts_{eng, cfg.request_queue_depth} {
   // The engine's counters are NIC events (Mcp::register_metrics exports
   // them); only its gauges are its own.
-  if (metrics != nullptr) {
-    const std::string prefix = nic_.name() + ".coll.";
-    metrics->gauge(prefix + "sram_bytes", [this] {
-      return static_cast<double>(sram_bytes_);
-    });
-    metrics->gauge(prefix + "pending_ops", [this] {
-      return static_cast<double>(pending_.size());
-    });
-    metrics->gauge(prefix + "groups", [this] {
-      return static_cast<double>(groups_.size());
-    });
-    metrics->gauge(prefix + "tree_depth", [this] {
-      return static_cast<double>(max_tree_depth());
-    });
-  }
+  const std::string prefix = nic_.name() + ".coll.";
+  metrics.gauge(prefix + "sram_bytes",
+                [this] { return static_cast<double>(sram_bytes_); });
+  metrics.gauge(prefix + "pending_ops",
+                [this] { return static_cast<double>(pending_.size()); });
+  metrics.gauge(prefix + "groups",
+                [this] { return static_cast<double>(groups_.size()); });
+  metrics.gauge(prefix + "tree_depth",
+                [this] { return static_cast<double>(max_tree_depth()); });
   eng_.spawn_daemon(post_pump());
 }
-
-std::string CollectiveEngine::comp() const { return nic_.name(); }
 
 int CollectiveEngine::max_tree_depth() const {
   int depth = 0;
@@ -147,11 +139,9 @@ void CollectiveEngine::emit(hw::Packet p) {
 
 void CollectiveEngine::emit_after(sim::Time delay, hw::Packet p) {
   recorder_.add(NicEvent::kCollForward);
-  if (trace_) {
-    trace_->flow_step(comp(), "coll",
-                      coll_flow_key(static_cast<std::uint16_t>(p.channel),
-                                    p.msg_id));
-  }
+  trace_.flow_step(nic_.name(), "coll",
+                   coll_flow_key(static_cast<std::uint16_t>(p.channel),
+                                 p.msg_id));
   // Never transmit inline: handle_packet runs on the rx pump, which must
   // not wait for the tx mutex (the session it would block on drains its
   // window through this very pump).
@@ -231,9 +221,7 @@ CollectiveEngine::Pending& CollectiveEngine::touch_pending(
   if (it == pending_.end()) {
     it = pending_.emplace(key, Pending{}).first;
     it->second.kind = kind;
-    if (cfg_.coll_op_timeout > sim::Time::zero()) {
-      eng_.spawn_daemon(watchdog(g.id, seq));
-    }
+    eng_.spawn_daemon(watchdog(g.id, seq));
   }
   return it->second;
 }
@@ -352,15 +340,13 @@ sim::Task<void> CollectiveEngine::handle_post(CollPost post) {
   const Key key{g->id, post.seq};
   recorder_.record(
       {eng_.now(), NicEvent::kCollStart, 0, post.seq, 0, g->id});
-  if (trace_) {
-    trace_->flow_step(comp(), "coll", coll_flow_key(g->id, post.seq));
-    // The local member's causal record: one per member per operation,
-    // linked into the fan-out tree at the emit sites below.
-    trace_->msg_begin(member_key(*g, post.seq, g->my_index),
-                      kind_name(post.kind),
-                      static_cast<int>(g->members[g->my_index].node), -1,
-                      post.len);
-  }
+  trace_.flow_step(nic_.name(), "coll", coll_flow_key(g->id, post.seq));
+  // The local member's causal record: one per member per operation, linked
+  // into the fan-out tree at the emit sites below.
+  trace_.msg_begin(member_key(*g, post.seq, g->my_index),
+                   kind_name(post.kind),
+                   static_cast<int>(g->members[g->my_index].node), -1,
+                   post.len);
   if (g->failed) {
     // The group lost a member; every subsequent op fails fast.
     co_await complete(member(*g), post.seq, post.kind, post.root, 0, false,
@@ -423,11 +409,9 @@ sim::Task<void> CollectiveEngine::fan_out(
   if (g == nullptr) co_return;
   const std::uint64_t seq = key.second;
   const TreeLinks nb = neighbors(*g, root);
-  if (trace_) {
-    for (const int child : nb.children) {
-      trace_->msg_link(member_key(*g, seq, g->my_index),
-                       member_key(*g, seq, child));
-    }
+  for (const int child : nb.children) {
+    trace_.msg_link(member_key(*g, seq, g->my_index),
+                    member_key(*g, seq, child));
   }
   const std::uint32_t frags = static_cast<std::uint32_t>(
       std::max<std::uint64_t>(1, (len + cfg_.mtu - 1) / cfg_.mtu));
@@ -489,7 +473,7 @@ sim::Task<void> CollectiveEngine::handle_packet(hw::Packet p) {
   }
   GroupDescriptor& g = it->second;
   const Key key{gid, p.msg_id};
-  if (trace_) trace_->flow_step(comp(), "coll", coll_flow_key(gid, key.second));
+  trace_.flow_step(nic_.name(), "coll", coll_flow_key(gid, key.second));
   const auto wire = static_cast<CollWire>(p.op_flags >> 8);
   if (wire == CollWire::kFail) {
     co_await fail_group(gid);  // no-op if already failed (stops the flood)
@@ -592,10 +576,8 @@ sim::Task<void> CollectiveEngine::advance_reduce(Key key) {
   if (nb.parent >= 0) {
     // Interior/leaf: hand the combined subtree partial to the parent; the
     // host is never touched.
-    if (trace_) {
-      trace_->msg_link(member_key(*g, seq, nb.parent),
-                       member_key(*g, seq, g->my_index));
-    }
+    trace_.msg_link(member_key(*g, seq, nb.parent),
+                    member_key(*g, seq, g->my_index));
     send_partial_up(*g, nb.parent, seq, *pd);
     // An allreduce member completes when the result comes back down.
     if (is_allreduce(pd->kind)) co_return;
@@ -626,15 +608,14 @@ sim::Task<void> CollectiveEngine::handle_bcast_packet(Key key,
   if (g == nullptr || pd == nullptr) co_return;
   const std::uint64_t seq = key.second;
   pd->len = static_cast<std::size_t>(p.msg_bytes);
-  if (trace_ && !pd->local_posted && pd->frags_seen == 0 &&
-      pd->stash.empty()) {
+  if (!pd->local_posted && pd->frags_seen == 0 && pd->stash.empty()) {
     // A receiver's record starts at the first fragment (the parent edge
     // arrived with msg_link, possibly earlier).  A held fragment leaves
     // frags_seen at 0 but sits in the stash.  An allreduce member has
     // posted: its causal record is its post's.
-    trace_->msg_begin(member_key(*g, seq, g->my_index), "bcast",
-                      static_cast<int>(g->members[g->my_index].node), -1,
-                      static_cast<std::size_t>(p.msg_bytes));
+    trace_.msg_begin(member_key(*g, seq, g->my_index), "bcast",
+                     static_cast<int>(g->members[g->my_index].node), -1,
+                     static_cast<std::size_t>(p.msg_bytes));
   }
   // Forward to children first (cut-through, straight from the packet
   // buffer), then scatter the fragment into the pinned result buffer.
@@ -642,10 +623,8 @@ sim::Task<void> CollectiveEngine::handle_bcast_packet(Key key,
   std::vector<hw::Packet> batch;
   batch.reserve(nb.children.size());
   for (const int child : nb.children) {
-    if (trace_) {
-      trace_->msg_link(member_key(*g, seq, g->my_index),
-                       member_key(*g, seq, child));
-    }
+    trace_.msg_link(member_key(*g, seq, g->my_index),
+                    member_key(*g, seq, child));
     hw::Packet q = p;
     const PortId dst = g->members.at(static_cast<std::size_t>(child));
     q.dst_node = dst.node;
@@ -730,9 +709,7 @@ void CollectiveEngine::host_done(std::uint16_t gid, std::uint64_t seq) {
   const Pending* pd = find_pending({gid, seq + 1});
   if (pd != nullptr && held(*pd)) {
     eng_.spawn_daemon(deliver_held({gid, seq + 1}));
-    if (cfg_.coll_op_timeout > sim::Time::zero()) {
-      eng_.spawn_daemon(watchdog(gid, seq + 1));
-    }
+    eng_.spawn_daemon(watchdog(gid, seq + 1));
   }
 }
 
@@ -757,17 +734,15 @@ sim::Task<void> CollectiveEngine::complete(Member m, std::uint64_t seq,
   co_await nic_.lanai().use(cfg_.mcp_event_proc);
   co_await eng_.sleep(cfg_.event_dma);
   recorder_.add(NicEvent::kCollCompletion);
-  if (trace_) {
-    // Mirror the driver's convention: only the operation's root member
-    // terminates the per-collective flow arrow.
-    if (m.index == root) {
-      trace_->flow_end(comp(), "coll", coll_flow_key(m.group, seq));
-    } else {
-      trace_->flow_step(comp(), "coll", coll_flow_key(m.group, seq));
-    }
-    trace_->msg_end(
-        coll_member_key(m.group, seq, static_cast<int>(m.port.node)), ok);
+  // Mirror the driver's convention: only the operation's root member
+  // terminates the per-collective flow arrow.
+  if (m.index == root) {
+    trace_.flow_end(nic_.name(), "coll", coll_flow_key(m.group, seq));
+  } else {
+    trace_.flow_step(nic_.name(), "coll", coll_flow_key(m.group, seq));
   }
+  trace_.msg_end(coll_member_key(m.group, seq, static_cast<int>(m.port.node)),
+                 ok);
   if (port != nullptr) {
     co_await port->coll_events(m.group).send(
         CollEvent{m.group, seq, kind, root, len, ok, err});

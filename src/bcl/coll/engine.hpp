@@ -54,9 +54,11 @@ namespace coll {
 
 class CollectiveEngine {
  public:
+  // Flow steps and causal records go to `trace` under the NIC's name; the
+  // <nic>.coll.* gauges register in `metrics`.
   CollectiveEngine(sim::Engine& eng, hw::Nic& nic, Mcp& mcp,
-                   const CostConfig& cfg, sim::Trace* trace,
-                   sim::MetricRegistry* metrics);
+                   const CostConfig& cfg, sim::Trace& trace,
+                   sim::MetricRegistry& metrics);
 
   // -- registration (state writes are instantaneous; the trap charges time) ------
   BclErr register_group(GroupDescriptor desc);
@@ -188,7 +190,6 @@ class CollectiveEngine {
                        std::uint64_t seq, const Pending& pd);
   void reserve_sram(Pending& pd, std::size_t bytes);
   void erase(const Key& key);
-  std::string comp() const;
   int max_tree_depth() const;
 
   sim::Engine& eng_;
@@ -196,7 +197,7 @@ class CollectiveEngine {
   Mcp& mcp_;
   FlightRecorder& recorder_;  // the MCP's: the engine's events are NIC events
   const CostConfig& cfg_;
-  sim::Trace* trace_;
+  sim::Trace& trace_;
   sim::Channel<CollPost> posts_;
   std::map<std::uint16_t, GroupDescriptor> groups_;
   std::map<Key, Pending> pending_;

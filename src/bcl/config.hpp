@@ -167,13 +167,14 @@ struct CostConfig {
   // Watchdog on every pending collective op: if it has not completed after
   // this long the whole group is failed (kPeerUnreachable) — the only way a
   // collective involving a fail-stopped member that nobody sends to can
-  // unblock.  Zero disables the watchdog.
+  // unblock.  Always armed, so it must be positive.
   sim::Time coll_op_timeout = sim::Time::ms(25);
 
   // -- observability -------------------------------------------------------------
   // Per-NIC flight recorder: bounded ring of the last N protocol events
-  // (sends, retransmits, timeouts, credit stalls, collective posts) used by
-  // the post-mortem dump.  0 disables recording.
+  // with a flight name (sends, retransmits, timeouts, collective posts,
+  // ...; bcl/recorder.hpp) used by the post-mortem dump.  Depth 0 keeps no
+  // ring; the recorder still counts every event.
   std::size_t flight_recorder_depth = 256;
 
   // -- channels ------------------------------------------------------------------

@@ -10,35 +10,32 @@ namespace bcl {
 
 namespace {
 
-std::string comp_of(osk::Kernel& k) {
-  return "node" + std::to_string(k.node().id()) + ".kernel";
+std::string node_prefix(osk::Kernel& k) {
+  return "node" + std::to_string(k.node().id()) + ".";
 }
 
 }  // namespace
 
 Driver::Driver(osk::Kernel& kernel, Mcp& mcp, const CostConfig& cfg,
-               std::uint32_t cluster_nodes, sim::Trace* trace,
-               sim::MetricRegistry* metrics)
+               std::uint32_t cluster_nodes, sim::Trace& trace,
+               sim::MetricRegistry& metrics)
     : kernel_{kernel},
       mcp_{mcp},
       cfg_{cfg},
       cluster_nodes_{cluster_nodes},
-      trace_{trace} {
-  if (metrics != nullptr) {
-    const std::string prefix =
-        "node" + std::to_string(kernel_.node().id()) + ".driver.";
-    m_sends_ = &metrics->counter(prefix + "sends");
-    m_rejects_ = &metrics->counter(prefix + "security_rejects");
-    m_pio_words_ = &metrics->counter(prefix + "pio_words");
-    m_send_bytes_ = &metrics->counter(prefix + "send_bytes");
-    metrics->counter(prefix + "credit_blocks",
-                     [this] { return credit_blocks_; });
-    // Under the pindown prefix next to the osk gauges: pages pinned by
-    // sends that failed late and were (or were not) released.
-    metrics->gauge("node" + std::to_string(kernel_.node().id()) +
-                       ".pindown.leaked_pages",
-                   [this] { return static_cast<double>(pinned_uncommitted_); });
-  }
+      trace_{trace},
+      comp_{node_prefix(kernel) + "kernel"},
+      m_sends_{metrics.counter(node_prefix(kernel) + "driver.sends")},
+      m_pio_words_{metrics.counter(node_prefix(kernel) + "driver.pio_words")},
+      m_send_bytes_{
+          metrics.counter(node_prefix(kernel) + "driver.send_bytes")} {
+  const std::string prefix = node_prefix(kernel) + "driver.";
+  metrics.counter(prefix + "security_rejects", [this] { return rejects_; });
+  metrics.counter(prefix + "credit_blocks", [this] { return credit_blocks_; });
+  // Under the pindown prefix next to the osk gauges: pages pinned by sends
+  // that failed late and were (or were not) released.
+  metrics.gauge(node_prefix(kernel) + "pindown.leaked_pages",
+                [this] { return static_cast<double>(pinned_uncommitted_); });
 }
 
 std::uint64_t Driver::page_span(osk::VirtAddr vaddr, std::size_t len) {
@@ -52,6 +49,21 @@ void Driver::release_pins(osk::Process& proc, const SendArgs& args,
                           std::uint64_t pages) {
   kernel_.pindown().unpin(proc, args.vaddr, args.len);
   pinned_uncommitted_ -= pages;
+}
+
+sim::Task<std::optional<std::vector<hw::PhysSegment>>> Driver::try_pin(
+    osk::Process& proc, osk::VirtAddr vaddr, std::size_t len) {
+  try {
+    co_return co_await kernel_.pindown().translate_and_pin(proc, vaddr, len);
+  } catch (const std::runtime_error&) {
+    co_return std::nullopt;
+  }
+}
+
+sim::Task<BclErr> Driver::leave(osk::Process& proc, BclErr err) {
+  if (err != BclErr::kOk) ++rejects_;
+  co_await kernel_.trap_exit(proc);
+  co_return err;
 }
 
 BclErr Driver::validate_send(osk::Process& proc, Port& port,
@@ -94,21 +106,16 @@ sim::Task<Result<std::uint64_t>> Driver::ioctl_send(osk::Process& proc,
                                                     const SendArgs& args) {
   const std::uint64_t msg_id = next_msg_id_++;
   {
-    auto span = trace_ ? trace_->span(comp_of(kernel_), "trap-enter", msg_id)
-                       : sim::Trace::Span{};
+    auto span = trace_.span(comp_, "trap-enter", msg_id);
     co_await kernel_.trap_enter(proc);
   }
   {
-    auto span = trace_ ? trace_->span(comp_of(kernel_), "security-check", msg_id)
-                       : sim::Trace::Span{};
+    auto span = trace_.span(comp_, "security-check", msg_id);
     co_await kernel_.charge_check(proc);
   }
   if (const BclErr err = validate_send(proc, port, args);
       err != BclErr::kOk) {
-    ++rejects_;
-    if (m_rejects_) m_rejects_->inc();
-    co_await kernel_.trap_exit(proc);
-    co_return Result<std::uint64_t>{0, err};
+    co_return Result<std::uint64_t>{0, co_await leave(proc, err)};
   }
 
   SendDescriptor d;
@@ -123,29 +130,19 @@ sim::Task<Result<std::uint64_t>> Driver::ioctl_send(osk::Process& proc,
   const bool pins_pages = args.op != SendOp::kRmaRead && args.len > 0;
   const std::uint64_t pages = pins_pages ? page_span(args.vaddr, args.len) : 0;
   if (pins_pages) {
-    auto span = trace_ ? trace_->span(comp_of(kernel_), "translate-pin", msg_id)
-                       : sim::Trace::Span{};
-    bool pin_failed = false;
-    try {
-      d.segs = co_await kernel_.pindown().translate_and_pin(proc, args.vaddr,
-                                                            args.len);
-    } catch (const std::runtime_error&) {
-      pin_failed = true;  // co_await is not allowed inside the handler
-    }
-    if (pin_failed) {
-      ++rejects_;
-      if (m_rejects_) m_rejects_->inc();
+    auto span = trace_.span(comp_, "translate-pin", msg_id);
+    auto segs = co_await try_pin(proc, args.vaddr, args.len);
+    if (!segs) {
       span.end();
-      co_await kernel_.trap_exit(proc);
-      co_return Result<std::uint64_t>{0, BclErr::kNoResources};
+      co_return Result<std::uint64_t>{
+          0, co_await leave(proc, BclErr::kNoResources)};
     }
+    d.segs = std::move(*segs);
     pinned_uncommitted_ += pages;
   } else {
     // Zero-length / RMA read: the table search still happens, and it is
     // part of the kernel's 4.17 us increment, so it gets the same stage.
-    auto span = trace_ ? trace_->span(comp_of(kernel_), "translate-pin",
-                                      msg_id)
-                       : sim::Trace::Span{};
+    auto span = trace_.span(comp_, "translate-pin", msg_id);
     co_await proc.cpu().busy(kernel_.config().pindown.lookup);
   }
 
@@ -170,26 +167,20 @@ sim::Task<Result<std::uint64_t>> Driver::ioctl_send(osk::Process& proc,
       d.pio_words(cfg_.desc_words_base, cfg_.desc_words_per_seg);
   {
     // Fill the send request descriptor in NIC SRAM word by word.
-    auto span = trace_ ? trace_->span(comp_of(kernel_), "pio-fill", msg_id)
-                       : sim::Trace::Span{};
+    auto span = trace_.span(comp_, "pio-fill", msg_id);
     co_await kernel_.node().pci().pio_write(pio_words);
   }
-  ++sends_;
-  if (m_sends_) m_sends_->inc();
-  if (m_send_bytes_) m_send_bytes_->add(args.len);
-  if (m_pio_words_) m_pio_words_->add(static_cast<std::uint64_t>(pio_words));
-  if (trace_) {
-    trace_->flow_begin(comp_of(kernel_), "msg",
-                       flow_key(kernel_.node().id(), msg_id));
-    // Causal ledger entry for the attribution pipeline; the begin time also
-    // absorbs any credit-wait the library parked for this node.
-    trace_->msg_begin(flow_key(kernel_.node().id(), msg_id), "send",
-                      static_cast<int>(kernel_.node().id()),
-                      static_cast<int>(args.dst.node), args.len);
-  }
+  m_sends_.inc();
+  m_send_bytes_.add(args.len);
+  m_pio_words_.add(static_cast<std::uint64_t>(pio_words));
+  trace_.flow_begin(comp_, "msg", flow_key(kernel_.node().id(), msg_id));
+  // Causal ledger entry for the attribution pipeline; the begin time also
+  // absorbs any credit-wait the library parked for this node.
+  trace_.msg_begin(flow_key(kernel_.node().id(), msg_id), "send",
+                   static_cast<int>(kernel_.node().id()),
+                   static_cast<int>(args.dst.node), args.len);
   {
-    auto span = trace_ ? trace_->span(comp_of(kernel_), "trap-exit", msg_id)
-                       : sim::Trace::Span{};
+    auto span = trace_.span(comp_, "trap-exit", msg_id);
     co_await kernel_.trap_exit(proc);
   }
   // The descriptor's valid bit is armed as the ioctl returns, so the MCP
@@ -240,18 +231,17 @@ sim::Task<BclErr> Driver::ioctl_post_recv(osk::Process& proc, Port& port,
     auto& st = port.normal(channel);
     if (st.posted) {
       err = BclErr::kNoResources;  // one posted buffer at a time
-    } else {
-      st.segs = co_await kernel_.pindown().translate_and_pin(proc, buf.vaddr,
-                                                             buf.len);
+    } else if (auto segs = co_await try_pin(proc, buf.vaddr, buf.len)) {
+      st.segs = std::move(*segs);
       st.buf = buf;
       st.posted = true;
       // Registering the channel descriptor with the NIC costs a few words.
       co_await kernel_.node().pci().pio_write(cfg_.desc_words_base);
+    } else {
+      err = BclErr::kNoResources;
     }
   }
-  if (err != BclErr::kOk) ++rejects_;
-  co_await kernel_.trap_exit(proc);
-  co_return err;
+  co_return co_await leave(proc, err);
 }
 
 sim::Task<BclErr> Driver::ioctl_bind_open(osk::Process& proc, Port& port,
@@ -271,15 +261,17 @@ sim::Task<BclErr> Driver::ioctl_bind_open(osk::Process& proc, Port& port,
   } else {
     auto& st = port.open(channel);
     if (st.bound) kernel_.pindown().unpin(proc, st.buf.vaddr, st.buf.len);
-    st.segs = co_await kernel_.pindown().translate_and_pin(proc, buf.vaddr,
-                                                           buf.len);
-    st.buf = buf;
-    st.bound = true;
-    co_await kernel_.node().pci().pio_write(cfg_.desc_words_base);
+    if (auto segs = co_await try_pin(proc, buf.vaddr, buf.len)) {
+      st.segs = std::move(*segs);
+      st.buf = buf;
+      st.bound = true;
+      co_await kernel_.node().pci().pio_write(cfg_.desc_words_base);
+    } else {
+      st.bound = false;  // the old window's pins are gone
+      err = BclErr::kNoResources;
+    }
   }
-  if (err != BclErr::kOk) ++rejects_;
-  co_await kernel_.trap_exit(proc);
-  co_return err;
+  co_return co_await leave(proc, err);
 }
 
 sim::Task<BclErr> Driver::ioctl_register_group(osk::Process& proc,
@@ -325,16 +317,12 @@ sim::Task<BclErr> Driver::ioctl_register_group(osk::Process& proc,
     if (const hw::Fabric* fabric = kernel_.node().nic().fabric()) {
       desc.order = coll::tree_order(*fabric, args.members);
     }
-    bool pin_failed = false;
-    try {
-      desc.result_segs = co_await kernel_.pindown().translate_and_pin(
-          proc, args.result_buf.vaddr, args.result_buf.len);
-    } catch (const std::runtime_error&) {
-      pin_failed = true;  // co_await is not allowed inside the handler
-    }
-    if (pin_failed) {
+    auto segs =
+        co_await try_pin(proc, args.result_buf.vaddr, args.result_buf.len);
+    if (!segs) {
       err = BclErr::kNoResources;
     } else {
+      desc.result_segs = std::move(*segs);
       // The descriptor (members, curve order, buffer pages) goes to NIC
       // SRAM word by word; the NIC inverts the order itself.
       co_await kernel_.node().pci().pio_write(
@@ -348,12 +336,7 @@ sim::Task<BclErr> Driver::ioctl_register_group(osk::Process& proc,
       }
     }
   }
-  if (err != BclErr::kOk) {
-    ++rejects_;
-    if (m_rejects_) m_rejects_->inc();
-  }
-  co_await kernel_.trap_exit(proc);
-  co_return err;
+  co_return co_await leave(proc, err);
 }
 
 sim::Task<Result<std::uint64_t>> Driver::ioctl_coll_post(
@@ -396,39 +379,32 @@ sim::Task<Result<std::uint64_t>> Driver::ioctl_coll_post(
     post.seq = args.seq;
     post.len = args.len;
     if (args.len > 0) {
-      bool pin_failed = false;
-      try {
-        post.segs = co_await kernel_.pindown().translate_and_pin(
-            proc, args.vaddr, args.len);
-      } catch (const std::runtime_error&) {
-        pin_failed = true;
+      auto segs = co_await try_pin(proc, args.vaddr, args.len);
+      if (segs) {
+        post.segs = std::move(*segs);
+      } else {
+        err = BclErr::kNoResources;
       }
-      if (pin_failed) err = BclErr::kNoResources;
     } else {
       co_await proc.cpu().busy(kernel_.config().pindown.lookup);
     }
   }
   if (err != BclErr::kOk) {
-    ++rejects_;
-    if (m_rejects_) m_rejects_->inc();
-    co_await kernel_.trap_exit(proc);
-    co_return Result<std::uint64_t>{0, err};
+    co_return Result<std::uint64_t>{0, co_await leave(proc, err)};
   }
   const int pio_words =
       cfg_.desc_words_base +
       cfg_.desc_words_per_seg * static_cast<int>(post.segs.size());
   co_await kernel_.node().pci().pio_write(pio_words);
-  if (m_pio_words_) m_pio_words_->add(static_cast<std::uint64_t>(pio_words));
-  if (trace_) {
-    // One flow arrow per collective: the operation's root member owns
-    // begin/end; everyone else contributes steps.
-    if (origin) {
-      trace_->flow_begin(comp_of(kernel_), "coll",
-                         coll::coll_flow_key(args.group_id, args.seq));
-    } else {
-      trace_->flow_step(comp_of(kernel_), "coll",
-                        coll::coll_flow_key(args.group_id, args.seq));
-    }
+  m_pio_words_.add(static_cast<std::uint64_t>(pio_words));
+  // One flow arrow per collective: the operation's root member owns
+  // begin/end; everyone else contributes steps.
+  if (origin) {
+    trace_.flow_begin(comp_, "coll",
+                      coll::coll_flow_key(args.group_id, args.seq));
+  } else {
+    trace_.flow_step(comp_, "coll",
+                     coll::coll_flow_key(args.group_id, args.seq));
   }
   co_await kernel_.trap_exit(proc);
   // As with sends, the valid bit arms as the ioctl returns; blocking here

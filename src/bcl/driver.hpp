@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "bcl/config.hpp"
 #include "bcl/mcp.hpp"
@@ -56,9 +57,11 @@ struct CollPostArgs {
 
 class Driver {
  public:
+  // Stage spans go to `trace` as node<N>.kernel; the node<N>.driver.*
+  // series register in `metrics`.
   Driver(osk::Kernel& kernel, Mcp& mcp, const CostConfig& cfg,
-         std::uint32_t cluster_nodes, sim::Trace* trace = nullptr,
-         sim::MetricRegistry* metrics = nullptr);
+         std::uint32_t cluster_nodes, sim::Trace& trace,
+         sim::MetricRegistry& metrics);
 
   // -- the hot path: ioctl(BCL_SEND) ------------------------------------------
   // Trap + checks + translate/pin + PIO descriptor fill.  Returns the
@@ -101,7 +104,10 @@ class Driver {
   BclErr setup_system_channel(osk::Process& proc, Port& port, int slots,
                               std::size_t slot_bytes);
 
-  std::uint64_t sends_submitted() const { return sends_; }
+  // Failed ioctls of every kind (send, post_recv, bind_open,
+  // register_group, coll_post); node<N>.driver.security_rejects reads it.
+  // A send refused for credits (a credit block) or by a full request ring
+  // after its trap is not a rejection.
   std::uint64_t security_rejects() const { return rejects_; }
   std::uint64_t credit_blocks() const { return credit_blocks_; }
   // Pages pinned by sends whose descriptors were never committed to the
@@ -114,6 +120,14 @@ class Driver {
  private:
   BclErr validate_send(osk::Process& proc, Port& port, const SendArgs& args);
   static std::uint64_t page_span(osk::VirtAddr vaddr, std::size_t len);
+  // Translates and pins a trap's buffer.  A full pin-down table yields
+  // nullopt, which every ioctl fails with kNoResources (its error path
+  // co_awaits the trap exit, which a handler may not).
+  sim::Task<std::optional<std::vector<hw::PhysSegment>>> try_pin(
+      osk::Process& proc, osk::VirtAddr vaddr, std::size_t len);
+  // Leaves the trap with `err`.  A failed ioctl counts its rejection here
+  // and nowhere else.
+  sim::Task<BclErr> leave(osk::Process& proc, BclErr err);
   // Error path after translate_and_pin: drop the references this send
   // added and settle the uncommitted-pages account.
   void release_pins(osk::Process& proc, const SendArgs& args,
@@ -123,18 +137,16 @@ class Driver {
   Mcp& mcp_;
   const CostConfig& cfg_;
   std::uint32_t cluster_nodes_;
-  sim::Trace* trace_;
+  sim::Trace& trace_;
+  const std::string comp_;  // "node<N>.kernel": the trace component
   std::uint64_t next_msg_id_ = 1;
-  std::uint64_t sends_ = 0;
   std::uint64_t rejects_ = 0;
   std::uint64_t credit_blocks_ = 0;
   std::uint64_t pinned_uncommitted_ = 0;
-  // Hot-path metric handles, resolved once at construction (null without a
-  // registry).
-  sim::Counter* m_sends_ = nullptr;
-  sim::Counter* m_rejects_ = nullptr;
-  sim::Counter* m_pio_words_ = nullptr;
-  sim::Counter* m_send_bytes_ = nullptr;
+  // Counts only the registry reads, resolved once at construction.
+  sim::Counter& m_sends_;
+  sim::Counter& m_pio_words_;
+  sim::Counter& m_send_bytes_;
 };
 
 }  // namespace bcl

@@ -8,13 +8,13 @@
 namespace bcl {
 
 FlowController::FlowController(sim::Engine& eng, const CostConfig& cfg,
-                               const std::string& nic_name, sim::Trace* trace,
-                               sim::MetricRegistry* metrics)
-    : eng_{eng}, cfg_{cfg}, nic_{nic_name}, trace_{trace} {
-  if (metrics != nullptr) {
-    credit_rtt_ = &metrics->summary(nic_ + ".fc.credit_rtt_us");
-  }
-}
+                               const std::string& nic_name, sim::Trace& trace,
+                               sim::MetricRegistry& metrics)
+    : eng_{eng},
+      cfg_{cfg},
+      trace_{trace},
+      track_{nic_name + ".fc"},
+      credit_rtt_{metrics.summary(track_ + ".credit_rtt_us")} {}
 
 std::uint32_t FlowController::initial() const {
   return static_cast<std::uint32_t>(
@@ -28,11 +28,10 @@ FlowController::Dst& FlowController::state(const PortId& dst) {
 }
 
 void FlowController::note_level(const PortId& dst, const Dst& d) {
-  if (trace_ == nullptr) return;
-  trace_->counter(nic_ + ".fc",
-                  "credits_n" + std::to_string(dst.node) + "p" +
-                      std::to_string(dst.port),
-                  static_cast<double>(d.limit - d.used));
+  trace_.counter(track_,
+                 "credits_n" + std::to_string(dst.node) + "p" +
+                     std::to_string(dst.port),
+                 static_cast<double>(d.limit - d.used));
 }
 
 std::uint32_t FlowController::available(const PortId& dst) {
@@ -70,7 +69,7 @@ void FlowController::on_grant(const PortId& dst, std::uint32_t limit) {
   ++grants_rx_;
   if (d.stalled && d.limit != d.used) {
     d.stalled = false;
-    if (credit_rtt_) credit_rtt_->add((eng_.now() - d.stall_start).to_us());
+    credit_rtt_.add((eng_.now() - d.stall_start).to_us());
   }
   note_level(dst, d);
 }

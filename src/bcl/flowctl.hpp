@@ -28,11 +28,11 @@ namespace bcl {
 
 class FlowController {
  public:
+  // Credit levels go to `trace` as the "<nic>.fc" counter track, stall
+  // durations to the <nic>.fc.credit_rtt_us summary in `metrics`.
   FlowController(sim::Engine& eng, const CostConfig& cfg,
-                 const std::string& nic_name, sim::Trace* trace,
-                 sim::MetricRegistry* metrics);
-
-  bool enabled() const { return cfg_.flow_control; }
+                 const std::string& nic_name, sim::Trace& trace,
+                 sim::MetricRegistry& metrics);
 
   // The per-destination grant both ends start from: the shared config caps
   // it by the receiver's pool size, standing in for the channel-setup
@@ -90,9 +90,9 @@ class FlowController {
 
   sim::Engine& eng_;
   const CostConfig& cfg_;
-  std::string nic_;
-  sim::Trace* trace_;
-  sim::Summary* credit_rtt_ = nullptr;  // stall duration, us
+  sim::Trace& trace_;
+  const std::string track_;  // "<nic>.fc": the credit-level counter track
+  sim::Summary& credit_rtt_;  // stall duration, us
   std::map<PortId, Dst> dsts_;
   std::uint64_t stalls_ = 0;
   std::uint64_t grants_rx_ = 0;

@@ -7,22 +7,18 @@
 namespace bcl {
 
 IntraNode::IntraNode(sim::Engine& eng, osk::Kernel& kernel,
-                     const CostConfig& cfg, sim::MetricRegistry* metrics)
+                     const CostConfig& cfg, sim::MetricRegistry& metrics)
     : eng_{eng}, kernel_{kernel}, cfg_{cfg} {
-  if (metrics != nullptr) {
-    const std::string prefix =
-        "node" + std::to_string(kernel_.node().id()) + ".shm.";
-    metrics->counter(prefix + "messages", [this] { return stats_.messages; });
-    metrics->counter(prefix + "chunks", [this] { return stats_.chunks; });
-    metrics->counter(prefix + "sys_drops", [this] { return stats_.sys_drops; });
-    metrics->counter(prefix + "not_posted_drops",
-                     [this] { return stats_.not_posted_drops; });
-    metrics->counter(prefix + "rma_errors",
-                     [this] { return stats_.rma_errors; });
-    metrics->gauge(prefix + "pipes", [this] {
-      return static_cast<double>(pipes_.size());
-    });
-  }
+  const std::string prefix =
+      "node" + std::to_string(kernel_.node().id()) + ".shm.";
+  metrics.counter(prefix + "messages", [this] { return stats_.messages; });
+  metrics.counter(prefix + "chunks", [this] { return stats_.chunks; });
+  metrics.counter(prefix + "sys_drops", [this] { return stats_.sys_drops; });
+  metrics.counter(prefix + "not_posted_drops",
+                  [this] { return stats_.not_posted_drops; });
+  metrics.counter(prefix + "rma_errors", [this] { return stats_.rma_errors; });
+  metrics.gauge(prefix + "pipes",
+                [this] { return static_cast<double>(pipes_.size()); });
 }
 
 void IntraNode::register_port(Port* port) {
@@ -116,7 +112,6 @@ sim::Task<void> IntraNode::receiver(Pipe& pipe) {
     if (const auto it = ports_.find(c.dst_port); it != ports_.end()) {
       port = it->second;
     }
-    bool consumed = false;
     if (port != nullptr) {
       auto& rproc = port->process();
       switch (c.channel.kind) {
@@ -146,7 +141,6 @@ sim::Task<void> IntraNode::receiver(Pipe& pipe) {
                 soff += seg.len;
               }
             }
-            consumed = true;
             if (c.index + 1 == c.count) {
               ++port->messages_received;
               co_await port->recv_events().send(
@@ -175,7 +169,6 @@ sim::Task<void> IntraNode::receiver(Pipe& pipe) {
               soff += seg.len;
             }
           }
-          consumed = true;
           if (c.index + 1 == c.count) {
             st.posted = false;
             ++port->messages_received;
@@ -204,12 +197,10 @@ sim::Task<void> IntraNode::receiver(Pipe& pipe) {
               soff += seg.len;
             }
           }
-          consumed = true;
           break;
         }
       }
     }
-    (void)consumed;
     co_await pipe.free_slots->send(c.slot);
   }
 }
@@ -225,7 +216,9 @@ sim::Task<Result<std::uint64_t>> IntraNode::rma_read(
   Port& target = *it->second;
   if (dst_channel >= target.open_count() || !target.open(dst_channel).bound ||
       offset + len > target.open(dst_channel).buf.len) {
+    // Counted at the target port too, as the NIC path counts it.
     ++stats_.rma_errors;
+    ++target.rma_errors;
     co_return Result<std::uint64_t>{0, BclErr::kNotBound};
   }
   auto& proc = src_port.process();

@@ -24,8 +24,10 @@ namespace bcl {
 
 class IntraNode {
  public:
+  // The node<N>.shm.* series read stats() by callback.  The path records
+  // no spans, so it takes no trace.
   IntraNode(sim::Engine& eng, osk::Kernel& kernel, const CostConfig& cfg,
-            sim::MetricRegistry* metrics = nullptr);
+            sim::MetricRegistry& metrics);
 
   void register_port(Port* port);
   void unregister_port(std::uint32_t port_no);

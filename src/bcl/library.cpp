@@ -2,10 +2,20 @@
 
 namespace bcl {
 
+namespace {
+
+// "node<N>.lib.port<P>.<what>"
+std::string port_series(PortId id, const char* what) {
+  return "node" + std::to_string(id.node) + ".lib.port" +
+         std::to_string(id.port) + "." + what;
+}
+
+}  // namespace
+
 Endpoint::Endpoint(sim::Engine& eng, const CostConfig& cfg, Driver& driver,
                    Mcp& mcp, IntraNode& intra, osk::Process& proc,
-                   std::unique_ptr<Port> port, sim::Trace* trace,
-                   sim::MetricRegistry* metrics)
+                   std::unique_ptr<Port> port, sim::Trace& trace,
+                   sim::MetricRegistry& metrics)
     : eng_{eng},
       cfg_{cfg},
       driver_{driver},
@@ -13,27 +23,19 @@ Endpoint::Endpoint(sim::Engine& eng, const CostConfig& cfg, Driver& driver,
       intra_{intra},
       proc_{proc},
       port_{std::move(port)},
-      trace_{trace} {
+      trace_{trace},
+      comp_{"node" + std::to_string(port_->id().node) + ".lib"},
+      m_sends_{metrics.counter(port_series(port_->id(), "sends"))},
+      m_recvs_{metrics.counter(port_series(port_->id(), "recvs"))},
+      m_recv_polls_{metrics.counter(port_series(port_->id(), "recv_polls"))},
+      m_recv_bytes_{metrics.counter(port_series(port_->id(), "recv_bytes"))} {
   mcp_.register_port(port_.get());
   intra_.register_port(port_.get());
-  if (metrics != nullptr) {
-    const std::string prefix = "node" +
-                               std::to_string(port_->id().node) + ".lib.port" +
-                               std::to_string(port_->id().port) + ".";
-    m_sends_ = &metrics->counter(prefix + "sends");
-    m_recvs_ = &metrics->counter(prefix + "recvs");
-    m_recv_polls_ = &metrics->counter(prefix + "recv_polls");
-    m_recv_bytes_ = &metrics->counter(prefix + "recv_bytes");
-  }
 }
 
 Endpoint::~Endpoint() {
   mcp_.unregister_port(port_->id().port);
   intra_.unregister_port(port_->id().port);
-}
-
-std::string Endpoint::comp() const {
-  return "node" + std::to_string(port_->id().node) + ".lib";
 }
 
 sim::Task<Result<std::uint64_t>> Endpoint::send(PortId dst, ChannelRef ch,
@@ -62,8 +64,7 @@ sim::Task<Result<std::uint64_t>> Endpoint::send_impl(
     PortId dst, ChannelRef ch, const osk::UserBuffer& buf, std::size_t len,
     std::size_t off, sim::Time deadline, bool nonblock) {
   {
-    auto span = trace_ ? trace_->span(comp(), "user-compose", 0)
-                       : sim::Trace::Span{};
+    auto span = trace_.span(comp_, "user-compose", 0);
     co_await proc_.cpu().busy(cfg_.compose_send);
   }
   if (off + len > buf.len) {
@@ -87,7 +88,7 @@ sim::Task<Result<std::uint64_t>> Endpoint::send_impl(
     auto r = co_await driver_.ioctl_send(proc_, *port_, args);
     if (r.ok()) {
       ++port_->messages_sent;
-      if (m_sends_) m_sends_->inc();
+      m_sends_.inc();
       co_return r;
     }
     if (r.err != BclErr::kWouldBlock || nonblock) co_return r;
@@ -96,8 +97,7 @@ sim::Task<Result<std::uint64_t>> Endpoint::send_impl(
     // probes the receiver for a fresh cumulative grant so a lost credit
     // update cannot wedge the transfer.
     const sim::Time wait_start = eng_.now();
-    auto span = trace_ ? trace_->span(comp(), "credit-wait", 0)
-                       : sim::Trace::Span{};
+    auto span = trace_.span(comp_, "credit-wait", 0);
     while (mcp_.flow().available(dst) == 0) {
       if (deadline > sim::Time::zero() && eng_.now() - start >= deadline) {
         co_return Result<std::uint64_t>{0, BclErr::kWouldBlock};
@@ -110,12 +110,10 @@ sim::Task<Result<std::uint64_t>> Endpoint::send_impl(
       co_await eng_.sleep(cfg_.fc_poll_interval);
     }
     span.end();
-    if (trace_) {
-      // The stall predates the message id (the trap that assigns it comes
-      // next); park it per node and let msg_begin fold it into the record.
-      trace_->msg_credit_wait_pending(static_cast<int>(port_->id().node),
-                                      eng_.now() - wait_start);
-    }
+    // The stall predates the message id (the trap that assigns it comes
+    // next); park it per node and let msg_begin fold it into the record.
+    trace_.msg_credit_wait_pending(static_cast<int>(port_->id().node),
+                                   eng_.now() - wait_start);
     // Credits visible again; retry the trap (another sender on this node
     // may still win the race, in which case we loop back to waiting).
   }
@@ -138,17 +136,14 @@ sim::Task<BclErr> Endpoint::post_recv(std::uint16_t channel,
 
 sim::Task<RecvEvent> Endpoint::wait_recv() {
   RecvEvent ev = co_await port_->recv_events().recv();
-  auto span = trace_ ? trace_->span(comp(), "recv-poll", ev.msg_id)
-                     : sim::Trace::Span{};
+  auto span = trace_.span(comp_, "recv-poll", ev.msg_id);
   co_await proc_.cpu().busy(cfg_.recv_event_poll);
-  if (m_recvs_) m_recvs_->inc();
-  if (m_recv_polls_) m_recv_polls_->inc();
-  if (m_recv_bytes_) m_recv_bytes_->add(ev.len);
-  if (trace_) {
-    trace_->flow_end(comp(), "msg", flow_key(ev.src.node, ev.msg_id));
-    // Receive-side completion closes the causal record.
-    trace_->msg_end(flow_key(ev.src.node, ev.msg_id));
-  }
+  m_recvs_.inc();
+  m_recv_polls_.inc();
+  m_recv_bytes_.add(ev.len);
+  trace_.flow_end(comp_, "msg", flow_key(ev.src.node, ev.msg_id));
+  // Receive-side completion closes the causal record.
+  trace_.msg_end(flow_key(ev.src.node, ev.msg_id));
   co_return ev;
 }
 
@@ -156,15 +151,13 @@ sim::Task<std::optional<RecvEvent>> Endpoint::try_recv() {
   // The poll touches the user-space completion queue whether or not an
   // event is present.
   co_await proc_.cpu().busy(cfg_.recv_event_poll);
-  if (m_recv_polls_) m_recv_polls_->inc();
+  m_recv_polls_.inc();
   auto ev = port_->recv_events().try_recv();
   if (ev) {
-    if (m_recvs_) m_recvs_->inc();
-    if (m_recv_bytes_) m_recv_bytes_->add(ev->len);
-    if (trace_) {
-      trace_->flow_end(comp(), "msg", flow_key(ev->src.node, ev->msg_id));
-      trace_->msg_end(flow_key(ev->src.node, ev->msg_id));
-    }
+    m_recvs_.inc();
+    m_recv_bytes_.add(ev->len);
+    trace_.flow_end(comp_, "msg", flow_key(ev->src.node, ev->msg_id));
+    trace_.msg_end(flow_key(ev->src.node, ev->msg_id));
   }
   co_return ev;
 }

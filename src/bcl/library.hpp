@@ -18,10 +18,12 @@ namespace bcl {
 
 class Endpoint {
  public:
+  // Spans and flow ends go to `trace` as node<N>.lib; the
+  // node<N>.lib.port<P>.* series register in `metrics`.
   Endpoint(sim::Engine& eng, const CostConfig& cfg, Driver& driver,
            Mcp& mcp, IntraNode& intra, osk::Process& proc,
-           std::unique_ptr<Port> port, sim::Trace* trace,
-           sim::MetricRegistry* metrics = nullptr);
+           std::unique_ptr<Port> port, sim::Trace& trace,
+           sim::MetricRegistry& metrics);
   ~Endpoint();
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
@@ -105,7 +107,6 @@ class Endpoint {
 
  private:
   bool local(PortId dst) const { return dst.node == port_->id().node; }
-  std::string comp() const;
   sim::Task<Result<std::uint64_t>> send_impl(PortId dst, ChannelRef ch,
                                              const osk::UserBuffer& buf,
                                              std::size_t len, std::size_t off,
@@ -119,12 +120,13 @@ class Endpoint {
   IntraNode& intra_;
   osk::Process& proc_;
   std::unique_ptr<Port> port_;
-  sim::Trace* trace_;
-  // Library-level metric handles (null without a registry).
-  sim::Counter* m_sends_ = nullptr;
-  sim::Counter* m_recvs_ = nullptr;
-  sim::Counter* m_recv_polls_ = nullptr;
-  sim::Counter* m_recv_bytes_ = nullptr;
+  sim::Trace& trace_;
+  const std::string comp_;  // "node<N>.lib": the trace component
+  // Library-level metric handles, resolved once at construction.
+  sim::Counter& m_sends_;
+  sim::Counter& m_recvs_;
+  sim::Counter& m_recv_polls_;
+  sim::Counter& m_recv_bytes_;
 };
 
 }  // namespace bcl

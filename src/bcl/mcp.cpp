@@ -56,21 +56,23 @@ std::vector<hw::PhysSegment> slice_segments(
 }
 
 Mcp::Mcp(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
-         sim::Trace* trace, sim::MetricRegistry* metrics)
+         sim::Trace& trace, sim::MetricRegistry& metrics)
     : eng_{eng},
       nic_{nic},
       cfg_{cfg},
       trace_{trace},
-      metrics_{metrics},
       requests_{eng, cfg.request_queue_depth},
       tx_mutex_{eng},
       flow_{std::make_unique<FlowController>(eng, cfg, nic.name(), trace,
                                              metrics)},
       cc_{std::make_unique<cc::CongestionController>(eng, cfg, nic.name())},
       path_table_{std::make_unique<PathTable>(eng, kPathFailoverStrikes)},
-      recorder_{cfg.flight_recorder_depth} {
-  cc_->set_trace(trace);
-  if (metrics != nullptr) register_metrics(*metrics);
+      recorder_{cfg.flight_recorder_depth},
+      m_dma_tx_bytes_{metrics.counter(nic.name() + ".mcp.dma_tx_bytes")},
+      m_dma_rx_bytes_{metrics.counter(nic.name() + ".mcp.dma_rx_bytes")},
+      m_tx_descriptors_{metrics.counter(nic.name() + ".mcp.tx_descriptors")} {
+  cc_->set_trace(&trace);
+  register_metrics(metrics);
   coll_ = std::make_unique<coll::CollectiveEngine>(eng, nic, *this, cfg,
                                                    trace, metrics);
   eng_.spawn_daemon(tx_pump());
@@ -79,9 +81,6 @@ Mcp::Mcp(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
 
 void Mcp::register_metrics(sim::MetricRegistry& m) {
   const std::string prefix = nic_.name() + ".mcp.";
-  m_dma_tx_bytes_ = &m.counter(prefix + "dma_tx_bytes");
-  m_dma_rx_bytes_ = &m.counter(prefix + "dma_rx_bytes");
-  m_tx_descriptors_ = &m.counter(prefix + "tx_descriptors");
   // Every NIC event with a series, by callback: the recorder is the count's
   // one home, and MetricRegistry::reset() leaves it alone.
   for (std::size_t i = 0; i < kNicEventCount; ++i) {
@@ -147,8 +146,6 @@ void Mcp::register_metrics(sim::MetricRegistry& m) {
 
 Mcp::~Mcp() = default;
 
-std::string Mcp::comp() const { return nic_.name(); }
-
 sim::Task<void> Mcp::coll_send(hw::Packet p) {
   if (crashed_) co_return;  // fan-out from a dead MCP never reaches the wire
   stamp_outbound(p);
@@ -200,7 +197,7 @@ TxSession& Mcp::tx_session(hw::NodeId dst) {
     SessionOwner* owner = this;
     s = std::make_unique<TxSession>(eng_, nic_, cfg_, seed, handshake, owner,
                                     dst);
-    s->set_telemetry(&recorder_, trace_);
+    s->set_telemetry(&recorder_, &trace_);
     s->set_cc(cc_.get());
     // Multipath: when the fabric offers alternative routes toward dst,
     // track their health and let RTO strikes — never ECN marks or
@@ -210,12 +207,10 @@ TxSession& Mcp::tx_session(hw::NodeId dst) {
       path_table_->init(dst, fab->route_count(nic_.node(), dst));
     }
     if (handshake) eng_.spawn_daemon(syn_daemon(dst, s.get()));
-    if (metrics_ != nullptr) {
-      const auto at =
-          std::lower_bound(session_peers_.begin(), session_peers_.end(), dst);
-      if (at == session_peers_.end() || *at != dst) {
-        session_peers_.insert(at, dst);
-      }
+    const auto at =
+        std::lower_bound(session_peers_.begin(), session_peers_.end(), dst);
+    if (at == session_peers_.end() || *at != dst) {
+      session_peers_.insert(at, dst);
     }
   }
   return *s;
@@ -616,8 +611,8 @@ sim::Task<void> Mcp::send_message(const SendDescriptor& d) {
           ? 1
           : static_cast<std::uint32_t>(std::max<std::uint64_t>(
                 1, (d.total_len + cfg_.mtu - 1) / cfg_.mtu));
-  if (m_tx_descriptors_) m_tx_descriptors_->inc();
-  if (trace_) trace_->flow_step(comp(), "msg", flow_key(nic_.node(), d.msg_id));
+  m_tx_descriptors_.inc();
+  trace_.flow_step(nic_.name(), "msg", flow_key(nic_.node(), d.msg_id));
   if (d.extra_nic_cost > sim::Time::zero()) {
     // User-level front ends push address translation onto the NIC.
     co_await nic_.lanai().use(d.extra_nic_cost);
@@ -652,15 +647,13 @@ sim::Task<void> Mcp::send_message(const SendDescriptor& d) {
     // here instead of blasting the whole message into a congested path.
     co_await cc_->pace(d.dst.node, p.header_bytes + len);
     if (len > 0 && d.op != SendOp::kRmaRead) {
-      auto span = trace_ ? trace_->span(comp(), "nic-dma-host-to-nic", d.msg_id)
-                         : sim::Trace::Span{};
+      auto span = trace_.span(nic_.name(), "nic-dma-host-to-nic", d.msg_id);
       co_await nic_.dma_gather(slice_segments(d.segs, off, len), p.payload,
                                cfg_.dma_lead_bytes);
-      if (m_dma_tx_bytes_) m_dma_tx_bytes_->add(len);
+      m_dma_tx_bytes_.add(len);
     }
     {
-      auto span = trace_ ? trace_->span(comp(), "mcp-tx-proc", d.msg_id)
-                         : sim::Trace::Span{};
+      auto span = trace_.span(nic_.name(), "mcp-tx-proc", d.msg_id);
       co_await nic_.lanai().use(cfg_.mcp_tx_proc);
     }
     if (cfg_.reliable) {
@@ -670,7 +663,7 @@ sim::Task<void> Mcp::send_message(const SendDescriptor& d) {
         // Retry budget exhausted (or the peer restarted out from under the
         // session): abandon the remaining fragments and fail the send
         // through the event queue instead of blocking forever.
-        if (trace_) trace_->msg_end(flow_key(nic_.node(), d.msg_id), false);
+        trace_.msg_end(flow_key(nic_.node(), d.msg_id), false);
         co_await complete_send(d, err);
         co_return;
       }
@@ -721,13 +714,11 @@ sim::Task<void> Mcp::rx_pump() {
           break;
         }
         s->on_ack(p.ack, p.echo_stamp);
-        if (trace_) {
-          const std::string track = nic_.name() + ".rel";
-          trace_->counter(track, "srtt_us", s->srtt().to_us());
-          trace_->counter(track, "rto_us", s->rto().to_us());
-          trace_->counter(track, "backoff",
-                          static_cast<double>(s->backoff_level()));
-        }
+        const std::string track = nic_.name() + ".rel";
+        trace_.counter(track, "srtt_us", s->srtt().to_us());
+        trace_.counter(track, "rto_us", s->rto().to_us());
+        trace_.counter(track, "backoff",
+                       static_cast<double>(s->backoff_level()));
         break;
       }
       case hw::PacketKind::kNack: {
@@ -791,8 +782,7 @@ sim::Task<void> Mcp::rx_pump() {
         }
         recorder_.add(NicEvent::kRxPacket);
         {
-          auto span = trace_ ? trace_->span(comp(), "mcp-rx-proc", p.msg_id)
-                             : sim::Trace::Span{};
+          auto span = trace_.span(nic_.name(), "mcp-rx-proc", p.msg_id);
           co_await nic_.lanai().use(cfg_.mcp_rx_proc);
         }
         if (p.corrupted) {
@@ -863,7 +853,7 @@ sim::Task<bool> Mcp::handle_data(hw::Packet p) {
     recorder_.add(NicEvent::kNoPortDrop);
     co_return true;
   }
-  if (trace_) trace_->flow_step(comp(), "msg", flow_key(p.src_node, p.msg_id));
+  trace_.flow_step(nic_.name(), "msg", flow_key(p.src_node, p.msg_id));
   const ChannelRef ch = ChannelRef::decode(p.channel);
   const PortId src{p.src_node, p.src_port};
   switch (ch.kind) {
@@ -943,11 +933,10 @@ sim::Task<void> Mcp::scatter(const hw::Packet& p,
                              std::uint64_t off, bool traced) {
   if (p.payload.empty()) co_return;
   auto dst = slice_segments(segs, off, p.payload.size());
-  auto span = traced && trace_
-                  ? trace_->span(comp(), "nic-dma-nic-to-host", p.msg_id)
-                  : sim::Trace::Span{};
+  auto span = traced ? trace_.span(nic_.name(), "nic-dma-nic-to-host", p.msg_id)
+                     : sim::Trace::Span{};
   co_await nic_.dma_scatter(p.payload, std::move(dst), cfg_.dma_lead_bytes);
-  if (m_dma_rx_bytes_) m_dma_rx_bytes_->add(p.payload.size());
+  m_dma_rx_bytes_.add(p.payload.size());
 }
 
 sim::Task<void> Mcp::handle_rma_read(const hw::Packet& p) {
@@ -1157,8 +1146,7 @@ sim::Task<void> Mcp::send_fc_probe(PortId dst) {
 }
 
 sim::Task<void> Mcp::deliver_recv_event(Port& port, RecvEvent ev) {
-  auto span = trace_ ? trace_->span(comp(), "event-dma", ev.msg_id)
-                     : sim::Trace::Span{};
+  auto span = trace_.span(nic_.name(), "event-dma", ev.msg_id);
   co_await nic_.lanai().use(cfg_.mcp_event_proc);
   co_await eng_.sleep(cfg_.event_dma);
   co_await port.recv_events().send(ev);
@@ -1166,8 +1154,7 @@ sim::Task<void> Mcp::deliver_recv_event(Port& port, RecvEvent ev) {
 
 sim::Task<void> Mcp::deliver_send_event(Port* port, SendEvent ev) {
   if (port == nullptr) co_return;  // no local sender to notify
-  auto span = trace_ ? trace_->span(comp(), "event-dma-send", ev.msg_id)
-                     : sim::Trace::Span{};
+  auto span = trace_.span(nic_.name(), "event-dma-send", ev.msg_id);
   co_await nic_.lanai().use(cfg_.mcp_event_proc);
   co_await eng_.sleep(cfg_.event_dma);
   co_await port->send_events().send(ev);

@@ -58,8 +58,11 @@ class Mcp : private SessionOwner {
  public:
   static constexpr std::uint16_t kProto = 1;
 
+  // Spans, flow steps and the sessions' counter tracks go to `trace` under
+  // the NIC's name; the NIC's series register in `metrics` here, along with
+  // those of the collective engine and the flow controller it builds.
   Mcp(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
-      sim::Trace* trace = nullptr, sim::MetricRegistry* metrics = nullptr);
+      sim::Trace& trace, sim::MetricRegistry& metrics);
   ~Mcp() override;
 
   // Port registry (NIC-resident port table).
@@ -177,8 +180,7 @@ class Mcp : private SessionOwner {
     std::uint32_t peer_incarnation = 0;  // newest epoch seen from this peer
   };
   std::vector<SessionSnapshot> session_snapshot() const;
-  // Queue-occupancy high-water marks, observed at dequeue time.
-  std::size_t request_ring_hwm() const { return req_ring_hwm_; }
+  // The rx queue's high-water mark, observed at dequeue time.
   std::size_t rx_queue_hwm() const { return rx_queue_hwm_; }
 
  private:
@@ -312,7 +314,6 @@ class Mcp : private SessionOwner {
   void handle_syn(const hw::Packet& p);
   void handle_syn_ack(const hw::Packet& p);
   void handle_probe_ack(const hw::Packet& p);
-  std::string comp() const;
 
   // -- multipath failover internals --------------------------------------------
   // Resolve the fabric path for an outbound packet toward dst: an explicit
@@ -324,8 +325,7 @@ class Mcp : private SessionOwner {
   sim::Engine& eng_;
   hw::Nic& nic_;
   const CostConfig& cfg_;
-  sim::Trace* trace_;
-  sim::MetricRegistry* metrics_ = nullptr;
+  sim::Trace& trace_;
   sim::Channel<SendDescriptor> requests_;
   sim::Mutex tx_mutex_;
   std::map<std::uint32_t, Port*> ports_;
@@ -359,9 +359,9 @@ class Mcp : private SessionOwner {
   // timer/rnr daemons may be asleep holding `this` and must wake on a live
   // object (they observe the poisoned flag and exit).
   std::vector<std::unique_ptr<TxSession>> session_graveyard_;
-  // Every peer that ever had a tx session, ascending (only kept with a
-  // registry): the per-peer metrics collector exports each one's series
-  // from whatever session is current, or zeros when there is none.
+  // Every peer that ever had a tx session, ascending: the per-peer metrics
+  // collector exports each one's series from whatever session is current,
+  // or zeros when there is none.
   std::vector<hw::NodeId> session_peers_;
   // Peers whose next tx session must open with a SYN handshake (their
   // restart was detected, or a revival probe was answered).
@@ -379,10 +379,10 @@ class Mcp : private SessionOwner {
   DiagnosisHook diagnosis_hook_;
   std::size_t req_ring_hwm_ = 0;
   std::size_t rx_queue_hwm_ = 0;
-  // Hot-path metric handles (null without a registry).
-  sim::Counter* m_dma_tx_bytes_ = nullptr;
-  sim::Counter* m_dma_rx_bytes_ = nullptr;
-  sim::Counter* m_tx_descriptors_ = nullptr;
+  // Hot-path metric handles, resolved once at construction.
+  sim::Counter& m_dma_tx_bytes_;
+  sim::Counter& m_dma_rx_bytes_;
+  sim::Counter& m_tx_descriptors_;
 };
 
 }  // namespace bcl

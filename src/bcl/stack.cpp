@@ -11,14 +11,15 @@ NodeStack::NodeStack(sim::Engine& eng, hw::NodeId id,
                      sim::MetricRegistry* metrics)
     : eng_{eng},
       cfg_{cfg},
-      trace_{trace},
-      metrics_{metrics},
+      trace_{trace ? *trace : throw std::invalid_argument("null trace")},
+      metrics_{metrics ? *metrics
+                       : throw std::invalid_argument("null registry")},
       node_{eng, id, cfg.node},
       kernel_{eng, node_, cfg.kernel},
-      mcp_{eng, node_.nic(), cfg.cost, trace, metrics},
-      driver_{kernel_, mcp_, cfg.cost, cfg.nodes, trace, metrics},
-      intra_{eng, kernel_, cfg.cost, metrics} {
-  if (metrics_ != nullptr) register_node_metrics(*metrics_);
+      mcp_{eng, node_.nic(), cfg.cost, trace_, metrics_},
+      driver_{kernel_, mcp_, cfg.cost, cfg.nodes, trace_, metrics_},
+      intra_{eng, kernel_, cfg.cost, metrics_} {
+  register_node_metrics(metrics_);
 }
 
 void NodeStack::register_node_metrics(sim::MetricRegistry& m) {
@@ -79,7 +80,7 @@ Endpoint& NodeStack::open_endpoint() {
                                    cfg_.cost.sys_slot_bytes) != BclErr::kOk) {
     throw std::runtime_error("system channel setup failed");
   }
-  if (metrics_ != nullptr) register_port_metrics(*metrics_, *port);
+  register_port_metrics(metrics_, *port);
   endpoints_.push_back(std::make_unique<Endpoint>(
       eng_, cfg_.cost, driver_, mcp_, intra_, proc, std::move(port), trace_,
       metrics_));

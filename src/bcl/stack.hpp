@@ -18,10 +18,12 @@
 
 namespace bcl {
 
+// Every layer records into `trace` and `metrics`; a null one throws
+// std::invalid_argument.
 class NodeStack {
  public:
   NodeStack(sim::Engine& eng, hw::NodeId id, const ClusterConfig& cfg,
-            sim::Trace* trace, sim::MetricRegistry* metrics = nullptr);
+            sim::Trace* trace, sim::MetricRegistry* metrics);
 
   hw::Node& node() { return node_; }
   osk::Kernel& kernel() { return kernel_; }
@@ -42,8 +44,8 @@ class NodeStack {
 
   sim::Engine& eng_;
   const ClusterConfig& cfg_;
-  sim::Trace* trace_;
-  sim::MetricRegistry* metrics_;
+  sim::Trace& trace_;
+  sim::MetricRegistry& metrics_;
   hw::Node node_;
   osk::Kernel kernel_;
   Mcp mcp_;

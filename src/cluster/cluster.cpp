@@ -32,7 +32,7 @@ World::World(const WorldConfig& cfg, int nprocs) : cfg_{cfg}, cluster_{[&] {
     auto& rank = ranks_[static_cast<std::size_t>(r)];
     rank.mpi = std::make_unique<minimpi::Mpi>(
         cluster_.engine(), *rank.dev, world_ids, r, cfg_.mpi,
-        /*context_base=*/0, &cluster_.metrics());
+        cluster_.metrics());
   }
 }
 
@@ -43,7 +43,7 @@ minipvm::Pvm& World::pvm(int rank) {
     for (const auto& q : ranks_) world_ids.push_back(q.ep->id());
     r.pvm = std::make_unique<minipvm::Pvm>(cluster_.engine(), *r.dev,
                                            world_ids, rank, cfg_.pvm,
-                                           &cluster_.metrics());
+                                           cluster_.metrics());
   }
   return *r.pvm;
 }

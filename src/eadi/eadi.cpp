@@ -146,10 +146,15 @@ sim::Task<void> Device::send_envelope(bcl::PortId dst, const Envelope& env,
 sim::Task<void> Device::drain_send_events() {
   for (;;) {
     const bcl::SendEvent ev = co_await ep_.wait_send();
-    const auto it = staging_by_msg_.find(ev.msg_id);
-    if (it != staging_by_msg_.end()) {
+    if (const auto it = staging_by_msg_.find(ev.msg_id);
+        it != staging_by_msg_.end()) {
       (void)staging_free_.try_send(it->second);
       staging_by_msg_.erase(it);
+    } else if (const auto last = last_chunks_.find(ev.msg_id);
+               last != last_chunks_.end()) {
+      last->second->err = ev.err;
+      last->second->done.open();
+      last_chunks_.erase(last);
     }
   }
 }
@@ -198,6 +203,7 @@ sim::Task<void> Device::send(bcl::PortId dst, std::int32_t context,
   rts.xid = xid;
   co_await send_envelope(dst, rts, {});
   std::size_t sent = 0;
+  std::uint64_t last_msg = 0;
   while (sent < len) {
     const Envelope cts = co_await txr.cts->recv();
     const std::size_t chunk =
@@ -207,8 +213,19 @@ sim::Task<void> Device::send(bcl::PortId dst, std::int32_t context,
         chunk, static_cast<std::size_t>(cts.offset));
     if (!r.ok()) throw std::runtime_error("eadi: rendezvous data send failed");
     sent = static_cast<std::size_t>(cts.offset) + chunk;
+    last_msg = r.value;
   }
   tx_rendezvous_.erase(xid);
+  if (local) co_return;  // the shared-memory copy is done when send returns
+  // Each CTS follows the previous chunk's arrival, so only the last chunk
+  // can still be reading buf.  Its completion comes a DMA or more after its
+  // trap returned, so the drain has not taken it yet.
+  LastChunk last{eng_};
+  last_chunks_.emplace(last_msg, &last);
+  co_await last.done.wait();
+  if (last.err != bcl::BclErr::kOk) {
+    throw std::runtime_error("eadi: rendezvous data send failed");
+  }
 }
 
 sim::Task<RecvResult> Device::recv(std::int32_t context, std::int32_t tag,

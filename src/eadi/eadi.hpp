@@ -61,7 +61,10 @@ class Device {
   osk::Process& process() { return ep_.process(); }
   const DeviceConfig& config() const { return cfg_; }
 
-  // Blocking send of buf[0, len) with (context, tag) addressing.
+  // Blocking send of buf[0, len) with (context, tag) addressing.  It
+  // returns once buf may be reused: a rendezvous to another node waits for
+  // its last chunk's send completion, since the NIC reads that chunk out of
+  // buf by DMA after the trap returns.
   sim::Task<void> send(bcl::PortId dst, std::int32_t context,
                        std::int32_t tag, const osk::UserBuffer& buf,
                        std::size_t len);
@@ -141,6 +144,13 @@ class Device {
     std::unique_ptr<sim::Channel<Envelope>> cts;
   };
 
+  // A rendezvous sender waiting for its last chunk's send completion.
+  struct LastChunk {
+    sim::Gate done;
+    bcl::BclErr err = bcl::BclErr::kOk;
+    explicit LastChunk(sim::Engine& e) : done{e} {}
+  };
+
   struct RecvRendezvous {
     PostedRecv* posted = nullptr;
     bcl::PortId src{};
@@ -179,6 +189,7 @@ class Device {
   std::vector<std::unique_ptr<PostedRecv>> posted_;
   std::vector<Unexpected> unexpected_;
   std::map<std::uint64_t, SendRendezvous> tx_rendezvous_;
+  std::map<std::uint64_t, LastChunk*> last_chunks_;  // by BCL msg id
   std::map<std::uint16_t, RecvRendezvous> rx_rendezvous_;  // by channel
   sim::Channel<std::uint16_t> free_channels_;
   std::uint64_t next_xid_ = 1;

@@ -7,27 +7,34 @@
 
 namespace minimpi {
 
+namespace {
+
+// "mpi.rank<r>.<what>"
+std::string rank_series(int rank, const char* what) {
+  return "mpi.rank" + std::to_string(rank) + "." + what;
+}
+
+}  // namespace
+
 Mpi::Mpi(sim::Engine& eng, eadi::Device& dev, std::vector<bcl::PortId> world,
-         int rank, const MpiConfig& cfg, std::int32_t context_base,
-         sim::MetricRegistry* metrics)
+         int rank, const MpiConfig& cfg, sim::MetricRegistry& metrics)
+    : Mpi(eng, dev, std::move(world), rank, cfg, /*context=*/0,
+          Series{metrics.counter(rank_series(rank, "sends")),
+                 metrics.counter(rank_series(rank, "recvs")),
+                 metrics.histogram(rank_series(rank, "send_bytes"))}) {}
+
+Mpi::Mpi(sim::Engine& eng, eadi::Device& dev, std::vector<bcl::PortId> world,
+         int rank, const MpiConfig& cfg, std::int32_t context, Series series)
     : eng_{eng},
       dev_{dev},
       world_{std::move(world)},
       rank_{rank},
       cfg_{cfg},
-      context_{context_base},
-      metrics_{metrics} {
+      context_{context},
+      series_{series} {
   if (rank_ < 0 || rank_ >= size()) throw std::invalid_argument("bad rank");
   if (!(world_.at(rank_) == dev_.id())) {
     throw std::invalid_argument("device/world rank mismatch");
-  }
-  if (metrics_ != nullptr) {
-    // Rank-scoped: communicators created by split()/dup() share the
-    // same rank's series, so the totals are per rank, not per comm.
-    const std::string prefix = "mpi.rank" + std::to_string(rank_) + ".";
-    m_sends_ = &metrics_->counter(prefix + "sends");
-    m_recvs_ = &metrics_->counter(prefix + "recvs");
-    m_send_bytes_ = &metrics_->histogram(prefix + "send_bytes");
   }
 }
 
@@ -72,15 +79,10 @@ sim::Task<std::unique_ptr<Mpi>> Mpi::split(int color, int key) {
   // Deterministic child context: every member computes the same value
   // (same parent context, same split sequence number, same color).
   const std::int32_t child_ctx = context_ * 131 + seq * 17 + color + 3;
-  auto child = std::make_unique<Mpi>(eng_, dev_, std::move(new_world),
-                                     new_rank, cfg_, child_ctx);
-  // The child inherits the parent's metric handles so traffic on derived
-  // communicators accumulates into the original rank's series.
-  child->metrics_ = metrics_;
-  child->m_sends_ = m_sends_;
-  child->m_recvs_ = m_recvs_;
-  child->m_send_bytes_ = m_send_bytes_;
-  co_return child;
+  // The child counts into this rank's series, so the totals are per rank,
+  // not per communicator.
+  co_return std::unique_ptr<Mpi>(new Mpi(eng_, dev_, std::move(new_world),
+                                         new_rank, cfg_, child_ctx, series_));
 }
 
 sim::Task<std::unique_ptr<Mpi>> Mpi::dup() {
@@ -113,8 +115,8 @@ osk::UserBuffer Mpi::scratch2(std::size_t bytes) {
 sim::Task<void> Mpi::send(const osk::UserBuffer& buf, std::size_t len,
                           int dst, int tag) {
   co_await process().cpu().busy(cfg_.call_overhead);
-  if (m_sends_) m_sends_->inc();
-  if (m_send_bytes_) m_send_bytes_->add(static_cast<double>(len));
+  series_.sends.inc();
+  series_.send_bytes.add(static_cast<double>(len));
   co_await dev_.send(port_of(dst), p2p_context(), tag, buf, len);
 }
 
@@ -124,7 +126,7 @@ sim::Task<Status> Mpi::recv(const osk::UserBuffer& buf, int src, int tag) {
       src == kAnySource ? bcl::PortId{eadi::kAnyNode, 0} : port_of(src);
   const auto r = co_await dev_.recv(
       p2p_context(), tag == kAnyTag ? eadi::kAnyTag : tag, from, buf);
-  if (m_recvs_) m_recvs_->inc();
+  series_.recvs.inc();
   co_return Status{rank_of(r.src), r.tag, r.len};
 }
 

@@ -52,9 +52,10 @@ struct MpiConfig {
 
 class Mpi {
  public:
+  // Counts into the rank's mpi.rank<r>.* series in `metrics`, which every
+  // communicator split() or dup() derives from this one shares.
   Mpi(sim::Engine& eng, eadi::Device& dev, std::vector<bcl::PortId> world,
-      int rank, const MpiConfig& cfg = {}, std::int32_t context_base = 0,
-      sim::MetricRegistry* metrics = nullptr);
+      int rank, const MpiConfig& cfg, sim::MetricRegistry& metrics);
 
   int rank() const { return rank_; }
   int size() const { return static_cast<int>(world_.size()); }
@@ -138,6 +139,17 @@ class Mpi {
                      std::span<const double> values);
 
  private:
+  // The rank's metric handles; message sizes land in a power-of-two
+  // size-class histogram.
+  struct Series {
+    sim::Counter& sends;
+    sim::Counter& recvs;
+    sim::Histogram& send_bytes;
+  };
+  // split() builds each child communicator over its parent's series.
+  Mpi(sim::Engine& eng, eadi::Device& dev, std::vector<bcl::PortId> world,
+      int rank, const MpiConfig& cfg, std::int32_t context, Series series);
+
   // Each communicator owns one EADI context (collectives are isolated
   // from p2p by reserved tag ranges).  Children derive their context
   // deterministically so all members agree without negotiation.
@@ -221,12 +233,7 @@ class Mpi {
   osk::UserBuffer scratch_{};
   osk::UserBuffer scratch2_{};
   NicColl nic_;
-  // Metric handles (null without a registry); message sizes land in a
-  // power-of-two size-class histogram.
-  sim::MetricRegistry* metrics_ = nullptr;
-  sim::Counter* m_sends_ = nullptr;
-  sim::Counter* m_recvs_ = nullptr;
-  sim::Histogram* m_send_bytes_ = nullptr;
+  Series series_;
 };
 
 }  // namespace minimpi

@@ -5,19 +5,29 @@
 
 namespace minipvm {
 
+namespace {
+
+// "pvm.tid<t>.<what>"
+std::string tid_series(int tid, const char* what) {
+  return "pvm.tid" + std::to_string(tid) + "." + what;
+}
+
+}  // namespace
+
 Pvm::Pvm(sim::Engine& eng, eadi::Device& dev, std::vector<bcl::PortId> world,
-         int tid, const PvmConfig& cfg, sim::MetricRegistry* metrics)
-    : eng_{eng}, dev_{dev}, world_{std::move(world)}, tid_{tid}, cfg_{cfg} {
+         int tid, const PvmConfig& cfg, sim::MetricRegistry& metrics)
+    : eng_{eng},
+      dev_{dev},
+      world_{std::move(world)},
+      tid_{tid},
+      cfg_{cfg},
+      m_sends_{metrics.counter(tid_series(tid, "sends"))},
+      m_recvs_{metrics.counter(tid_series(tid, "recvs"))},
+      m_packed_bytes_{metrics.counter(tid_series(tid, "packed_bytes"))},
+      m_send_bytes_{metrics.histogram(tid_series(tid, "send_bytes"))} {
   if (tid_ < 0 || tid_ >= ntasks()) throw std::invalid_argument("bad tid");
   send_buf_ = process().alloc(cfg_.max_message);
   recv_buf_ = process().alloc(cfg_.max_message);
-  if (metrics != nullptr) {
-    const std::string prefix = "pvm.tid" + std::to_string(tid_) + ".";
-    m_sends_ = &metrics->counter(prefix + "sends");
-    m_recvs_ = &metrics->counter(prefix + "recvs");
-    m_packed_bytes_ = &metrics->counter(prefix + "packed_bytes");
-    m_send_bytes_ = &metrics->histogram(prefix + "send_bytes");
-  }
 }
 
 int Pvm::tid_of(bcl::PortId id) const {
@@ -41,7 +51,7 @@ sim::Task<void> Pvm::pack_raw(std::span<const std::byte> raw) {
           ? cfg_.pack_setup
           : cfg_.pack_setup + sim::Time::bytes_at(raw.size(), cfg_.pack_bw);
   co_await process().cpu().busy(cost);
-  if (m_packed_bytes_) m_packed_bytes_->add(raw.size());
+  m_packed_bytes_.add(raw.size());
   process().poke(send_buf_, send_size_, raw);
   send_size_ += raw.size();
 }
@@ -80,8 +90,8 @@ sim::Task<void> Pvm::pkstr(std::string_view s) {
 
 sim::Task<void> Pvm::send(int dst_tid, int tag) {
   co_await process().cpu().busy(cfg_.call_overhead);
-  if (m_sends_) m_sends_->inc();
-  if (m_send_bytes_) m_send_bytes_->add(static_cast<double>(send_size_));
+  m_sends_.inc();
+  m_send_bytes_.add(static_cast<double>(send_size_));
   co_await dev_.send(world_.at(static_cast<std::size_t>(dst_tid)),
                      kPvmContext, tag, send_buf_, send_size_);
 }
@@ -96,7 +106,7 @@ sim::Task<int> Pvm::recv(int src_tid, int tag) {
       kPvmContext, tag == kAnyTag ? eadi::kAnyTag : tag, from, recv_buf_);
   recv_size_ = r.len;
   recv_pos_ = 0;
-  if (m_recvs_) m_recvs_->inc();
+  m_recvs_.inc();
   co_return tid_of(r.src);
 }
 

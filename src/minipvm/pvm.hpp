@@ -31,9 +31,9 @@ struct PvmConfig {
 
 class Pvm {
  public:
+  // Counts into the task's pvm.tid<t>.* series in `metrics`.
   Pvm(sim::Engine& eng, eadi::Device& dev, std::vector<bcl::PortId> world,
-      int tid, const PvmConfig& cfg = {},
-      sim::MetricRegistry* metrics = nullptr);
+      int tid, const PvmConfig& cfg, sim::MetricRegistry& metrics);
 
   int tid() const { return tid_; }
   int ntasks() const { return static_cast<int>(world_.size()); }
@@ -81,11 +81,11 @@ class Pvm {
   osk::UserBuffer recv_buf_{};   // active receive buffer
   std::size_t recv_size_ = 0;
   std::size_t recv_pos_ = 0;
-  // Metric handles (null without a registry).
-  sim::Counter* m_sends_ = nullptr;
-  sim::Counter* m_recvs_ = nullptr;
-  sim::Counter* m_packed_bytes_ = nullptr;
-  sim::Histogram* m_send_bytes_ = nullptr;
+  // Metric handles, resolved once at construction.
+  sim::Counter& m_sends_;
+  sim::Counter& m_recvs_;
+  sim::Counter& m_packed_bytes_;
+  sim::Histogram& m_send_bytes_;
 };
 
 }  // namespace minipvm

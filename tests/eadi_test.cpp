@@ -50,24 +50,30 @@ TEST(Eadi, EagerMessageDelivered) {
   EXPECT_TRUE(ok);
 }
 
+// The sender refills its buffer as soon as send returns, which a blocking
+// send allows: the receiver must still get the bytes that were sent, at
+// one-chunk, chunk-boundary and several-chunk sizes.
 TEST(Eadi, RendezvousLargeMessage) {
-  World w{two_rank_cfg(), 2};
-  const std::size_t kLen = 300'000;  // several rendezvous chunks
-  bool ok = false;
-  w.engine().spawn([](Device& d, bcl::PortId dst, std::size_t len)
-                       -> Task<void> {
-    auto buf = d.process().alloc(len);
-    d.process().fill_pattern(buf, 9);
-    co_await d.send(dst, 0, 7, buf, len);
-  }(w.device(0), w.device(1).id(), kLen));
-  w.engine().spawn([](Device& d, std::size_t len, bool& ok) -> Task<void> {
-    auto buf = d.process().alloc(len);
-    auto r = co_await d.recv(0, 7, bcl::PortId{kAnyNode, 0}, buf);
-    EXPECT_EQ(r.len, len);
-    ok = d.process().check_pattern(buf, 9);
-  }(w.device(1), kLen, ok));
-  w.engine().run();
-  EXPECT_TRUE(ok);
+  for (const std::size_t len : {4097u, 65536u, 65537u, 131072u, 300'000u}) {
+    SCOPED_TRACE(len);
+    World w{two_rank_cfg(), 2};
+    bool ok = false;
+    w.engine().spawn([](Device& d, bcl::PortId dst, std::size_t len)
+                         -> Task<void> {
+      auto buf = d.process().alloc(len);
+      d.process().fill_pattern(buf, 9);
+      co_await d.send(dst, 0, 7, buf, len);
+      d.process().fill_pattern(buf, 10);
+    }(w.device(0), w.device(1).id(), len));
+    w.engine().spawn([](Device& d, std::size_t len, bool& ok) -> Task<void> {
+      auto buf = d.process().alloc(len);
+      auto r = co_await d.recv(0, 7, bcl::PortId{kAnyNode, 0}, buf);
+      EXPECT_EQ(r.len, len);
+      ok = d.process().check_pattern(buf, 9);
+    }(w.device(1), len, ok));
+    w.engine().run();
+    EXPECT_TRUE(ok);
+  }
 }
 
 TEST(Eadi, UnexpectedEagerBuffered) {
@@ -284,7 +290,8 @@ class PageSized
 // The receive is posted before the sender starts, after the whole message
 // sits in the unexpected queue, or between its first message (head, lone
 // eager or RTS) and the rest, which the loss of node 0's second packet
-// holds back by a retransmission timeout.
+// holds back by a retransmission timeout.  The sender refills its buffer
+// as soon as send returns.
 TEST_P(PageSized, ArrivesWhole) {
   const auto [len, post] = GetParam();
   const bool two_part = len > kHeadRoom && len <= kSlot;
@@ -300,6 +307,7 @@ TEST_P(PageSized, ArrivesWhole) {
     sent = bytes_of(me.process(), buf);
     if (post == Post::kFirst) co_await e.sleep(Time::us(100));
     co_await me.send(buf, len, 1, /*tag=*/5);
+    me.process().fill_pattern(buf, 8);
   }(w.engine(), w.mpi(0), len, post, sent));
   w.engine().spawn([](sim::Engine& e, Mpi& me, std::size_t len, Post post,
                       bool two_part, std::vector<std::byte>& got,

@@ -337,7 +337,9 @@ TEST(FlowControl, GrantSerialArithmetic) {
   bcl::CostConfig cfg;
   cfg.fc_initial_credits = 2;
   cfg.sys_slots = 64;
-  bcl::FlowController fc{eng, cfg, "nic0", nullptr, nullptr};
+  sim::Trace trace{eng};
+  sim::MetricRegistry reg;
+  bcl::FlowController fc{eng, cfg, "nic0", trace, reg};
   const PortId dst{1, 0};
 
   EXPECT_TRUE(fc.try_consume(dst));
@@ -361,7 +363,7 @@ TEST(FlowControl, GrantSerialArithmetic) {
   // step under 2^31, as RFC 1982 requires), then grant across zero.  The
   // limit must move forward through the wrap rather than clamping, and a
   // grant from before the wrap must read as stale afterwards.
-  bcl::FlowController fc2{eng, cfg, "nic1", nullptr, nullptr};
+  bcl::FlowController fc2{eng, cfg, "nic1", trace, reg};
   const PortId d2{2, 0};
   fc2.on_grant(d2, 0x7ffffff0u);
   fc2.on_grant(d2, 0xfffffff0u);

@@ -10,6 +10,10 @@
 //    links; a collective watchdog expiry on the mesh names mesh links.
 //  * Per-peer session series come from one collector per NIC and read the
 //    current session in every export; a session costs under 1 KiB of heap.
+//  * Every failed ioctl, a full pin-down table included, counts one driver
+//    rejection, read alike by the accessor, the registry series and the
+//    cluster report; a node stack refuses to run without a trace or a
+//    registry.
 #include <gtest/gtest.h>
 
 #if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
@@ -21,6 +25,7 @@
 #include <cstddef>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,6 +33,7 @@
 #include "bcl/recorder.hpp"
 #include "bcl/stack.hpp"
 #include "cluster/cluster.hpp"
+#include "cluster/report.hpp"
 #include "hw/myrinet_switch.hpp"
 #include "sim/breakdown.hpp"
 #include "sim/trace.hpp"
@@ -750,6 +756,81 @@ TEST(PerPeerMetrics, AllPairsSessionsCostUnderOneKiBOfHeapEach) {
   }
   EXPECT_EQ(peer_gauges, static_cast<std::size_t>(kPairs) * 5);
 #endif
+}
+
+// One rejected call of each ioctl: the accessor, the registry series and
+// the cluster report all read the driver's one count.
+TEST(HostSeries, EveryFailedIoctlCountsOnceEverywhere) {
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.node.mem_bytes = 16u << 20;
+  bcl::BclCluster c{cfg};
+  auto& ep = c.open_endpoint(0);
+  c.engine().spawn([](bcl::Endpoint& ep) -> Task<void> {
+    auto buf = ep.process().alloc(64);
+    const auto sent = co_await ep.send_system(bcl::PortId{9, 0}, buf, 64);
+    EXPECT_EQ(sent.err, bcl::BclErr::kBadTarget);
+    EXPECT_EQ(co_await ep.post_recv(999, buf), bcl::BclErr::kBadTarget);
+    EXPECT_EQ(co_await ep.bind_open(999, buf), bcl::BclErr::kBadTarget);
+    bcl::RegisterGroupArgs reg;
+    reg.group_id = 1;
+    reg.members = {ep.id()};  // a group needs two members
+    reg.result_buf = buf;
+    EXPECT_EQ(co_await ep.driver().ioctl_register_group(ep.process(),
+                                                        ep.port(), reg),
+              bcl::BclErr::kBadTarget);
+    bcl::CollPostArgs post;
+    post.group_id = 7;  // never registered
+    const auto posted = co_await ep.driver().ioctl_coll_post(
+        ep.process(), ep.port(), post);
+    EXPECT_EQ(posted.err, bcl::BclErr::kBadTarget);
+  }(ep));
+  c.engine().run();
+  EXPECT_EQ(c.node(0).driver().security_rejects(), 5u);
+  EXPECT_EQ(c.metrics().counter("node0.driver.security_rejects").value(), 5u);
+  EXPECT_EQ(cluster::collect_report(c).security_rejects, 5u);
+  EXPECT_EQ(c.metrics().counter("node0.driver.sends").value(), 0u);
+}
+
+// A full pin-down table fails post_recv and bind_open like every other
+// ioctl: kNoResources and one rejection each, never an exception out of
+// the trap.
+TEST(HostSeries, FullPinTableFailsSetupIoctlsOnce) {
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.node.mem_bytes = 16u << 20;
+  cfg.kernel.pindown.max_pinned_pages = 4;
+  bcl::BclCluster c{cfg};
+  auto& ep = c.open_endpoint(0);
+  c.engine().spawn([](bcl::Endpoint& ep) -> Task<void> {
+    auto small = ep.process().alloc(4096);
+    auto big = ep.process().alloc(64 << 10);  // 16 pages
+    EXPECT_EQ(co_await ep.post_recv(0, big), bcl::BclErr::kNoResources);
+    EXPECT_FALSE(ep.port().normal(0).posted);
+    EXPECT_EQ(co_await ep.bind_open(0, small), bcl::BclErr::kOk);
+    EXPECT_EQ(co_await ep.bind_open(0, big), bcl::BclErr::kNoResources);
+    EXPECT_FALSE(ep.port().open(0).bound);  // the old window is released
+  }(ep));
+  c.engine().run();
+  EXPECT_EQ(c.node(0).driver().security_rejects(), 2u);
+  EXPECT_EQ(c.metrics().counter("node0.driver.security_rejects").value(), 2u);
+  EXPECT_EQ(c.node(0).kernel().pindown().pinned_pages(), 0u);
+}
+
+TEST(HostSeries, NodeStackRefusesMissingTelemetry) {
+  sim::Engine eng;
+  sim::Trace trace{eng};
+  sim::MetricRegistry reg;
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 1;
+  cfg.node.mem_bytes = 8u << 20;
+  EXPECT_THROW((bcl::NodeStack{eng, 0, cfg, nullptr, &reg}),
+               std::invalid_argument);
+  EXPECT_THROW((bcl::NodeStack{eng, 0, cfg, &trace, nullptr}),
+               std::invalid_argument);
+  EXPECT_TRUE(reg.counter_values().empty());
+  bcl::NodeStack stack{eng, 0, cfg, &trace, &reg};
+  EXPECT_EQ(reg.counter("node0.driver.security_rejects").value(), 0u);
 }
 
 }  // namespace

@@ -148,6 +148,33 @@ TEST(Security, RmaReadCannotLeakOutsideWindow) {
             0u);
 }
 
+// The same read between two processes of one node: the shared-memory
+// path refuses it at the caller and, like the NIC path, counts it at the
+// target port as well as in the node's shm series.
+TEST(Security, IntraNodeRmaReadCannotLeakOutsideWindow) {
+  ClusterConfig cfg;
+  cfg.nodes = 1;
+  cfg.node.mem_bytes = 8u << 20;
+  BclCluster c{cfg};
+  auto& attacker = c.open_endpoint(0);
+  auto& victim = c.open_endpoint(0);
+  c.engine().spawn([](Endpoint& victim, Endpoint& attacker) -> Task<void> {
+    auto window = victim.process().alloc(4096);
+    victim.process().fill_pattern(window, 3);
+    EXPECT_EQ(co_await victim.bind_open(0, window), BclErr::kOk);
+    auto into = attacker.process().alloc(8192);
+    attacker.process().fill_pattern(into, 4);
+    auto r = co_await attacker.rma_read(victim.id(), 0, 0, 1, into, 8192);
+    EXPECT_EQ(r.err, BclErr::kNotBound);
+    EXPECT_TRUE(attacker.process().check_pattern(into, 4));  // nothing read
+  }(victim, attacker));
+  c.engine().run();
+  EXPECT_EQ(victim.port().rma_errors, 1u);
+  EXPECT_EQ(attacker.port().rma_errors, 0u);
+  EXPECT_EQ(c.metrics().counter("node0.port1.rma_errors").value(), 1u);
+  EXPECT_EQ(c.metrics().counter("node0.shm.rma_errors").value(), 1u);
+}
+
 TEST(Security, IntraNodeBadBufferRejectedAtUserLevel) {
   ClusterConfig cfg;
   cfg.nodes = 1;
