@@ -94,35 +94,28 @@ std::vector<RateSnapshot> CongestionController::snapshot() const {
 
 void CongestionController::register_metrics(sim::MetricRegistry& reg,
                                             const std::string& prefix) {
-  auto sum = [this](std::uint64_t RateState::* f) {
-    std::uint64_t v = 0;
-    for (const auto& [dst, s] : pacer_.states()) v += s.*f;
-    return v;
-  };
-  reg.counter(prefix + ".echoes_rx",
-              [sum] { return sum(&RateState::echoes); });
-  reg.counter(prefix + ".decreases",
-              [sum] { return sum(&RateState::decreases); });
-  reg.counter(prefix + ".increases",
-              [sum] { return sum(&RateState::increases); });
-  reg.counter(prefix + ".paced_packets",
-              [sum] { return sum(&RateState::paced_packets); });
-  reg.gauge(prefix + ".paced_wait_us", [this] {
-    double v = 0;
-    for (const auto& [dst, s] : pacer_.states()) v += s.paced_wait.to_us();
-    return v;
-  });
-  reg.gauge(prefix + ".throttled_peers", [this] {
-    double n = 0;
+  prefix_ = prefix + ".";
+  reg.add_collector([this](sim::MetricSink& out) {
+    std::uint64_t echoes = 0, decreases = 0, increases = 0, paced = 0;
+    double paced_wait_us = 0;
+    double throttled = 0;
+    double min_rate = cfg_.cc_line_rate;
     for (const auto& [dst, s] : pacer_.states()) {
-      if (s.rate < 0.9 * cfg_.cc_line_rate) ++n;
+      echoes += s.echoes;
+      decreases += s.decreases;
+      increases += s.increases;
+      paced += s.paced_packets;
+      paced_wait_us += s.paced_wait.to_us();
+      if (s.rate < 0.9 * cfg_.cc_line_rate) ++throttled;
+      min_rate = std::min(min_rate, s.rate);
     }
-    return n;
-  });
-  reg.gauge(prefix + ".min_rate_mbps", [this] {
-    double r = cfg_.cc_line_rate;
-    for (const auto& [dst, s] : pacer_.states()) r = std::min(r, s.rate);
-    return r / 1e6;
+    out.counter(prefix_ + "echoes_rx", echoes);
+    out.counter(prefix_ + "decreases", decreases);
+    out.counter(prefix_ + "increases", increases);
+    out.counter(prefix_ + "paced_packets", paced);
+    out.gauge(prefix_ + "paced_wait_us", paced_wait_us);
+    out.gauge(prefix_ + "throttled_peers", throttled);
+    out.gauge(prefix_ + "min_rate_mbps", min_rate / 1e6);
   });
 }
 

@@ -100,9 +100,10 @@ class CongestionController {
 
   std::vector<RateSnapshot> snapshot() const;
 
-  // Registers "<prefix>.echoes_rx/.decreases/.increases/.paced_packets/
-  // .paced_wait_us/.throttled_peers/.min_rate_mbps" (aggregated over
-  // destinations; this object must outlive the registry reads).
+  // Adds the controller's collector, which writes "<prefix>.echoes_rx/
+  // .decreases/.increases/.paced_packets/.paced_wait_us/.throttled_peers/
+  // .min_rate_mbps" (aggregated over destinations; this object must
+  // outlive the registry's exports).
   void register_metrics(sim::MetricRegistry& reg, const std::string& prefix);
 
   // Rate/echo counter tracks ("cc.<name>") are emitted while `tr` is
@@ -116,6 +117,7 @@ class CongestionController {
 
   const CostConfig& cfg_;
   std::string name_;
+  std::string prefix_;  // "<prefix>." of the registered series
   Pacer pacer_;
   sim::Trace* trace_ = nullptr;
   // Last rate emitted per destination, so recovery shows up as a track

@@ -48,18 +48,16 @@ CollectiveEngine::CollectiveEngine(sim::Engine& eng, hw::Nic& nic, Mcp& mcp,
       recorder_{mcp.recorder()},
       cfg_{cfg},
       trace_{trace},
+      prefix_{nic.name() + ".coll."},
       posts_{eng, cfg.request_queue_depth} {
-  // The engine's counters are NIC events (Mcp::register_metrics exports
+  // The engine's counters are NIC events (the MCP's collector writes
   // them); only its gauges are its own.
-  const std::string prefix = nic_.name() + ".coll.";
-  metrics.gauge(prefix + "sram_bytes",
-                [this] { return static_cast<double>(sram_bytes_); });
-  metrics.gauge(prefix + "pending_ops",
-                [this] { return static_cast<double>(pending_.size()); });
-  metrics.gauge(prefix + "groups",
-                [this] { return static_cast<double>(groups_.size()); });
-  metrics.gauge(prefix + "tree_depth",
-                [this] { return static_cast<double>(max_tree_depth()); });
+  metrics.add_collector([this](sim::MetricSink& out) {
+    out.gauge(prefix_ + "sram_bytes", static_cast<double>(sram_bytes_));
+    out.gauge(prefix_ + "pending_ops", static_cast<double>(pending_.size()));
+    out.gauge(prefix_ + "groups", static_cast<double>(groups_.size()));
+    out.gauge(prefix_ + "tree_depth", static_cast<double>(max_tree_depth()));
+  });
   eng_.spawn_daemon(post_pump());
 }
 

@@ -55,7 +55,7 @@ namespace coll {
 class CollectiveEngine {
  public:
   // Flow steps and causal records go to `trace` under the NIC's name; the
-  // <nic>.coll.* gauges register in `metrics`.
+  // engine's collector writes the <nic>.coll.* gauges into `metrics`.
   CollectiveEngine(sim::Engine& eng, hw::Nic& nic, Mcp& mcp,
                    const CostConfig& cfg, sim::Trace& trace,
                    sim::MetricRegistry& metrics);
@@ -198,6 +198,7 @@ class CollectiveEngine {
   FlightRecorder& recorder_;  // the MCP's: the engine's events are NIC events
   const CostConfig& cfg_;
   sim::Trace& trace_;
+  const std::string prefix_;  // "<nic>.coll.": the prefix of its gauges
   sim::Channel<CollPost> posts_;
   std::map<std::uint16_t, GroupDescriptor> groups_;
   std::map<Key, Pending> pending_;

@@ -24,18 +24,19 @@ Driver::Driver(osk::Kernel& kernel, Mcp& mcp, const CostConfig& cfg,
       cfg_{cfg},
       cluster_nodes_{cluster_nodes},
       trace_{trace},
-      comp_{node_prefix(kernel) + "kernel"},
-      m_sends_{metrics.counter(node_prefix(kernel) + "driver.sends")},
-      m_pio_words_{metrics.counter(node_prefix(kernel) + "driver.pio_words")},
-      m_send_bytes_{
-          metrics.counter(node_prefix(kernel) + "driver.send_bytes")} {
-  const std::string prefix = node_prefix(kernel) + "driver.";
-  metrics.counter(prefix + "security_rejects", [this] { return rejects_; });
-  metrics.counter(prefix + "credit_blocks", [this] { return credit_blocks_; });
-  // Under the pindown prefix next to the osk gauges: pages pinned by sends
-  // that failed late and were (or were not) released.
-  metrics.gauge(node_prefix(kernel) + "pindown.leaked_pages",
-                [this] { return static_cast<double>(pinned_uncommitted_); });
+      node_{node_prefix(kernel)},
+      comp_{node_ + "kernel"},
+      m_sends_{metrics.counter(node_ + "driver.sends")},
+      m_pio_words_{metrics.counter(node_ + "driver.pio_words")},
+      m_send_bytes_{metrics.counter(node_ + "driver.send_bytes")} {
+  metrics.add_collector([this](sim::MetricSink& out) {
+    out.counter(node_ + "driver.security_rejects", rejects_);
+    out.counter(node_ + "driver.credit_blocks", credit_blocks_);
+    // Under the pindown prefix next to the osk gauges: pages pinned by
+    // sends that failed late and were (or were not) released.
+    out.gauge(node_ + "pindown.leaked_pages",
+              static_cast<double>(pinned_uncommitted_));
+  });
 }
 
 std::uint64_t Driver::page_span(osk::VirtAddr vaddr, std::size_t len) {

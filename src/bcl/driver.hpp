@@ -58,7 +58,8 @@ struct CollPostArgs {
 class Driver {
  public:
   // Stage spans go to `trace` as node<N>.kernel; the node<N>.driver.*
-  // series register in `metrics`.
+  // series go to `metrics` (sends, PIO words and bytes as owned counters,
+  // the rest through the driver's collector).
   Driver(osk::Kernel& kernel, Mcp& mcp, const CostConfig& cfg,
          std::uint32_t cluster_nodes, sim::Trace& trace,
          sim::MetricRegistry& metrics);
@@ -138,6 +139,7 @@ class Driver {
   const CostConfig& cfg_;
   std::uint32_t cluster_nodes_;
   sim::Trace& trace_;
+  const std::string node_;  // "node<N>.": the prefix of the driver's series
   const std::string comp_;  // "node<N>.kernel": the trace component
   std::uint64_t next_msg_id_ = 1;
   std::uint64_t rejects_ = 0;

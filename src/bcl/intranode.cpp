@@ -8,17 +8,18 @@ namespace bcl {
 
 IntraNode::IntraNode(sim::Engine& eng, osk::Kernel& kernel,
                      const CostConfig& cfg, sim::MetricRegistry& metrics)
-    : eng_{eng}, kernel_{kernel}, cfg_{cfg} {
-  const std::string prefix =
-      "node" + std::to_string(kernel_.node().id()) + ".shm.";
-  metrics.counter(prefix + "messages", [this] { return stats_.messages; });
-  metrics.counter(prefix + "chunks", [this] { return stats_.chunks; });
-  metrics.counter(prefix + "sys_drops", [this] { return stats_.sys_drops; });
-  metrics.counter(prefix + "not_posted_drops",
-                  [this] { return stats_.not_posted_drops; });
-  metrics.counter(prefix + "rma_errors", [this] { return stats_.rma_errors; });
-  metrics.gauge(prefix + "pipes",
-                [this] { return static_cast<double>(pipes_.size()); });
+    : eng_{eng},
+      kernel_{kernel},
+      cfg_{cfg},
+      prefix_{"node" + std::to_string(kernel_.node().id()) + ".shm."} {
+  metrics.add_collector([this](sim::MetricSink& out) {
+    out.counter(prefix_ + "messages", stats_.messages);
+    out.counter(prefix_ + "chunks", stats_.chunks);
+    out.counter(prefix_ + "sys_drops", stats_.sys_drops);
+    out.counter(prefix_ + "not_posted_drops", stats_.not_posted_drops);
+    out.counter(prefix_ + "rma_errors", stats_.rma_errors);
+    out.gauge(prefix_ + "pipes", static_cast<double>(pipes_.size()));
+  });
 }
 
 void IntraNode::register_port(Port* port) {

@@ -24,8 +24,8 @@ namespace bcl {
 
 class IntraNode {
  public:
-  // The node<N>.shm.* series read stats() by callback.  The path records
-  // no spans, so it takes no trace.
+  // The node<N>.shm.* series come from the path's collector, which reads
+  // stats().  The path records no spans, so it takes no trace.
   IntraNode(sim::Engine& eng, osk::Kernel& kernel, const CostConfig& cfg,
             sim::MetricRegistry& metrics);
 
@@ -90,6 +90,7 @@ class IntraNode {
   sim::Engine& eng_;
   osk::Kernel& kernel_;
   const CostConfig& cfg_;
+  const std::string prefix_;  // "node<N>.shm."
   std::map<std::uint32_t, Port*> ports_;
   std::map<std::uint64_t, std::unique_ptr<Pipe>> pipes_;
   std::uint64_t next_msg_id_ = (1ull << 62);

@@ -61,6 +61,7 @@ Mcp::Mcp(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
       nic_{nic},
       cfg_{cfg},
       trace_{trace},
+      prefix_{nic.name() + "."},
       requests_{eng, cfg.request_queue_depth},
       tx_mutex_{eng},
       flow_{std::make_unique<FlowController>(eng, cfg, nic.name(), trace,
@@ -72,76 +73,64 @@ Mcp::Mcp(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
       m_dma_rx_bytes_{metrics.counter(nic.name() + ".mcp.dma_rx_bytes")},
       m_tx_descriptors_{metrics.counter(nic.name() + ".mcp.tx_descriptors")} {
   cc_->set_trace(&trace);
-  register_metrics(metrics);
+  metrics.add_collector([this](sim::MetricSink& out) { collect(out); });
+  cc_->register_metrics(metrics, prefix_ + "cc");
   coll_ = std::make_unique<coll::CollectiveEngine>(eng, nic, *this, cfg,
                                                    trace, metrics);
   eng_.spawn_daemon(tx_pump());
   eng_.spawn_daemon(rx_pump());
 }
 
-void Mcp::register_metrics(sim::MetricRegistry& m) {
-  const std::string prefix = nic_.name() + ".mcp.";
-  // Every NIC event with a series, by callback: the recorder is the count's
-  // one home, and MetricRegistry::reset() leaves it alone.
+void Mcp::collect(sim::MetricSink& out) {
+  // Every NIC event with a series: the recorder is the count's one home,
+  // and MetricRegistry::reset() leaves it alone.
   for (std::size_t i = 0; i < kNicEventCount; ++i) {
     const auto kind = static_cast<NicEvent>(i);
     if (const char* series = series_name(kind)) {
-      m.counter(nic_.name() + "." + series,
-                [this, kind] { return recorder_.count(kind); });
+      out.counter(prefix_ + series, recorder_.count(kind));
     }
   }
-  m.gauge(prefix + "request_ring",
-          [this] { return static_cast<double>(requests_.size()); });
-  m.gauge(prefix + "request_ring_hwm",
-          [this] { return static_cast<double>(req_ring_hwm_); });
-  m.gauge(prefix + "rx_queue_hwm",
-          [this] { return static_cast<double>(rx_queue_hwm_); });
-  m.gauge(prefix + "tx_in_flight",
-          [this] { return static_cast<double>(tx_in_flight()); });
-  const std::string rel = nic_.name() + ".rel.";
-  m.gauge(rel + "sessions",
-          [this] { return static_cast<double>(tx_sessions_.size()); });
-  m.gauge(rel + "unreachable_peers",
-          [this] { return static_cast<double>(unreachable_peers()); });
-  // Per-peer estimator series, written at export time for every peer that
-  // ever had a session.  They read the CURRENT session, so a session
-  // replaced after a peer restart never leaves them on its graveyarded
-  // predecessor; a peer with no live session reads zero.
-  m.add_collector([this, rel](sim::MetricSink& out) {
-    for (const hw::NodeId dst : session_peers_) {
-      const TxSession* s = find_tx_session(dst);
-      const std::string p = rel + "peer" + std::to_string(dst) + ".";
-      out.gauge(p + "srtt_us", s != nullptr ? s->srtt().to_us() : 0.0);
-      out.gauge(p + "rto_us", s != nullptr ? s->rto().to_us() : 0.0);
-      out.gauge(p + "backoff", s != nullptr ? s->backoff_level() : 0);
-      out.gauge(p + "in_flight",
-                s != nullptr ? static_cast<double>(s->in_flight()) : 0.0);
-      out.gauge(p + "unreachable",
-                s != nullptr && s->peer_unreachable() ? 1.0 : 0.0);
-      out.counter(p + "fast_retransmits",
-                  s != nullptr ? s->fast_retransmits() : 0);
-      out.counter(p + "rtt_samples", s != nullptr ? s->rtt_samples() : 0);
-    }
-  });
-  cc_->register_metrics(m, nic_.name() + ".cc");
-  m.gauge(nic_.name() + ".path.quarantined", [this] {
-    return static_cast<double>(path_table_->quarantined_count());
-  });
+  const std::string mcp = prefix_ + "mcp.";
+  out.gauge(mcp + "request_ring", static_cast<double>(requests_.size()));
+  out.gauge(mcp + "request_ring_hwm", static_cast<double>(req_ring_hwm_));
+  out.gauge(mcp + "rx_queue_hwm", static_cast<double>(rx_queue_hwm_));
+  out.gauge(mcp + "tx_in_flight", static_cast<double>(tx_in_flight()));
+  const std::string rel = prefix_ + "rel.";
+  out.gauge(rel + "sessions", static_cast<double>(tx_sessions_.size()));
+  out.gauge(rel + "unreachable_peers",
+            static_cast<double>(unreachable_peers()));
+  // Per-peer estimator series for every peer that ever had a session.
+  // They read the CURRENT session, so a session replaced after a peer
+  // restart never leaves them on its graveyarded predecessor; a peer with
+  // no live session reads zero.
+  for (const hw::NodeId dst : session_peers_) {
+    const TxSession* s = find_tx_session(dst);
+    const std::string p = rel + "peer" + std::to_string(dst) + ".";
+    out.gauge(p + "srtt_us", s != nullptr ? s->srtt().to_us() : 0.0);
+    out.gauge(p + "rto_us", s != nullptr ? s->rto().to_us() : 0.0);
+    out.gauge(p + "backoff", s != nullptr ? s->backoff_level() : 0);
+    out.gauge(p + "in_flight",
+              s != nullptr ? static_cast<double>(s->in_flight()) : 0.0);
+    out.gauge(p + "unreachable",
+              s != nullptr && s->peer_unreachable() ? 1.0 : 0.0);
+    out.counter(p + "fast_retransmits",
+                s != nullptr ? s->fast_retransmits() : 0);
+    out.counter(p + "rtt_samples", s != nullptr ? s->rtt_samples() : 0);
+  }
+  out.gauge(prefix_ + "path.quarantined",
+            static_cast<double>(path_table_->quarantined_count()));
   // Flow-control aggregates the FlowController keeps (it registers its
   // credit_rtt_us summary itself).
-  const std::string fc = nic_.name() + ".fc.";
-  m.counter(fc + "stalls", [this] { return flow_->stalls(); });
-  m.counter(fc + "credits_consumed",
-            [this] { return flow_->credits_consumed(); });
-  m.counter(fc + "grants_rx", [this] { return flow_->grants_rx(); });
-  m.gauge(fc + "send_credits", [this] { return flow_->total_available(); });
-  m.gauge(fc + "rx_outstanding", [this] {
-    double n = 0;
-    for (const auto& [key, rc] : rx_credits_) {
-      n += static_cast<double>(rc.limit - rc.delivered);
-    }
-    return n;
-  });
+  const std::string fc = prefix_ + "fc.";
+  out.counter(fc + "stalls", flow_->stalls());
+  out.counter(fc + "credits_consumed", flow_->credits_consumed());
+  out.counter(fc + "grants_rx", flow_->grants_rx());
+  out.gauge(fc + "send_credits", flow_->total_available());
+  double rx_outstanding = 0;
+  for (const auto& [key, rc] : rx_credits_) {
+    rx_outstanding += static_cast<double>(rc.limit - rc.delivered);
+  }
+  out.gauge(fc + "rx_outstanding", rx_outstanding);
 }
 
 Mcp::~Mcp() = default;
@@ -631,7 +620,8 @@ sim::Task<void> Mcp::send_message(const SendDescriptor& d) {
     p.dst_port = d.dst.port;
     p.src_port = d.src.port;
     p.channel = d.channel.encode();
-    p.op_flags = static_cast<std::uint16_t>(d.op);
+    p.op_flags = static_cast<std::uint16_t>(
+        static_cast<unsigned>(d.op) | static_cast<unsigned>(d.verdict) << 8);
     p.reply_channel = d.reply_channel;
     p.msg_id = d.msg_id;
     p.frag_index = i;
@@ -900,10 +890,12 @@ sim::Task<bool> Mcp::handle_data(hw::Packet p) {
       co_await scatter(p, st.segs, p.offset);
       if (p.frag_index + 1 == p.frag_count) {
         st.posted = false;  // rendezvous consumed
-        ++port->messages_received;
+        // A refused RMA read's reply: no data, the target's verdict.
+        const auto err = static_cast<BclErr>(p.op_flags >> 8);
+        if (err == BclErr::kOk) ++port->messages_received;
         co_await deliver_recv_event(
             *port, RecvEvent{p.msg_id, src, ch,
-                             static_cast<std::size_t>(p.msg_bytes), -1});
+                             static_cast<std::size_t>(p.msg_bytes), -1, err});
       }
       break;
     }
@@ -943,17 +935,11 @@ sim::Task<void> Mcp::handle_rma_read(const hw::Packet& p) {
   co_await nic_.lanai().use(cfg_.mcp_rma_proc);
   Port* port = find_port(p.dst_port);
   const ChannelRef ch = ChannelRef::decode(p.channel);
-  if (port == nullptr || ch.kind != ChanKind::kOpen ||
-      ch.index >= port->open_count()) {
-    if (port) ++port->rma_errors;
-    co_return;
-  }
-  auto& st = port->open(ch.index);
-  if (!st.bound || p.offset + p.msg_bytes > st.buf.len) {
-    ++port->rma_errors;
-    co_return;
-  }
-  recorder_.add(NicEvent::kRmaReadServed);
+  const OpenChannelState* st =
+      port != nullptr && ch.kind == ChanKind::kOpen &&
+              ch.index < port->open_count()
+          ? &port->open(ch.index)
+          : nullptr;
   // Reply: a normal-channel message back to the requester, sent through
   // the regular tx path (serialized with local sends by the tx mutex).
   SendDescriptor d;
@@ -962,10 +948,18 @@ sim::Task<void> Mcp::handle_rma_read(const hw::Packet& p) {
   d.dst = PortId{p.src_node, p.src_port};
   d.channel = ChannelRef{ChanKind::kNormal, p.reply_channel};
   d.op = SendOp::kSend;
-  d.segs = slice_segments(st.segs, p.offset,
-                          static_cast<std::size_t>(p.msg_bytes));
-  d.total_len = p.msg_bytes;
   d.notify_sender = false;  // the target did not initiate a send
+  if (st == nullptr || !st->bound || p.offset + p.msg_bytes > st->buf.len) {
+    // Refused: counted here, and answered without data so the requester's
+    // reply channel completes with the verdict the intra-node path gives.
+    if (port != nullptr) ++port->rma_errors;
+    d.verdict = BclErr::kNotBound;
+  } else {
+    recorder_.add(NicEvent::kRmaReadServed);
+    d.segs = slice_segments(st->segs, p.offset,
+                            static_cast<std::size_t>(p.msg_bytes));
+    d.total_len = p.msg_bytes;
+  }
   eng_.spawn_daemon(send_message_locked(std::move(d)));
 }
 

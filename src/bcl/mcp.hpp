@@ -13,8 +13,8 @@
 // Every protocol event the MCP, its sessions and its collective engine
 // see is one call into the NIC's recorder (bcl/recorder.hpp), which counts
 // it over the NIC's whole life and keeps it in the flight ring when its
-// kind has a flight name; recorder().count(kind) reads it back, and
-// register_metrics exports every kind that names a series.
+// kind has a flight name; recorder().count(kind) reads it back, and the
+// NIC's collector exports every kind that names a series.
 #pragma once
 
 #include <cstdint>
@@ -256,10 +256,10 @@ class Mcp : private SessionOwner {
   // every local port's send-event queue, and start the bounded revival
   // prober that can later rescind the verdict.
   sim::Task<void> announce_peer_failure(hw::NodeId dst);
-  // Registers every NIC event that has a series (recorder.hpp), the
-  // NIC-wide gauges, and the collector for the per-peer <nic>.rel.peer<d>.*
-  // series.
-  void register_metrics(sim::MetricRegistry& m);
+  // The NIC's collector: every NIC event that has a series (recorder.hpp),
+  // the NIC-wide gauges, the per-peer <nic>.rel.peer<d>.* series and the
+  // flow-control aggregates.
+  void collect(sim::MetricSink& out);
   // Sums one per-session reading over the live sessions.
   template <typename T>
   std::uint64_t sum_sessions(T (TxSession::*read)() const) const;
@@ -326,6 +326,7 @@ class Mcp : private SessionOwner {
   hw::Nic& nic_;
   const CostConfig& cfg_;
   sim::Trace& trace_;
+  const std::string prefix_;  // "<nic>.": the prefix of the NIC's series
   sim::Channel<SendDescriptor> requests_;
   sim::Mutex tx_mutex_;
   std::map<std::uint32_t, Port*> ports_;

@@ -4,8 +4,9 @@
 // go-back-N sessions, the rx and tx paths, flow and congestion control,
 // crash-restart recovery, multipath failover and the collective engine.
 // Each row names the kind, its counter's registry series under "<nic>."
-// (Mcp::register_metrics exports every one that has a series), and the
-// name its flight-recorder entries print under (the post-mortem timeline).
+// (the NIC's collector, Mcp::collect, exports every one that has a
+// series), and the name its flight-recorder entries print under (the
+// post-mortem timeline).
 // A null series means counted but not exported; a null flight name means
 // counted but never kept in the ring.
 //

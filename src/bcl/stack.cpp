@@ -18,55 +18,45 @@ NodeStack::NodeStack(sim::Engine& eng, hw::NodeId id,
       kernel_{eng, node_, cfg.kernel},
       mcp_{eng, node_.nic(), cfg.cost, trace_, metrics_},
       driver_{kernel_, mcp_, cfg.cost, cfg.nodes, trace_, metrics_},
-      intra_{eng, kernel_, cfg.cost, metrics_} {
-  register_node_metrics(metrics_);
+      intra_{eng, kernel_, cfg.cost, metrics_},
+      prefix_{"node" + std::to_string(id) + "."} {
+  metrics_.add_collector([this](sim::MetricSink& out) { collect(out); });
 }
 
-void NodeStack::register_node_metrics(sim::MetricRegistry& m) {
-  const std::string node_prefix = "node" + std::to_string(node_.id()) + ".";
+void NodeStack::collect(sim::MetricSink& out) {
   // Kernel / pin-down cache (osk layer).
-  const std::string osk = node_prefix + "osk.";
-  m.counter(osk + "traps", [this] { return kernel_.traps(); });
-  m.counter(osk + "pin_hits", [this] { return kernel_.pindown().hits(); });
-  m.counter(osk + "pin_misses", [this] { return kernel_.pindown().misses(); });
-  m.counter(osk + "pages_pinned_total",
-            [this] { return kernel_.pindown().pages_pinned_total(); });
-  m.gauge(osk + "pinned_pages", [this] {
-    return static_cast<double>(kernel_.pindown().pinned_pages());
-  });
-  m.gauge(osk + "peak_pinned_pages", [this] {
-    return static_cast<double>(kernel_.pindown().peak_pinned_pages());
-  });
+  const osk::PinDownTable& pins = kernel_.pindown();
+  out.counter(prefix_ + "osk.traps", kernel_.traps());
+  out.counter(prefix_ + "osk.pin_hits", pins.hits());
+  out.counter(prefix_ + "osk.pin_misses", pins.misses());
+  out.counter(prefix_ + "osk.pages_pinned_total", pins.pages_pinned_total());
+  out.gauge(prefix_ + "osk.pinned_pages",
+            static_cast<double>(pins.pinned_pages()));
+  out.gauge(prefix_ + "osk.peak_pinned_pages",
+            static_cast<double>(pins.peak_pinned_pages()));
   // NIC hardware counters.
-  const std::string nic = node_prefix + "nic.";
-  m.counter(nic + "tx_packets",
-            [this] { return node_.nic().tx_packets(); });
-  m.counter(nic + "rx_packets",
-            [this] { return node_.nic().rx_packets(); });
-  m.gauge(nic + "sram_free_bytes", [this] {
-    return static_cast<double>(node_.nic().sram_free());
-  });
-  m.gauge(nic + "rx_queue", [this] {
-    return static_cast<double>(node_.nic().rx().size());
-  });
-}
-
-void NodeStack::register_port_metrics(sim::MetricRegistry& m, Port& port) {
-  const std::string prefix = "node" + std::to_string(node_.id()) + ".port" +
-                             std::to_string(port.id().port) + ".";
-  Port* p = &port;  // ports are heap-allocated and outlive the registry user
-  m.counter(prefix + "messages_received",
-            [p] { return p->messages_received; });
-  m.counter(prefix + "messages_sent", [p] { return p->messages_sent; });
-  m.counter(prefix + "sys_drops", [p] { return p->sys_drops; });
-  m.counter(prefix + "rnr_events", [p] { return p->rnr_events; });
-  m.counter(prefix + "not_posted_drops",
-            [p] { return p->not_posted_drops; });
-  m.counter(prefix + "rma_errors", [p] { return p->rma_errors; });
-  m.gauge(prefix + "recv_cq_depth",
-          [p] { return static_cast<double>(p->recv_events().size()); });
-  m.gauge(prefix + "send_cq_depth",
-          [p] { return static_cast<double>(p->send_events().size()); });
+  hw::Nic& nic = node_.nic();
+  out.counter(prefix_ + "nic.tx_packets", nic.tx_packets());
+  out.counter(prefix_ + "nic.rx_packets", nic.rx_packets());
+  out.gauge(prefix_ + "nic.sram_free_bytes",
+            static_cast<double>(nic.sram_free()));
+  out.gauge(prefix_ + "nic.rx_queue", static_cast<double>(nic.rx().size()));
+  // Every open port.
+  for (const auto& ep : endpoints_) {
+    Port& p = ep->port();
+    const std::string port =
+        prefix_ + "port" + std::to_string(p.id().port) + ".";
+    out.counter(port + "messages_received", p.messages_received);
+    out.counter(port + "messages_sent", p.messages_sent);
+    out.counter(port + "sys_drops", p.sys_drops);
+    out.counter(port + "rnr_events", p.rnr_events);
+    out.counter(port + "not_posted_drops", p.not_posted_drops);
+    out.counter(port + "rma_errors", p.rma_errors);
+    out.gauge(port + "recv_cq_depth",
+              static_cast<double>(p.recv_events().size()));
+    out.gauge(port + "send_cq_depth",
+              static_cast<double>(p.send_events().size()));
+  }
 }
 
 Endpoint& NodeStack::open_endpoint() {
@@ -80,7 +70,6 @@ Endpoint& NodeStack::open_endpoint() {
                                    cfg_.cost.sys_slot_bytes) != BclErr::kOk) {
     throw std::runtime_error("system channel setup failed");
   }
-  register_port_metrics(metrics_, *port);
   endpoints_.push_back(std::make_unique<Endpoint>(
       eng_, cfg_.cost, driver_, mcp_, intra_, proc, std::move(port), trace_,
       metrics_));

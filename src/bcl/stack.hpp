@@ -39,8 +39,8 @@ class NodeStack {
   Endpoint& endpoint(std::size_t i) { return *endpoints_.at(i); }
 
  private:
-  void register_node_metrics(sim::MetricRegistry& m);
-  void register_port_metrics(sim::MetricRegistry& m, Port& port);
+  // The node's collector: its osk, NIC-hardware and per-port series.
+  void collect(sim::MetricSink& out);
 
   sim::Engine& eng_;
   const ClusterConfig& cfg_;
@@ -51,6 +51,7 @@ class NodeStack {
   Mcp mcp_;
   Driver driver_;
   IntraNode intra_;
+  std::string prefix_;  // "node<N>."
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::uint32_t next_port_ = 0;
 };

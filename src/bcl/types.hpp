@@ -94,12 +94,17 @@ struct RecvEvent {
   ChannelRef channel{};
   std::size_t len = 0;
   int sys_slot = -1;  // system-channel pool slot holding the payload
+  // kOk, or why a normal channel completed without data: kNotBound when
+  // the target of an RMA read refused it.
+  BclErr err = BclErr::kOk;
 };
 
 // Operation requested of the NIC.  kColl marks collective-engine packets:
 // the low byte of Packet::op_flags carries the SendOp and the high byte a
 // coll::CollWire opcode, so the MCP can demultiplex before touching the
-// channel field (which collective packets reuse for the group id).
+// channel field (which collective packets reuse for the group id).  On
+// every other packet the high byte is the sender's verdict
+// (SendDescriptor::verdict), kOk except on a refused RMA read's reply.
 // kFcUpdate/kFcProbe are MCP-internal flow-control packets: session-less
 // (no sequence number), idempotent carriers of a cumulative credit grant
 // (update) or a request for one (probe).  kSyn/kSynAck carry the
@@ -135,6 +140,9 @@ struct SendDescriptor {
   std::uint64_t rma_offset = 0;       // target window offset for RMA
   std::uint16_t reply_channel = 0;    // requester's normal channel for reads
   bool notify_sender = true;          // false for MCP-internal sends
+  // A refused RMA read's reply carries no data, only this verdict, which
+  // completes the requester's reply channel.
+  BclErr verdict = BclErr::kOk;
   // Extra LANai work attached by user-level front ends (address-translation
   // cache lookups happen on the NIC there, in the kernel here).
   sim::Time extra_nic_cost = sim::Time::zero();

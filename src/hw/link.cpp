@@ -8,36 +8,25 @@
 
 namespace hw {
 
-void register_link_metrics(sim::MetricRegistry& reg, const Link& link,
-                           const std::string& prefix) {
-  reg.counter(prefix + ".bytes", [&link] { return link.bytes(); });
-  reg.counter(prefix + ".packets", [&link] { return link.packets(); });
-  reg.counter(prefix + ".corrupted", [&link] { return link.corrupted(); });
-  reg.counter(prefix + ".dropped", [&link] { return link.dropped(); });
-  reg.counter(prefix + ".duplicated", [&link] { return link.duplicated(); });
-  reg.counter(prefix + ".reordered", [&link] { return link.reordered(); });
-  reg.gauge(prefix + ".busy_us",
-            [&link] { return link.busy_time().to_us(); });
-  reg.gauge(prefix + ".queue", [&link] {
-    return static_cast<double>(link.queue_depth());
-  });
+void write_link_series(sim::MetricSink& out, const Link& link) {
+  const std::string prefix = "fabric.link." + link.name() + ".";
+  out.counter(prefix + "bytes", link.bytes());
+  out.counter(prefix + "packets", link.packets());
+  out.counter(prefix + "corrupted", link.corrupted());
+  out.counter(prefix + "dropped", link.dropped());
+  out.counter(prefix + "duplicated", link.duplicated());
+  out.counter(prefix + "reordered", link.reordered());
+  out.gauge(prefix + "busy_us", link.busy_time().to_us());
+  out.gauge(prefix + "queue", static_cast<double>(link.queue_depth()));
   // Congestion telemetry.
-  reg.counter(prefix + ".retx_packets",
-              [&link] { return link.retx_packets(); });
-  reg.counter(prefix + ".ecn_marks", [&link] { return link.ecn_marks(); });
-  reg.counter(prefix + ".blocked_marks",
-              [&link] { return link.blocked_marks(); });
-  reg.counter(prefix + ".failed_drops",
-              [&link] { return link.failed_drops(); });
-  reg.gauge(prefix + ".queue_wait_us",
-            [&link] { return link.queue_wait().to_us(); });
-  reg.gauge(prefix + ".queue_hwm", [&link] {
-    return static_cast<double>(link.queue_hwm());
-  });
-  reg.gauge(prefix + ".blocked_us",
-            [&link] { return link.blocked_time().to_us(); });
-  reg.gauge(prefix + ".util",
-            [&link] { return link.windowed_utilization(); });
+  out.counter(prefix + "retx_packets", link.retx_packets());
+  out.counter(prefix + "ecn_marks", link.ecn_marks());
+  out.counter(prefix + "blocked_marks", link.blocked_marks());
+  out.counter(prefix + "failed_drops", link.failed_drops());
+  out.gauge(prefix + "queue_wait_us", link.queue_wait().to_us());
+  out.gauge(prefix + "queue_hwm", static_cast<double>(link.queue_hwm()));
+  out.gauge(prefix + "blocked_us", link.blocked_time().to_us());
+  out.gauge(prefix + "util", link.windowed_utilization());
 }
 
 Link::Link(sim::Engine& eng, std::string name, const LinkConfig& cfg,

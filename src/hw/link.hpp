@@ -21,6 +21,7 @@
 
 namespace sim {
 class MetricRegistry;
+class MetricSink;
 class Trace;
 }
 
@@ -68,8 +69,9 @@ class Fabric {
   // collective groups lay their trees along it (coll::tree_order).
   virtual std::int64_t curve_index(NodeId) const { return -1; }
   // Exports wire-level observability (per-link bytes/packets/queue depth,
-  // per-switch forward counts) as callback-backed metrics.  Call after
-  // every node is attached; the fabric must outlive the registry reads.
+  // per-switch forward counts) through one collector for the whole
+  // fabric.  Call after every node is attached; the fabric must outlive
+  // the registry's exports.
   virtual void register_metrics(sim::MetricRegistry&) const {}
   // Congestion snapshot across every link (unordered); used by the
   // post-mortem dump to rank the hottest links.
@@ -154,10 +156,10 @@ struct FaultPlan {
 
 class Link;
 
-// Registers "<prefix>.bytes/.packets/.corrupted/.dropped/.duplicated/
-// .reordered/.busy_us/.queue" callback metrics for one link.
-void register_link_metrics(sim::MetricRegistry& reg, const Link& link,
-                           const std::string& prefix);
+// Writes one link's "fabric.link.<name>.bytes/.packets/.corrupted/
+// .dropped/.duplicated/.reordered/.busy_us/.queue/..." series (a fabric's
+// collector calls it for each of its links).
+void write_link_series(sim::MetricSink& out, const Link& link);
 
 class Link {
  public:

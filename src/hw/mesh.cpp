@@ -171,14 +171,13 @@ std::int64_t MeshFabric::curve_index(NodeId n) const {
 }
 
 void MeshFabric::register_metrics(sim::MetricRegistry& reg) const {
-  for (const auto& l : links_) {
-    register_link_metrics(reg, *l, "fabric.link." + l->name());
-  }
-  for (std::size_t i = 0; i < routers_.size(); ++i) {
-    const MeshRouter* r = routers_[i].get();
-    reg.counter("fabric.router.m" + std::to_string(i) + ".forwarded",
-                [r] { return r->forwarded(); });
-  }
+  reg.add_collector([this](sim::MetricSink& out) {
+    for (const auto& l : links_) write_link_series(out, *l);
+    for (std::size_t i = 0; i < routers_.size(); ++i) {
+      out.counter("fabric.router.m" + std::to_string(i) + ".forwarded",
+                  routers_[i]->forwarded());
+    }
+  });
 }
 
 std::vector<Fabric::LinkStats> MeshFabric::congestion_report() const {

@@ -315,16 +315,15 @@ void MyrinetFabric::set_trace(sim::Trace* tr) {
 }
 
 void MyrinetFabric::register_metrics(sim::MetricRegistry& reg) const {
-  for (const auto& l : links_) {
-    register_link_metrics(reg, *l, "fabric.link." + l->name());
-  }
-  for (const auto& sw : switches_) {
-    const std::string prefix = "fabric.switch." + sw->name();
-    const CrossbarSwitch* s = sw.get();
-    reg.counter(prefix + ".forwarded", [s] { return s->forwarded(); });
-    reg.counter(prefix + ".route_errors", [s] { return s->route_errors(); });
-    reg.counter(prefix + ".failed_drops", [s] { return s->failed_drops(); });
-  }
+  reg.add_collector([this](sim::MetricSink& out) {
+    for (const auto& l : links_) write_link_series(out, *l);
+    for (const auto& sw : switches_) {
+      const std::string prefix = "fabric.switch." + sw->name() + ".";
+      out.counter(prefix + "forwarded", sw->forwarded());
+      out.counter(prefix + "route_errors", sw->route_errors());
+      out.counter(prefix + "failed_drops", sw->failed_drops());
+    }
+  });
 }
 
 }  // namespace hw

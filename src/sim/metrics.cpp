@@ -1,6 +1,7 @@
 #include "sim/metrics.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -57,21 +58,25 @@ constexpr auto kByName = [](const auto& a, const auto& b) {
   return a.first < b.first;
 };
 
-// Instrument readings (map order) merged with sorted collector series.
-template <typename V, typename Instrument>
-std::vector<std::pair<std::string, V>> merge_values(
-    const std::map<std::string, std::unique_ptr<Instrument>>& instruments,
-    std::vector<std::pair<std::string, V>> collected) {
-  std::vector<std::pair<std::string, V>> out;
-  out.reserve(instruments.size() + collected.size());
+// Sorts one kind's readings by name.  Names are unique across instruments
+// and collectors, so the order does not depend on the sort's stability.
+template <typename V>
+void sort_by_name(std::vector<std::pair<std::string, V>>& values) {
+  std::sort(values.begin(), values.end(), kByName);
+  assert(std::adjacent_find(values.begin(), values.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.first == b.first;
+                            }) == values.end());
+}
+
+// Adds the owned instruments' readings to one kind's collected series.
+template <typename V, typename Instruments>
+void append_instruments(std::vector<std::pair<std::string, V>>& out,
+                        const Instruments& instruments) {
+  out.reserve(out.size() + instruments.size());
   for (const auto& [name, inst] : instruments) {
     out.emplace_back(name, inst->value());
   }
-  const auto n = static_cast<std::ptrdiff_t>(out.size());
-  out.insert(out.end(), std::make_move_iterator(collected.begin()),
-             std::make_move_iterator(collected.end()));
-  std::inplace_merge(out.begin(), out.begin() + n, out.end(), kByName);
-  return out;
 }
 
 }  // namespace
@@ -82,23 +87,9 @@ Counter& MetricRegistry::counter(const std::string& name) {
   return *slot;
 }
 
-Counter& MetricRegistry::counter(const std::string& name,
-                                 std::function<std::uint64_t()> fn) {
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>(std::move(fn));
-  return *slot;
-}
-
 Gauge& MetricRegistry::gauge(const std::string& name) {
   auto& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-Gauge& MetricRegistry::gauge(const std::string& name,
-                             std::function<double()> fn) {
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>(std::move(fn));
   return *slot;
 }
 
@@ -114,55 +105,77 @@ Histogram& MetricRegistry::histogram(const std::string& name) {
   return *slot;
 }
 
+std::optional<double> MetricRegistry::value(std::string_view name) const {
+  if (const auto it = counters_.find(name); it != counters_.end()) {
+    return static_cast<double>(it->second->value());
+  }
+  if (const auto it = gauges_.find(name); it != gauges_.end()) {
+    return it->second->value();
+  }
+  MetricSink sink;
+  for (const auto& fn : collectors_) fn(sink);
+  for (const auto& [n, v] : sink.counters_) {
+    if (n == name) return static_cast<double>(v);
+  }
+  for (const auto& [n, v] : sink.gauges_) {
+    if (n == name) return v;
+  }
+  return std::nullopt;
+}
+
 void MetricRegistry::add_collector(std::function<void(MetricSink&)> fn) {
   collectors_.push_back(std::move(fn));
 }
 
-MetricSink MetricRegistry::collect() const {
+MetricSink MetricRegistry::snapshot() const {
   MetricSink sink;
   for (const auto& fn : collectors_) fn(sink);
-  std::sort(sink.counters_.begin(), sink.counters_.end(), kByName);
-  std::sort(sink.gauges_.begin(), sink.gauges_.end(), kByName);
+  append_instruments(sink.counters_, counters_);
+  append_instruments(sink.gauges_, gauges_);
+  sort_by_name(sink.counters_);
+  sort_by_name(sink.gauges_);
   return sink;
+}
+
+std::vector<std::pair<std::string, double>> MetricRegistry::flatten(
+    MetricSink s) {
+  std::vector<std::pair<std::string, double>> out;
+  out.reserve(s.counters_.size() + s.gauges_.size());
+  for (auto& [name, v] : s.counters_) {
+    out.emplace_back(std::move(name), static_cast<double>(v));
+  }
+  out.insert(out.end(), std::make_move_iterator(s.gauges_.begin()),
+             std::make_move_iterator(s.gauges_.end()));
+  return out;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>
 MetricRegistry::counter_values() const {
-  return merge_values(counters_, collect().counters_);
+  return snapshot().counters_;
 }
 
 std::vector<std::pair<std::string, double>> MetricRegistry::gauge_values()
     const {
-  return merge_values(gauges_, collect().gauges_);
+  return snapshot().gauges_;
 }
 
 void MetricRegistry::reset() {
-  for (auto& [name, c] : counters_) {
-    if (!c->callback_backed()) c->reset();
-  }
-  for (auto& [name, g] : gauges_) {
-    if (!g->callback_backed()) g->reset();
-  }
+  for (auto& [name, c] : counters_) c->reset();
+  for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, s] : summaries_) *s = Summary{};
   for (auto& [name, h] : histograms_) *h = Histogram{};
 }
 
 std::vector<std::pair<std::string, double>> MetricRegistry::scalar_values()
     const {
-  std::vector<std::pair<std::string, double>> out;
-  for (auto& [name, v] : counter_values()) {
-    out.emplace_back(std::move(name), static_cast<double>(v));
-  }
-  auto gauges = gauge_values();
-  out.insert(out.end(), std::make_move_iterator(gauges.begin()),
-             std::make_move_iterator(gauges.end()));
-  return out;
+  return flatten(snapshot());
 }
 
 std::string MetricRegistry::to_json() const {
+  const MetricSink values = snapshot();
   std::string out = "{\n  \"counters\": {";
   bool first = true;
-  for (const auto& [name, v] : counter_values()) {
+  for (const auto& [name, v] : values.counters_) {
     out += first ? "\n" : ",\n";
     out += "    \"" + json_escape(name) + "\": " + std::to_string(v);
     first = false;
@@ -170,7 +183,7 @@ std::string MetricRegistry::to_json() const {
   out += first ? "},\n" : "\n  },\n";
   out += "  \"gauges\": {";
   first = true;
-  for (const auto& [name, v] : gauge_values()) {
+  for (const auto& [name, v] : values.gauges_) {
     out += first ? "\n" : ",\n";
     out += "    \"" + json_escape(name) + "\": " + format_metric_value(v);
     first = false;
@@ -208,13 +221,14 @@ std::string MetricRegistry::to_json() const {
 }
 
 std::string MetricRegistry::to_prometheus() const {
+  const MetricSink values = snapshot();
   std::string out;
-  for (const auto& [name, v] : counter_values()) {
+  for (const auto& [name, v] : values.counters_) {
     const std::string p = prom_name(name);
     out += "# TYPE " + p + " counter\n";
     out += p + " " + std::to_string(v) + "\n";
   }
-  for (const auto& [name, v] : gauge_values()) {
+  for (const auto& [name, v] : values.gauges_) {
     const std::string p = prom_name(name);
     out += "# TYPE " + p + " gauge\n";
     out += p + " " + format_metric_value(v) + "\n";
@@ -247,15 +261,14 @@ void Sampler::start(Time period) {
 }
 
 void Sampler::tick() {
-  Tick t;
-  t.at = eng_.now();
-  t.values = reg_.scalar_values();
+  MetricSink values = reg_.snapshot();
   if (trace_ != nullptr && trace_->enabled()) {
-    for (const auto& [name, v] : reg_.gauge_values()) {
+    for (const auto& [name, v] : values.gauges_) {
       trace_->counter(name, "value", v);
     }
   }
-  ticks_.push_back(std::move(t));
+  ticks_.push_back(
+      Tick{eng_.now(), MetricRegistry::flatten(std::move(values))});
 }
 
 Task<void> Sampler::loop() {

@@ -1,21 +1,21 @@
 // Cluster-wide metric registry and periodic sampler.
 //
-// A MetricRegistry holds hierarchical named instruments — monotonic
-// Counters, point-in-time Gauges, and the Summary / Histogram
-// distributions from stats.hpp — and renders them as a JSON snapshot or
-// Prometheus-style text.  Names are dot-separated paths
-// ("node0.nic.mcp.dma_tx_bytes"); the registry keeps them in sorted
-// order so every export is deterministic for a deterministic run.
+// A MetricRegistry exports hierarchical named series — monotonic counters,
+// point-in-time gauges, and the Summary / Histogram distributions from
+// stats.hpp — as a JSON snapshot or Prometheus-style text.  Names are
+// dot-separated paths ("node0.nic.mcp.dma_tx_bytes"); every export lists
+// them in sorted order, so it is deterministic for a deterministic run.
 //
-// Instruments are created on first lookup and live as long as the
-// registry; hot paths resolve them once and keep the reference, so the
-// steady-state cost of a metric is one integer add.  Gauges and Counters
-// may instead be backed by a callback, which lets existing layer state
-// (queue depths, pin-table occupancy, link byte counts) be exported
-// without touching the layer's hot path at all.  A collector goes one
-// step further for families of series that grow with the cluster (one
-// set per peer, per pair): it writes the whole family at export time, so
-// the registry stores nothing per series.
+// A counter or gauge series has one of two sources.  An owned instrument
+// is created on first lookup and lives as long as the registry; hot paths
+// resolve it once and keep the reference, so the steady-state cost of a
+// metric is one integer add.  Everything a layer already holds (queue
+// depths, pin-table occupancy, link byte counts, its protocol-event counts)
+// comes from that layer's collector instead: one callback per layer
+// instance that writes the layer's series into a MetricSink while an export
+// runs.  The registry stores nothing per collected series, and a series
+// name exists only while an export builds it.  Each export runs every
+// collector once.
 //
 // The Sampler is a daemon coroutine that snapshots every counter and
 // gauge on a fixed period into an in-memory time series (exported as
@@ -29,7 +29,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -42,42 +44,33 @@ namespace sim {
 
 class Trace;
 
-// Monotonically increasing event count.  Either owned (inc/add) or
-// backed by a callback reading an existing layer counter.
+// Monotonically increasing event count, owned by the registry.
 class Counter {
  public:
-  Counter() = default;
-  explicit Counter(std::function<std::uint64_t()> fn) : fn_{std::move(fn)} {}
-
   void inc(std::uint64_t n = 1) { v_ += n; }
   void add(std::uint64_t n) { v_ += n; }
-  std::uint64_t value() const { return fn_ ? fn_() : v_; }
-  bool callback_backed() const { return static_cast<bool>(fn_); }
+  std::uint64_t value() const { return v_; }
   void reset() { v_ = 0; }
 
  private:
   std::uint64_t v_ = 0;
-  std::function<std::uint64_t()> fn_;
 };
 
-// Point-in-time value (queue depth, occupancy, ...).
+// Point-in-time value (queue depth, occupancy, ...), owned by the registry.
 class Gauge {
  public:
-  Gauge() = default;
-  explicit Gauge(std::function<double()> fn) : fn_{std::move(fn)} {}
-
   void set(double v) { v_ = v; }
   void add(double d) { v_ += d; }
-  double value() const { return fn_ ? fn_() : v_; }
-  bool callback_backed() const { return static_cast<bool>(fn_); }
+  double value() const { return v_; }
   void reset() { v_ = 0.0; }
 
  private:
   double v_ = 0.0;
-  std::function<double()> fn_;
 };
 
-// Where a collector writes its series (see MetricRegistry::add_collector).
+// Where collectors write their series (see MetricRegistry::add_collector).
+// The registry also hands one export's readings around in it: the owned
+// instruments merged in, counters and gauges each sorted by name.
 class MetricSink {
  public:
   void counter(std::string name, std::uint64_t value) {
@@ -89,6 +82,7 @@ class MetricSink {
 
  private:
   friend class MetricRegistry;
+  friend class Sampler;
   std::vector<std::pair<std::string, std::uint64_t>> counters_;
   std::vector<std::pair<std::string, double>> gauges_;
 };
@@ -100,29 +94,34 @@ class MetricRegistry {
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
   // Lookup-or-create.  References are stable for the registry's lifetime.
+  // A collector's series is not an instrument: counter(name) given its
+  // name creates a second, owned series of that name.  Read it with
+  // value().
   Counter& counter(const std::string& name);
-  Counter& counter(const std::string& name, std::function<std::uint64_t()> fn);
   Gauge& gauge(const std::string& name);
-  Gauge& gauge(const std::string& name, std::function<double()> fn);
   Summary& summary(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  // Export-time source of counter and gauge series.  Each
-  // counter_values() / gauge_values() call (and so every export, which
-  // builds on them) runs every collector and merges what it writes with
-  // the instruments in name order, exactly as if each series were a
-  // callback-backed instrument; a collector must therefore only read.
-  // Collector series are not instruments: their names must not collide
-  // with registered ones, and counter()/gauge() cannot look them up.
+  // The reading of counter or gauge series `name`, owned or collected
+  // (running every collector once), or nothing when no series has that
+  // name.  Creates nothing.
+  std::optional<double> value(std::string_view name) const;
+
+  // One collector per layer instance: it writes every series the layer
+  // already holds into the sink, building each name as it goes.  Every
+  // export runs each collector once and merges what it writes with the
+  // owned instruments in name order; a collector must therefore only
+  // read, and its names must not collide with any other series.
   void add_collector(std::function<void(MetricSink&)> fn);
 
-  // Zeroes every owned instrument (callback-backed ones and collectors are
-  // left alone — their source of truth lives in the layer).  Used by
-  // benches to scope the registry to a measurement window.
+  // Zeroes every owned instrument and distribution; collectors are left
+  // alone (their source of truth lives in the layer).  Used by benches to
+  // scope the registry to a measurement window.
   void reset();
 
   // -- introspection (sorted by name) -----------------------------------------
   // Every counter / gauge reading, instruments and collector series alike.
+  // Each call, like each export below, runs every collector once.
   std::vector<std::pair<std::string, std::uint64_t>> counter_values() const;
   std::vector<std::pair<std::string, double>> gauge_values() const;
   const std::map<std::string, std::unique_ptr<Summary>>& summaries() const {
@@ -146,11 +145,17 @@ class MetricRegistry {
   std::string to_prometheus() const;
 
  private:
-  // Every collector's series, each list sorted by name.
-  MetricSink collect() const;
+  friend class Sampler;
 
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
+  // One export's readings: every collector run once, the owned
+  // instruments merged in, counters and gauges each sorted by name.
+  MetricSink snapshot() const;
+  // Counters then gauges as (name, value), the names moved, not copied.
+  static std::vector<std::pair<std::string, double>> flatten(MetricSink s);
+
+  // std::less<> so value() finds a string_view without building a string.
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
+  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Summary>> summaries_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::vector<std::function<void(MetricSink&)>> collectors_;

@@ -261,7 +261,7 @@ void drop_uplink_packet(World& w, hw::NodeId n, std::uint64_t nth) {
 double traps(World& w, int node) {
   return w.cluster()
       .metrics()
-      .counter("node" + std::to_string(node) + ".osk.traps")
+      .value("node" + std::to_string(node) + ".osk.traps")
       .value();
 }
 

@@ -55,7 +55,7 @@ TEST(McpCounters, ReliabilityCountersSurviveReboot) {
   auto& mcp = c.node(0).mcp();
   const std::string nic = c.node(0).node().nic().name();
   const auto exported = [&c, &nic](const std::string& name) {
-    return c.metrics().counter(nic + name).value();
+    return c.metrics().value(nic + name);
   };
   const std::uint64_t retx = mcp.recorder().count(bcl::NicEvent::kRetransmit);
   const std::uint64_t timeouts = mcp.recorder().count(bcl::NicEvent::kTimeout);
@@ -138,7 +138,7 @@ TEST(McpCounters, PathCountersSurviveReboot) {
   const auto& events = mcp.recorder();
   const std::string nic = c.node(0).node().nic().name();
   const auto exported = [&c, &nic](const std::string& name) {
-    return c.metrics().counter(nic + name).value();
+    return c.metrics().value(nic + name);
   };
   ASSERT_EQ(events.count(bcl::NicEvent::kPathFailover), 1u);
   ASSERT_EQ(events.count(bcl::NicEvent::kPathRestore), 1u);
@@ -220,7 +220,7 @@ TEST(McpCounters, RecoveryEventsExported) {
       const std::uint64_t count = c.node(n).mcp().recorder().count(kind);
       const std::string name =
           c.node(n).node().nic().name() + "." + series;
-      EXPECT_EQ(c.metrics().counter(name).value(), count) << name;
+      EXPECT_EQ(c.metrics().value(name), count) << name;
       total += count;
     }
     EXPECT_GT(total, 0u) << series << " never happened";

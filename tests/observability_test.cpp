@@ -502,10 +502,10 @@ TEST(Postmortem, RestartCountersAndIncarnationFieldsSurface) {
   c.engine().run();
   EXPECT_TRUE(done);
 
-  EXPECT_EQ(c.metrics().counter("node1.nic.rel.restarts").value(), 1u);
-  EXPECT_EQ(c.metrics().counter("node0.nic.rel.restarts").value(), 0u);
-  EXPECT_GE(c.metrics().counter("node0.nic.rel.recovered_peers").value(), 1u);
-  EXPECT_GE(c.metrics().counter("node0.nic.rel.peer_failures").value(), 1u);
+  EXPECT_EQ(c.metrics().value("node1.nic.rel.restarts"), 1.0);
+  EXPECT_EQ(c.metrics().value("node0.nic.rel.restarts"), 0.0);
+  EXPECT_GE(c.metrics().value("node0.nic.rel.recovered_peers"), 1.0);
+  EXPECT_GE(c.metrics().value("node0.nic.rel.peer_failures"), 1.0);
   EXPECT_EQ(c.node(1).mcp().incarnation(), 1u);
 
   // The unreachable verdict produced a dump; its session snapshots carry
@@ -787,9 +787,9 @@ TEST(HostSeries, EveryFailedIoctlCountsOnceEverywhere) {
   }(ep));
   c.engine().run();
   EXPECT_EQ(c.node(0).driver().security_rejects(), 5u);
-  EXPECT_EQ(c.metrics().counter("node0.driver.security_rejects").value(), 5u);
+  EXPECT_EQ(c.metrics().value("node0.driver.security_rejects"), 5.0);
   EXPECT_EQ(cluster::collect_report(c).security_rejects, 5u);
-  EXPECT_EQ(c.metrics().counter("node0.driver.sends").value(), 0u);
+  EXPECT_EQ(c.metrics().value("node0.driver.sends"), 0.0);
 }
 
 // A full pin-down table fails post_recv and bind_open like every other
@@ -813,7 +813,7 @@ TEST(HostSeries, FullPinTableFailsSetupIoctlsOnce) {
   }(ep));
   c.engine().run();
   EXPECT_EQ(c.node(0).driver().security_rejects(), 2u);
-  EXPECT_EQ(c.metrics().counter("node0.driver.security_rejects").value(), 2u);
+  EXPECT_EQ(c.metrics().value("node0.driver.security_rejects"), 2.0);
   EXPECT_EQ(c.node(0).kernel().pindown().pinned_pages(), 0u);
 }
 
@@ -830,7 +830,7 @@ TEST(HostSeries, NodeStackRefusesMissingTelemetry) {
                std::invalid_argument);
   EXPECT_TRUE(reg.counter_values().empty());
   bcl::NodeStack stack{eng, 0, cfg, &trace, &reg};
-  EXPECT_EQ(reg.counter("node0.driver.security_rejects").value(), 0u);
+  EXPECT_EQ(reg.value("node0.driver.security_rejects"), 0.0);
 }
 
 }  // namespace

@@ -122,30 +122,57 @@ TEST(Security, RmaCannotEscapeTheBoundWindow) {
   EXPECT_GE(victim.port().rma_errors, 4u);
 }
 
-TEST(Security, RmaReadCannotLeakOutsideWindow) {
+// Node 0 reads `len` bytes from open channel `channel` of node 1, whose
+// 4096-byte window is bound on channel 0 only, and the target refuses.
+// The refusal is answered without data: the reader's reply channel
+// completes exactly once with kNotBound (the verdict the intra-node path
+// gives), nothing lands in its buffer, and the channel is released.  The
+// target counts the refusal once.
+void expect_refused_read(std::uint16_t channel, std::size_t len) {
   BclCluster c{two_nodes()};
   auto& attacker = c.open_endpoint(0);
   auto& victim = c.open_endpoint(1);
   c.engine().spawn([](Endpoint& victim, Endpoint& attacker) -> Task<void> {
     auto window = victim.process().alloc(4096);
+    victim.process().fill_pattern(window, 3);
     EXPECT_EQ(co_await victim.bind_open(0, window), BclErr::kOk);
     auto go = victim.process().alloc(1);
     (void)co_await victim.send_system(attacker.id(), go, 0);
   }(victim, attacker));
-  c.engine().spawn([](sim::Engine& e, Endpoint& attacker, PortId dst)
-                       -> Task<void> {
+  int completions = 0;
+  c.engine().spawn([](Endpoint& attacker, PortId dst, std::uint16_t channel,
+                      std::size_t len, int& completions) -> Task<void> {
     (void)co_await attacker.wait_recv();
     auto into = attacker.process().alloc(8192);
-    // Ask for more than the window holds: the target MCP must refuse, and
-    // the reader simply never gets a reply (counted at the target).
-    auto r = co_await attacker.rma_read(dst, 0, 0, 1, into, 8192);
+    attacker.process().fill_pattern(into, 4);
+    auto r = co_await attacker.rma_read(dst, channel, 0, 1, into, len);
     EXPECT_EQ(r.err, BclErr::kOk);  // locally well-formed
-    co_await e.sleep(Time::ms(1));
-  }(c.engine(), attacker, victim.id()));
+    const RecvEvent ev = co_await attacker.wait_recv();
+    ++completions;
+    EXPECT_EQ(ev.err, BclErr::kNotBound);
+    EXPECT_EQ(ev.channel.kind, ChanKind::kNormal);
+    EXPECT_EQ(ev.channel.index, 1u);
+    EXPECT_EQ(ev.len, 0u);
+    EXPECT_TRUE(attacker.process().check_pattern(into, 4));  // nothing read
+    EXPECT_FALSE(attacker.port().normal(1).posted);
+  }(attacker, victim.id(), channel, len, completions));
   c.engine().run_until(Time::ms(5));
-  EXPECT_GE(victim.port().rma_errors, 1u);
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(attacker.port().recv_events().size(), 0u);  // no second event
+  EXPECT_EQ(victim.port().rma_errors, 1u);
+  EXPECT_EQ(attacker.port().rma_errors, 0u);
   EXPECT_EQ(c.node(1).mcp().recorder().count(bcl::NicEvent::kRmaReadServed),
             0u);
+}
+
+// Ask for more than the window holds.
+TEST(Security, RmaReadCannotLeakOutsideWindow) {
+  expect_refused_read(/*channel=*/0, /*len=*/8192);
+}
+
+// Ask a channel with no window bound.
+TEST(Security, RmaReadOfUnboundChannelFailsAtReader) {
+  expect_refused_read(/*channel=*/1, /*len=*/64);
 }
 
 // The same read between two processes of one node: the shared-memory
@@ -171,8 +198,8 @@ TEST(Security, IntraNodeRmaReadCannotLeakOutsideWindow) {
   c.engine().run();
   EXPECT_EQ(victim.port().rma_errors, 1u);
   EXPECT_EQ(attacker.port().rma_errors, 0u);
-  EXPECT_EQ(c.metrics().counter("node0.port1.rma_errors").value(), 1u);
-  EXPECT_EQ(c.metrics().counter("node0.shm.rma_errors").value(), 1u);
+  EXPECT_EQ(c.metrics().value("node0.port1.rma_errors"), 1.0);
+  EXPECT_EQ(c.metrics().value("node0.shm.rma_errors"), 1.0);
 }
 
 TEST(Security, IntraNodeBadBufferRejectedAtUserLevel) {

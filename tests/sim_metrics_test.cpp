@@ -5,12 +5,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bcl/bcl.hpp"
+#include "heap_counter.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
 
@@ -157,18 +160,21 @@ TEST(MetricRegistry, CounterAndGaugeBasics) {
   EXPECT_EQ(&reg.gauge("a.b.depth"), &g);
 }
 
-TEST(MetricRegistry, CallbackBackedInstruments) {
+// A collector reads the layer's state when an export runs, not when it is
+// added.
+TEST(MetricRegistry, CollectorReadsLayerStateAtExport) {
   MetricRegistry reg;
   std::uint64_t source = 7;
-  auto& c = reg.counter("cb.count", [&source] { return source; });
-  auto& g = reg.gauge("cb.depth", [&source] {
-    return static_cast<double>(source) / 2.0;
+  reg.add_collector([&source](sim::MetricSink& out) {
+    out.counter("cb.count", source);
+    out.gauge("cb.depth", static_cast<double>(source) / 2.0);
   });
-  EXPECT_EQ(c.value(), 7u);
+  EXPECT_EQ(reg.value("cb.count"), 7.0);
   source = 10;
-  EXPECT_EQ(c.value(), 10u);
-  EXPECT_DOUBLE_EQ(g.value(), 5.0);
-  EXPECT_TRUE(c.callback_backed());
+  EXPECT_EQ(reg.value("cb.count"), 10.0);
+  EXPECT_EQ(reg.value("cb.depth"), 5.0);
+  using Counters = std::vector<std::pair<std::string, std::uint64_t>>;
+  EXPECT_EQ(reg.counter_values(), (Counters{{"cb.count", 10}}));
 }
 
 TEST(MetricRegistry, ResetZeroesOwnedOnly) {
@@ -176,15 +182,84 @@ TEST(MetricRegistry, ResetZeroesOwnedOnly) {
   std::uint64_t source = 42;
   reg.counter("owned").inc(9);
   reg.gauge("owned.g").set(1.5);
-  reg.counter("cb", [&source] { return source; });
+  reg.add_collector(
+      [&source](sim::MetricSink& out) { out.counter("cb", source); });
   reg.summary("s").add(2.0);
   reg.histogram("h").add(3.0);
   reg.reset();
   EXPECT_EQ(reg.counter("owned").value(), 0u);
   EXPECT_DOUBLE_EQ(reg.gauge("owned.g").value(), 0.0);
-  EXPECT_EQ(reg.counter("cb").value(), 42u);  // callback source untouched
+  EXPECT_EQ(reg.value("cb"), 42.0);  // the collector's source is untouched
   EXPECT_EQ(reg.summary("s").count(), 0u);
   EXPECT_EQ(reg.histogram("h").count(), 0u);
+}
+
+// value() reads owned and collected series alike and creates nothing: an
+// unknown name reads as nothing and leaves every export as it was.
+TEST(MetricRegistry, ValueLooksUpWithoutCreating) {
+  MetricRegistry reg;
+  reg.counter("owned.c").inc(3);
+  reg.gauge("owned.g").set(0.5);
+  reg.add_collector([](sim::MetricSink& out) {
+    out.counter("col.c", 4);
+    out.gauge("col.g", 1.5);
+  });
+  const std::string json = reg.to_json();
+  const std::string prom = reg.to_prometheus();
+  const auto scalars = reg.scalar_values();
+  EXPECT_EQ(reg.value("owned.c"), 3.0);
+  EXPECT_EQ(reg.value("owned.g"), 0.5);
+  EXPECT_EQ(reg.value("col.c"), 4.0);
+  EXPECT_EQ(reg.value("col.g"), 1.5);
+  EXPECT_EQ(reg.value("no.such.series"), std::nullopt);
+  EXPECT_EQ(reg.value("col"), std::nullopt);  // a prefix names no series
+  EXPECT_EQ(reg.to_json(), json);
+  EXPECT_EQ(reg.to_prometheus(), prom);
+  EXPECT_EQ(reg.scalar_values(), scalars);
+}
+
+// Each export runs every collector once, however many kinds of series it
+// writes: scalar_values(), to_json() and one Sampler tick that also emits
+// trace counter events each collect one time.
+TEST(MetricRegistry, EachExportRunsEveryCollectorOnce) {
+  Engine eng;
+  MetricRegistry reg;
+  reg.counter("owned.c").inc();
+  int runs_a = 0;
+  int runs_b = 0;
+  reg.add_collector([&runs_a](sim::MetricSink& out) {
+    ++runs_a;
+    out.counter("a.c", 1);
+    out.gauge("a.g", 2.0);
+  });
+  reg.add_collector([&runs_b](sim::MetricSink& out) {
+    ++runs_b;
+    out.gauge("b.g", 3.0);
+  });
+  const auto runs = [&](const auto& export_once) {
+    runs_a = 0;
+    runs_b = 0;
+    export_once();
+    return std::pair{runs_a, runs_b};
+  };
+  const std::pair once{1, 1};
+  EXPECT_EQ(runs([&] { (void)reg.scalar_values(); }), once);
+  EXPECT_EQ(runs([&] { (void)reg.to_json(); }), once);
+  EXPECT_EQ(runs([&] { (void)reg.to_prometheus(); }), once);
+  EXPECT_EQ(runs([&] { (void)reg.counter_values(); }), once);
+  EXPECT_EQ(runs([&] { (void)reg.gauge_values(); }), once);
+
+  sim::Trace tr{eng};
+  tr.enable();
+  Sampler sampler{eng, reg};
+  sampler.set_trace(&tr);
+  EXPECT_EQ(runs([&] {
+              sampler.start(Time::us(10));
+              eng.run();  // no live task: exactly one tick
+            }),
+            once);
+  EXPECT_EQ(sampler.samples(), 1u);
+  EXPECT_EQ(tr.counter_events().size(), 2u);  // a.g and b.g
 }
 
 TEST(MetricRegistry, JsonExportIsValid) {
@@ -480,6 +555,27 @@ TEST(ClusterMetrics, TraceCarriesSpansCountersAndFlows) {
   EXPECT_NE(json.find("\"ph\":\"t\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
+}
+
+// Telemetry costs nothing until it is read: building a 64-node mesh
+// cluster adds one collector per layer instance, and owned counters only
+// where a hot path bumps them.  With a callback instrument per series
+// (9,856 of them, each a heap name, a map node, an instrument and a
+// std::function) the same build made 48,240 heap allocations.
+TEST(ClusterMetrics, MeshBuildAllocatesNothingPerCollectedSeries) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "counts the allocations of an uninstrumented build";
+#else
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 64;
+  cfg.fabric.kind = hw::FabricKind::kNwrcMesh;
+  std::unique_ptr<bcl::BclCluster> c;
+  const std::size_t allocations = heap_counter::allocations_during(
+      [&] { c = std::make_unique<bcl::BclCluster>(cfg); });
+  EXPECT_LE(allocations, 48'240u * 6 / 10);
+  // Every series is still exported.
+  EXPECT_GT(c->metrics().scalar_values().size(), 9'000u);
+#endif
 }
 
 TEST(ClusterMetrics, RegistrySummariesAgreeWithTraceEvents) {
