@@ -31,7 +31,7 @@ std::pair<std::uint64_t, std::uint64_t> lossy_run(bool reliable) {
   cfg.cost.rto = sim::Time::us(100);
   bcl::BclCluster c{cfg};
   dynamic_cast<hw::MyrinetFabric&>(c.fabric())
-      .set_host_link_corrupt_prob(0, 0.03);
+      .set_host_link_fault_plan(0, {.corrupt_prob = 0.03, .seed = 1000});
   auto& tx = c.open_endpoint(0);
   auto& rx = c.open_endpoint(1);
   constexpr std::uint64_t kMsgs = 200;

@@ -116,11 +116,11 @@ Task<void> chaos(sim::Engine& eng, hw::MyrinetFabric& fab, Ctx& cx,
   co_await eng.sleep(cx.t_flap);
   const std::string up = "n" + std::to_string(victim) + "->sw";
   const std::string down = "sw->n" + std::to_string(victim);
-  fab.fail_link(up);
-  fab.fail_link(down);
+  fab.link(up).fail();
+  fab.link(down).fail();
   co_await eng.sleep(cx.flap_dur);
-  fab.revive_link(up);
-  fab.revive_link(down);
+  fab.link(up).revive();
+  fab.link(down).revive();
   co_await eng.sleep(cx.t_kill - eng.now());
   fab.fail_switch(fab.spine_switch_index(spine));
 }

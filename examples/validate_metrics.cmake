@@ -4,7 +4,10 @@
 #   * metrics.csv starts with a "time_us,..." header and has data rows, and
 #     its gauge columns carry values: node0.nic.sram_free_bytes (2 MiB of
 #     NIC SRAM, never exhausted by this run) reads nonzero on every row
+#   * no fabric.link.*.util reading in metrics.csv exceeds 1
 #   * metrics.prom carries "# TYPE bcl_..." exposition lines
+#   * every fabric.link.*.util gauge reads the same in metrics.json and
+#     metrics.prom, which the dashboard writes at one instant
 #   * congestion.json names links with utilization; postmortem.json carries
 #     the flight-recorder timeline and congestion-ranked links
 #   * the node0.* series in metrics.json, each with its section, are exactly
@@ -55,15 +58,36 @@ list(FIND csv_columns "node0.nic.sram_free_bytes" sram_col)
 if(sram_col EQUAL -1)
   message(FATAL_ERROR "metrics.csv has no node0.nic.sram_free_bytes column")
 endif()
+# A link's utilization is a fraction of elapsed time: never above 1.
+set(util_cols "")
+set(col 0)
+foreach(column IN LISTS csv_columns)
+  if(column MATCHES "^fabric\\.link\\..*\\.util$")
+    list(APPEND util_cols ${col})
+  endif()
+  math(EXPR col "${col} + 1")
+endforeach()
+list(LENGTH util_cols util_col_count)
+if(util_col_count EQUAL 0)
+  message(FATAL_ERROR "metrics.csv has no fabric.link.*.util column")
+endif()
 list(SUBLIST csv_lines 1 -1 csv_rows)
 foreach(row IN LISTS csv_rows)
   string(REPLACE "," ";" fields "${row}")
+  list(GET fields 0 row_time)
   list(GET fields ${sram_col} sram_free)
   if(sram_free STREQUAL "0")
-    list(GET fields 0 row_time)
     message(FATAL_ERROR "metrics.csv reads node0.nic.sram_free_bytes = 0 "
                         "at time_us ${row_time}")
   endif()
+  foreach(c IN LISTS util_cols)
+    list(GET fields ${c} util)
+    if(util GREATER 1)
+      list(GET csv_columns ${c} util_name)
+      message(FATAL_ERROR "metrics.csv reads ${util_name} = ${util} "
+                          "at time_us ${row_time}")
+    endif()
+  endforeach()
 endforeach()
 
 file(STRINGS "${OUT_DIR}/metrics.prom" prom_types REGEX "^# TYPE bcl_")
@@ -113,6 +137,31 @@ if(missing_series OR extra_series)
                       "\nextra:\n  ${extra_text}")
 endif()
 list(LENGTH actual_series series_count)
+
+# Reading a gauge changes nothing, so the two exports agree on every link's
+# utilization.
+file(READ "${OUT_DIR}/metrics.prom" prom)
+string(JSON gauges GET "${metrics}" gauges)
+string(JSON gauge_count LENGTH "${gauges}")
+math(EXPR last "${gauge_count} - 1")
+set(util_count 0)
+foreach(i RANGE ${last})
+  string(JSON name MEMBER "${gauges}" ${i})
+  if(NOT name MATCHES "^fabric\\.link\\..*\\.util$")
+    continue()
+  endif()
+  string(JSON json_util GET "${gauges}" "${name}")
+  string(REGEX REPLACE "[^A-Za-z0-9_:]" "_" prom_util "bcl_${name}")
+  string(REGEX MATCH "\n${prom_util} ([^\n]*)" prom_line "${prom}")
+  if(prom_line STREQUAL "" OR NOT CMAKE_MATCH_1 EQUAL json_util)
+    message(FATAL_ERROR "${name} reads ${json_util} in metrics.json but "
+                        "'${CMAKE_MATCH_1}' in metrics.prom")
+  endif()
+  math(EXPR util_count "${util_count} + 1")
+endforeach()
+if(util_count EQUAL 0)
+  message(FATAL_ERROR "metrics.json has no fabric.link.*.util gauge")
+endif()
 
 file(READ "${OUT_DIR}/postmortem.json" postmortem)
 foreach(key reason timeline top_links sessions)

@@ -1,6 +1,7 @@
 #include "hw/link.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "sim/metrics.hpp"
@@ -8,6 +9,10 @@
 
 namespace hw {
 
+namespace {
+
+// One link's "fabric.link.<name>.bytes/.packets/.corrupted/.dropped/
+// .duplicated/.reordered/.busy_us/.queue/..." series.
 void write_link_series(sim::MetricSink& out, const Link& link) {
   const std::string prefix = "fabric.link." + link.name() + ".";
   out.counter(prefix + "bytes", link.bytes());
@@ -26,39 +31,82 @@ void write_link_series(sim::MetricSink& out, const Link& link) {
   out.gauge(prefix + "queue_wait_us", link.queue_wait().to_us());
   out.gauge(prefix + "queue_hwm", static_cast<double>(link.queue_hwm()));
   out.gauge(prefix + "blocked_us", link.blocked_time().to_us());
-  out.gauge(prefix + "util", link.windowed_utilization());
+  out.gauge(prefix + "util", link.utilization());
+}
+
+}  // namespace
+
+void Fabric::register_metrics(sim::MetricRegistry& reg) const {
+  reg.add_collector([this](sim::MetricSink& out) {
+    for (const auto& l : links_) write_link_series(out, *l);
+    write_device_series(out);
+  });
+}
+
+std::vector<LinkStats> Fabric::congestion_report() const {
+  std::vector<LinkStats> out;
+  out.reserve(links_.size());
+  for (const auto& l : links_) out.push_back(l->stats());
+  return out;
+}
+
+void Fabric::set_trace(sim::Trace* tr) {
+  for (const auto& l : links_) l->set_trace(tr);
+}
+
+Link& Fabric::link(const std::string& name) {
+  for (const auto& l : links_) {
+    if (l->name() == name) return *l;
+  }
+  throw std::invalid_argument("no such link: " + name);
+}
+
+Link& Fabric::add_link(sim::Engine& eng, std::string name,
+                       const LinkConfig& cfg, Link::Sink sink) {
+  links_.push_back(
+      std::make_unique<Link>(eng, std::move(name), cfg, std::move(sink)));
+  return *links_.back();
 }
 
 Link::Link(sim::Engine& eng, std::string name, const LinkConfig& cfg,
-           Sink sink, std::uint64_t seed)
+           Sink sink)
     : eng_{eng},
       name_{std::move(name)},
       cfg_{cfg},
       sink_{std::move(sink)},
-      in_{eng, cfg.queue_depth},
-      rng_{seed} {
+      in_{eng, cfg.queue_depth} {
   eng_.spawn_daemon(pump());
 }
 
 double Link::utilization() const {
   const sim::Time now = eng_.now();
-  return now > sim::Time::zero() ? busy_.to_us() / now.to_us() : 0.0;
+  if (now <= sim::Time::zero()) return 0.0;
+  const sim::Time unsent = std::max(busy_until_ - now, sim::Time::zero());
+  return (busy_ - unsent).to_us() / now.to_us();
 }
 
-double Link::windowed_utilization() const {
-  const sim::Time now = eng_.now();
-  const sim::Time span = now - win_t_;
-  const double util =
-      span > sim::Time::zero()
-          ? (busy_ - win_busy_).to_us() / span.to_us()
-          : 0.0;
-  win_busy_ = busy_;
-  win_t_ = now;
-  return util;
+sim::Task<void> Link::forward(Packet p, std::size_t backlog) {
+  if (!p.ecn && cfg_.ecn_queue_threshold > 0 &&
+      backlog >= cfg_.ecn_queue_threshold) {
+    p.ecn = true;
+    ++ecn_marks_;
+  }
+  const sim::Time t_block = eng_.now();
+  co_await in_.reserve();
+  const sim::Time waited = eng_.now() - t_block;
+  blocked_ += waited;
+  if (!p.ecn && cfg_.ecn_blocked_threshold > sim::Time::zero() &&
+      waited >= cfg_.ecn_blocked_threshold) {
+    p.ecn = true;
+    ++ecn_marks_;
+    ++blocked_marks_;
+  }
+  p.enqueued_at = eng_.now();
+  in_.commit(std::move(p));
 }
 
-Fabric::LinkStats Link::stats() const {
-  Fabric::LinkStats s;
+LinkStats Link::stats() const {
+  LinkStats s;
   s.name = name_;
   s.util = utilization();
   s.busy_us = busy_.to_us();
@@ -150,12 +198,9 @@ sim::Task<void> Link::pump() {
     if (tracing) trace_->interval(now, now + wire, "link." + name_, "wire",
                                   tag);
     busy_ += wire;
+    busy_until_ = now + wire;
     const std::uint64_t ordinal = packets_++;
     bytes_ += p.wire_bytes();
-    if (cfg_.corrupt_prob > 0.0 && rng_.bernoulli(cfg_.corrupt_prob)) {
-      p.corrupted = true;
-      ++corrupted_;
-    }
     if (plan_.active()) {
       if (plan_drops(ordinal)) {
         // The packet still occupied the wire; it just never arrives.

@@ -1,9 +1,12 @@
 // Point-to-point link and the fabric abstraction.
 //
-// A Link serializes packets at its bandwidth, optionally corrupts them
-// (fault injection for the reliability tests), and delivers them to a sink
-// callback after a propagation delay.  Links have a small input queue, so
-// upstream senders feel backpressure, approximating wormhole flow control.
+// A Link serializes packets at its bandwidth, applies its fault plan (the
+// only source of random drops, duplicates, reorders and corruption on the
+// wire), and delivers them to a sink callback after a propagation delay.
+// Links have a small input queue, so upstream senders feel backpressure,
+// approximating wormhole flow control.  A Fabric owns its links; its
+// routers or switches hand each packet to an output link through
+// Link::forward.
 #pragma once
 
 #include <cstdint>
@@ -29,62 +32,6 @@ namespace hw {
 
 class Nic;
 
-// A network fabric: wires NICs together and knows how to route.
-class Fabric {
- public:
-  virtual ~Fabric() = default;
-
-  // Congestion snapshot for one link, as returned by congestion_report().
-  struct LinkStats {
-    std::string name;
-    double util = 0;           // lifetime busy fraction of the wire
-    double busy_us = 0;        // total serialization time
-    double queue_wait_us = 0;  // time packets sat in the input queue
-    double blocked_us = 0;     // upstream wormhole-blocking time
-    std::size_t queue_hwm = 0; // input-queue occupancy high-water
-    std::uint64_t packets = 0;
-    std::uint64_t retx_packets = 0;  // go-back-N resends through this link
-    std::uint64_t dropped = 0;       // fault-plan discards
-    std::uint64_t ecn_marks = 0;     // packets ECN-marked at this link
-    std::uint64_t blocked_marks = 0; // of those, marked for wormhole blocking
-    std::uint64_t failed_drops = 0;  // discarded by persistent fail-stop
-  };
-
-  // Connects `nic` as node `id`; must be called exactly once per node.
-  virtual void attach(NodeId id, Nic& nic) = 0;
-  // Fills in the packet's source route (no-op for fabrics that route
-  // in-network, like the 2-D mesh).
-  virtual void stamp_route(Packet& p) const = 0;
-  virtual std::string name() const = 0;
-  // Minimum number of link hops between two nodes (for latency models).
-  virtual int hops(NodeId a, NodeId b) const = 0;
-  // Number of distinct paths the fabric can offer between two nodes.
-  // Fabrics with in-network or single-path routing report 1; the MCP's
-  // path table sizes its per-destination health state from this.
-  virtual int route_count(NodeId, NodeId) const { return 1; }
-  // Position of a node along a locality-preserving curve through the
-  // fabric's geometry: nodes near each other on the curve are few hops
-  // apart.  -1 on fabrics with no geometry worth following (a switched
-  // crossbar puts every pair of hosts the same distance apart).  NIC
-  // collective groups lay their trees along it (coll::tree_order).
-  virtual std::int64_t curve_index(NodeId) const { return -1; }
-  // Exports wire-level observability (per-link bytes/packets/queue depth,
-  // per-switch forward counts) through one collector for the whole
-  // fabric.  Call after every node is attached; the fabric must outlive
-  // the registry's exports.
-  virtual void register_metrics(sim::MetricRegistry&) const {}
-  // Congestion snapshot across every link (unordered); used by the
-  // post-mortem dump to rank the hottest links.
-  virtual std::vector<LinkStats> congestion_report() const { return {}; }
-  // Names of the links directly adjacent to `node` (its ingress/egress
-  // edges); the post-mortem lists these as suspects for a failed peer.
-  virtual std::vector<std::string> links_of(NodeId) const { return {}; }
-  // Attaches a trace so links emit wire/queue-wait spans for the
-  // latency-attribution pipeline (recorded only while the trace is
-  // enabled).  The trace must outlive the fabric's traffic.
-  virtual void set_trace(sim::Trace*) {}
-};
-
 struct LinkConfig {
   double bandwidth = 160e6;                   // bytes/s (1.28 Gb/s Myrinet)
   sim::Time propagation = sim::Time::ns(50);  // cable flight time
@@ -98,16 +45,15 @@ struct LinkConfig {
   // link into a NIC must NOT be cut-through, so end-to-end latency pays
   // exactly one full serialization, as in a real wormhole network.
   bool cut_through = false;
-  double corrupt_prob = 0.0;                  // fault injection
   std::size_t queue_depth = 4;
   // ECN marking (congestion notification for the NIC-resident rate
-  // controller).  Routers and switches apply `ecn_queue_threshold` to their
-  // own input backlog — that is where a wormhole fabric's congestion
-  // actually accumulates, and those queues are shared between flows.  A
-  // plain Link only marks when `ecn_self_mark` is set: a dedicated
-  // point-to-point hop carrying one backpressured flow is busy, not
-  // congested, and marking it would throttle solo senders below line rate
-  // for no benefit.  With self-marking on, a packet is marked at
+  // controller).  Link::forward applies `ecn_queue_threshold` to the
+  // upstream router's or switch's input backlog — that is where a wormhole
+  // fabric's congestion actually accumulates, and those queues are shared
+  // between flows.  A Link's own pump only marks when `ecn_self_mark` is
+  // set: a dedicated point-to-point hop carrying one backpressured flow is
+  // busy, not congested, and marking it would throttle solo senders below
+  // line rate for no benefit.  With self-marking on, a packet is marked at
   // serialization start when the input queue still holds at least
   // `ecn_queue_threshold` more packets behind it (0 disables occupancy
   // marking), or when the wire's utilization over the trailing
@@ -116,13 +62,13 @@ struct LinkConfig {
   std::size_t ecn_queue_threshold = 3;
   double ecn_util_threshold = 0.90;
   sim::Time ecn_util_window = sim::Time::us(50);
-  // Wormhole-blocked marking (routers/crossbar input ports, not plain
-  // Links): a packet whose push into the downstream link's bounded queue
-  // blocked for at least this long is ECN-marked even if no backlog ever
-  // formed behind it — wormhole fabrics congest by blocking, and under a
-  // wide shallow incast every input port can hold exactly one packet
-  // (below ecn_queue_threshold) while the tree stalls.  Roughly one
-  // MTU serialization at line rate by default; zero disables.
+  // Wormhole-blocked marking (Link::forward, not a Link's own pump): a
+  // packet whose push into this link's bounded queue blocked for at least
+  // this long is ECN-marked even if no backlog ever formed behind it —
+  // wormhole fabrics congest by blocking, and under a wide shallow incast
+  // every input port can hold exactly one packet (below
+  // ecn_queue_threshold) while the tree stalls.  Roughly one MTU
+  // serialization at line rate by default; zero disables.
   sim::Time ecn_blocked_threshold = sim::Time::us(25);
 };
 
@@ -154,22 +100,40 @@ struct FaultPlan {
   }
 };
 
-class Link;
-
-// Writes one link's "fabric.link.<name>.bytes/.packets/.corrupted/
-// .dropped/.duplicated/.reordered/.busy_us/.queue/..." series (a fabric's
-// collector calls it for each of its links).
-void write_link_series(sim::MetricSink& out, const Link& link);
+// Congestion snapshot for one link, as returned by
+// Fabric::congestion_report().
+struct LinkStats {
+  std::string name;
+  double util = 0;           // Link::utilization()
+  double busy_us = 0;        // total serialization time
+  double queue_wait_us = 0;  // time packets sat in the input queue
+  double blocked_us = 0;     // upstream wormhole-blocking time
+  std::size_t queue_hwm = 0; // input-queue occupancy high-water
+  std::uint64_t packets = 0;
+  std::uint64_t retx_packets = 0;  // go-back-N resends through this link
+  std::uint64_t dropped = 0;       // fault-plan discards
+  std::uint64_t ecn_marks = 0;     // packets ECN-marked at this link
+  std::uint64_t blocked_marks = 0; // of those, marked for wormhole blocking
+  std::uint64_t failed_drops = 0;  // discarded by persistent fail-stop
+};
 
 class Link {
  public:
   using Sink = std::function<void(Packet&&)>;
 
-  Link(sim::Engine& eng, std::string name, const LinkConfig& cfg, Sink sink,
-       std::uint64_t seed = 1);
+  Link(sim::Engine& eng, std::string name, const LinkConfig& cfg, Sink sink);
 
   // Senders push packets here; send() blocks when the queue is full.
   sim::Channel<Packet>& in() { return in_; }
+
+  // One router or crossbar step into this link, in order: ECN-marks the
+  // packet when at least ecn_queue_threshold packets still wait behind it
+  // in the upstream input (`backlog`), waits for a queue slot (wormhole
+  // head-of-line blocking, charged to blocked_time), marks it when that
+  // wait reached ecn_blocked_threshold, then stamps enqueued_at and
+  // enqueues it.  Stamping after the wait keeps queue_wait and
+  // blocked_time disjoint.
+  sim::Task<void> forward(Packet p, std::size_t backlog);
 
   const std::string& name() const { return name_; }
   std::uint64_t packets() const { return packets_; }
@@ -189,33 +153,25 @@ class Link {
   std::size_t queue_hwm() const { return queue_hwm_; }
   // Go-back-N retransmissions that crossed this link.
   std::uint64_t retx_packets() const { return retx_packets_; }
-  // Packets ECN-marked here (by the pump's own thresholds, or attributed by
-  // the upstream router/switch that marked while pushing into this link).
+  // Packets ECN-marked here (by the pump's own thresholds, or by forward()
+  // on the upstream router's or switch's behalf).
   std::uint64_t ecn_marks() const { return ecn_marks_; }
-  void note_ecn_mark() { ++ecn_marks_; }
-  // Subset of ecn_marks() attributed to wormhole blocking: the upstream
-  // pump was stalled pushing into this link for at least
-  // ecn_blocked_threshold, with no deep backlog behind the packet.
+  // Subset of ecn_marks() attributed to wormhole blocking: forward() was
+  // stalled pushing into this link for at least ecn_blocked_threshold,
+  // with no deep backlog behind the packet.
   std::uint64_t blocked_marks() const { return blocked_marks_; }
-  void note_blocked_mark() {
-    ++ecn_marks_;
-    ++blocked_marks_;
-  }
-  // Time upstream pumps (router/switch/NIC) spent blocked trying to push
-  // into this link's full queue — wormhole head-of-line blocking.
+  // Time forward() spent blocked on this link's full queue — wormhole
+  // head-of-line blocking.
   sim::Time blocked_time() const { return blocked_; }
-  void add_blocked(sim::Time d) { blocked_ += d; }
-  // Lifetime busy fraction of the wire.
+  // Fraction of elapsed time the wire spent serializing, counting only
+  // the part of the current packet already sent, so it never exceeds 1.
+  // Reading it changes nothing.
   double utilization() const;
-  // Busy fraction since the previous windowed_utilization() call (metric
-  // samplers turn this into a utilization-over-time track).
-  double windowed_utilization() const;
-  Fabric::LinkStats stats() const;
+  LinkStats stats() const;
 
   // Links emit wire/queue-wait spans into `tr` while it is enabled.
   void set_trace(sim::Trace* tr) { trace_ = tr; }
 
-  void set_corrupt_prob(double p) { cfg_.corrupt_prob = p; }
   // Installs (or replaces) the fault schedule; reseeds the fault stream so
   // identical plans replay identically.
   void set_fault_plan(FaultPlan plan);
@@ -239,7 +195,6 @@ class Link {
   LinkConfig cfg_;
   Sink sink_;
   sim::Channel<Packet> in_;
-  sim::Rng rng_;
   FaultPlan plan_;
   sim::Rng fault_rng_{1};
   std::uint64_t packets_ = 0;
@@ -249,6 +204,9 @@ class Link {
   std::uint64_t duplicated_ = 0;
   std::uint64_t reordered_ = 0;
   sim::Time busy_ = sim::Time::zero();
+  // When the packet now on the wire finishes serializing; busy_ already
+  // holds its whole wire time.
+  sim::Time busy_until_ = sim::Time::zero();
   sim::Time queue_wait_ = sim::Time::zero();
   std::size_t queue_hwm_ = 0;
   std::uint64_t retx_packets_ = 0;
@@ -258,14 +216,70 @@ class Link {
   std::uint64_t failed_drops_ = 0;
   sim::Time blocked_ = sim::Time::zero();
   sim::Trace* trace_ = nullptr;
-  // Windowed-utilization checkpoint (mutable: reading advances the window).
-  mutable sim::Time win_busy_ = sim::Time::zero();
-  mutable sim::Time win_t_ = sim::Time::zero();
-  // ECN marking keeps a private utilization window so metric samplers
-  // reading windowed_utilization() cannot perturb the marking decision.
+  // ECN self-marking's utilization window (decides simulated behaviour).
   sim::Time ecn_win_busy_ = sim::Time::zero();
   sim::Time ecn_win_t_ = sim::Time::zero();
   double ecn_util_ = 0.0;  // last completed window's busy fraction
+};
+
+// A network fabric: wires NICs together, knows how to route, and owns the
+// links it wires them with.  Everything done per link (telemetry, the
+// congestion report, lookup by name) lives here once; a concrete fabric
+// adds its geometry, routing and switch or router devices.
+class Fabric {
+ public:
+  using LinkStats = hw::LinkStats;
+
+  virtual ~Fabric() = default;
+
+  // Connects `nic` as node `id`; must be called exactly once per node.
+  virtual void attach(NodeId id, Nic& nic) = 0;
+  // Fills in the packet's source route (no-op for fabrics that route
+  // in-network, like the 2-D mesh).
+  virtual void stamp_route(Packet& p) const = 0;
+  virtual std::string name() const = 0;
+  // Minimum number of link hops between two nodes (for latency models).
+  virtual int hops(NodeId a, NodeId b) const = 0;
+  // Number of distinct paths the fabric can offer between two nodes.
+  // Fabrics with in-network or single-path routing report 1; the MCP's
+  // path table sizes its per-destination health state from this.
+  virtual int route_count(NodeId, NodeId) const { return 1; }
+  // Position of a node along a locality-preserving curve through the
+  // fabric's geometry: nodes near each other on the curve are few hops
+  // apart.  -1 on fabrics with no geometry worth following (a switched
+  // crossbar puts every pair of hosts the same distance apart).  NIC
+  // collective groups lay their trees along it (coll::tree_order).
+  virtual std::int64_t curve_index(NodeId) const { return -1; }
+  // Names of the links directly adjacent to `node` (its ingress/egress
+  // edges); the post-mortem lists these as suspects for a failed peer.
+  virtual std::vector<std::string> links_of(NodeId node) const = 0;
+
+  // Exports wire-level observability (every link's bytes/packets/queue
+  // depth series, then the fabric's switch or router series) through one
+  // collector for the whole fabric.  Call after every node is attached;
+  // the fabric must outlive the registry's exports.
+  void register_metrics(sim::MetricRegistry& reg) const;
+  // Congestion snapshot across every link (unordered); used by the
+  // post-mortem dump to rank the hottest links.
+  std::vector<LinkStats> congestion_report() const;
+  // Attaches a trace so links emit wire/queue-wait spans for the
+  // latency-attribution pipeline (recorded only while the trace is
+  // enabled).  The trace must outlive the fabric's traffic.
+  void set_trace(sim::Trace* tr);
+  // The link named `name` (e.g. "l0->s2", "n5->sw", "m4->0"), for fault
+  // injection: link(name).fail() or .set_fault_plan(plan).  Throws
+  // std::invalid_argument on an unknown name.
+  Link& link(const std::string& name);
+
+ protected:
+  Link& add_link(sim::Engine& eng, std::string name, const LinkConfig& cfg,
+                 Link::Sink sink);
+  const std::vector<std::unique_ptr<Link>>& links() const { return links_; }
+  // Writes the fabric's switch or router series (register_metrics' hook).
+  virtual void write_device_series(sim::MetricSink& out) const = 0;
+
+ private:
+  std::vector<std::unique_ptr<Link>> links_;
 };
 
 }  // namespace hw

@@ -140,10 +140,4 @@ std::span<std::byte> HostMemory::view(PhysAddr addr, std::size_t len) {
   return {store_ + addr, len};
 }
 
-std::span<const std::byte> HostMemory::view(PhysAddr addr,
-                                            std::size_t len) const {
-  check(addr, len);
-  return {store_ + addr, len};
-}
-
 }  // namespace hw

@@ -51,7 +51,6 @@ class HostMemory {
   void write(PhysAddr addr, std::span<const std::byte> data);
   void read(PhysAddr addr, std::span<std::byte> out) const;
   std::span<std::byte> view(PhysAddr addr, std::size_t len);
-  std::span<const std::byte> view(PhysAddr addr, std::size_t len) const;
 
  private:
   void check(PhysAddr addr, std::size_t len) const;

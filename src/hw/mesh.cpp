@@ -72,31 +72,8 @@ sim::Task<void> MeshRouter::pump(int dir) {
     if (link == nullptr) throw std::logic_error("mesh edge missing link");
     // The router's input channels are unbounded — this is where a congested
     // mesh actually accumulates backlog (the bounded link queues only feel
-    // it as blocking).  Mark the packet when the backlog behind it is deep,
-    // attributing the mark to the output link it contends for.
-    const std::size_t thresh = fab_.cfg_.link.ecn_queue_threshold;
-    if (!p.ecn && thresh > 0 && in.size() >= thresh) {
-      p.ecn = true;
-      link->note_ecn_mark();
-    }
-    // Two-phase push so the packet is still in hand after any backpressure
-    // stall: reserve a queue slot (this is where wormhole head-of-line
-    // blocking happens), charge the stall to the output link, and mark the
-    // packet when it blocked past ecn_blocked_threshold — a stalled
-    // wormhole tree congests without ever building the input backlogs the
-    // threshold above looks at.  enqueued_at is stamped after the stall so
-    // the link's queue-wait and blocked-time accounts stay disjoint.
-    const sim::Time t_block = eng_.now();
-    co_await link->in().reserve();
-    const sim::Time waited = eng_.now() - t_block;
-    if (waited > sim::Time::zero()) link->add_blocked(waited);
-    const sim::Time bthresh = fab_.cfg_.link.ecn_blocked_threshold;
-    if (!p.ecn && bthresh > sim::Time::zero() && waited >= bthresh) {
-      p.ecn = true;
-      link->note_blocked_mark();
-    }
-    p.enqueued_at = eng_.now();
-    link->in().commit(std::move(p));
+    // it as blocking).
+    co_await link->forward(std::move(p), in.size());
   }
 }
 
@@ -115,10 +92,10 @@ MeshFabric::MeshFabric(sim::Engine& eng, int width, int height,
   LinkConfig hop = cfg_.link;
   hop.cut_through = true;
   auto wire = [this, hop](NodeId from, NodeId to, int out_dir, int in_dir) {
-    links_.push_back(std::make_unique<Link>(
-        eng_, "m" + std::to_string(from) + "->" + std::to_string(to),
-        hop, routers_[to]->input_sink(in_dir)));
-    routers_[from]->connect_output(out_dir, *links_.back());
+    Link& link =
+        add_link(eng_, "m" + std::to_string(from) + "->" + std::to_string(to),
+                 hop, routers_[to]->input_sink(in_dir));
+    routers_[from]->connect_output(out_dir, link);
   };
   for (int y = 0; y < height; ++y) {
     for (int x = 0; x < width; ++x) {
@@ -170,21 +147,11 @@ std::int64_t MeshFabric::curve_index(NodeId n) const {
   return d;
 }
 
-void MeshFabric::register_metrics(sim::MetricRegistry& reg) const {
-  reg.add_collector([this](sim::MetricSink& out) {
-    for (const auto& l : links_) write_link_series(out, *l);
-    for (std::size_t i = 0; i < routers_.size(); ++i) {
-      out.counter("fabric.router.m" + std::to_string(i) + ".forwarded",
-                  routers_[i]->forwarded());
-    }
-  });
-}
-
-std::vector<Fabric::LinkStats> MeshFabric::congestion_report() const {
-  std::vector<LinkStats> out;
-  out.reserve(links_.size());
-  for (const auto& l : links_) out.push_back(l->stats());
-  return out;
+void MeshFabric::write_device_series(sim::MetricSink& out) const {
+  for (std::size_t i = 0; i < routers_.size(); ++i) {
+    out.counter("fabric.router.m" + std::to_string(i) + ".forwarded",
+                routers_[i]->forwarded());
+  }
 }
 
 std::vector<std::string> MeshFabric::links_of(NodeId n) const {
@@ -192,7 +159,7 @@ std::vector<std::string> MeshFabric::links_of(NodeId n) const {
   const std::string id = std::to_string(n);
   const std::string from = "m" + id + "->";
   const std::string to = "->" + id;
-  for (const auto& l : links_) {
+  for (const auto& l : links()) {
     const std::string& nm = l->name();  // "m<a>-><b>"
     if (nm.rfind(from, 0) == 0 ||
         (nm.size() >= to.size() &&
@@ -201,21 +168,6 @@ std::vector<std::string> MeshFabric::links_of(NodeId n) const {
     }
   }
   return out;
-}
-
-void MeshFabric::set_link_fault_plan(const std::string& link_name,
-                                     const FaultPlan& plan) {
-  for (const auto& l : links_) {
-    if (l->name() == link_name) {
-      l->set_fault_plan(plan);
-      return;
-    }
-  }
-  throw std::invalid_argument("no mesh link named " + link_name);
-}
-
-void MeshFabric::set_trace(sim::Trace* tr) {
-  for (const auto& l : links_) l->set_trace(tr);
 }
 
 }  // namespace hw

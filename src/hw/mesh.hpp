@@ -23,7 +23,6 @@ namespace hw {
 struct MeshConfig {
   LinkConfig link{.bandwidth = 160e6,  // 40 MHz x 32 bit
                   .propagation = sim::Time::ns(30),
-                  .corrupt_prob = 0.0,
                   .queue_depth = 4};
   sim::Time route_delay = sim::Time::ns(175);  // nwrc1032 per-hop latency
 };
@@ -43,10 +42,7 @@ class MeshFabric : public Fabric {
   // that covers the mesh: consecutive nodes on a full square are one hop
   // apart, and every aligned run of the curve stays compact in 2-D.
   std::int64_t curve_index(NodeId n) const override;
-  void register_metrics(sim::MetricRegistry& reg) const override;
-  std::vector<LinkStats> congestion_report() const override;
   std::vector<std::string> links_of(NodeId n) const override;
-  void set_trace(sim::Trace* tr) override;
 
   int width() const { return width_; }
   int height() const { return height_; }
@@ -55,21 +51,16 @@ class MeshFabric : public Fabric {
 
   MeshRouter& router_at(NodeId n) { return *routers_[n]; }
 
-  // Installs a deterministic fault schedule on the named mesh link
-  // ("m<a>-><b>"); throws if no such link exists.  Lets the property tests
-  // replay drop/dup/reorder on an interior wormhole hop.
-  void set_link_fault_plan(const std::string& link_name,
-                           const FaultPlan& plan);
-
  private:
   friend class MeshRouter;
+
+  void write_device_series(sim::MetricSink& out) const override;
 
   sim::Engine& eng_;
   int width_;
   int height_;
   MeshConfig cfg_;
   std::vector<std::unique_ptr<MeshRouter>> routers_;
-  std::vector<std::unique_ptr<Link>> links_;
 };
 
 // One router: 4 neighbour directions plus a local (NIC) port.

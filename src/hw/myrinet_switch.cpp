@@ -9,14 +9,10 @@
 namespace hw {
 
 CrossbarSwitch::CrossbarSwitch(sim::Engine& eng, std::string name, int ports,
-                               sim::Time fall_through,
-                               std::size_t ecn_queue_threshold,
-                               sim::Time ecn_blocked_threshold)
+                               sim::Time fall_through)
     : eng_{eng},
       name_{std::move(name)},
       fall_through_{fall_through},
-      ecn_queue_threshold_{ecn_queue_threshold},
-      ecn_blocked_threshold_{ecn_blocked_threshold},
       outputs_(static_cast<std::size_t>(ports), nullptr) {
   for (int p = 0; p < ports; ++p) {
     inputs_.push_back(std::make_unique<sim::Channel<Packet>>(eng_));
@@ -74,29 +70,8 @@ sim::Task<void> CrossbarSwitch::pump(int port) {
     }
     co_await eng_.sleep(fall_through_);
     ++forwarded_;
-    // Input-backlog congestion: like the mesh routers, mark the packet when
-    // it dequeues with a deep backlog still behind it, attributing the mark
-    // to the output link it contends for.
-    if (!p.ecn && ecn_queue_threshold_ > 0 &&
-        in.size() >= ecn_queue_threshold_) {
-      p.ecn = true;
-      link->note_ecn_mark();
-    }
-    // Two-phase push (see MeshRouter::pump): reserve the output queue slot,
-    // charge the stall to the link, mark the packet if it blocked past the
-    // threshold, and only then commit.  enqueued_at is stamped after the
-    // stall so queue-wait and blocked-time accounts stay disjoint.
-    const sim::Time t_block = eng_.now();
-    co_await link->in().reserve();
-    const sim::Time waited = eng_.now() - t_block;
-    if (waited > sim::Time::zero()) link->add_blocked(waited);
-    if (!p.ecn && ecn_blocked_threshold_ > sim::Time::zero() &&
-        waited >= ecn_blocked_threshold_) {
-      p.ecn = true;
-      link->note_blocked_mark();
-    }
-    p.enqueued_at = eng_.now();
-    link->in().commit(std::move(p));
+    // The input backlog behind the packet is where a crossbar congests.
+    co_await link->forward(std::move(p), in.size());
   }
 }
 
@@ -107,8 +82,7 @@ MyrinetFabric::MyrinetFabric(sim::Engine& eng, std::uint32_t n_nodes,
   const int uplinks = kPorts - cfg_.hosts_per_leaf;
   if (!two_level()) {
     switches_.push_back(std::make_unique<CrossbarSwitch>(
-        eng_, "sw0", kPorts, cfg_.fall_through,
-        cfg_.link.ecn_queue_threshold, cfg_.link.ecn_blocked_threshold));
+        eng_, "sw0", kPorts, cfg_.fall_through));
     switch_links_.resize(switches_.size());
     return;
   }
@@ -122,13 +96,11 @@ MyrinetFabric::MyrinetFabric(sim::Engine& eng, std::uint32_t n_nodes,
   }
   for (int l = 0; l < leaves; ++l) {
     switches_.push_back(std::make_unique<CrossbarSwitch>(
-        eng_, "leaf" + std::to_string(l), kPorts, cfg_.fall_through,
-        cfg_.link.ecn_queue_threshold, cfg_.link.ecn_blocked_threshold));
+        eng_, "leaf" + std::to_string(l), kPorts, cfg_.fall_through));
   }
   for (int s = 0; s < uplinks; ++s) {
     switches_.push_back(std::make_unique<CrossbarSwitch>(
-        eng_, "spine" + std::to_string(s), kPorts, cfg_.fall_through,
-        cfg_.link.ecn_queue_threshold, cfg_.link.ecn_blocked_threshold));
+        eng_, "spine" + std::to_string(s), kPorts, cfg_.fall_through));
   }
   // Leaf l, uplink port hosts_per_leaf+s  <->  spine s, port l.
   // Inter-switch links forward cut-through (wormhole).
@@ -139,20 +111,18 @@ MyrinetFabric::MyrinetFabric(sim::Engine& eng, std::uint32_t n_nodes,
     for (int s = 0; s < uplinks; ++s) {
       auto& leaf = *switches_[static_cast<std::size_t>(l)];
       auto& spine = *switches_[static_cast<std::size_t>(leaves + s)];
-      links_.push_back(std::make_unique<Link>(
-          eng_, "l" + std::to_string(l) + "->s" + std::to_string(s),
-          trunk, spine.input_sink(l)));
-      leaf.connect_output(cfg_.hosts_per_leaf + s, *links_.back());
-      switch_links_[static_cast<std::size_t>(l)].push_back(links_.back().get());
-      switch_links_[static_cast<std::size_t>(leaves + s)].push_back(
-          links_.back().get());
-      links_.push_back(std::make_unique<Link>(
-          eng_, "s" + std::to_string(s) + "->l" + std::to_string(l),
-          trunk, leaf.input_sink(cfg_.hosts_per_leaf + s)));
-      spine.connect_output(l, *links_.back());
-      switch_links_[static_cast<std::size_t>(l)].push_back(links_.back().get());
-      switch_links_[static_cast<std::size_t>(leaves + s)].push_back(
-          links_.back().get());
+      Link& up = add_link(
+          eng_, "l" + std::to_string(l) + "->s" + std::to_string(s), trunk,
+          spine.input_sink(l));
+      leaf.connect_output(cfg_.hosts_per_leaf + s, up);
+      Link& down = add_link(
+          eng_, "s" + std::to_string(s) + "->l" + std::to_string(l), trunk,
+          leaf.input_sink(cfg_.hosts_per_leaf + s));
+      spine.connect_output(l, down);
+      for (Link* t : {&up, &down}) {
+        switch_links_[static_cast<std::size_t>(l)].push_back(t);
+        switch_links_[static_cast<std::size_t>(leaves + s)].push_back(t);
+      }
     }
   }
 }
@@ -170,19 +140,15 @@ void MyrinetFabric::attach(NodeId id, Nic& nic) {
   up.cut_through = true;
   const std::size_t sw_idx =
       two_level() ? static_cast<std::size_t>(leaf_of(id)) : 0;
-  links_.push_back(std::make_unique<Link>(
-      eng_, "n" + std::to_string(id) + "->sw", up,
-      sw.input_sink(port), /*seed=*/1000 + id));
-  host_uplinks_[id] = links_.back().get();
-  switch_links_[sw_idx].push_back(links_.back().get());
+  host_uplinks_[id] = &add_link(eng_, "n" + std::to_string(id) + "->sw", up,
+                                sw.input_sink(port));
+  switch_links_[sw_idx].push_back(host_uplinks_[id]);
   // switch -> nic: terminal hop, delivers after the last byte so the path
   // pays exactly one full serialization.
-  links_.push_back(std::make_unique<Link>(
-      eng_, "sw->n" + std::to_string(id), cfg_.link,
-      [&nic](Packet&& p) { nic.deliver(std::move(p)); },
-      /*seed=*/2000 + id));
-  sw.connect_output(port, *links_.back());
-  switch_links_[sw_idx].push_back(links_.back().get());
+  Link& down = add_link(eng_, "sw->n" + std::to_string(id), cfg_.link,
+                        [&nic](Packet&& p) { nic.deliver(std::move(p)); });
+  sw.connect_output(port, down);
+  switch_links_[sw_idx].push_back(&down);
   nic.wire(this, &host_uplinks_[id]->in());
 }
 
@@ -234,11 +200,6 @@ void MyrinetFabric::stamp_route(Packet& p) const {
   p.route_pos = 0;
 }
 
-void MyrinetFabric::stamp_route(Packet& p, std::uint8_t path_id) const {
-  p.path_id = path_id;
-  stamp_route(p);
-}
-
 int MyrinetFabric::hops(NodeId a, NodeId b) const {
   if (a == b) return 0;
   if (!two_level() || leaf_of(a) == leaf_of(b)) return 2;  // host-sw, sw-host
@@ -255,28 +216,9 @@ void MyrinetFabric::revive_switch(std::size_t i) {
   for (Link* l : switch_links_.at(i)) l->revive();
 }
 
-Link* MyrinetFabric::find_link(const std::string& name) const {
-  for (const auto& l : links_) {
-    if (l->name() == name) return l.get();
-  }
-  throw std::invalid_argument("no such link: " + name);
-}
-
-void MyrinetFabric::fail_link(const std::string& name) {
-  find_link(name)->fail();
-}
-
-void MyrinetFabric::revive_link(const std::string& name) {
-  find_link(name)->revive();
-}
-
 void MyrinetFabric::set_route_error_hook(CrossbarSwitch::RouteErrorHook hook) {
   route_error_hook_ = std::move(hook);
   for (auto& sw : switches_) sw->set_route_error_hook(route_error_hook_);
-}
-
-void MyrinetFabric::set_host_link_corrupt_prob(NodeId node, double p) {
-  host_uplinks_.at(node)->set_corrupt_prob(p);
 }
 
 void MyrinetFabric::set_host_link_fault_plan(NodeId node,
@@ -284,17 +226,10 @@ void MyrinetFabric::set_host_link_fault_plan(NodeId node,
   host_uplinks_.at(node)->set_fault_plan(plan);
 }
 
-std::vector<Fabric::LinkStats> MyrinetFabric::congestion_report() const {
-  std::vector<LinkStats> out;
-  out.reserve(links_.size());
-  for (const auto& l : links_) out.push_back(l->stats());
-  return out;
-}
-
 std::vector<std::string> MyrinetFabric::links_of(NodeId n) const {
   std::vector<std::string> out;
   const std::string id = std::to_string(n);
-  for (const auto& l : links_) {
+  for (const auto& l : links()) {
     const std::string& nm = l->name();
     if (nm == "n" + id + "->sw" || nm == "sw->n" + id) out.push_back(nm);
   }
@@ -310,20 +245,13 @@ std::vector<std::string> MyrinetFabric::links_of(NodeId n) const {
   return out;
 }
 
-void MyrinetFabric::set_trace(sim::Trace* tr) {
-  for (const auto& l : links_) l->set_trace(tr);
-}
-
-void MyrinetFabric::register_metrics(sim::MetricRegistry& reg) const {
-  reg.add_collector([this](sim::MetricSink& out) {
-    for (const auto& l : links_) write_link_series(out, *l);
-    for (const auto& sw : switches_) {
-      const std::string prefix = "fabric.switch." + sw->name() + ".";
-      out.counter(prefix + "forwarded", sw->forwarded());
-      out.counter(prefix + "route_errors", sw->route_errors());
-      out.counter(prefix + "failed_drops", sw->failed_drops());
-    }
-  });
+void MyrinetFabric::write_device_series(sim::MetricSink& out) const {
+  for (const auto& sw : switches_) {
+    const std::string prefix = "fabric.switch." + sw->name() + ".";
+    out.counter(prefix + "forwarded", sw->forwarded());
+    out.counter(prefix + "route_errors", sw->route_errors());
+    out.counter(prefix + "failed_drops", sw->failed_drops());
+  }
 }
 
 }  // namespace hw

@@ -18,19 +18,14 @@
 namespace hw {
 
 // Cut-through crossbar: each input port reads the next route byte, waits the
-// fall-through latency, and forwards to the selected output link.  Output
-// contention resolves FIFO through the output link's bounded input queue.
+// fall-through latency, and forwards to the selected output link
+// (Link::forward, which ECN-marks by the input backlog and the blocking
+// time against the output link's thresholds).  Output contention resolves
+// FIFO through the output link's bounded input queue.
 class CrossbarSwitch {
  public:
-  // `ecn_queue_threshold` applies to the input-port backlog: a packet that
-  // dequeues with at least that many packets still behind it is ECN-marked
-  // (0 disables backlog marking).  `ecn_blocked_threshold` marks a packet
-  // whose push into the output link blocked at least that long even with a
-  // shallow backlog — wormhole congestion shows up as blocking first
-  // (sim::Time::zero() disables blocked marking).
   CrossbarSwitch(sim::Engine& eng, std::string name, int ports,
-                 sim::Time fall_through, std::size_t ecn_queue_threshold = 3,
-                 sim::Time ecn_blocked_threshold = sim::Time::us(25));
+                 sim::Time fall_through);
 
   int ports() const { return static_cast<int>(outputs_.size()); }
   const std::string& name() const { return name_; }
@@ -67,8 +62,6 @@ class CrossbarSwitch {
   sim::Engine& eng_;
   std::string name_;
   sim::Time fall_through_;
-  std::size_t ecn_queue_threshold_;
-  sim::Time ecn_blocked_threshold_;
   std::vector<std::unique_ptr<sim::Channel<Packet>>> inputs_;
   std::vector<Link*> outputs_;
   std::uint64_t forwarded_ = 0;
@@ -100,10 +93,7 @@ class MyrinetFabric : public Fabric {
   std::string name() const override { return "myrinet"; }
   int hops(NodeId a, NodeId b) const override;
   int route_count(NodeId src, NodeId dst) const override;
-  void register_metrics(sim::MetricRegistry& reg) const override;
-  std::vector<LinkStats> congestion_report() const override;
   std::vector<std::string> links_of(NodeId n) const override;
-  void set_trace(sim::Trace* tr) override;
 
   // Route as a sequence of switch output ports (deterministic default:
   // cross-leaf traffic rides spine `spine_for(dst)`).
@@ -116,23 +106,18 @@ class MyrinetFabric : public Fabric {
   // Every distinct path between src and dst, indexed by path id: one route
   // per spine for cross-leaf pairs, the single direct route otherwise.
   std::vector<std::vector<std::uint8_t>> routes(NodeId src, NodeId dst) const;
-  // Stamps the source route for one explicit path (sets p.path_id first).
-  void stamp_route(Packet& p, std::uint8_t path_id) const;
 
   // Fault injection on the host->switch link of `node`.
-  void set_host_link_corrupt_prob(NodeId node, double p);
   void set_host_link_fault_plan(NodeId node, const FaultPlan& plan);
   Link& host_uplink(NodeId node) { return *host_uplinks_.at(node); }
 
   // -- fail-stop injection ---------------------------------------------------
   // Kills switch `i` (leaves first, then spines; see spine_switch_index):
   // the crossbar eats packets and every attached link goes dead, so nothing
-  // escapes a dead switch in either direction.
+  // escapes a dead switch in either direction.  One cable dies through
+  // link(name).fail().
   void fail_switch(std::size_t i);
   void revive_switch(std::size_t i);
-  // Kills one link by name (e.g. "l0->s2", "n5->sw").
-  void fail_link(const std::string& name);
-  void revive_link(const std::string& name);
 
   CrossbarSwitch& switch_at(std::size_t i) { return *switches_[i]; }
   std::size_t switch_count() const { return switches_.size(); }
@@ -154,6 +139,7 @@ class MyrinetFabric : public Fabric {
   void set_route_error_hook(CrossbarSwitch::RouteErrorHook hook);
 
  private:
+  void write_device_series(sim::MetricSink& out) const override;
   bool two_level() const { return n_nodes_ > kPorts; }
   int leaf_of(NodeId n) const { return static_cast<int>(n) / cfg_.hosts_per_leaf; }
   int local_port(NodeId n) const {
@@ -163,13 +149,10 @@ class MyrinetFabric : public Fabric {
     return static_cast<int>(dst) % (kPorts - cfg_.hosts_per_leaf);
   }
 
-  Link* find_link(const std::string& name) const;
-
   sim::Engine& eng_;
   std::uint32_t n_nodes_;
   MyrinetConfig cfg_;
   std::vector<std::unique_ptr<CrossbarSwitch>> switches_;
-  std::vector<std::unique_ptr<Link>> links_;
   std::vector<Link*> host_uplinks_;  // node -> nic->switch link
   std::vector<bool> attached_;
   // Links attached to each switch (either direction), so fail_switch can

@@ -74,14 +74,6 @@ double LatencyBreakdown::stage_us(const std::string& stage) const {
   return it == stages_.end() ? 0.0 : it->second.to_us();
 }
 
-double LatencyBreakdown::matching_us(const std::string& substr) const {
-  Time total = Time::zero();
-  for (const auto& [stage, t] : stages_) {
-    if (stage.find(substr) != std::string::npos) total += t;
-  }
-  return total.to_us();
-}
-
 std::string LatencyBreakdown::table(const std::string& title) const {
   std::vector<std::pair<std::string, Time>> rows(stages_.begin(),
                                                  stages_.end());

@@ -43,8 +43,6 @@ class LatencyBreakdown {
   double sum_us() const;
   // Attributed time for one stage (0 if absent).
   double stage_us(const std::string& stage) const;
-  // Sum over every stage whose name contains `substr`.
-  double matching_us(const std::string& substr) const;
   const std::map<std::string, Time>& stages() const { return stages_; }
   const std::string& gap_stage() const { return gap_stage_; }
 

@@ -18,8 +18,6 @@ std::string format_metric_value(double v) {
   return buf;
 }
 
-namespace {
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 8);
@@ -44,6 +42,8 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 std::string prom_name(const std::string& name) {
   std::string out = "bcl_";

@@ -205,4 +205,7 @@ class Sampler {
 // round-trip, non-finite values as 0 (JSON has no inf/nan).
 std::string format_metric_value(double v);
 
+// Escapes `s` for use inside a JSON string literal.
+std::string json_escape(const std::string& s);
+
 }  // namespace sim

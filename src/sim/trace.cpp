@@ -10,31 +10,6 @@ namespace sim {
 
 namespace {
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char esc[8];
-          std::snprintf(esc, sizeof esc, "\\u%04x", c);
-          out += esc;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string us(Time t) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3f", t.to_us());
@@ -153,8 +128,8 @@ std::string Trace::to_chrome_json() const {
     first = false;
   };
   for (const auto& e : events_) {
-    emit("{\"name\":\"" + escape(e.stage) + "\",\"cat\":\"" +
-         escape(e.component) + "\",\"ph\":\"X\",\"ts\":" + us(e.start) +
+    emit("{\"name\":\"" + json_escape(e.stage) + "\",\"cat\":\"" +
+         json_escape(e.component) + "\",\"ph\":\"X\",\"ts\":" + us(e.start) +
          ",\"dur\":" + us(e.end - e.start) +
          ",\"pid\":1,\"tid\":" + std::to_string(tid_of(e.component)) +
          ",\"args\":{\"msg\":" + std::to_string(e.tag) + "}}");
@@ -162,20 +137,20 @@ std::string Trace::to_chrome_json() const {
   // Spans never end()ed (op aborted, peer failed, dump taken mid-flight):
   // emit with a synthetic end at the current time so they stay visible.
   for (const auto& [tok, e] : open_) {
-    emit("{\"name\":\"" + escape(e.stage) + "\",\"cat\":\"" +
-         escape(e.component) + "\",\"ph\":\"X\",\"ts\":" + us(e.start) +
+    emit("{\"name\":\"" + json_escape(e.stage) + "\",\"cat\":\"" +
+         json_escape(e.component) + "\",\"ph\":\"X\",\"ts\":" + us(e.start) +
          ",\"dur\":" + us(eng_.now() - e.start) +
          ",\"pid\":1,\"tid\":" + std::to_string(tid_of(e.component)) +
          ",\"args\":{\"msg\":" + std::to_string(e.tag) +
          ",\"synthetic_end\":1}}");
   }
   for (const auto& c : counter_events_) {
-    emit("{\"name\":\"" + escape(c.track) + "\",\"ph\":\"C\",\"ts\":" +
-         us(c.t) + ",\"pid\":1,\"args\":{\"" + escape(c.series) +
+    emit("{\"name\":\"" + json_escape(c.track) + "\",\"ph\":\"C\",\"ts\":" +
+         us(c.t) + ",\"pid\":1,\"args\":{\"" + json_escape(c.series) +
          "\":" + format_metric_value(c.value) + "}}");
   }
   for (const auto& f : flow_events_) {
-    std::string obj = "{\"name\":\"" + escape(f.name) +
+    std::string obj = "{\"name\":\"" + json_escape(f.name) +
                       "\",\"cat\":\"flow\",\"ph\":\"";
     obj += f.phase;
     obj += "\",\"ts\":" + us(f.t) +
@@ -188,7 +163,7 @@ std::string Trace::to_chrome_json() const {
   // Track names.
   for (const auto& [comp, tid] : tids) {
     emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
-         std::to_string(tid) + ",\"args\":{\"name\":\"" + escape(comp) +
+         std::to_string(tid) + ",\"args\":{\"name\":\"" + json_escape(comp) +
          "\"}}");
   }
   out += "\n]\n";

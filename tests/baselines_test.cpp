@@ -322,7 +322,7 @@ TEST(Bip, LowestLatencyOfAllProtocols) {
 TEST(Bip, CorruptionIsLostForGood) {
   Testbed tb = make_testbed();
   auto& fab = dynamic_cast<hw::MyrinetFabric&>(*tb.fabric);
-  fab.set_host_link_corrupt_prob(0, 0.3);
+  fab.set_host_link_fault_plan(0, {.corrupt_prob = 0.3, .seed = 1000});
   BipNet net{tb};
   auto& tx = net.open(0);
   auto& rx = net.open(1);

@@ -33,8 +33,7 @@ ClusterConfig lossy_cluster(double corrupt_prob, bool reliable = true) {
   cfg.node.mem_bytes = 8u << 20;
   cfg.cost.reliable = reliable;
   cfg.cost.rto = Time::us(80);  // recover quickly in tests
-  cfg.fabric.myrinet.link.corrupt_prob = 0.0;  // set per-link below
-  (void)corrupt_prob;
+  (void)corrupt_prob;  // set per-link below
   return cfg;
 }
 
@@ -42,9 +41,16 @@ hw::MyrinetFabric& myrinet(BclCluster& c) {
   return dynamic_cast<hw::MyrinetFabric&>(c.fabric());
 }
 
+// Corrupts a fraction `p` of the packets crossing node `n`'s uplink, drawn
+// from a stream seeded 1000 + n.
+void corrupt_uplink(BclCluster& c, hw::NodeId n, double p) {
+  myrinet(c).set_host_link_fault_plan(n,
+                                      {.corrupt_prob = p, .seed = 1000 + n});
+}
+
 TEST(BclReliability, LossyLinkDeliversExactlyOnceInOrder) {
   BclCluster c{lossy_cluster(0.05)};
-  myrinet(c).set_host_link_corrupt_prob(0, 0.05);
+  corrupt_uplink(c, 0, 0.05);
   auto& tx = c.open_endpoint(0);
   auto& rx = c.open_endpoint(1);
   constexpr int kMsgs = 60;
@@ -76,7 +82,7 @@ TEST(BclReliability, LossyLinkDeliversExactlyOnceInOrder) {
 
 TEST(BclReliability, LargeMessageSurvivesCorruption) {
   BclCluster c{lossy_cluster(0.08)};
-  myrinet(c).set_host_link_corrupt_prob(0, 0.08);
+  corrupt_uplink(c, 0, 0.08);
   auto& tx = c.open_endpoint(0);
   auto& rx = c.open_endpoint(1);
   const std::size_t kLen = 64 * 1024;
@@ -108,7 +114,7 @@ TEST(BclReliability, LargeMessageSurvivesCorruption) {
 
 TEST(BclReliability, UnreliableModeLosesOnCorruption) {
   BclCluster c{lossy_cluster(0.2, /*reliable=*/false)};
-  myrinet(c).set_host_link_corrupt_prob(0, 0.2);
+  corrupt_uplink(c, 0, 0.2);
   auto& tx = c.open_endpoint(0);
   auto& rx = c.open_endpoint(1);
   c.engine().spawn([](Endpoint& tx, PortId dst) -> Task<void> {
@@ -185,8 +191,8 @@ TEST(BclReliability, WindowBackpressureStallsNotLoses) {
 
 TEST(BclReliability, BothDirectionsLossySimultaneously) {
   BclCluster c{lossy_cluster(0.05)};
-  myrinet(c).set_host_link_corrupt_prob(0, 0.06);
-  myrinet(c).set_host_link_corrupt_prob(1, 0.06);
+  corrupt_uplink(c, 0, 0.06);
+  corrupt_uplink(c, 1, 0.06);
   auto& a = c.open_endpoint(0);
   auto& b = c.open_endpoint(1);
   int got_a = 0, got_b = 0;
@@ -228,8 +234,12 @@ class SinkFabric : public hw::Fabric {
   void stamp_route(hw::Packet&) const override {}
   std::string name() const override { return "sink"; }
   int hops(hw::NodeId, hw::NodeId) const override { return 1; }
+  std::vector<std::string> links_of(hw::NodeId) const override { return {}; }
 
   sim::Channel<hw::Packet> ch;
+
+ private:
+  void write_device_series(sim::MetricSink&) const override {}
 };
 
 struct TxRecord {
@@ -531,6 +541,69 @@ TEST(TxSessionUnit, RandomAckChunksResolveCompletionsInOrder) {
   EXPECT_EQ(s.timeouts(), 0u);
 }
 
+// An RNR-NACK still carries a cumulative ack.  When it passes the last
+// ack, the prefix it covers leaves the window: in_flight drops, the
+// prefix's window slots free (two more sends go out without stalling),
+// and each tracked completion in it resolves once with kOk.
+TEST(TxSessionUnit, RnrCumulativeAckReleasesThePrefix) {
+  sim::Engine eng;
+  hw::HostMemory mem{1u << 20};
+  hw::PciBus pci{eng, "pci", {}};
+  hw::Nic nic{eng, 0, "nic0", pci, mem, {}};
+  SinkFabric fab{eng, 64};  // roomy sink: sends never block in this test
+  fab.attach(0, nic);
+
+  bcl::CostConfig cost;
+  cost.window = 4;
+  cost.rto = Time::ms(1);  // never expires in this test
+  cost.adaptive_rto = false;
+  cost.rto_backoff_jitter = 0.0;
+  cost.dupack_k = 0;
+  cost.max_retries = 0;
+  TwoPathOwner owner;
+  constexpr hw::NodeId kPeer = 2;
+  bcl::TxSession s{eng, nic, cost, 1, false, &owner, kPeer};
+
+  eng.spawn_daemon([](SinkFabric& fab) -> Task<void> {
+    for (;;) (void)co_await fab.ch.recv();
+  }(fab));
+  std::size_t in_flight_after_rnr = 0;
+  std::vector<std::pair<std::uint64_t, BclErr>> done_at_rnr;
+  eng.spawn([](sim::Engine& eng, bcl::TxSession& s, TwoPathOwner& owner,
+               std::size_t& in_flight_after_rnr,
+               std::vector<std::pair<std::uint64_t, BclErr>>& done_at_rnr)
+                -> Task<void> {
+    for (std::uint64_t msg = 1; msg <= 6; ++msg) {
+      if (msg == 5) {
+        // The window is full: the NACK acks messages 1 and 2.
+        co_await eng.sleep(Time::us(10));
+        s.on_rnr(s.last_seq() - 2, Time::us(20));
+        in_flight_after_rnr = s.in_flight();
+        done_at_rnr = owner.done;
+      }
+      hw::Packet p;
+      p.dst_node = kPeer;
+      EXPECT_EQ(co_await s.send(std::move(p)), BclErr::kOk);
+      s.track({s.last_seq(), msg, 0, PortId{kPeer, 0}});
+    }
+    co_await eng.sleep(Time::us(40));  // past the hold's window replay
+    s.on_ack(s.last_seq());
+  }(eng, s, owner, in_flight_after_rnr, done_at_rnr));
+  eng.run();
+
+  EXPECT_EQ(in_flight_after_rnr, 2u);
+  EXPECT_EQ(done_at_rnr,
+            (std::vector<std::pair<std::uint64_t, BclErr>>{
+                {1, BclErr::kOk}, {2, BclErr::kOk}}));
+  EXPECT_EQ(s.window_stalls(), 0u);
+  ASSERT_EQ(owner.done.size(), 6u);
+  for (std::uint64_t msg = 1; msg <= 6; ++msg) {
+    EXPECT_EQ(owner.done[msg - 1], std::make_pair(msg, BclErr::kOk));
+  }
+  EXPECT_EQ(s.in_flight(), 0u);
+  EXPECT_FALSE(s.peer_unreachable());
+}
+
 // Most of an N-node cluster's N*(N-1) sessions never carry traffic, so a
 // fresh session, cold-start or handshake, holds no heap memory.
 TEST(TxSessionUnit, FreshSessionAllocatesNothing) {
@@ -585,7 +658,7 @@ TEST(BclReliability, SequenceWraparoundSurvivesCorruption) {
   ClusterConfig cfg = lossy_cluster(0.0);
   cfg.cost.first_seq = 0xFFFFFFFFu - 3;
   BclCluster c{cfg};
-  myrinet(c).set_host_link_corrupt_prob(0, 0.06);
+  corrupt_uplink(c, 0, 0.06);
   auto& tx = c.open_endpoint(0);
   auto& rx = c.open_endpoint(1);
   constexpr int kMsgs = 40;

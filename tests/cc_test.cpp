@@ -519,8 +519,7 @@ TEST(CcPropagation, MeshIncastMarksSurviveSeededFaults) {
   cfg.fabric.mesh_width = 4;
   cfg.node.mem_bytes = 8u << 20;
   bcl::BclCluster c{cfg};
-  dynamic_cast<hw::MeshFabric&>(c.fabric())
-      .set_link_fault_plan("m4->0", dup_heavy_faults(31));
+  c.fabric().link("m4->0").set_fault_plan(dup_heavy_faults(31));
 
   const auto res = run_incast(c, kSenders, 0, kPerSender, kBytes);
   check_cc_propagation(c, kSenders, 0, kPerSender, res);

@@ -85,12 +85,10 @@ TEST(Link, BackpressureBlocksSender) {
 
 TEST(Link, CorruptionInjection) {
   Engine eng;
-  LinkConfig cfg;
-  cfg.corrupt_prob = 0.5;
   int corrupted = 0, clean = 0;
-  Link link{eng, "l", cfg,
-            [&](Packet&& p) { (p.corrupted ? corrupted : clean)++; },
-            /*seed=*/33};
+  Link link{eng, "l", {},
+            [&](Packet&& p) { (p.corrupted ? corrupted : clean)++; }};
+  link.set_fault_plan({.corrupt_prob = 0.5, .seed = 33});
   eng.spawn([](Link& l) -> Task<void> {
     for (int i = 0; i < 200; ++i) co_await l.in().send(make_packet(0, 1, 10));
   }(link));
@@ -98,6 +96,34 @@ TEST(Link, CorruptionInjection) {
   EXPECT_GT(corrupted, 50);
   EXPECT_GT(clean, 50);
   EXPECT_EQ(link.corrupted(), static_cast<std::uint64_t>(corrupted));
+}
+
+// Utilization counts only the part of the packet on the wire that is
+// already sent, and reading it changes nothing: 10 us into a 25.6 us
+// serialization the wire has been busy the whole time (1, not 2.56), two
+// reads at one instant agree, and once the packet is out and the wire has
+// idled as long again it reads one half.
+TEST(Link, UtilizationIsAPureReadThatNeverExceedsOne) {
+  Engine eng;
+  Link link{eng, "l", {}, [](Packet&&) {}};  // 160 MB/s
+  eng.spawn([](Link& l) -> Task<void> {
+    co_await l.in().send(make_packet(0, 1, 4096 - 32));  // 4096 B wire
+  }(link));
+  double mid_first = -1, mid_second = -1, idle = -1;
+  eng.spawn([](Engine& e, Link& l, double& a, double& b,
+               double& c) -> Task<void> {
+    co_await e.sleep(Time::us(10));
+    a = l.utilization();
+    b = l.utilization();
+    co_await e.sleep(Time::us(51.2) - e.now());
+    c = l.utilization();
+  }(eng, link, mid_first, mid_second, idle));
+  eng.run();
+  EXPECT_LE(mid_first, 1.0);
+  EXPECT_DOUBLE_EQ(mid_first, 1.0);
+  EXPECT_EQ(mid_second, mid_first);
+  EXPECT_DOUBLE_EQ(idle, 0.5);
+  EXPECT_DOUBLE_EQ(link.stats().util, idle);
 }
 
 // Builds a fabric with N nodes and returns delivered packets per node.

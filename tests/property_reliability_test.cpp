@@ -37,7 +37,8 @@ TEST_P(LossSweep, ExactlyOnceInOrder) {
   cfg.cost.rto = Time::us(80);
   BclCluster cluster{cfg};
   dynamic_cast<hw::MyrinetFabric&>(cluster.fabric())
-      .set_host_link_corrupt_prob(0, c.corrupt_prob);
+      .set_host_link_fault_plan(0, {.corrupt_prob = c.corrupt_prob,
+                                    .seed = 1000});
   auto& tx = cluster.open_endpoint(0);
   auto& rx = cluster.open_endpoint(1);
 
@@ -110,7 +111,7 @@ TEST_P(BulkLossSweep, LargeMessageIntact) {
   cfg.cost.rto = Time::us(80);
   BclCluster cluster{cfg};
   dynamic_cast<hw::MyrinetFabric&>(cluster.fabric())
-      .set_host_link_corrupt_prob(0, p);
+      .set_host_link_fault_plan(0, {.corrupt_prob = p, .seed = 1000});
   auto& tx = cluster.open_endpoint(0);
   auto& rx = cluster.open_endpoint(1);
   const std::size_t kLen = 96 * 1024;
@@ -286,8 +287,9 @@ TEST(RmaUnderLoss, ReadSurvivesCorruption) {
   cfg.node.mem_bytes = 16u << 20;
   cfg.cost.rto = Time::us(80);
   BclCluster cluster{cfg};
+  // The reply path is lossy.
   dynamic_cast<hw::MyrinetFabric&>(cluster.fabric())
-      .set_host_link_corrupt_prob(1, 0.25);  // the reply path is lossy
+      .set_host_link_fault_plan(1, {.corrupt_prob = 0.25, .seed = 1001});
   auto& reader = cluster.open_endpoint(0);
   auto& owner = cluster.open_endpoint(1);
   cluster.engine().spawn([](Endpoint& owner, Endpoint& rd) -> Task<void> {

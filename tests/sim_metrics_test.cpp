@@ -296,6 +296,25 @@ TEST(MetricRegistry, PrometheusExport) {
   EXPECT_NE(prom.find("_count"), std::string::npos);
 }
 
+// A histogram exports as a Prometheus summary: its count and the p50, p90
+// and p99 quantiles, each the upper edge of the log2 bin that reaches it.
+TEST(MetricRegistry, PrometheusExportsHistogramQuantiles) {
+  MetricRegistry reg;
+  auto& h = reg.histogram("node0.mpi.wait-us");
+  for (const double x : {1.0, 2.0, 3.0, 100.0}) h.add(x);
+  const std::string prom = reg.to_prometheus();
+  EXPECT_NE(prom.find("# TYPE bcl_node0_mpi_wait_us summary\n"),
+            std::string::npos) << prom;
+  EXPECT_NE(prom.find("bcl_node0_mpi_wait_us_count 4\n"), std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("bcl_node0_mpi_wait_us{quantile=\"0.5\"} 4\n"),
+            std::string::npos) << prom;
+  EXPECT_NE(prom.find("bcl_node0_mpi_wait_us{quantile=\"0.9\"} 128\n"),
+            std::string::npos) << prom;
+  EXPECT_NE(prom.find("bcl_node0_mpi_wait_us{quantile=\"0.99\"} 128\n"),
+            std::string::npos) << prom;
+}
+
 TEST(Sampler, TicksAndCsv) {
   Engine eng;
   MetricRegistry reg;
