@@ -49,7 +49,7 @@ std::pair<std::uint64_t, std::uint64_t> lossy_run(bool reliable) {
     }
   }(rx));
   c.engine().run();
-  return {kMsgs, rx.port().messages_received};
+  return {kMsgs, rx.port().messages_received()};
 }
 
 struct SweepPoint {

@@ -152,7 +152,7 @@ Result run_incast(int senders, std::uint64_t per_sender,
   }(rx, drain));
   c.engine().run();
 
-  res.delivered = rx.port().messages_received;
+  res.delivered = rx.port().messages_received();
   for (const auto& l : c.fabric().congestion_report()) {
     res.fabric_marks += l.ecn_marks;
     res.blocked_marks += l.blocked_marks;

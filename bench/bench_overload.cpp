@@ -75,8 +75,8 @@ Point slow_receiver_point(double drain_us, bool fc, std::uint64_t msgs) {
   p.drain_us = drain_us;
   p.fc = fc;
   p.sent = msgs;
-  p.delivered = rx.port().messages_received;
-  p.pool_drops = rx.port().sys_drops + rx.port().not_posted_drops;
+  p.delivered = rx.port().messages_received();
+  p.pool_drops = rx.port().sys_drops() + rx.port().not_posted_drops();
   p.stalls = c.node(0).mcp().flow().stalls();
   p.rnr_tx = c.node(1).mcp().recorder().count(bcl::NicEvent::kRnrNackTx);
   p.fc_updates =
@@ -130,8 +130,8 @@ Point incast_point(bool fc, int senders, std::uint64_t per_sender) {
   p.drain_us = 20.0;
   p.fc = fc;
   p.sent = static_cast<std::uint64_t>(senders) * per_sender;
-  p.delivered = rx.port().messages_received;
-  p.pool_drops = rx.port().sys_drops + rx.port().not_posted_drops;
+  p.delivered = rx.port().messages_received();
+  p.pool_drops = rx.port().sys_drops() + rx.port().not_posted_drops();
   for (int s = 0; s < senders; ++s) {
     p.stalls += c.node(static_cast<hw::NodeId>(s)).mcp().flow().stalls();
   }

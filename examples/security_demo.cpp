@@ -107,7 +107,7 @@ int main() {
   std::printf("kernel security rejections on node 0: %llu\n",
               (unsigned long long)cluster.node(0).driver().security_rejects());
   std::printf("RMA violations refused at the victim NIC: %llu\n",
-              (unsigned long long)good_rx.port().rma_errors);
+              (unsigned long long)good_rx.port().rma_errors());
   std::printf("victim-node kernel traps: %llu — only its own bind_open "
               "ioctl; receiving 10 messages added none\n",
               (unsigned long long)cluster.node(1).kernel().traps());

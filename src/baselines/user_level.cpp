@@ -70,7 +70,7 @@ sim::Task<bcl::Result<std::uint64_t>> UlEndpoint::send(
   // Same descriptor format as the kernel path writes (apples to apples).
   co_await pci_.pio_write(d.pio_words(/*base=*/9, /*per_seg=*/2));
   co_await mcp_.requests().send(std::move(d));
-  ++inner_.port().messages_sent;
+  inner_.port().count_sent();
   co_return bcl::Result<std::uint64_t>{msg_id, bcl::BclErr::kOk};
 }
 
@@ -81,18 +81,18 @@ sim::Task<bcl::BclErr> UlEndpoint::post_recv(std::uint16_t channel,
   if (channel >= inner_.port().normal_count()) {
     co_return bcl::BclErr::kBadTarget;
   }
-  auto& st = inner_.port().normal(channel);
-  if (st.posted) co_return bcl::BclErr::kNoResources;
+  if (inner_.port().normal(channel).posted) {
+    co_return bcl::BclErr::kNoResources;
+  }
   if (!proc.mapped(buf.vaddr, std::max<std::size_t>(buf.len, 1))) {
     co_return bcl::BclErr::kBadBuffer;
   }
-  st.segs = proc.translate(buf.vaddr, buf.len);
+  auto segs = proc.translate(buf.vaddr, buf.len);
   // Translation again happens NIC-side; warm the cache for the reception.
   (void)cache_.touch(proc.pid(), buf.vaddr, buf.len);
   co_await pci_.pio_write(9);
   co_await proc.cpu().busy(cfg_.doorbell);
-  st.buf = buf;
-  st.posted = true;
+  inner_.port().post(channel, buf, std::move(segs));
   co_return bcl::BclErr::kOk;
 }
 

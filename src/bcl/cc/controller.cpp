@@ -8,8 +8,21 @@
 
 namespace bcl::cc {
 
+CongestionController::CongestionController(sim::Engine& eng,
+                                           const CostConfig& cfg,
+                                           std::string name,
+                                           sim::Trace& trace,
+                                           sim::MetricRegistry& metrics)
+    : cfg_{cfg},
+      name_{std::move(name)},
+      prefix_{name_ + ".cc."},
+      pacer_{eng, cfg},
+      trace_{trace} {
+  metrics.add_collector([this](sim::MetricSink& out) { collect(out); });
+}
+
 void CongestionController::trace_rate(hw::NodeId dst, const RateState& s) {
-  if (trace_ == nullptr || !trace_->enabled()) return;
+  if (!trace_.enabled()) return;
   double& last = traced_rate_[dst];
   // Relative threshold: rates live near 1e8 bytes/s, so an absolute
   // epsilon would emit a counter point for every +2MB/s AI tick and a long
@@ -20,9 +33,9 @@ void CongestionController::trace_rate(hw::NodeId dst, const RateState& s) {
   // first sample (last == 0) always emits.
   if (last != 0.0 && std::abs(s.rate - last) < 0.03 * std::abs(last)) return;
   last = s.rate;
-  trace_->counter("cc." + name_, "rate_mbps.n" + std::to_string(dst),
+  trace_.counter("cc." + name_, "rate_mbps.n" + std::to_string(dst),
                   s.rate / 1e6);
-  trace_->counter("cc." + name_, "alpha.n" + std::to_string(dst), s.alpha);
+  trace_.counter("cc." + name_, "alpha.n" + std::to_string(dst), s.alpha);
 }
 
 sim::Task<void> CongestionController::pace(hw::NodeId dst,
@@ -92,31 +105,27 @@ std::vector<RateSnapshot> CongestionController::snapshot() const {
   return out;
 }
 
-void CongestionController::register_metrics(sim::MetricRegistry& reg,
-                                            const std::string& prefix) {
-  prefix_ = prefix + ".";
-  reg.add_collector([this](sim::MetricSink& out) {
-    std::uint64_t echoes = 0, decreases = 0, increases = 0, paced = 0;
-    double paced_wait_us = 0;
-    double throttled = 0;
-    double min_rate = cfg_.cc_line_rate;
-    for (const auto& [dst, s] : pacer_.states()) {
-      echoes += s.echoes;
-      decreases += s.decreases;
-      increases += s.increases;
-      paced += s.paced_packets;
-      paced_wait_us += s.paced_wait.to_us();
-      if (s.rate < 0.9 * cfg_.cc_line_rate) ++throttled;
-      min_rate = std::min(min_rate, s.rate);
-    }
-    out.counter(prefix_ + "echoes_rx", echoes);
-    out.counter(prefix_ + "decreases", decreases);
-    out.counter(prefix_ + "increases", increases);
-    out.counter(prefix_ + "paced_packets", paced);
-    out.gauge(prefix_ + "paced_wait_us", paced_wait_us);
-    out.gauge(prefix_ + "throttled_peers", throttled);
-    out.gauge(prefix_ + "min_rate_mbps", min_rate / 1e6);
-  });
+void CongestionController::collect(sim::MetricSink& out) const {
+  std::uint64_t echoes = 0, decreases = 0, increases = 0, paced = 0;
+  double paced_wait_us = 0;
+  double throttled = 0;
+  double min_rate = cfg_.cc_line_rate;
+  for (const auto& [dst, s] : pacer_.states()) {
+    echoes += s.echoes;
+    decreases += s.decreases;
+    increases += s.increases;
+    paced += s.paced_packets;
+    paced_wait_us += s.paced_wait.to_us();
+    if (s.rate < 0.9 * cfg_.cc_line_rate) ++throttled;
+    min_rate = std::min(min_rate, s.rate);
+  }
+  out.counter(prefix_ + "echoes_rx", echoes);
+  out.counter(prefix_ + "decreases", decreases);
+  out.counter(prefix_ + "increases", increases);
+  out.counter(prefix_ + "paced_packets", paced);
+  out.gauge(prefix_ + "paced_wait_us", paced_wait_us);
+  out.gauge(prefix_ + "throttled_peers", throttled);
+  out.gauge(prefix_ + "min_rate_mbps", min_rate / 1e6);
 }
 
 }  // namespace bcl::cc

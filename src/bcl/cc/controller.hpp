@@ -39,6 +39,7 @@
 
 namespace sim {
 class MetricRegistry;
+class MetricSink;
 class Trace;
 }
 
@@ -60,9 +61,15 @@ struct RateSnapshot {
 
 class CongestionController {
  public:
+  // Rate/echo counter tracks ("cc.<name>") go to `trace` while it is
+  // enabled: one sample per rate change per destination.  The collector
+  // registered in `metrics` writes "<name>.cc.echoes_rx/.decreases/
+  // .increases/.paced_packets/.paced_wait_us/.throttled_peers/
+  // .min_rate_mbps" (aggregated over destinations; this object must
+  // outlive the registry's exports).
   CongestionController(sim::Engine& eng, const CostConfig& cfg,
-                       std::string name)
-      : cfg_{cfg}, name_{std::move(name)}, pacer_{eng, cfg} {}
+                       std::string name, sim::Trace& trace,
+                       sim::MetricRegistry& metrics);
 
   // Wait until `dst`'s pacing cursor allows launching `bytes`.  With
   // `reserve` true the cursor is always charged (collective fan-out);
@@ -100,26 +107,17 @@ class CongestionController {
 
   std::vector<RateSnapshot> snapshot() const;
 
-  // Adds the controller's collector, which writes "<prefix>.echoes_rx/
-  // .decreases/.increases/.paced_packets/.paced_wait_us/.throttled_peers/
-  // .min_rate_mbps" (aggregated over destinations; this object must
-  // outlive the registry's exports).
-  void register_metrics(sim::MetricRegistry& reg, const std::string& prefix);
-
-  // Rate/echo counter tracks ("cc.<name>") are emitted while `tr` is
-  // enabled: one sample per rate change per destination.
-  void set_trace(sim::Trace* tr) { trace_ = tr; }
-
   const CostConfig& cfg() const { return cfg_; }
 
  private:
   void trace_rate(hw::NodeId dst, const RateState& s);
+  void collect(sim::MetricSink& out) const;
 
   const CostConfig& cfg_;
   std::string name_;
-  std::string prefix_;  // "<prefix>." of the registered series
+  std::string prefix_;  // "<name>.cc.": the prefix of the series
   Pacer pacer_;
-  sim::Trace* trace_ = nullptr;
+  sim::Trace& trace_;
   // Last rate emitted per destination, so recovery shows up as a track
   // without sampling on every single pace() call.
   std::map<hw::NodeId, double> traced_rate_;

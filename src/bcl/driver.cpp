@@ -79,6 +79,7 @@ BclErr Driver::validate_send(osk::Process& proc, Port& port,
                               cfg_.max_ports) != osk::KernErr::kOk) {
     return BclErr::kBadTarget;
   }
+  if (args.channel.kind > ChanKind::kOpen) return BclErr::kBadTarget;
   switch (args.channel.kind) {
     case ChanKind::kSystem:
       if (args.len > cfg_.sys_slot_bytes) return BclErr::kTooBig;
@@ -229,13 +230,10 @@ sim::Task<BclErr> Driver::ioctl_post_recv(osk::Process& proc, Port& port,
              osk::KernErr::kOk) {
     err = BclErr::kBadBuffer;
   } else {
-    auto& st = port.normal(channel);
-    if (st.posted) {
+    if (port.normal(channel).posted) {
       err = BclErr::kNoResources;  // one posted buffer at a time
     } else if (auto segs = co_await try_pin(proc, buf.vaddr, buf.len)) {
-      st.segs = std::move(*segs);
-      st.buf = buf;
-      st.posted = true;
+      port.post(channel, buf, std::move(*segs));
       // Registering the channel descriptor with the NIC costs a few words.
       co_await kernel_.node().pci().pio_write(cfg_.desc_words_base);
     } else {
@@ -260,15 +258,13 @@ sim::Task<BclErr> Driver::ioctl_bind_open(osk::Process& proc, Port& port,
              osk::KernErr::kOk) {
     err = BclErr::kBadBuffer;
   } else {
-    auto& st = port.open(channel);
+    const auto& st = port.open(channel);
     if (st.bound) kernel_.pindown().unpin(proc, st.buf.vaddr, st.buf.len);
     if (auto segs = co_await try_pin(proc, buf.vaddr, buf.len)) {
-      st.segs = std::move(*segs);
-      st.buf = buf;
-      st.bound = true;
+      port.bind(channel, buf, std::move(*segs));
       co_await kernel_.node().pci().pio_write(cfg_.desc_words_base);
     } else {
-      st.bound = false;  // the old window's pins are gone
+      port.unbind(channel);  // the old window's pins are gone
       err = BclErr::kNoResources;
     }
   }
@@ -412,23 +408,6 @@ sim::Task<Result<std::uint64_t>> Driver::ioctl_coll_post(
   // models a full collective-post ring.
   co_await mcp_.coll().posts().send(std::move(post));
   co_return Result<std::uint64_t>{args.seq, BclErr::kOk};
-}
-
-BclErr Driver::setup_system_channel(osk::Process& proc, Port& port, int slots,
-                                    std::size_t slot_bytes) {
-  auto& sys = port.system();
-  if (sys.configured()) return BclErr::kNoResources;
-  sys.slot_bytes = slot_bytes;
-  sys.pool = proc.alloc(static_cast<std::size_t>(slots) * slot_bytes);
-  sys.slots.reserve(static_cast<std::size_t>(slots));
-  sys.free_slots.reserve(static_cast<std::size_t>(slots));
-  for (int i = 0; i < slots; ++i) {
-    sys.slots.push_back(proc.translate(
-        sys.pool.vaddr + static_cast<std::uint64_t>(i) * slot_bytes,
-        slot_bytes));
-    sys.free_slots.push_back(slots - 1 - i);  // slot 0 on top
-  }
-  return BclErr::kOk;
 }
 
 }  // namespace bcl

@@ -100,11 +100,6 @@ class Driver {
   // NIC-resident and must re-register.  No-op on a healthy NIC.
   sim::Task<void> reset_nic();
 
-  // -- untimed setup (initialization is not on any measured path) ---------------
-  // Configures the system-channel pool: resolves and pins every slot.
-  BclErr setup_system_channel(osk::Process& proc, Port& port, int slots,
-                              std::size_t slot_bytes);
-
   // Failed ioctls of every kind (send, post_recv, bind_open,
   // register_group, coll_post); node<N>.driver.security_rejects reads it.
   // A send refused for credits (a credit block) or by a full request ring

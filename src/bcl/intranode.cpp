@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "bcl/mcp.hpp"  // slice_segments
-
 namespace bcl {
 
 IntraNode::IntraNode(sim::Engine& eng, osk::Kernel& kernel,
@@ -13,11 +11,11 @@ IntraNode::IntraNode(sim::Engine& eng, osk::Kernel& kernel,
       cfg_{cfg},
       prefix_{"node" + std::to_string(kernel_.node().id()) + ".shm."} {
   metrics.add_collector([this](sim::MetricSink& out) {
-    out.counter(prefix_ + "messages", stats_.messages);
-    out.counter(prefix_ + "chunks", stats_.chunks);
-    out.counter(prefix_ + "sys_drops", stats_.sys_drops);
-    out.counter(prefix_ + "not_posted_drops", stats_.not_posted_drops);
-    out.counter(prefix_ + "rma_errors", stats_.rma_errors);
+    out.counter(prefix_ + "messages", messages_);
+    out.counter(prefix_ + "chunks", chunks_);
+    out.counter(prefix_ + "sys_drops", refused_[0]);
+    out.counter(prefix_ + "not_posted_drops", refused_[1]);
+    out.counter(prefix_ + "rma_errors", refused_[2]);
     out.gauge(prefix_ + "pipes", static_cast<double>(pipes_.size()));
   });
 }
@@ -67,8 +65,11 @@ sim::Task<void> IntraNode::copy_in(osk::Process& proc, hw::PhysAddr dst,
 
 sim::Task<Result<std::uint64_t>> IntraNode::send(
     Port& src_port, PortId dst, ChannelRef ch, osk::VirtAddr vaddr,
-    std::size_t len, SendOp op, std::uint64_t rma_offset) {
+    std::size_t len, std::uint64_t rma_offset) {
   // User-level sanity check (no kernel on this path; SHM confines damage).
+  if (ch.kind > ChanKind::kOpen) {
+    co_return Result<std::uint64_t>{0, BclErr::kBadTarget};
+  }
   if (ch.kind == ChanKind::kSystem && len > cfg_.sys_slot_bytes) {
     co_return Result<std::uint64_t>{0, BclErr::kTooBig};
   }
@@ -91,13 +92,14 @@ sim::Task<Result<std::uint64_t>> IntraNode::send(
                          static_cast<std::uint64_t>(slot) * cfg_.intra_chunk,
                      vaddr + off, clen);
     co_await proc.cpu().busy(cfg_.intra_sync);  // publish the slot flag
-    ++stats_.chunks;
-    co_await pipe.full_slots->send(Chunk{msg_id, src_port.id().port, dst.port,
-                                         ch, op, rma_offset + off, i, count,
-                                         len, slot, clen});
+    ++chunks_;
+    co_await pipe.full_slots->send(
+        Chunk{Piece{ch, src_port.id(), msg_id, len, rma_offset + off, clen, i,
+                    cfg_.intra_chunk},
+              dst.port, count, slot});
   }
-  ++stats_.messages;
-  ++src_port.messages_sent;
+  ++messages_;
+  src_port.count_sent();
   // Local completion event (sender-side bookkeeping, no NIC involved).
   (void)src_port.send_events().try_send(SendEvent{msg_id, dst, true});
   co_return Result<std::uint64_t>{msg_id, BclErr::kOk};
@@ -106,103 +108,30 @@ sim::Task<Result<std::uint64_t>> IntraNode::send(
 sim::Task<void> IntraNode::receiver(Pipe& pipe) {
   auto& mem = kernel_.node().memory();
   for (;;) {
-    Chunk c = co_await pipe.full_slots->recv();
-    const hw::PhysAddr src =
-        pipe.seg.base + static_cast<std::uint64_t>(c.slot) * cfg_.intra_chunk;
-    Port* port = nullptr;
+    const Chunk c = co_await pipe.full_slots->recv();
+    const Piece& p = c.piece;
     if (const auto it = ports_.find(c.dst_port); it != ports_.end()) {
-      port = it->second;
-    }
-    if (port != nullptr) {
-      auto& rproc = port->process();
-      switch (c.channel.kind) {
-        case ChanKind::kSystem: {
-          auto& sys = port->system();
-          if (c.index == 0) {
-            pipe.dropping = false;
-            if (!sys.configured() || c.msg_bytes > sys.slot_bytes ||
-                sys.free_slots.empty()) {
-              pipe.dropping = true;
-              ++stats_.sys_drops;
-              ++port->sys_drops;
-            } else {
-              pipe.sys_slot = sys.free_slots.back();
-              sys.free_slots.pop_back();
-            }
-          }
-          if (!pipe.dropping) {
-            co_await rproc.cpu().busy(copy_cost(c.len) + cfg_.intra_sync);
-            if (c.len > 0) {
-              auto segs = slice_segments(
-                  sys.slots[static_cast<std::size_t>(pipe.sys_slot)],
-                  c.offset, c.len);
-              std::uint64_t soff = 0;
-              for (const auto& seg : segs) {
-                mem.write(seg.addr, mem.view(src + soff, seg.len));
-                soff += seg.len;
-              }
-            }
-            if (c.index + 1 == c.count) {
-              ++port->messages_received;
-              co_await port->recv_events().send(
-                  RecvEvent{c.msg_id, PortId{kernel_.node().id(), c.src_port},
-                            c.channel, static_cast<std::size_t>(c.msg_bytes),
-                            pipe.sys_slot});
-            }
-          }
-          break;
+      Port& port = *it->second;
+      const Landing at = port.land(p, /*defer_when_full=*/false);
+      refused_[static_cast<std::size_t>(p.channel.kind)] += at.refused;
+      if (at.err == BclErr::kOk) {
+        co_await port.process().cpu().busy(copy_cost(p.len) +
+                                           cfg_.intra_sync);
+        hw::PhysAddr from =
+            pipe.seg.base +
+            static_cast<std::uint64_t>(c.ring_slot) * cfg_.intra_chunk;
+        for (const auto& seg : at.pages) {
+          mem.write(seg.addr, mem.view(from, seg.len));
+          from += seg.len;
         }
-        case ChanKind::kNormal: {
-          if (c.channel.index >= port->normal_count() ||
-              !port->normal(c.channel.index).posted ||
-              c.offset + c.len > port->normal(c.channel.index).buf.len) {
-            ++stats_.not_posted_drops;
-            ++port->not_posted_drops;
-            break;
-          }
-          auto& st = port->normal(c.channel.index);
-          co_await rproc.cpu().busy(copy_cost(c.len) + cfg_.intra_sync);
-          if (c.len > 0) {
-            auto segs = slice_segments(st.segs, c.offset, c.len);
-            std::uint64_t soff = 0;
-            for (const auto& seg : segs) {
-              mem.write(seg.addr, mem.view(src + soff, seg.len));
-              soff += seg.len;
-            }
-          }
-          if (c.index + 1 == c.count) {
-            st.posted = false;
-            ++port->messages_received;
-            co_await port->recv_events().send(
-                RecvEvent{c.msg_id, PortId{kernel_.node().id(), c.src_port},
-                          c.channel, static_cast<std::size_t>(c.msg_bytes),
-                          -1});
-          }
-          break;
-        }
-        case ChanKind::kOpen: {
-          if (c.channel.index >= port->open_count() ||
-              !port->open(c.channel.index).bound ||
-              c.offset + c.len > port->open(c.channel.index).buf.len) {
-            ++stats_.rma_errors;
-            ++port->rma_errors;
-            break;
-          }
-          auto& st = port->open(c.channel.index);
-          co_await rproc.cpu().busy(copy_cost(c.len) + cfg_.intra_sync);
-          if (c.len > 0) {
-            auto segs = slice_segments(st.segs, c.offset, c.len);
-            std::uint64_t soff = 0;
-            for (const auto& seg : segs) {
-              mem.write(seg.addr, mem.view(src + soff, seg.len));
-              soff += seg.len;
-            }
-          }
-          break;
+        if (p.channel.kind != ChanKind::kOpen && p.index + 1 == c.count) {
+          co_await port.complete(RecvEvent{
+              p.msg_id, p.src, p.channel,
+              static_cast<std::size_t>(p.msg_bytes), at.slot});
         }
       }
     }
-    co_await pipe.free_slots->send(c.slot);
+    co_await pipe.free_slots->send(c.ring_slot);
   }
 }
 
@@ -214,13 +143,13 @@ sim::Task<Result<std::uint64_t>> IntraNode::rma_read(
   if (it == ports_.end()) {
     co_return Result<std::uint64_t>{0, BclErr::kBadTarget};
   }
-  Port& target = *it->second;
-  if (dst_channel >= target.open_count() || !target.open(dst_channel).bound ||
-      offset + len > target.open(dst_channel).buf.len) {
-    // Counted at the target port too, as the NIC path counts it.
-    ++stats_.rma_errors;
-    ++target.rma_errors;
-    co_return Result<std::uint64_t>{0, BclErr::kNotBound};
+  // Refused reads are counted at the target port, as the NIC path counts
+  // them, and in the shm series.
+  const Landing window = it->second->rma_source(
+      ChannelRef{ChanKind::kOpen, dst_channel}, offset, len);
+  refused_[static_cast<std::size_t>(ChanKind::kOpen)] += window.refused;
+  if (window.err != BclErr::kOk) {
+    co_return Result<std::uint64_t>{0, window.err};
   }
   auto& proc = src_port.process();
   if (!proc.mapped(into.vaddr, std::max<std::size_t>(len, 1))) {
@@ -231,10 +160,9 @@ sim::Task<Result<std::uint64_t>> IntraNode::rma_read(
   co_await proc.cpu().busy(copy_cost(len));
   if (len > 0) {
     auto& mem = kernel_.node().memory();
-    auto src_segs = slice_segments(target.open(dst_channel).segs, offset, len);
     std::vector<std::byte> tmp;
     tmp.reserve(len);
-    for (const auto& seg : src_segs) {
+    for (const auto& seg : window.pages) {
       auto v = mem.view(seg.addr, seg.len);
       tmp.insert(tmp.end(), v.begin(), v.end());
     }

@@ -2,12 +2,13 @@
 //
 // Each ordered pair of ports gets a one-direction pipe: a ring of
 // fixed-size slots in a kernel-created SHM segment.  The sender memcpys
-// message chunks into ring slots; a receiver-side pump copies them out into
-// the destination channel (pool slot / posted buffer / RMA window).  With
-// more than one slot the two copies pipeline, which is the paper's
-// "pipeline message passing technique" for hiding the extra copy.
+// message chunks into ring slots; a receiver-side pump copies them out to
+// where the destination port's rule (Port::land) puts them.  With more
+// than one slot the two copies pipeline, which is the paper's "pipeline
+// message passing technique" for hiding the extra copy.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -24,8 +25,8 @@ namespace bcl {
 
 class IntraNode {
  public:
-  // The node<N>.shm.* series come from the path's collector, which reads
-  // stats().  The path records no spans, so it takes no trace.
+  // The node<N>.shm.* series come from the path's collector.  The path
+  // records no spans, so it takes no trace.
   IntraNode(sim::Engine& eng, osk::Kernel& kernel, const CostConfig& cfg,
             sim::MetricRegistry& metrics);
 
@@ -35,7 +36,7 @@ class IntraNode {
   // User-level send; no kernel trap on this path.
   sim::Task<Result<std::uint64_t>> send(Port& src_port, PortId dst,
                                         ChannelRef ch, osk::VirtAddr vaddr,
-                                        std::size_t len, SendOp op = SendOp::kSend,
+                                        std::size_t len,
                                         std::uint64_t rma_offset = 0);
 
   // Intra-node RMA read: a direct window-to-buffer copy on the caller's CPU
@@ -47,28 +48,13 @@ class IntraNode {
                                             const osk::UserBuffer& into,
                                             std::size_t len);
 
-  struct Stats {
-    std::uint64_t messages = 0;
-    std::uint64_t chunks = 0;
-    std::uint64_t sys_drops = 0;
-    std::uint64_t not_posted_drops = 0;
-    std::uint64_t rma_errors = 0;
-  };
-  const Stats& stats() const { return stats_; }
-
  private:
+  // One slot's worth of a message on its way through a pipe.
   struct Chunk {
-    std::uint64_t msg_id = 0;
-    std::uint32_t src_port = 0;
+    Piece piece;
     std::uint32_t dst_port = 0;
-    ChannelRef channel{};
-    SendOp op = SendOp::kSend;
-    std::uint64_t offset = 0;  // within the message (incl. rma offset)
-    std::uint32_t index = 0;
-    std::uint32_t count = 1;
-    std::uint64_t msg_bytes = 0;
-    int slot = 0;
-    std::size_t len = 0;
+    std::uint32_t count = 1;  // the message's chunks
+    int ring_slot = 0;        // where the bytes wait in the pipe's segment
   };
 
   // One direction of a port pair ("each pair of processes has two queues").
@@ -76,9 +62,6 @@ class IntraNode {
     osk::ShmSegment seg{};
     std::unique_ptr<sim::Channel<int>> free_slots;
     std::unique_ptr<sim::Channel<Chunk>> full_slots;
-    // receive-side reassembly for the system channel
-    int sys_slot = -1;
-    bool dropping = false;
   };
 
   Pipe& pipe_for(std::uint32_t src_port, std::uint32_t dst_port);
@@ -94,7 +77,10 @@ class IntraNode {
   std::map<std::uint32_t, Port*> ports_;
   std::map<std::uint64_t, std::unique_ptr<Pipe>> pipes_;
   std::uint64_t next_msg_id_ = (1ull << 62);
-  Stats stats_;
+  std::uint64_t messages_ = 0;
+  std::uint64_t chunks_ = 0;
+  // The ports' refusals on this path, by ChanKind (system, normal, open).
+  std::array<std::uint64_t, 3> refused_{};
 };
 
 }  // namespace bcl

@@ -87,7 +87,7 @@ sim::Task<Result<std::uint64_t>> Endpoint::send_impl(
   for (;;) {
     auto r = co_await driver_.ioctl_send(proc_, *port_, args);
     if (r.ok()) {
-      ++port_->messages_sent;
+      port_->count_sent();
       m_sends_.inc();
       co_return r;
     }
@@ -164,7 +164,7 @@ sim::Task<std::optional<RecvEvent>> Endpoint::try_recv() {
 
 sim::Task<std::vector<std::byte>> Endpoint::copy_out_system(
     const RecvEvent& ev) {
-  auto& sys = port_->system();
+  const auto& sys = port_->system();
   std::vector<std::byte> out(ev.len);
   if (ev.len > 0) {
     co_await proc_.cpu().busy(proc_.cpu().memcpy_time(ev.len));
@@ -173,7 +173,7 @@ sim::Task<std::vector<std::byte>> Endpoint::copy_out_system(
                out);
   }
   co_await proc_.cpu().busy(cfg_.slot_release);
-  sys.free_slots.push_back(ev.sys_slot);
+  port_->release_slot(ev.sys_slot);
   // Slot-release doorbell: the MCP tops up the sender ledgers and pushes a
   // standalone credit update to anyone starved (the piggyback path covers
   // the common case where reverse traffic exists).
@@ -193,7 +193,7 @@ sim::Task<Result<std::uint64_t>> Endpoint::rma_write(
   const ChannelRef ch{ChanKind::kOpen, dst_channel};
   if (local(dst)) {
     auto r = co_await intra_.send(*port_, dst, ch, src.vaddr, len,
-                                  SendOp::kRmaWrite, dst_offset);
+                                  dst_offset);
     co_return r;
   }
   SendArgs args;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <stdexcept>
 #include <utility>
 
 #include "bcl/coll/engine.hpp"
@@ -33,28 +32,6 @@ constexpr std::size_t kCtrlHeaderBytes = 16;
 
 }  // namespace
 
-std::vector<hw::PhysSegment> slice_segments(
-    const std::vector<hw::PhysSegment>& segs, std::uint64_t off,
-    std::size_t len) {
-  std::vector<hw::PhysSegment> out;
-  std::uint64_t skip = off;
-  std::size_t remaining = len;
-  for (const auto& seg : segs) {
-    if (remaining == 0) break;
-    if (skip >= seg.len) {
-      skip -= seg.len;
-      continue;
-    }
-    const std::size_t take =
-        std::min(seg.len - static_cast<std::size_t>(skip), remaining);
-    out.push_back({seg.addr + skip, take});
-    skip = 0;
-    remaining -= take;
-  }
-  if (remaining != 0) throw std::out_of_range("segment slice out of range");
-  return out;
-}
-
 Mcp::Mcp(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
          sim::Trace& trace, sim::MetricRegistry& metrics)
     : eng_{eng},
@@ -66,15 +43,14 @@ Mcp::Mcp(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
       tx_mutex_{eng},
       flow_{std::make_unique<FlowController>(eng, cfg, nic.name(), trace,
                                              metrics)},
-      cc_{std::make_unique<cc::CongestionController>(eng, cfg, nic.name())},
+      cc_{std::make_unique<cc::CongestionController>(eng, cfg, nic.name(),
+                                                     trace, metrics)},
       path_table_{std::make_unique<PathTable>(eng, kPathFailoverStrikes)},
       recorder_{cfg.flight_recorder_depth},
       m_dma_tx_bytes_{metrics.counter(nic.name() + ".mcp.dma_tx_bytes")},
       m_dma_rx_bytes_{metrics.counter(nic.name() + ".mcp.dma_rx_bytes")},
       m_tx_descriptors_{metrics.counter(nic.name() + ".mcp.tx_descriptors")} {
-  cc_->set_trace(&trace);
   metrics.add_collector([this](sim::MetricSink& out) { collect(out); });
-  cc_->register_metrics(metrics, prefix_ + "cc");
   coll_ = std::make_unique<coll::CollectiveEngine>(eng, nic, *this, cfg,
                                                    trace, metrics);
   eng_.spawn_daemon(tx_pump());
@@ -846,100 +822,52 @@ sim::Task<bool> Mcp::handle_data(hw::Packet p) {
   trace_.flow_step(nic_.name(), "msg", flow_key(p.src_node, p.msg_id));
   const ChannelRef ch = ChannelRef::decode(p.channel);
   const PortId src{p.src_node, p.src_port};
-  switch (ch.kind) {
-    case ChanKind::kSystem: {
-      auto& sys = port->system();
-      if (!sys.configured() || p.payload.size() > sys.slot_bytes) {
-        ++port->sys_drops;
-        co_return true;
-      }
-      if (sys.free_slots.empty()) {
-        if (cfg_.flow_control && cfg_.reliable) {
-          // Credits should make this unreachable for a single sender, but
-          // overcommitted pools (several senders, intranode competition)
-          // can still run dry: answer receiver-not-ready, never discard.
-          ++port->rnr_events;
-          co_return false;
-        }
-        // Paper: "The incoming message will be discarded if there is no
-        // free buffer in the pool."
-        ++port->sys_drops;
-        co_return true;
-      }
-      if (cfg_.flow_control) {
-        ++rx_credit(port->id().port, p.src_node).delivered;
-      }
-      const int slot = sys.free_slots.back();
-      sys.free_slots.pop_back();
-      co_await scatter(p, sys.slots[static_cast<std::size_t>(slot)], 0);
-      ++port->messages_received;
-      co_await deliver_recv_event(
-          *port, RecvEvent{p.msg_id, src, ch, p.payload.size(), slot});
-      break;
-    }
-    case ChanKind::kNormal: {
-      if (ch.index >= port->normal_count()) {
-        ++port->not_posted_drops;
-        co_return true;
-      }
-      auto& st = port->normal(ch.index);
-      if (!st.posted || p.offset + p.payload.size() > st.buf.len) {
-        ++port->not_posted_drops;
-        co_return true;
-      }
-      co_await scatter(p, st.segs, p.offset);
-      if (p.frag_index + 1 == p.frag_count) {
-        st.posted = false;  // rendezvous consumed
-        // A refused RMA read's reply: no data, the target's verdict.
-        const auto err = static_cast<BclErr>(p.op_flags >> 8);
-        if (err == BclErr::kOk) ++port->messages_received;
-        co_await deliver_recv_event(
-            *port, RecvEvent{p.msg_id, src, ch,
-                             static_cast<std::size_t>(p.msg_bytes), -1, err});
-      }
-      break;
-    }
-    case ChanKind::kOpen: {
-      // RMA write into the bound window.
-      co_await nic_.lanai().use(cfg_.mcp_rma_proc);
-      if (ch.index >= port->open_count()) {
-        ++port->rma_errors;
-        co_return true;
-      }
-      auto& st = port->open(ch.index);
-      if (!st.bound || p.offset + p.payload.size() > st.buf.len) {
-        ++port->rma_errors;
-        co_return true;
-      }
-      // RMA writes complete silently at the target, outside any traced
-      // message timeline.
-      co_await scatter(p, st.segs, p.offset, /*traced=*/false);
-      break;
-    }
+  // An RMA write pays for the window check whether or not it passes.
+  const bool rma_write = ch.kind == ChanKind::kOpen;
+  if (rma_write) co_await nic_.lanai().use(cfg_.mcp_rma_proc);
+  // Credits should make a full pool unreachable for a single sender, but
+  // overcommitted pools (several senders, intranode competition) can still
+  // run dry: with flow control the NIC answers receiver-not-ready and never
+  // discards.
+  Landing at = port->land(
+      Piece{ch, src, p.msg_id, p.msg_bytes, p.offset, p.payload.size(),
+            p.frag_index, cfg_.mtu},
+      cfg_.flow_control && cfg_.reliable);
+  if (at.err == BclErr::kWouldBlock) co_return false;
+  if (at.err != BclErr::kOk) co_return true;
+  if (ch.kind == ChanKind::kSystem && cfg_.flow_control) {
+    ++rx_credit(port->id().port, p.src_node).delivered;
+  }
+  if (!p.payload.empty()) {
+    // RMA writes complete silently at the target, outside any traced
+    // message timeline.
+    auto span = rma_write ? sim::Trace::Span{}
+                          : trace_.span(nic_.name(), "nic-dma-nic-to-host",
+                                        p.msg_id);
+    co_await nic_.dma_scatter(p.payload, std::move(at.pages),
+                              cfg_.dma_lead_bytes);
+    m_dma_rx_bytes_.add(p.payload.size());
+  }
+  if (!rma_write && p.frag_index + 1 == p.frag_count) {
+    // A refused RMA read's reply: no data, the target's verdict.
+    auto post = port->complete(RecvEvent{
+        p.msg_id, src, ch, static_cast<std::size_t>(p.msg_bytes), at.slot,
+        static_cast<BclErr>(p.op_flags >> 8)});
+    auto span = trace_.span(nic_.name(), "event-dma", p.msg_id);
+    co_await event_dma();
+    co_await post;
   }
   co_return true;
-}
-
-sim::Task<void> Mcp::scatter(const hw::Packet& p,
-                             const std::vector<hw::PhysSegment>& segs,
-                             std::uint64_t off, bool traced) {
-  if (p.payload.empty()) co_return;
-  auto dst = slice_segments(segs, off, p.payload.size());
-  auto span = traced ? trace_.span(nic_.name(), "nic-dma-nic-to-host", p.msg_id)
-                     : sim::Trace::Span{};
-  co_await nic_.dma_scatter(p.payload, std::move(dst), cfg_.dma_lead_bytes);
-  m_dma_rx_bytes_.add(p.payload.size());
 }
 
 sim::Task<void> Mcp::handle_rma_read(const hw::Packet& p) {
   co_await nic_.lanai().use(cfg_.mcp_rma_proc);
   Port* port = find_port(p.dst_port);
-  const ChannelRef ch = ChannelRef::decode(p.channel);
-  const OpenChannelState* st =
-      port != nullptr && ch.kind == ChanKind::kOpen &&
-              ch.index < port->open_count()
-          ? &port->open(ch.index)
-          : nullptr;
+  Landing from =
+      port != nullptr
+          ? port->rma_source(ChannelRef::decode(p.channel), p.offset,
+                             static_cast<std::size_t>(p.msg_bytes))
+          : Landing{BclErr::kNotBound};
   // Reply: a normal-channel message back to the requester, sent through
   // the regular tx path (serialized with local sends by the tx mutex).
   SendDescriptor d;
@@ -949,15 +877,14 @@ sim::Task<void> Mcp::handle_rma_read(const hw::Packet& p) {
   d.channel = ChannelRef{ChanKind::kNormal, p.reply_channel};
   d.op = SendOp::kSend;
   d.notify_sender = false;  // the target did not initiate a send
-  if (st == nullptr || !st->bound || p.offset + p.msg_bytes > st->buf.len) {
-    // Refused: counted here, and answered without data so the requester's
-    // reply channel completes with the verdict the intra-node path gives.
-    if (port != nullptr) ++port->rma_errors;
+  if (from.err != BclErr::kOk) {
+    // Refused (and counted by the target port): answered without data so
+    // the requester's reply channel completes with the verdict the
+    // intra-node path gives.
     d.verdict = BclErr::kNotBound;
   } else {
     recorder_.add(NicEvent::kRmaReadServed);
-    d.segs = slice_segments(st->segs, p.offset,
-                            static_cast<std::size_t>(p.msg_bytes));
+    d.segs = std::move(from.pages);
     d.total_len = p.msg_bytes;
   }
   eng_.spawn_daemon(send_message_locked(std::move(d)));
@@ -1139,18 +1066,15 @@ sim::Task<void> Mcp::send_fc_probe(PortId dst) {
   co_await launch(std::move(p), cfg_.mcp_fc_proc);
 }
 
-sim::Task<void> Mcp::deliver_recv_event(Port& port, RecvEvent ev) {
-  auto span = trace_.span(nic_.name(), "event-dma", ev.msg_id);
+sim::Task<void> Mcp::event_dma() {
   co_await nic_.lanai().use(cfg_.mcp_event_proc);
   co_await eng_.sleep(cfg_.event_dma);
-  co_await port.recv_events().send(ev);
 }
 
 sim::Task<void> Mcp::deliver_send_event(Port* port, SendEvent ev) {
   if (port == nullptr) co_return;  // no local sender to notify
   auto span = trace_.span(nic_.name(), "event-dma-send", ev.msg_id);
-  co_await nic_.lanai().use(cfg_.mcp_event_proc);
-  co_await eng_.sleep(cfg_.event_dma);
+  co_await event_dma();
   co_await port->send_events().send(ev);
 }
 

@@ -47,11 +47,6 @@ namespace coll {
 class CollectiveEngine;
 }
 
-// Slices a scatter/gather list to the physical range [off, off+len).
-std::vector<hw::PhysSegment> slice_segments(
-    const std::vector<hw::PhysSegment>& segs, std::uint64_t off,
-    std::size_t len);
-
 // Owns the per-peer tx sessions as their SessionOwner: paths, strikes,
 // verdicts and completions all resolve against the MCP's tables.
 class Mcp : private SessionOwner {
@@ -196,15 +191,11 @@ class Mcp : private SessionOwner {
   sim::Task<void> rx_pump();
   sim::Task<void> send_message_locked(SendDescriptor d);
   sim::Task<void> send_message(const SendDescriptor& d);
+  // Hands p to its port's receive rule (Port::land) and moves the bytes.
   // False means receiver-not-ready: the system pool had no slot and flow
   // control is on, so the caller must regress the rx session and NACK
   // instead of acking a silently discarded message.
   sim::Task<bool> handle_data(hw::Packet p);
-  // DMA p's payload into the host pages `segs` from byte `off` on (no-op
-  // for an empty payload); `traced` attributes it to the message timeline.
-  sim::Task<void> scatter(const hw::Packet& p,
-                          const std::vector<hw::PhysSegment>& segs,
-                          std::uint64_t off, bool traced = true);
   sim::Task<void> handle_rma_read(const hw::Packet& p);
   // Fail or complete `d` through its sender's event queue (no-op unless
   // d.notify_sender): ok exactly when err is kOk.
@@ -248,7 +239,8 @@ class Mcp : private SessionOwner {
   // marked.  Without it, any pending mark flushes immediately at full
   // strength (DCQCN CNP semantics: "congestion", not "how much").
   void attach_cc_echo(hw::Packet& p);
-  sim::Task<void> deliver_recv_event(Port& port, RecvEvent ev);
+  // The LANai's event processing and the event's DMA into host memory.
+  sim::Task<void> event_dma();
   sim::Task<void> deliver_send_event(Port* port, SendEvent ev);
   RxSession& rx_session(hw::NodeId src);
   // Retry budget exhausted toward `dst`: fail the collective groups that

@@ -46,12 +46,12 @@ void NodeStack::collect(sim::MetricSink& out) {
     Port& p = ep->port();
     const std::string port =
         prefix_ + "port" + std::to_string(p.id().port) + ".";
-    out.counter(port + "messages_received", p.messages_received);
-    out.counter(port + "messages_sent", p.messages_sent);
-    out.counter(port + "sys_drops", p.sys_drops);
-    out.counter(port + "rnr_events", p.rnr_events);
-    out.counter(port + "not_posted_drops", p.not_posted_drops);
-    out.counter(port + "rma_errors", p.rma_errors);
+    out.counter(port + "messages_received", p.messages_received());
+    out.counter(port + "messages_sent", p.messages_sent());
+    out.counter(port + "sys_drops", p.sys_drops());
+    out.counter(port + "rnr_events", p.rnr_events());
+    out.counter(port + "not_posted_drops", p.not_posted_drops());
+    out.counter(port + "rma_errors", p.rma_errors());
     out.gauge(port + "recv_cq_depth",
               static_cast<double>(p.recv_events().size()));
     out.gauge(port + "send_cq_depth",
@@ -66,10 +66,6 @@ Endpoint& NodeStack::open_endpoint() {
   auto& proc = kernel_.create_process();
   const PortId pid{node_.id(), next_port_++};
   auto port = std::make_unique<Port>(eng_, pid, proc, cfg_.cost);
-  if (driver_.setup_system_channel(proc, *port, cfg_.cost.sys_slots,
-                                   cfg_.cost.sys_slot_bytes) != BclErr::kOk) {
-    throw std::runtime_error("system channel setup failed");
-  }
   endpoints_.push_back(std::make_unique<Endpoint>(
       eng_, cfg_.cost, driver_, mcp_, intra_, proc, std::move(port), trace_,
       metrics_));

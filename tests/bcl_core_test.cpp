@@ -153,8 +153,8 @@ TEST(BclCore, UnpostedNormalChannelDropsAndCounts) {
     (void)co_await tx.wait_send();
   }(tx, rx.id()));
   c.engine().run();
-  EXPECT_EQ(rx.port().not_posted_drops, 1u);  // ...dropped at the target
-  EXPECT_EQ(rx.port().messages_received, 0u);
+  EXPECT_EQ(rx.port().not_posted_drops(), 1u);  // ...dropped at the target
+  EXPECT_EQ(rx.port().messages_received(), 0u);
 }
 
 TEST(BclCore, SystemPoolExhaustionDiscardsPerPaper) {
@@ -175,8 +175,8 @@ TEST(BclCore, SystemPoolExhaustionDiscardsPerPaper) {
     }
   }(tx, rx.id()));
   c.engine().run();  // receiver never drains
-  EXPECT_EQ(rx.port().sys_drops, 6u);
-  EXPECT_EQ(rx.port().messages_received, 4u);
+  EXPECT_EQ(rx.port().sys_drops(), 6u);
+  EXPECT_EQ(rx.port().messages_received(), 4u);
 }
 
 TEST(BclCore, SecurityRejectsBadTargets) {
@@ -319,7 +319,7 @@ TEST(BclCore, RmaWriteInterNode) {
     (void)co_await wr.send_system(dst, note, 1);
   }(wr, owner.id()));
   c.engine().run();
-  EXPECT_EQ(owner.port().rma_errors, 0u);
+  EXPECT_EQ(owner.port().rma_errors(), 0u);
 }
 
 TEST(BclCore, RmaReadInterNode) {
@@ -376,7 +376,7 @@ TEST(BclCore, RmaOutOfBoundsCounted) {
     (void)co_await wr.wait_send();
   }(wr, owner.id()));
   c.engine().run();
-  EXPECT_GE(owner.port().rma_errors, 1u);
+  EXPECT_GE(owner.port().rma_errors(), 1u);
 }
 
 TEST(BclCore, BandwidthApproachesLinkLimit) {

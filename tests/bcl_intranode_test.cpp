@@ -175,8 +175,8 @@ TEST(BclIntra, PoolExhaustionDiscards) {
     }
   }(tx, rx.id()));
   c.engine().run();
-  EXPECT_EQ(rx.port().sys_drops, 4u);
-  EXPECT_EQ(rx.port().messages_received, 2u);
+  EXPECT_EQ(rx.port().sys_drops(), 4u);
+  EXPECT_EQ(rx.port().messages_received(), 2u);
 }
 
 TEST(BclIntra, RmaWriteWithinNode) {

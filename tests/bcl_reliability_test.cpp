@@ -128,7 +128,7 @@ TEST(BclReliability, UnreliableModeLosesOnCorruption) {
   c.engine().run();  // no receiver: just count deliveries at the port
   const auto& st = c.node(1).mcp().recorder();
   EXPECT_GT(st.count(bcl::NicEvent::kCrcDrop), 0u);
-  EXPECT_LT(rx.port().messages_received, 50u);  // losses visible
+  EXPECT_LT(rx.port().messages_received(), 50u);  // losses visible
   EXPECT_EQ(c.node(0).mcp().recorder().count(bcl::NicEvent::kRetransmit), 0u);
 }
 
@@ -747,7 +747,7 @@ TEST(BclReliability, FailStoppedPeerSurfacesUnreachable) {
   EXPECT_EQ(failures, 2);
   EXPECT_EQ(c.node(0).mcp().recorder().count(bcl::NicEvent::kPeerFailure), 1u);
   EXPECT_EQ(c.node(0).mcp().unreachable_peers(), 1u);
-  EXPECT_EQ(rx.port().messages_received, 0u);
+  EXPECT_EQ(rx.port().messages_received(), 0u);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "hw/node.hpp"
 #include "hw/topology.hpp"
 #include "sim/engine.hpp"
+#include "sim/metrics.hpp"
 #include "sim/trace.hpp"
 
 namespace {
@@ -88,7 +89,9 @@ TEST(CcPacer, LineRateAddsNoDelay) {
 TEST(CcAimd, OneDecreasePerEpochThenBoundedRecovery) {
   sim::Engine eng;
   const bcl::CostConfig cfg{};
-  bcl::cc::CongestionController cc{eng, cfg, "t"};
+  sim::Trace trace{eng};
+  sim::MetricRegistry metrics;
+  bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics};
 
   eng.spawn([](sim::Engine& e, bcl::cc::CongestionController& cc,
                const bcl::CostConfig& cfg) -> Task<void> {
@@ -132,7 +135,9 @@ TEST(CcAimd, ScaledCutMatchesEveryFeedbackLevel) {
   double prev_rate = 1e18;
   for (int level = 1; level <= cfg.cc_feedback_levels; ++level) {
     sim::Engine eng;
-    bcl::cc::CongestionController cc{eng, cfg, "t"};
+    sim::Trace trace{eng};
+    sim::MetricRegistry metrics;
+    bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics};
     cc.on_echo(9, static_cast<unsigned>(level));
     const double f =
         static_cast<double>(level) / static_cast<double>(cfg.cc_feedback_levels);
@@ -156,13 +161,17 @@ TEST(CcAimd, BatchModeIgnoresFeedbackLevel) {
   const double expect = cfg.cc_line_rate * (1.0 - cfg.cc_g / 2.0);
   {
     sim::Engine eng;
-    bcl::cc::CongestionController cc{eng, cfg, "t"};
+    sim::Trace trace{eng};
+    sim::MetricRegistry metrics;
+    bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics};
     cc.on_echo(9, 1);
     EXPECT_NEAR(cc.rate_of(9), expect, 1e-6);
   }
   {
     sim::Engine eng;
-    bcl::cc::CongestionController cc{eng, cfg, "t"};
+    sim::Trace trace{eng};
+    sim::MetricRegistry metrics;
+    bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics};
     cc.on_echo(9);  // saturated
     EXPECT_NEAR(cc.rate_of(9), expect, 1e-6);
   }
@@ -172,7 +181,9 @@ TEST(CcAimd, BatchModeIgnoresFeedbackLevel) {
 TEST(CcAimd, LevelZeroIsNoEcho) {
   sim::Engine eng;
   const bcl::CostConfig cfg{};
-  bcl::cc::CongestionController cc{eng, cfg, "t"};
+  sim::Trace trace{eng};
+  sim::MetricRegistry metrics;
+  bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics};
   cc.on_echo(9, 0);
   EXPECT_EQ(cc.rate_of(9), cfg.cc_line_rate);
   const auto snap = cc.snapshot();
@@ -210,10 +221,10 @@ TEST(CcPacer, RecoveryClampCountsOnlyEffectiveIncreases) {
 TEST(CcTrace, RateTrackSamplesOnRelativeMovesOnly) {
   sim::Engine eng;
   const bcl::CostConfig cfg{};
-  bcl::cc::CongestionController cc{eng, cfg, "t"};
   sim::Trace tr{eng};
   tr.enable();
-  cc.set_trace(&tr);
+  sim::MetricRegistry metrics;
+  bcl::cc::CongestionController cc{eng, cfg, "t", tr, metrics};
 
   eng.spawn([](sim::Engine& e, bcl::cc::CongestionController& cc,
                const bcl::CostConfig& cfg) -> Task<void> {

@@ -302,8 +302,8 @@ TEST(FaultInjection, IncastSlowReceiverLossyLinkLosesNothing) {
         << "sender " << s;
   }
   EXPECT_EQ(corrupted_payloads, 0u);
-  EXPECT_EQ(rx.port().sys_drops, 0u);
-  EXPECT_EQ(rx.port().not_posted_drops, 0u);
+  EXPECT_EQ(rx.port().sys_drops(), 0u);
+  EXPECT_EQ(rx.port().not_posted_drops(), 0u);
   // Slow + lossy never ripens into kPeerUnreachable (the RNR path resets
   // the retry budget; only real silence may exhaust it).
   for (int s = 0; s < kSenders; ++s) {

@@ -70,7 +70,7 @@ TEST(FlowControl, CreditsConsumeAndReplenish) {
   c.engine().run();
 
   EXPECT_EQ(got, kMsgs);
-  EXPECT_EQ(rx.port().sys_drops, 0u);
+  EXPECT_EQ(rx.port().sys_drops(), 0u);
   // 12 sends against a 4-credit grant cannot pass without stalling.
   auto& flow = c.node(0).mcp().flow();
   EXPECT_GE(flow.stalls(), 1u);
@@ -197,11 +197,11 @@ TEST(FlowControl, RnrSlowReceiverNotMisdiagnosed) {
   c.engine().run();
 
   EXPECT_EQ(got, 2 * kPerSender);
-  EXPECT_EQ(rx.port().sys_drops, 0u);
+  EXPECT_EQ(rx.port().sys_drops(), 0u);
   // The overload was real: the receiver had to push back at least once
   // (8 credits granted against 4 slots guarantees an overcommit window).
   EXPECT_GE(c.node(2).mcp().recorder().count(bcl::NicEvent::kRnrNackTx), 1u);
-  EXPECT_GE(rx.port().rnr_events, 1u);
+  EXPECT_GE(rx.port().rnr_events(), 1u);
   EXPECT_GE(c.node(0).mcp().recorder().count(bcl::NicEvent::kRnrNackRx) +
                 c.node(1).mcp().recorder().count(bcl::NicEvent::kRnrNackRx),
             1u);

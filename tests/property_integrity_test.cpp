@@ -222,7 +222,7 @@ TEST_P(ConservationSweep, SentEqualsDeliveredPlusDropped) {
   cluster.engine().run();
   for (int i = 0; i < 3; ++i) {
     const auto& port = eps[i]->port();
-    EXPECT_EQ(port.messages_received + port.sys_drops,
+    EXPECT_EQ(port.messages_received() + port.sys_drops(),
               static_cast<std::uint64_t>(kPerSender))
         << "endpoint " << i << " pool " << pool_slots;
   }

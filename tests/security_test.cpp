@@ -119,7 +119,7 @@ TEST(Security, RmaCannotEscapeTheBoundWindow) {
   c.engine().run();
   EXPECT_TRUE(victim.process().check_pattern(before, 10));
   EXPECT_TRUE(victim.process().check_pattern(after, 11));
-  EXPECT_GE(victim.port().rma_errors, 4u);
+  EXPECT_GE(victim.port().rma_errors(), 4u);
 }
 
 // Node 0 reads `len` bytes from open channel `channel` of node 1, whose
@@ -159,8 +159,8 @@ void expect_refused_read(std::uint16_t channel, std::size_t len) {
   c.engine().run_until(Time::ms(5));
   EXPECT_EQ(completions, 1);
   EXPECT_EQ(attacker.port().recv_events().size(), 0u);  // no second event
-  EXPECT_EQ(victim.port().rma_errors, 1u);
-  EXPECT_EQ(attacker.port().rma_errors, 0u);
+  EXPECT_EQ(victim.port().rma_errors(), 1u);
+  EXPECT_EQ(attacker.port().rma_errors(), 0u);
   EXPECT_EQ(c.node(1).mcp().recorder().count(bcl::NicEvent::kRmaReadServed),
             0u);
 }
@@ -196,8 +196,8 @@ TEST(Security, IntraNodeRmaReadCannotLeakOutsideWindow) {
     EXPECT_TRUE(attacker.process().check_pattern(into, 4));  // nothing read
   }(victim, attacker));
   c.engine().run();
-  EXPECT_EQ(victim.port().rma_errors, 1u);
-  EXPECT_EQ(attacker.port().rma_errors, 0u);
+  EXPECT_EQ(victim.port().rma_errors(), 1u);
+  EXPECT_EQ(attacker.port().rma_errors(), 0u);
   EXPECT_EQ(c.metrics().value("node0.port1.rma_errors"), 1.0);
   EXPECT_EQ(c.metrics().value("node0.shm.rma_errors"), 1.0);
 }
@@ -215,7 +215,7 @@ TEST(Security, IntraNodeBadBufferRejectedAtUserLevel) {
     EXPECT_EQ(r.err, BclErr::kBadBuffer);
   }(a, b.id()));
   c.engine().run();
-  EXPECT_EQ(b.port().messages_received, 0u);
+  EXPECT_EQ(b.port().messages_received(), 0u);
 }
 
 TEST(Security, TryRecvPollsWithoutBlocking) {
