@@ -124,20 +124,18 @@ Result run_incast(int senders, std::uint64_t per_sender,
           co_await eng.sleep(epoch);
           out.min_rate_mbps =
               std::min(out.min_rate_mbps, cc.rate_of(rx_node) / 1e6);
-          std::uint64_t e = 0;
-          for (const auto& r : cc.snapshot()) {
-            if (r.dst == rx_node) e = r.echoes;
-          }
+          const auto it = cc.rates().find(rx_node);
+          const std::uint64_t e =
+              it == cc.rates().end() ? 0 : it->second.echoes;
           quiet = e == echoes ? quiet + 1 : 0;
           echoes = e;
         }
       }
       co_await eng.sleep(recovery);
       out.final_rate_mbps = cc.rate_of(rx_node) / 1e6;
-      for (const auto& r : cc.snapshot()) {
-        if (r.dst != rx_node) continue;
-        out.echoes = r.echoes;
-        out.decreases = r.decreases;
+      if (const auto it = cc.rates().find(rx_node); it != cc.rates().end()) {
+        out.echoes = it->second.echoes;
+        out.decreases = it->second.decreases;
       }
     }(c.engine(), c, tx, rx.id(), static_cast<hw::NodeId>(s), rx_node,
       per_sender, recovery, opts.drain_aware, &drain.done,

@@ -12,13 +12,59 @@ CongestionController::CongestionController(sim::Engine& eng,
                                            const CostConfig& cfg,
                                            std::string name,
                                            sim::Trace& trace,
-                                           sim::MetricRegistry& metrics)
+                                           sim::MetricRegistry& metrics,
+                                           FlightRecorder& recorder)
     : cfg_{cfg},
       name_{std::move(name)},
       prefix_{name_ + ".cc."},
       pacer_{eng, cfg},
-      trace_{trace} {
+      trace_{trace},
+      recorder_{recorder} {
   metrics.add_collector([this](sim::MetricSink& out) { collect(out); });
+}
+
+void CongestionController::on_accepted(const hw::Packet& p) {
+  EchoWindow& w = windows_[p.src_node];
+  if (w.accepted == 0) w.start = pacer_.engine().now();
+  ++w.accepted;
+  if (p.ecn) {
+    ++w.marked;
+    recorder_.add(NicEvent::kEcnMarkRx);
+  }
+}
+
+void CongestionController::attach_echo(hw::Packet& p) {
+  const auto it = windows_.find(p.dst_node);
+  if (it == windows_.end()) return;
+  EchoWindow& w = it->second;
+  if (!cfg_.cc_proportional) {
+    // Batch CNP semantics: any pending mark echoes immediately at full
+    // strength; the window is just the pending-marks ledger.
+    if (w.marked == 0) return;
+    p.ecn_echo = 0xff;
+    w = EchoWindow{};
+    recorder_.add(NicEvent::kEcnEchoTx);
+    return;
+  }
+  // QCN-style quantization: let the window fill before judging it — an
+  // echo per ack would make every sample binary (1 packet, marked or not).
+  if (w.accepted == 0 ||
+      pacer_.engine().now() - w.start < cfg_.cc_echo_window) {
+    return;
+  }
+  if (w.marked == 0) {
+    w = EchoWindow{};  // quiet window: roll it, nothing to echo
+    return;
+  }
+  const auto levels = static_cast<std::uint32_t>(
+      std::min(255, std::max(1, cfg_.cc_feedback_levels)));
+  // ceil(levels * marked / accepted), clamped to [1, levels]: on_echo
+  // divides by cc_feedback_levels to recover the mark fraction.
+  const std::uint32_t lvl = std::min(
+      levels, (levels * w.marked + w.accepted - 1) / w.accepted);
+  p.ecn_echo = static_cast<std::uint8_t>(std::max(1u, lvl));
+  w = EchoWindow{};
+  recorder_.add(NicEvent::kEcnEchoTx);
 }
 
 void CongestionController::trace_rate(hw::NodeId dst, const RateState& s) {
@@ -54,17 +100,15 @@ sim::Time CongestionController::drain_time(hw::NodeId dst,
   return pacer_.drain_time(dst, bytes);
 }
 
-void CongestionController::on_echo(hw::NodeId dst, unsigned level) {
-  if (level == 0) return;  // level 0 is "no echo aboard"
-  // Quantized congestion extent: f = level/levels in (0, 1].  A saturated
-  // level (batch CNP, or a peer running pre-quantization firmware) means
-  // "congested, extent unknown" and is treated as full strength; with
-  // cc_proportional off the extent is ignored entirely and the classic
-  // DCQCN alpha/2 cut applies.
+void CongestionController::on_echo(hw::NodeId dst, std::uint8_t echo) {
+  if (echo == 0) return;  // no echo aboard
+  // Quantized congestion extent: f = level/levels in (0, 1].  The
+  // saturated byte (batch CNP) means "congested, extent unknown" and is
+  // treated as full strength; with cc_proportional off the extent is
+  // ignored entirely and the classic DCQCN alpha/2 cut applies.
   double f = 1.0;
-  if (cfg_.cc_proportional && level != kEchoSaturated &&
-      cfg_.cc_feedback_levels > 0) {
-    f = std::min(1.0, static_cast<double>(level) /
+  if (cfg_.cc_proportional && echo != 0xff && cfg_.cc_feedback_levels > 0) {
+    f = std::min(1.0, static_cast<double>(echo) /
                           static_cast<double>(cfg_.cc_feedback_levels));
   }
   RateState& s = pacer_.state(dst);  // lazy-ticks the epoch clock first
@@ -84,25 +128,6 @@ void CongestionController::on_echo(hw::NodeId dst, unsigned level) {
     ++s.decreases;
     trace_rate(dst, s);
   }
-}
-
-std::vector<RateSnapshot> CongestionController::snapshot() const {
-  std::vector<RateSnapshot> out;
-  out.reserve(pacer_.states().size());
-  for (const auto& [dst, s] : pacer_.states()) {
-    RateSnapshot r;
-    r.dst = dst;
-    r.rate = s.rate;
-    r.alpha = s.alpha;
-    r.feedback = s.feedback;
-    r.echoes = s.echoes;
-    r.decreases = s.decreases;
-    r.increases = s.increases;
-    r.paced_packets = s.paced_packets;
-    r.paced_wait_us = s.paced_wait.to_us();
-    out.push_back(r);
-  }
-  return out;
 }
 
 void CongestionController::collect(sim::MetricSink& out) const {

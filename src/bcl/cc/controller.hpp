@@ -1,12 +1,15 @@
-// NIC-resident congestion controller (the sender half of the ECN loop).
+// NIC-resident congestion control: both ends of the ECN echo loop, one
+// CongestionController per NIC.
 //
-// Congested links/routers/switches set Packet::ecn in flight; the
-// receiving MCP echoes the marks back piggybacked on acks, NACKs and
-// credit grants (Packet::ecn_echo carries a QCN-style quantized level,
-// the fraction of accepted packets marked over the echo window).  This
-// controller consumes those echoes and runs an AIMD rate per destination,
-// scaling the multiplicative decrease by the echoed extent f in (0, 1]
-// (f = 1 under batch CNP semantics or when cc_proportional is off):
+// Congested links/routers/switches set Packet::ecn in flight.  The receiver
+// half counts, per source, the packets the MCP accepted and how many
+// arrived marked, and echoes Packet::ecn_echo aboard the acks, NACKs and
+// credit updates going back: a QCN-style level, at most once per
+// cc_echo_window, of ceil(levels * marked / accepted) out of
+// cc_feedback_levels — or, under batch CNP semantics (cc_proportional
+// off), the saturated byte 0xff at the first pending mark.  The sender
+// half decodes each echo into an extent f in (0, 1] (f = 1 for 0xff or
+// with cc_proportional off) and runs an AIMD rate per destination:
 //
 //   echo:        alpha <- (1-g)*alpha + g*f, then (at most once per epoch)
 //                rate  <- max(min_rate, rate * (1 - max(alpha, f)/2))
@@ -20,15 +23,16 @@
 // Everything launching toward a destination — data, retransmits,
 // flow-control packets, collective fan-out — goes through pace(), so a
 // storming sender throttles itself at the source instead of melting the
-// fabric into go-back-N retransmit storms.
+// fabric into go-back-N retransmit storms.  The MCP only carries the
+// loop's packets to on_accepted, attach_echo and take_echo.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "bcl/config.hpp"
+#include "bcl/recorder.hpp"
 #include "hw/packet.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
@@ -45,20 +49,6 @@ class Trace;
 
 namespace bcl::cc {
 
-// Point-in-time copy of one destination's rate state, as folded into the
-// post-mortem dump.
-struct RateSnapshot {
-  hw::NodeId dst = 0;
-  double rate = 0.0;   // bytes/s
-  double alpha = 0.0;
-  double feedback = 0.0;  // last echoed congestion extent in (0, 1]
-  std::uint64_t echoes = 0;
-  std::uint64_t decreases = 0;
-  std::uint64_t increases = 0;
-  std::uint64_t paced_packets = 0;
-  double paced_wait_us = 0.0;
-};
-
 class CongestionController {
  public:
   // Rate/echo counter tracks ("cc.<name>") go to `trace` while it is
@@ -66,10 +56,29 @@ class CongestionController {
   // registered in `metrics` writes "<name>.cc.echoes_rx/.decreases/
   // .increases/.paced_packets/.paced_wait_us/.throttled_peers/
   // .min_rate_mbps" (aggregated over destinations; this object must
-  // outlive the registry's exports).
+  // outlive the registry's exports).  Marks received and echoes sent are
+  // NIC events, counted in `recorder`.
   CongestionController(sim::Engine& eng, const CostConfig& cfg,
                        std::string name, sim::Trace& trace,
-                       sim::MetricRegistry& metrics);
+                       sim::MetricRegistry& metrics, FlightRecorder& recorder);
+
+  // Counts accepted packet `p` in its source's echo window.  The MCP calls
+  // it after the rx session's duplicate filter, so a mark counts at most
+  // once per delivery.
+  void on_accepted(const hw::Packet& p);
+  // Puts the echo owed to p.dst_node, if one is due, aboard outbound `p`.
+  void attach_echo(hw::Packet& p);
+  // Forgets `src`'s window (its restart or fresh handshake), or every
+  // window (local reboot).
+  void forget(hw::NodeId src) { windows_.erase(src); }
+  void forget_all() { windows_.clear(); }
+
+  // Applies the echo aboard inbound packet `p`, if it carries one.
+  void take_echo(const hw::Packet& p) { on_echo(p.src_node, p.ecn_echo); }
+  // Applies echo byte `echo` from `dst` (0 is none): EWMA alpha toward its
+  // extent f, and cut the rate by max(alpha, f)/2 — alpha/2 with
+  // cc_proportional off — if this epoch has not already taken its cut.
+  void on_echo(hw::NodeId dst, std::uint8_t echo);
 
   // Wait until `dst`'s pacing cursor allows launching `bytes`.  With
   // `reserve` true the cursor is always charged (collective fan-out);
@@ -85,17 +94,6 @@ class CongestionController {
   // RTO for the unacked window so throttling never guarantees timeouts.
   sim::Time drain_time(hw::NodeId dst, std::size_t bytes);
 
-  // Echoes with this level (the default) are treated as full-strength
-  // regardless of cc_feedback_levels — the batch-CNP "congestion, extent
-  // unknown" signal.
-  static constexpr unsigned kEchoSaturated = ~0u;
-
-  // Apply one quantized ECN echo from `dst`: EWMA alpha toward the echoed
-  // extent f = level/cc_feedback_levels, and cut the rate by
-  // max(alpha, f)/2 if this epoch has not already taken its cut.  With
-  // cc_proportional off the level is ignored (classic alpha/2 cut).
-  void on_echo(hw::NodeId dst, unsigned level = kEchoSaturated);
-
   // Current paced rate toward `dst` (line rate if never congested).
   double rate_of(hw::NodeId dst) { return pacer_.state(dst).rate; }
 
@@ -105,11 +103,23 @@ class CongestionController {
     return pacer_.state(dst).alpha;
   }
 
-  std::vector<RateSnapshot> snapshot() const;
+  // Every destination's rate state, for diagnostics (the post-mortem
+  // copies it).
+  const std::map<hw::NodeId, RateState>& rates() const {
+    return pacer_.states();
+  }
 
   const CostConfig& cfg() const { return cfg_; }
 
  private:
+  // Accepted packets and marks since the first accepted packet after the
+  // previous flush (idle gaps must not dilute the mark fraction).
+  struct EchoWindow {
+    std::uint32_t accepted = 0;
+    std::uint32_t marked = 0;
+    sim::Time start = sim::Time::zero();
+  };
+
   void trace_rate(hw::NodeId dst, const RateState& s);
   void collect(sim::MetricSink& out) const;
 
@@ -118,6 +128,8 @@ class CongestionController {
   std::string prefix_;  // "<name>.cc.": the prefix of the series
   Pacer pacer_;
   sim::Trace& trace_;
+  FlightRecorder& recorder_;
+  std::map<hw::NodeId, EchoWindow> windows_;
   // Last rate emitted per destination, so recovery shows up as a track
   // without sampling on every single pace() call.
   std::map<hw::NodeId, double> traced_rate_;

@@ -253,20 +253,18 @@ sim::Task<void> CollectiveEngine::on_peer_failure(hw::NodeId node) {
   for (const std::uint16_t id : ids) co_await fail_group(id);
 }
 
-sim::Task<void> CollectiveEngine::fail_group(std::uint16_t gid) {
+sim::Task<void> CollectiveEngine::fail_group(std::uint16_t gid,
+                                             bool notify) {
   GroupDescriptor* g = find_group(gid);
   if (g == nullptr || g->failed) co_return;
   g->failed = true;
   recorder_.record({eng_.now(), NicEvent::kGroupFailed, 0, 0, 0, gid});
-  // Flood the member-0 tree so members that never exchange a packet with
-  // the dead node (or with us) still learn within tree-depth hops.
-  const TreeLinks nb = neighbors(*g, 0);
-  if (nb.parent >= 0) {
-    emit(make_packet(*g, nb.parent, CollWire::kFail, 0, 0,
-                     CollKind::kBarrier, CollOp::kSum));
-  }
-  for (const int child : nb.children) {
-    emit(make_packet(*g, child, CollWire::kFail, 0, 0, CollKind::kBarrier,
+  // The member that found the failure tells every other member itself: a
+  // flood along any one tree can be cut where the dead member sits, and
+  // a member with nothing pending has no watchdog of its own.
+  for (int m = 0; notify && m < g->size(); ++m) {
+    if (m == g->my_index) continue;
+    emit(make_packet(*g, m, CollWire::kFail, 0, 0, CollKind::kBarrier,
                      CollOp::kSum));
   }
   const Member me = member(*g);
@@ -474,7 +472,7 @@ sim::Task<void> CollectiveEngine::handle_packet(hw::Packet p) {
   trace_.flow_step(nic_.name(), "coll", coll_flow_key(gid, key.second));
   const auto wire = static_cast<CollWire>(p.op_flags >> 8);
   if (wire == CollWire::kFail) {
-    co_await fail_group(gid);  // no-op if already failed (stops the flood)
+    co_await fail_group(gid, /*notify=*/false);
     co_return;
   }
   if (g.failed) {

@@ -166,10 +166,11 @@ class CollectiveEngine {
   Pending& touch_pending(const GroupDescriptor& g, std::uint64_t seq,
                          CollKind kind);
   sim::Task<void> watchdog(std::uint16_t gid, std::uint64_t seq);
-  // First failure wins: marks the group failed, floods kFail over the
-  // member-0 tree, fails every pending op, and emits one group-wide
-  // failure event (seq 0) so hosts blocked on any sequence unblock.
-  sim::Task<void> fail_group(std::uint16_t gid);
+  // First failure wins: marks the group failed, fails every pending op,
+  // and emits one group-wide failure event (seq 0) so hosts blocked on any
+  // sequence unblock.  With `notify` (this member found the failure) it
+  // first sends kFail to every other member.
+  sim::Task<void> fail_group(std::uint16_t gid, bool notify = true);
 
   // This member's tree links for an operation rooted at member `root`.
   TreeLinks neighbors(const GroupDescriptor& g, int root) const;

@@ -1,6 +1,8 @@
 #include "bcl/intranode.hpp"
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 namespace bcl {
 
@@ -106,72 +108,68 @@ sim::Task<Result<std::uint64_t>> IntraNode::send(
 }
 
 sim::Task<void> IntraNode::receiver(Pipe& pipe) {
-  auto& mem = kernel_.node().memory();
   for (;;) {
     const Chunk c = co_await pipe.full_slots->recv();
-    const Piece& p = c.piece;
     if (const auto it = ports_.find(c.dst_port); it != ports_.end()) {
-      Port& port = *it->second;
-      const Landing at = port.land(p, /*defer_when_full=*/false);
-      refused_[static_cast<std::size_t>(p.channel.kind)] += at.refused;
-      if (at.err == BclErr::kOk) {
-        co_await port.process().cpu().busy(copy_cost(p.len) +
-                                           cfg_.intra_sync);
-        hw::PhysAddr from =
-            pipe.seg.base +
-            static_cast<std::uint64_t>(c.ring_slot) * cfg_.intra_chunk;
-        for (const auto& seg : at.pages) {
-          mem.write(seg.addr, mem.view(from, seg.len));
-          from += seg.len;
-        }
-        if (p.channel.kind != ChanKind::kOpen && p.index + 1 == c.count) {
-          co_await port.complete(RecvEvent{
-              p.msg_id, p.src, p.channel,
-              static_cast<std::size_t>(p.msg_bytes), at.slot});
-        }
-      }
+      (void)co_await deliver(
+          *it->second, c.piece, c.count,
+          kernel_.node().memory().view(
+              pipe.seg.base +
+                  static_cast<std::uint64_t>(c.ring_slot) * cfg_.intra_chunk,
+              c.piece.len));
     }
     co_await pipe.free_slots->send(c.ring_slot);
   }
 }
 
-sim::Task<Result<std::uint64_t>> IntraNode::rma_read(
-    Port& src_port, PortId dst, std::uint16_t dst_channel,
-    std::uint64_t offset, std::uint16_t reply_channel,
-    const osk::UserBuffer& into, std::size_t len) {
-  auto it = ports_.find(dst.port);
-  if (it == ports_.end()) {
-    co_return Result<std::uint64_t>{0, BclErr::kBadTarget};
+sim::Task<BclErr> IntraNode::deliver(Port& port, const Piece& p,
+                                     std::uint32_t count,
+                                     std::span<const std::byte> bytes) {
+  const Landing at = port.land(p, /*defer_when_full=*/false);
+  refused_[static_cast<std::size_t>(p.channel.kind)] += at.refused;
+  if (at.err != BclErr::kOk) co_return at.err;
+  co_await port.process().cpu().busy(copy_cost(p.len) + cfg_.intra_sync);
+  for (const auto& seg : at.pages) {
+    kernel_.node().memory().write(seg.addr, bytes.first(seg.len));
+    bytes = bytes.subspan(seg.len);
   }
+  if (p.channel.kind != ChanKind::kOpen && p.index + 1 == count) {
+    co_await port.complete(RecvEvent{p.msg_id, p.src, p.channel,
+                                     static_cast<std::size_t>(p.msg_bytes),
+                                     at.slot});
+  }
+  co_return BclErr::kOk;
+}
+
+Landing IntraNode::rma_source(PortId dst, std::uint16_t channel,
+                              std::uint64_t offset, std::size_t len) {
+  const auto it = ports_.find(dst.port);
+  if (it == ports_.end()) return Landing{BclErr::kBadTarget};
   // Refused reads are counted at the target port, as the NIC path counts
   // them, and in the shm series.
-  const Landing window = it->second->rma_source(
-      ChannelRef{ChanKind::kOpen, dst_channel}, offset, len);
+  Landing window = it->second->rma_source(
+      ChannelRef{ChanKind::kOpen, channel}, offset, len);
   refused_[static_cast<std::size_t>(ChanKind::kOpen)] += window.refused;
-  if (window.err != BclErr::kOk) {
-    co_return Result<std::uint64_t>{0, window.err};
-  }
-  auto& proc = src_port.process();
-  if (!proc.mapped(into.vaddr, std::max<std::size_t>(len, 1))) {
-    co_return Result<std::uint64_t>{0, BclErr::kBadBuffer};
-  }
+  return window;
+}
+
+sim::Task<Result<std::uint64_t>> IntraNode::rma_read(
+    Port& reader, PortId dst, std::uint16_t reply_channel,
+    const std::vector<hw::PhysSegment>& from, std::size_t len) {
   const std::uint64_t msg_id = next_msg_id_++;
-  // Direct copy window -> local buffer on the caller's CPU.
-  co_await proc.cpu().busy(copy_cost(len));
-  if (len > 0) {
-    auto& mem = kernel_.node().memory();
-    std::vector<std::byte> tmp;
-    tmp.reserve(len);
-    for (const auto& seg : window.pages) {
-      auto v = mem.view(seg.addr, seg.len);
-      tmp.insert(tmp.end(), v.begin(), v.end());
-    }
-    proc.poke(into, 0, tmp);
+  std::vector<std::byte> bytes;
+  bytes.reserve(len);
+  for (const auto& seg : from) {
+    const auto v = kernel_.node().memory().view(seg.addr, seg.len);
+    bytes.insert(bytes.end(), v.begin(), v.end());
   }
-  co_await src_port.recv_events().send(
-      RecvEvent{msg_id, dst, ChannelRef{ChanKind::kNormal, reply_channel},
-                len, -1});
-  co_return Result<std::uint64_t>{msg_id, BclErr::kOk};
+  // The reply is a one-piece message on the reader's reply channel.
+  const BclErr err = co_await deliver(
+      reader,
+      Piece{ChannelRef{ChanKind::kNormal, reply_channel}, dst, msg_id, len, 0,
+            len, 0, len},
+      1, bytes);
+  co_return Result<std::uint64_t>{err == BclErr::kOk ? msg_id : 0, err};
 }
 
 }  // namespace bcl

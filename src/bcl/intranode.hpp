@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "bcl/config.hpp"
 #include "bcl/port.hpp"
@@ -39,14 +41,16 @@ class IntraNode {
                                         std::size_t len,
                                         std::uint64_t rma_offset = 0);
 
-  // Intra-node RMA read: a direct window-to-buffer copy on the caller's CPU
-  // plus a local receive event on `reply_channel`.
-  sim::Task<Result<std::uint64_t>> rma_read(Port& src_port, PortId dst,
-                                            std::uint16_t dst_channel,
-                                            std::uint64_t offset,
-                                            std::uint16_t reply_channel,
-                                            const osk::UserBuffer& into,
-                                            std::size_t len);
+  // Intra-node RMA read, in two steps.  rma_source judges the window at
+  // once: the pages of [offset, offset + len) in port dst's open channel
+  // `channel`, or why not (kBadTarget when dst has no port here).  After
+  // the reader posts `reply_channel`, rma_read delivers those pages'
+  // bytes to it as a message from dst.
+  Landing rma_source(PortId dst, std::uint16_t channel, std::uint64_t offset,
+                     std::size_t len);
+  sim::Task<Result<std::uint64_t>> rma_read(
+      Port& reader, PortId dst, std::uint16_t reply_channel,
+      const std::vector<hw::PhysSegment>& from, std::size_t len);
 
  private:
   // One slot's worth of a message on its way through a pipe.
@@ -66,6 +70,11 @@ class IntraNode {
 
   Pipe& pipe_for(std::uint32_t src_port, std::uint32_t dst_port);
   sim::Task<void> receiver(Pipe& pipe);
+  // Hands piece `p` of a message of `count` pieces to `port`'s receive
+  // rule, copies `bytes` to where it lands on the port's CPU, and
+  // completes the message after its last piece.
+  sim::Task<BclErr> deliver(Port& port, const Piece& p, std::uint32_t count,
+                            std::span<const std::byte> bytes);
   sim::Task<void> copy_in(osk::Process& proc, hw::PhysAddr dst,
                           osk::VirtAddr src_vaddr, std::size_t len);
   sim::Time copy_cost(std::size_t len) const;

@@ -212,15 +212,20 @@ sim::Task<Result<std::uint64_t>> Endpoint::rma_read(
     std::uint16_t reply_channel, const osk::UserBuffer& into,
     std::size_t len) {
   co_await proc_.cpu().busy(cfg_.compose_send);
-  if (local(dst)) {
-    auto r = co_await intra_.rma_read(*port_, dst, dst_channel, offset,
-                                      reply_channel, into, len);
-    co_return r;
-  }
-  // Arm the reply channel, then issue the read request.
+  // Over shared memory the window is judged before the reply channel is
+  // posted, so a refused read posts nothing.
+  const Landing window =
+      local(dst) ? intra_.rma_source(dst, dst_channel, offset, len)
+                 : Landing{};
+  if (window.err != BclErr::kOk) co_return Result<std::uint64_t>{0, window.err};
+  // Arm the reply channel, then issue the read.
   if (const BclErr err = co_await post_recv(reply_channel, into);
       err != BclErr::kOk) {
     co_return Result<std::uint64_t>{0, err};
+  }
+  if (local(dst)) {
+    co_return co_await intra_.rma_read(*port_, dst, reply_channel,
+                                       window.pages, len);
   }
   SendArgs args;
   args.dst = dst;

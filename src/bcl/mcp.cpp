@@ -10,14 +10,15 @@ namespace bcl {
 
 namespace {
 
-// Both probers (revival and quarantined-path) share one cadence: a probe
-// every kProbeInterval, at most kProbeRounds of them.  Bounded because a
-// sleeping prober schedules timer events — an honestly dead peer or path
-// must not keep the simulation alive.
+// The prober is bounded because a sleeping prober schedules timer events:
+// an honestly dead peer or path must not keep the simulation alive.
+// Revival and quarantined-path probes share one cadence: a probe every
+// kProbeInterval, at most kProbeRounds of them.
 constexpr sim::Time kProbeInterval = sim::Time::us(500);
 constexpr int kProbeRounds = 20;
-// SYN re-establishment ladder; exhaustion fails the session like an
-// ordinary retry-budget death.
+// SYN re-establishment ladder: the first SYN goes out at once; a ladder
+// spent without an answer fails the session like an ordinary retry-budget
+// death.
 constexpr sim::Time kSynRetry = sim::Time::us(300);
 constexpr int kSynAttempts = 10;
 // Rate limit on restart notices answering stale-epoch traffic (one
@@ -39,14 +40,20 @@ Mcp::Mcp(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
       cfg_{cfg},
       trace_{trace},
       prefix_{nic.name() + "."},
+      recorder_{cfg.flight_recorder_depth},
       requests_{eng, cfg.request_queue_depth},
       tx_mutex_{eng},
-      flow_{std::make_unique<FlowController>(eng, cfg, nic.name(), trace,
-                                             metrics)},
-      cc_{std::make_unique<cc::CongestionController>(eng, cfg, nic.name(),
-                                                     trace, metrics)},
+      flow_{std::make_unique<FlowController>(
+          eng, cfg, nic.name(), trace, metrics, recorder_,
+          [this](std::uint32_t port_no) -> std::optional<std::uint32_t> {
+            const Port* port = find_port(port_no);
+            if (port == nullptr) return std::nullopt;
+            return static_cast<std::uint32_t>(
+                port->system().free_slots.size());
+          })},
+      cc_{std::make_unique<cc::CongestionController>(
+          eng, cfg, nic.name(), trace, metrics, recorder_)},
       path_table_{std::make_unique<PathTable>(eng, kPathFailoverStrikes)},
-      recorder_{cfg.flight_recorder_depth},
       m_dma_tx_bytes_{metrics.counter(nic.name() + ".mcp.dma_tx_bytes")},
       m_dma_rx_bytes_{metrics.counter(nic.name() + ".mcp.dma_rx_bytes")},
       m_tx_descriptors_{metrics.counter(nic.name() + ".mcp.tx_descriptors")} {
@@ -95,18 +102,6 @@ void Mcp::collect(sim::MetricSink& out) {
   }
   out.gauge(prefix_ + "path.quarantined",
             static_cast<double>(path_table_->quarantined_count()));
-  // Flow-control aggregates the FlowController keeps (it registers its
-  // credit_rtt_us summary itself).
-  const std::string fc = prefix_ + "fc.";
-  out.counter(fc + "stalls", flow_->stalls());
-  out.counter(fc + "credits_consumed", flow_->credits_consumed());
-  out.counter(fc + "grants_rx", flow_->grants_rx());
-  out.gauge(fc + "send_credits", flow_->total_available());
-  double rx_outstanding = 0;
-  for (const auto& [key, rc] : rx_credits_) {
-    rx_outstanding += static_cast<double>(rc.limit - rc.delivered);
-  }
-  out.gauge(fc + "rx_outstanding", rx_outstanding);
 }
 
 Mcp::~Mcp() = default;
@@ -171,7 +166,7 @@ TxSession& Mcp::tx_session(hw::NodeId dst) {
     if (const hw::Fabric* fab = nic_.fabric()) {
       path_table_->init(dst, fab->route_count(nic_.node(), dst));
     }
-    if (handshake) eng_.spawn_daemon(syn_daemon(dst, s.get()));
+    if (handshake) eng_.spawn_daemon(prober(dst, hw::kDefaultPath, s.get()));
     const auto at =
         std::lower_bound(session_peers_.begin(), session_peers_.end(), dst);
     if (at == session_peers_.end() || *at != dst) {
@@ -245,8 +240,7 @@ void Mcp::reset() {
   }
   tx_sessions_.clear();
   rx_sessions_.clear();
-  rx_credits_.clear();
-  ecn_echo_.clear();
+  cc_->forget_all();
   peer_incarnation_.clear();
   last_restart_notice_.clear();
   syn_seen_.clear();
@@ -295,19 +289,10 @@ void Mcp::handle_peer_restart(hw::NodeId src) {
   recorder_.record({eng_.now(), NicEvent::kPeerRestart, src, 0, 0,
                     peer_incarnation_[src]});
   teardown_session(src, BclErr::kPeerRestarted);
-  // The peer's rx half and both credit ledgers died with it; ours restart
-  // paired, so the serial-monotone grant comparison never wedges on
-  // pre-crash counts the new incarnation knows nothing about.
-  forget_rx_state(src);
+  rx_sessions_.erase(src);
+  cc_->forget(src);
   flow_->reset_node(src);
   needs_syn_.insert(src);
-}
-
-void Mcp::forget_rx_state(hw::NodeId src) {
-  rx_sessions_.erase(src);
-  ecn_echo_.erase(src);
-  std::erase_if(rx_credits_,
-                [src](const auto& entry) { return entry.first.second == src; });
 }
 
 void Mcp::teardown_session(hw::NodeId peer, BclErr err) {
@@ -330,7 +315,6 @@ void Mcp::stamp_outbound(hw::Packet& p) {
 hw::Packet Mcp::ctrl_packet(hw::NodeId dst, hw::PacketKind kind, SendOp op,
                             std::uint8_t path) {
   hw::Packet p;
-  p.id = next_packet_id_++;
   p.dst_node = dst;
   p.proto = kProto;
   p.kind = kind;
@@ -342,6 +326,7 @@ hw::Packet Mcp::ctrl_packet(hw::NodeId dst, hw::PacketKind kind, SendOp op,
 }
 
 sim::Task<void> Mcp::launch(hw::Packet p, sim::Time proc) {
+  p.id = next_packet_id_++;
   co_await nic_.lanai().use(proc);
   co_await nic_.transmit(std::move(p));
 }
@@ -355,29 +340,8 @@ sim::Task<void> Mcp::send_ctrl(hw::NodeId dst, SendOp op, std::uint32_t seq,
   p.dst_incarnation = dst_inc;
   // A fresh allowance rides the SYN-ACK so the re-established sender can
   // move before the first data packet's piggyback.
-  if (op == SendOp::kSynAck) attach_grant(p);
+  if (op == SendOp::kSynAck) flow_->attach_grant(p);
   co_await launch(std::move(p), cfg_.mcp_fc_proc);
-}
-
-sim::Task<void> Mcp::syn_daemon(hw::NodeId dst, TxSession* s) {
-  // One nonce per handshake: retried SYNs are idempotent at the receiver
-  // (it re-draws the SYN-ACK without resetting an rx session that already
-  // took post-handshake data).
-  const std::uint64_t nonce = next_packet_id_++;
-  for (int attempt = 0; attempt < kSynAttempts; ++attempt) {
-    if (find_tx_session(dst) != s) co_return;  // replaced: not ours anymore
-    if (s->established() || s->peer_unreachable()) co_return;
-    recorder_.record(
-        {eng_.now(), NicEvent::kSynTx, dst, nonce, cfg_.first_seq, 0});
-    co_await send_ctrl(dst, SendOp::kSyn, cfg_.first_seq, peer_inc(dst),
-                       nonce);
-    co_await eng_.sleep(kSynRetry);
-  }
-  if (find_tx_session(dst) != s) co_return;
-  if (s->established() || s->peer_unreachable()) co_return;
-  // The handshake ladder is spent: the ordinary unreachable verdict — the
-  // owner's failed() announces it and starts the revival prober.
-  s->fail_peer();
 }
 
 void Mcp::spawn_prober(hw::NodeId dst, std::uint8_t path) {
@@ -386,26 +350,56 @@ void Mcp::spawn_prober(hw::NodeId dst, std::uint8_t path) {
   }
 }
 
-sim::Task<void> Mcp::prober(hw::NodeId dst, std::uint8_t path) {
-  const bool revival = path == hw::kDefaultPath;
-  // A path probe's seq names the path it tests; revival probes carry 0.
-  const std::uint32_t seq = revival ? 0 : std::uint32_t{path} + 1;
-  for (int i = 0; i < kProbeRounds; ++i) {
-    co_await eng_.sleep(kProbeInterval);
-    if (crashed_) break;
-    if (revival) {
-      TxSession* s = find_tx_session(dst);
-      if (s == nullptr || !s->peer_unreachable()) break;  // already revived
-    } else if (!path_table_->is_quarantined(dst, path)) {
-      break;  // requalified
+sim::Task<void> Mcp::prober(hw::NodeId dst, std::uint8_t path,
+                            TxSession* syn) {
+  const bool revival = syn == nullptr && path == hw::kDefaultPath;
+  // One nonce per handshake: retried SYNs are idempotent at the receiver
+  // (it re-draws the SYN-ACK without resetting an rx session that already
+  // took post-handshake data).  A SYN's seq is the iss; a path probe's
+  // names the path it tests; revival probes carry 0.
+  const std::uint64_t nonce = syn != nullptr ? next_packet_id_++ : 0;
+  const std::uint32_t seq = syn != nullptr ? cfg_.first_seq
+                            : revival      ? 0
+                                           : std::uint32_t{path} + 1;
+  const NicEvent sent = syn != nullptr ? NicEvent::kSynTx
+                        : revival      ? NicEvent::kRevivalProbeTx
+                                       : NicEvent::kPathProbeTx;
+  // A SYN goes out at once, and the ladder's last round draws the verdict
+  // instead of sending.
+  const int rounds = syn != nullptr ? kSynAttempts + 1 : kProbeRounds;
+  for (int i = 0; i < rounds; ++i) {
+    if (syn == nullptr || i > 0) {
+      co_await eng_.sleep(syn != nullptr ? kSynRetry : kProbeInterval);
     }
-    recorder_.record({eng_.now(),
-                      revival ? NicEvent::kRevivalProbeTx
-                              : NicEvent::kPathProbeTx,
-                      dst, 0, seq, revival ? 0u : 1u});
-    co_await send_ctrl(dst, SendOp::kProbe, seq, hw::kAnyIncarnation, 0, path);
+    if (!probe_wanted(dst, path, syn)) break;
+    if (syn != nullptr && i == kSynAttempts) {
+      syn->fail_peer();  // failed() announces it, starts the revival prober
+      break;
+    }
+    recorder_.record({eng_.now(), sent, dst, nonce, seq,
+                      sent == NicEvent::kPathProbeTx ? 1u : 0u});
+    if (syn != nullptr) {
+      co_await send_ctrl(dst, SendOp::kSyn, seq, peer_inc(dst), nonce);
+    } else {
+      co_await send_ctrl(dst, SendOp::kProbe, seq, hw::kAnyIncarnation, 0,
+                         path);
+    }
   }
-  probing_.erase({dst, path});
+  if (syn == nullptr) probing_.erase({dst, path});
+}
+
+bool Mcp::probe_wanted(hw::NodeId dst, std::uint8_t path,
+                       const TxSession* syn) {
+  if (syn != nullptr) {
+    // Not after a teardown replaced the session, nor once it is
+    // established or dead (a crash poisons every session).
+    return find_tx_session(dst) == syn && !syn->established() &&
+           !syn->peer_unreachable();
+  }
+  if (crashed_) return false;
+  if (path != hw::kDefaultPath) return path_table_->is_quarantined(dst, path);
+  const TxSession* s = find_tx_session(dst);
+  return s != nullptr && s->peer_unreachable();  // not yet revived
 }
 
 void Mcp::handle_syn(const hw::Packet& p) {
@@ -415,9 +409,12 @@ void Mcp::handle_syn(const hw::Packet& p) {
   auto [it, inserted] = syn_seen_.try_emplace(p.src_node, key);
   if (inserted || it->second != key) {
     it->second = key;
-    // Fresh handshake: restart the rx half at the negotiated iss and the
-    // receiver-side ledgers (the sender's halves reset at its teardown).
-    forget_rx_state(p.src_node);
+    // Fresh handshake: restart the rx half at the negotiated iss, the echo
+    // window and the receiver's credit ledgers (the sender's halves reset
+    // at its teardown).
+    rx_sessions_.erase(p.src_node);
+    cc_->forget(p.src_node);
+    flow_->reset_receiver(p.src_node);
     rx_sessions_.emplace(p.src_node, RxSession{p.seq});
   }
   // Always answer — a lost SYN-ACK is healed by the retry drawing another.
@@ -604,7 +601,7 @@ sim::Task<void> Mcp::send_message(const SendDescriptor& d) {
     p.frag_count = frags;
     p.msg_bytes = d.total_len;
     p.offset = d.rma_offset + off;
-    attach_grant(p);  // credits for the reverse direction ride on data
+    flow_->attach_grant(p);  // credits for the reverse direction ride on data
     stamp_outbound(p);  // addressed to the peer epoch we have heard from
 
     // Per-fragment admission pacing (payload is not staged yet, so the
@@ -717,14 +714,11 @@ sim::Task<void> Mcp::rx_pump() {
           apply_piggyback(p);
           if (op == SendOp::kFcProbe) {
             recorder_.add(NicEvent::kCreditProbeRx);
-            if (cfg_.flow_control) {
-              if (Port* port = find_port(p.dst_port)) {
-                fc_top_up(*port, rx_credit(p.dst_port, p.src_node));
-                // The answer rides the probe's arrival path, like an ack:
-                // after a failover the default route may be dead.
-                eng_.spawn_daemon(
-                    send_fc_update(p.dst_port, p.src_node, p.path_id));
-              }
+            if (flow_->on_probe(p.dst_port, p.src_node)) {
+              // The answer rides the probe's arrival path, like an ack:
+              // after a failover the default route may be dead.
+              eng_.spawn_daemon(
+                  send_fc_update(p.dst_port, p.src_node, p.path_id));
             }
           } else if (op == SendOp::kSyn) {
             handle_syn(p);
@@ -769,7 +763,7 @@ sim::Task<void> Mcp::rx_pump() {
                               p.path_id);
             break;
           }
-          note_ecn(p);  // after accept(): retransmitted dupes don't count
+          cc_->on_accepted(p);  // after accept(): dupes don't count
           const hw::NodeId src = p.src_node;
           const sim::Time stamp = p.tx_stamp;
           const std::uint32_t ack = rx.ack_value();
@@ -790,7 +784,7 @@ sim::Task<void> Mcp::rx_pump() {
           }
           if (do_ack) co_await send_ack(src, ack, stamp, rpath);
         } else {
-          note_ecn(p);
+          cc_->on_accepted(p);
           (void)co_await handle_data(std::move(p));
         }
         break;
@@ -825,18 +819,14 @@ sim::Task<bool> Mcp::handle_data(hw::Packet p) {
   // An RMA write pays for the window check whether or not it passes.
   const bool rma_write = ch.kind == ChanKind::kOpen;
   if (rma_write) co_await nic_.lanai().use(cfg_.mcp_rma_proc);
-  // Credits should make a full pool unreachable for a single sender, but
-  // overcommitted pools (several senders, intranode competition) can still
-  // run dry: with flow control the NIC answers receiver-not-ready and never
-  // discards.
   Landing at = port->land(
       Piece{ch, src, p.msg_id, p.msg_bytes, p.offset, p.payload.size(),
             p.frag_index, cfg_.mtu},
-      cfg_.flow_control && cfg_.reliable);
+      flow_->defer_when_full());
   if (at.err == BclErr::kWouldBlock) co_return false;
   if (at.err != BclErr::kOk) co_return true;
-  if (ch.kind == ChanKind::kSystem && cfg_.flow_control) {
-    ++rx_credit(port->id().port, p.src_node).delivered;
+  if (ch.kind == ChanKind::kSystem) {
+    flow_->on_delivered(port->id().port, p.src_node);
   }
   if (!p.payload.empty()) {
     // RMA writes complete silently at the target, outside any traced
@@ -902,134 +892,19 @@ sim::Task<void> Mcp::send_ack(hw::NodeId dst, std::uint32_t ack,
   }
   // The main piggyback path for credit return; aboard an RNR the current
   // limit also heals any lost earlier grant.
-  attach_grant(p);
-  attach_cc_echo(p);
+  flow_->attach_grant(p);
+  cc_->attach_echo(p);
   co_await launch(std::move(p), cfg_.mcp_ack_proc);
 }
 
-Mcp::RxCredit& Mcp::rx_credit(std::uint32_t port_no, hw::NodeId src) {
-  auto [it, inserted] = rx_credits_.try_emplace(RxCreditKey{port_no, src});
-  if (inserted) it->second.limit = flow_->initial();
-  return it->second;
-}
-
-std::uint32_t Mcp::fc_top_up(Port& port, RxCredit& rc) {
-  // Per-sender window: raise this ledger's outstanding allowance toward
-  // min(initial, slots free right now).  The cap keeps any single sender
-  // from overrunning the pool on its own (its allowance never exceeds
-  // what is free), but deliberately ignores the other ledgers: bounding
-  // grants by free slots minus every OTHER ledger's outstanding allowance
-  // deadlocks once idle senders hoard their unused initial grants — the
-  // sum goes permanently non-positive and the one active sender starves.
-  // The resulting cross-sender overcommit is what the RNR-NACK path
-  // absorbs: a burst that collectively outruns the pool is NACKed and
-  // retried, never dropped.
-  const std::uint32_t outstanding = rc.limit - rc.delivered;
-  const auto free_slots =
-      static_cast<std::uint32_t>(port.system().free_slots.size());
-  const std::uint32_t cap = std::min(flow_->initial(), free_slots);
-  if (outstanding >= cap) return 0;
-  const std::uint32_t grant = cap - outstanding;
-  rc.limit += grant;
-  recorder_.add(NicEvent::kCreditGranted, grant);
-  return grant;
-}
-
-void Mcp::attach_grant(hw::Packet& p) {
-  if (!cfg_.flow_control) return;
-  for (auto& [key, rc] : rx_credits_) {
-    if (key.second != p.dst_node) continue;
-    Port* port = find_port(key.first);
-    if (port == nullptr) continue;
-    fc_top_up(*port, rc);
-    // One grant per packet; other ports' ledgers ride later packets or
-    // standalone updates.
-    p.credit_port = static_cast<std::uint16_t>(key.first);
-    p.credit_limit = rc.limit;
-    return;
-  }
-}
-
 void Mcp::apply_piggyback(const hw::Packet& p) {
-  if (cfg_.flow_control && p.credit_port != kFcNoGrant) {
-    flow_->on_grant(PortId{p.src_node, p.credit_port}, p.credit_limit);
-  }
-  if (p.ecn_echo == 0) return;
-  // 0xff is the saturated batch-CNP level; anything else is a quantized
-  // mark fraction out of cc_feedback_levels.
-  cc_->on_echo(p.src_node, p.ecn_echo == 0xff
-                               ? cc::CongestionController::kEchoSaturated
-                               : p.ecn_echo);
-}
-
-void Mcp::note_ecn(const hw::Packet& p) {
-  EcnEchoWindow& w = ecn_echo_[p.src_node];
-  if (w.accepted == 0) w.window_start = eng_.now();
-  ++w.accepted;
-  if (p.ecn) {
-    ++w.marked;
-    recorder_.add(NicEvent::kEcnMarkRx);
-  }
-}
-
-void Mcp::attach_cc_echo(hw::Packet& p) {
-  const auto it = ecn_echo_.find(p.dst_node);
-  if (it == ecn_echo_.end()) return;
-  EcnEchoWindow& w = it->second;
-  if (!cfg_.cc_proportional) {
-    // Batch CNP semantics: any pending mark echoes immediately at full
-    // strength; the window is just the pending-marks ledger.
-    if (w.marked == 0) return;
-    p.ecn_echo = 0xff;  // saturated: "congestion, extent unknown"
-    w = EcnEchoWindow{};
-    recorder_.add(NicEvent::kEcnEchoTx);
-    return;
-  }
-  // QCN-style quantization: let the window fill before judging it — an
-  // echo per ack would make every sample binary (1 packet, marked or not).
-  if (w.accepted == 0 || eng_.now() - w.window_start < cfg_.cc_echo_window) {
-    return;
-  }
-  if (w.marked == 0) {
-    w = EcnEchoWindow{};  // quiet window: roll it, nothing to echo
-    return;
-  }
-  const auto levels = static_cast<std::uint32_t>(
-      std::min(255, std::max(1, cfg_.cc_feedback_levels)));
-  // ceil(levels * marked / accepted), clamped to [1, levels]: the sender
-  // divides by cc_feedback_levels to recover the mark fraction.
-  const std::uint32_t lvl = std::min(
-      levels, (levels * w.marked + w.accepted - 1) / w.accepted);
-  p.ecn_echo = static_cast<std::uint8_t>(std::max(1u, lvl));
-  w = EcnEchoWindow{};
-  recorder_.add(NicEvent::kEcnEchoTx);
+  flow_->take_grant(p);
+  cc_->take_echo(p);
 }
 
 void Mcp::credit_doorbell(std::uint32_t port_no) {
-  if (!cfg_.flow_control) return;
-  Port* port = find_port(port_no);
-  if (port == nullptr) return;
-  // Rotate the scan start across doorbells so the standalone updates (and
-  // the sender wakeups they trigger) don't always favor the
-  // lowest-numbered sender when several are starved at once.
-  std::vector<std::pair<const RxCreditKey, RxCredit>*> ledgers;
-  for (auto& entry : rx_credits_) {
-    if (entry.first.first == port_no) ledgers.push_back(&entry);
-  }
-  if (ledgers.empty()) return;
-  const std::size_t start = fc_rr_next_[port_no]++ % ledgers.size();
-  for (std::size_t i = 0; i < ledgers.size(); ++i) {
-    auto& [key, rc] = *ledgers[(start + i) % ledgers.size()];
-    const bool starved = rc.limit == rc.delivered;
-    const std::uint32_t granted = fc_top_up(*port, rc);
-    // Push a standalone update when the sender could not make progress
-    // (its next packet would be the grant's only ride back) or when a
-    // whole batch accumulated; smaller grants wait for piggyback rides.
-    if (granted > 0 &&
-        (starved || granted >= static_cast<std::uint32_t>(
-                                   std::max(1, cfg_.fc_credit_batch)))) {
-      eng_.spawn_daemon(send_fc_update(key.first, key.second));
-    }
+  for (const hw::NodeId dst : flow_->doorbell(port_no)) {
+    eng_.spawn_daemon(send_fc_update(port_no, dst));
   }
 }
 
@@ -1041,21 +916,17 @@ sim::Task<void> Mcp::send_fc_update(std::uint32_t port_no, hw::NodeId dst,
   // look the ledger up only then, since a crash, a peer restart or a fresh
   // handshake may have erased it during the wait.
   co_await cc_->pace(dst, kCtrlHeaderBytes);
-  const auto it = rx_credits_.find(RxCreditKey{port_no, dst});
-  if (it == rx_credits_.end()) co_return;
-  recorder_.add(NicEvent::kCreditUpdateTx);
   hw::Packet p =
       ctrl_packet(dst, hw::PacketKind::kCtrl, SendOp::kFcUpdate, path);
-  p.credit_port = static_cast<std::uint16_t>(port_no);
-  p.credit_limit = it->second.limit;
-  attach_cc_echo(p);
+  if (!flow_->fill_update(p, port_no)) co_return;
+  recorder_.add(NicEvent::kCreditUpdateTx);
+  cc_->attach_echo(p);
   co_await launch(std::move(p), cfg_.mcp_fc_proc);
 }
 
-void Mcp::fc_probe(PortId dst) {
-  if (!cfg_.flow_control) return;
-  eng_.spawn_daemon(send_fc_probe(dst));
-}
+// Only a sender stalled on credits calls this, and only flow control
+// stalls it.
+void Mcp::fc_probe(PortId dst) { eng_.spawn_daemon(send_fc_probe(dst)); }
 
 sim::Task<void> Mcp::send_fc_probe(PortId dst) {
   co_await cc_->pace(dst.node, kCtrlHeaderBytes);

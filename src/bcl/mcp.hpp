@@ -10,11 +10,18 @@
 // completion event into the user-space event queue — no host kernel, no
 // interrupt (the defining property of the semi-user-level architecture).
 //
-// Every protocol event the MCP, its sessions and its collective engine
-// see is one call into the NIC's recorder (bcl/recorder.hpp), which counts
-// it over the NIC's whole life and keeps it in the flight ring when its
-// kind has a flight name; recorder().count(kind) reads it back, and the
-// NIC's collector exports every kind that names a series.
+// The two end-to-end feedback loops each live in one module: credits in
+// FlowController, the ECN echo in cc::CongestionController.  The MCP only
+// carries their packets: it hands each accepted packet and each outbound
+// ack, NACK, SYN-ACK and data packet to them, and builds, paces and
+// launches the standalone credit updates and probes they ask for.
+//
+// Every protocol event the MCP, its sessions, its collective engine and
+// its two controllers see is one call into the NIC's recorder
+// (bcl/recorder.hpp), which counts it over the NIC's whole life and keeps
+// it in the flight ring when its kind has a flight name;
+// recorder().count(kind) reads it back, and the NIC's collector exports
+// every kind that names a series.
 #pragma once
 
 #include <cstdint>
@@ -71,9 +78,10 @@ class Mcp : private SessionOwner {
   // The NIC-resident collective engine (barrier/bcast/reduce offload).
   coll::CollectiveEngine& coll() { return *coll_; }
 
-  // Sender-side credit table (read by the kernel on the send trap and by
-  // the library's credit-wait poll loop).
+  // Both credit tables: the sender's, read by the kernel on the send trap
+  // and by the library's credit-wait poll loop, and the receiver's ledgers.
   FlowController& flow() { return *flow_; }
+  const FlowController& flow() const { return *flow_; }
 
   // NIC-resident congestion controller: per-destination AIMD rate state
   // and the pacer every launch path consults.
@@ -85,8 +93,7 @@ class Mcp : private SessionOwner {
   const PathTable& path_table() const { return *path_table_; }
 
   // Library-side doorbell: a system-channel pool slot was just released;
-  // top up the ledgers for `port_no` and push a standalone credit update
-  // to any sender that was starved (or accumulated a batch).
+  // sends the standalone credit updates FlowController::doorbell asks for.
   void credit_doorbell(std::uint32_t port_no);
   // A stalled sender-side library asks the receiver for a fresh cumulative
   // grant (stand-in for reading the remote credit word; heals lost
@@ -124,21 +131,6 @@ class Mcp : private SessionOwner {
   TxSession* find_tx_session(hw::NodeId dst);
   std::size_t tx_session_count() const { return tx_sessions_.size(); }
 
-  // Diagnostic snapshot of the receiver-side ledgers:
-  // (local port, sending node) -> (cumulative limit, cumulative delivered).
-  struct RxCreditSnapshot {
-    std::uint32_t port = 0;
-    hw::NodeId src = 0;
-    std::uint32_t limit = 0;
-    std::uint32_t delivered = 0;
-  };
-  std::vector<RxCreditSnapshot> rx_credit_snapshot() const {
-    std::vector<RxCreditSnapshot> out;
-    for (const auto& [key, rc] : rx_credits_) {
-      out.push_back({key.first, key.second, rc.limit, rc.delivered});
-    }
-    return out;
-  }
   // Gauges over the live sessions.
   std::size_t tx_in_flight() const;
   std::size_t unreachable_peers() const;
@@ -179,22 +171,14 @@ class Mcp : private SessionOwner {
   std::size_t rx_queue_hwm() const { return rx_queue_hwm_; }
 
  private:
-  // Receiver-side credit ledger, one per (local port, sending node):
-  // cumulative allowance vs cumulative deliveries into the pool.
-  struct RxCredit {
-    std::uint32_t limit = 0;
-    std::uint32_t delivered = 0;
-  };
-  using RxCreditKey = std::pair<std::uint32_t, hw::NodeId>;
-
   sim::Task<void> tx_pump();
   sim::Task<void> rx_pump();
   sim::Task<void> send_message_locked(SendDescriptor d);
   sim::Task<void> send_message(const SendDescriptor& d);
   // Hands p to its port's receive rule (Port::land) and moves the bytes.
   // False means receiver-not-ready: the system pool had no slot and flow
-  // control is on, so the caller must regress the rx session and NACK
-  // instead of acking a silently discarded message.
+  // control defers instead of discarding, so the caller must regress the
+  // rx session and NACK instead of acking a silently discarded message.
   sim::Task<bool> handle_data(hw::Packet p);
   sim::Task<void> handle_rma_read(const hw::Packet& p);
   // Fail or complete `d` through its sender's event queue (no-op unless
@@ -202,11 +186,11 @@ class Mcp : private SessionOwner {
   sim::Task<void> complete_send(const SendDescriptor& d, BclErr err);
 
   // -- session-less control packets -------------------------------------------
-  // Every control packet starts here: fresh id, `kind` and `op`, the
-  // 16-byte header, the fabric path (path_for) and the dst incarnation.
+  // Every control packet starts here: `kind` and `op`, the 16-byte header,
+  // the fabric path (path_for) and the dst incarnation.
   hw::Packet ctrl_packet(hw::NodeId dst, hw::PacketKind kind, SendOp op,
                          std::uint8_t path = hw::kDefaultPath);
-  // Charges `proc` of LANai time, then transmits.
+  // Stamps a fresh packet id, charges `proc` of LANai time, then transmits.
   sim::Task<void> launch(hw::Packet p, sim::Time proc);
   // Cumulative ack, or with `rnr` a receiver-not-ready NACK carrying the
   // backoff hint.  Both piggyback the current grant and ECN echo.
@@ -217,28 +201,9 @@ class Mcp : private SessionOwner {
   sim::Task<void> send_fc_update(std::uint32_t port_no, hw::NodeId dst,
                                  std::uint8_t path = hw::kDefaultPath);
   sim::Task<void> send_fc_probe(PortId dst);
-  RxCredit& rx_credit(std::uint32_t port_no, hw::NodeId src);
-  // Raise the ledger's limit toward the per-sender window (capped by the
-  // slots free right now); returns the number of fresh credits granted.
-  std::uint32_t fc_top_up(Port& port, RxCredit& rc);
-  // Attach the current cumulative grant for p.dst_node to an outbound
-  // packet (acks, data, NACKs) — the piggyback path of credit return.
-  void attach_grant(hw::Packet& p);
   // An inbound packet may carry a grant for our sender side and an ECN
   // echo for our rate controller.
   void apply_piggyback(const hw::Packet& p);
-  // ECN bookkeeping, called once per *accepted* data packet (retransmitted
-  // duplicates are already filtered by the rx session, so a mark is counted
-  // at most once per delivery): advances the source's echo window and
-  // records whether this packet arrived marked.
-  void note_ecn(const hw::Packet& p);
-  // Piggyback the echo on an outbound ack/NACK/grant toward the source.
-  // With cc_proportional the echo is QCN-style: at most once per
-  // cc_echo_window, carrying ceil(levels * marked/accepted) — the
-  // quantized fraction of the window's accepted packets that arrived
-  // marked.  Without it, any pending mark flushes immediately at full
-  // strength (DCQCN CNP semantics: "congestion", not "how much").
-  void attach_cc_echo(hw::Packet& p);
   // The LANai's event processing and the event's DMA into host memory.
   sim::Task<void> event_dma();
   sim::Task<void> deliver_send_event(Port* port, SendEvent ev);
@@ -249,8 +214,7 @@ class Mcp : private SessionOwner {
   // prober that can later rescind the verdict.
   sim::Task<void> announce_peer_failure(hw::NodeId dst);
   // The NIC's collector: every NIC event that has a series (recorder.hpp),
-  // the NIC-wide gauges, the per-peer <nic>.rel.peer<d>.* series and the
-  // flow-control aggregates.
+  // the NIC-wide gauges and the per-peer <nic>.rel.peer<d>.* series.
   void collect(sim::MetricSink& out);
   // Sums one per-session reading over the live sessions.
   template <typename T>
@@ -274,12 +238,9 @@ class Mcp : private SessionOwner {
   // torn down before the packet proceeds.
   bool fence_incarnation(const hw::Packet& p);
   // The peer rebooted: poison+retire its tx session (kPeerRestarted), drop
-  // its rx session / rx ledgers / echo window, reset the sender-side credit
-  // ledgers, and mark the peer for a SYN handshake on the next session.
+  // its rx session and echo window, reset both credit halves toward it,
+  // and mark the peer for a SYN handshake on the next session.
   void handle_peer_restart(hw::NodeId src);
-  // Drop everything we keep as src's receiver: the rx session, the echo
-  // window and every credit ledger toward src.
-  void forget_rx_state(hw::NodeId src);
   // Poison the session with `err` and move it to the graveyard (its timer
   // daemons may still be parked in a sleep and must wake on a live object).
   void teardown_session(hw::NodeId peer, BclErr err);
@@ -293,16 +254,18 @@ class Mcp : private SessionOwner {
   sim::Task<void> send_ctrl(hw::NodeId dst, SendOp op, std::uint32_t seq,
                             std::uint32_t dst_inc, std::uint64_t nonce = 0,
                             std::uint8_t path = hw::kDefaultPath);
-  // Retries the SYN for `s` (the session it was spawned for — a replaced
-  // session runs its own daemon) until establishment, teardown, or ladder
-  // exhaustion, which draws the ordinary unreachable verdict.
-  sim::Task<void> syn_daemon(hw::NodeId dst, TxSession* s);
-  // One bounded prober per (dst, path).  kDefaultPath probes an
-  // unreachable peer (seq 0) until its verdict is rescinded; any other
-  // path is quarantined and probed on that path (seq = path+1) until an
-  // answer in handle_probe_ack requalifies it.
+  // The one bounded prober.  Without `syn` there is one per (dst, path)
+  // (spawn_prober): kDefaultPath probes an unreachable peer (seq 0) until
+  // its verdict is rescinded; any other path is quarantined and probed on
+  // that path (seq = path+1) until an answer in handle_probe_ack
+  // requalifies it.  With `syn` it retries that handshaking session's SYN
+  // (a replaced session runs its own prober) until establishment or
+  // teardown; a spent ladder draws the ordinary unreachable verdict.
   void spawn_prober(hw::NodeId dst, std::uint8_t path);
-  sim::Task<void> prober(hw::NodeId dst, std::uint8_t path);
+  sim::Task<void> prober(hw::NodeId dst, std::uint8_t path,
+                         TxSession* syn = nullptr);
+  // Whether the prober's next round is still wanted.
+  bool probe_wanted(hw::NodeId dst, std::uint8_t path, const TxSession* syn);
   void handle_syn(const hw::Packet& p);
   void handle_syn_ack(const hw::Packet& p);
   void handle_probe_ack(const hw::Packet& p);
@@ -319,6 +282,8 @@ class Mcp : private SessionOwner {
   const CostConfig& cfg_;
   sim::Trace& trace_;
   const std::string prefix_;  // "<nic>.": the prefix of the NIC's series
+  // Ahead of the controllers that record into it.
+  FlightRecorder recorder_;
   sim::Channel<SendDescriptor> requests_;
   sim::Mutex tx_mutex_;
   std::map<std::uint32_t, Port*> ports_;
@@ -329,19 +294,6 @@ class Mcp : private SessionOwner {
   std::unique_ptr<FlowController> flow_;
   std::unique_ptr<cc::CongestionController> cc_;
   std::unique_ptr<PathTable> path_table_;
-  // Per-source echo accumulation window: accepted packets and marks seen
-  // since the window opened (first accepted packet after the previous
-  // flush — idle gaps between bursts must not dilute the mark fraction).
-  struct EcnEchoWindow {
-    std::uint32_t accepted = 0;
-    std::uint32_t marked = 0;
-    sim::Time window_start = sim::Time::zero();
-  };
-  std::map<hw::NodeId, EcnEchoWindow> ecn_echo_;
-  std::map<RxCreditKey, RxCredit> rx_credits_;
-  // Per-port round-robin cursor for the doorbell's ledger scan (fairness
-  // across senders competing for the same pool's freed slots).
-  std::map<std::uint32_t, std::size_t> fc_rr_next_;
   // -- crash–restart state -----------------------------------------------------
   bool crashed_ = false;
   // Newest boot epoch seen from (and believed current for) each peer:
@@ -368,7 +320,6 @@ class Mcp : private SessionOwner {
   // SYN-ACK without resetting an rx session that already took data.
   std::map<hw::NodeId, std::pair<std::uint32_t, std::uint64_t>> syn_seen_;
 
-  FlightRecorder recorder_;
   DiagnosisHook diagnosis_hook_;
   std::size_t req_ring_hwm_ = 0;
   std::size_t rx_queue_hwm_ = 0;

@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 #include "bcl/stack.hpp"
 #include "sim/metrics.hpp"
@@ -34,7 +35,7 @@ bool is_retx_kind(NicEvent k) {
 // "storming" is reserved for a sender that resent without ever cutting —
 // a throttled sender that recovered to line after a handful of resends
 // responded to the congestion and must not carry the storm verdict.
-const char* classify_cc(const cc::RateSnapshot& r, std::uint64_t retx,
+const char* classify_cc(const cc::RateState& r, std::uint64_t retx,
                         double line) {
   if (r.decreases > 0 && r.rate < 0.9 * line) return "throttled-recovering";
   if (retx > 0 && r.decreases == 0 && r.rate >= 0.9 * line) {
@@ -116,32 +117,32 @@ std::string Postmortem::to_json() const {
   for (std::size_t i = 0; i < cc_rates.size(); ++i) {
     const auto& c = cc_rates[i];
     os << (i ? ",\n" : "\n");
-    os << "    {\"dst\": " << c.rate.dst << ", \"state\": \""
+    os << "    {\"dst\": " << c.dst << ", \"state\": \""
        << json_escape(c.state) << "\", \"rate_mbps\": "
        << num(c.rate.rate / 1e6) << ", \"alpha\": " << num(c.rate.alpha)
        << ", \"feedback\": " << num(c.rate.feedback)
        << ", \"echoes\": " << c.rate.echoes << ", \"decreases\": "
        << c.rate.decreases << ", \"increases\": " << c.rate.increases
        << ", \"paced_packets\": " << c.rate.paced_packets
-       << ", \"paced_wait_us\": " << num(c.rate.paced_wait_us) << "}";
+       << ", \"paced_wait_us\": " << num(c.rate.paced_wait.to_us()) << "}";
   }
   os << (cc_rates.empty() ? "]" : "\n  ]") << ",\n";
 
+  const char* sep = "";
   os << "  \"send_credits\": [";
-  for (std::size_t i = 0; i < send_credits.size(); ++i) {
-    const auto& c = send_credits[i];
-    os << (i ? ", " : "") << "{\"node\": " << c.dst.node << ", \"port\": "
-       << c.dst.port << ", \"limit\": " << c.limit << ", \"used\": "
-       << c.used << "}";
+  for (const auto& [dst, c] : send_credits) {
+    os << std::exchange(sep, ", ") << "{\"node\": " << dst.node
+       << ", \"port\": " << dst.port << ", \"limit\": " << c.limit
+       << ", \"used\": " << c.used << "}";
   }
   os << "],\n";
 
+  sep = "";
   os << "  \"recv_credits\": [";
-  for (std::size_t i = 0; i < recv_credits.size(); ++i) {
-    const auto& c = recv_credits[i];
-    os << (i ? ", " : "") << "{\"port\": " << c.port << ", \"src\": "
-       << c.src << ", \"limit\": " << c.limit << ", \"delivered\": "
-       << c.delivered << "}";
+  for (const auto& [key, c] : recv_credits) {
+    os << std::exchange(sep, ", ") << "{\"port\": " << key.first
+       << ", \"src\": " << key.second << ", \"limit\": " << c.limit
+       << ", \"delivered\": " << c.delivered << "}";
   }
   os << "],\n";
 
@@ -215,14 +216,14 @@ Postmortem build_postmortem(BclCluster& cluster, hw::NodeId node,
   std::map<hw::NodeId, std::uint64_t> retx_by_peer;
   for (const auto& s : pm.sessions) retx_by_peer[s.peer] = s.retransmissions;
   const double line = mcp.cc().cfg().cc_line_rate;
-  for (const auto& r : mcp.cc().snapshot()) {
-    const auto it = retx_by_peer.find(r.dst);
+  for (const auto& [dst, r] : mcp.cc().rates()) {
+    const auto it = retx_by_peer.find(dst);
     const std::uint64_t retx = it == retx_by_peer.end() ? 0 : it->second;
-    pm.cc_rates.push_back({r, classify_cc(r, retx, line)});
+    pm.cc_rates.push_back({dst, r, classify_cc(r, retx, line)});
   }
 
-  pm.send_credits = mcp.flow().snapshot();
-  pm.recv_credits = mcp.rx_credit_snapshot();
+  pm.send_credits = mcp.flow().senders();
+  pm.recv_credits = mcp.flow().ledgers();
   pm.timeline = mcp.recorder().snapshot();
 
   bool first = true;

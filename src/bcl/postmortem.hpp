@@ -49,12 +49,13 @@ struct Postmortem {
   // landed: the rate was cut and additive increase is climbing back), or
   // "clean" (no throttling in force, no uncontrolled retransmit pressure).
   struct CcRate {
-    cc::RateSnapshot rate;
+    hw::NodeId dst = 0;
+    cc::RateState rate;
     std::string state;
   };
   std::vector<CcRate> cc_rates;
-  std::vector<FlowController::DstSnapshot> send_credits;
-  std::vector<Mcp::RxCreditSnapshot> recv_credits;
+  FlowController::Senders send_credits;
+  FlowController::Ledgers recv_credits;
 
   // Flight-recorder snapshot, oldest first.
   std::vector<FlightEvent> timeline;

@@ -125,9 +125,6 @@ enum class SendOp : std::uint8_t {
   kProbeAck,
 };
 
-// Packet::credit_port value meaning "no credit grant aboard".
-inline constexpr std::uint16_t kFcNoGrant = 0xffff;
-
 // What the kernel module writes (via PIO) into the NIC request queue.
 struct SendDescriptor {
   std::uint64_t msg_id = 0;

@@ -184,6 +184,10 @@ struct Case {
   bool one_slot = false;  // sys_slots 1, flow control off
 };
 
+// By name: gtest would otherwise dump the bytes of the two pointers, and
+// with them the load address, into every discovered test name.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
+
 const Case kCases[] = {
     {"UnpostedNormal", unposted_normal, {.not_posted_drops = 1}},
     {"LatePost", late_post, {.not_posted_drops = 1, .posted = true}},
@@ -504,6 +508,53 @@ TEST(ChannelRuleUnit, SendRefusesUnknownChannelKind) {
     }(tx, rx.id()));
     c.engine().run();
     EXPECT_EQ(tx.port().messages_sent(), 0u);
+  }
+}
+
+// An RMA read's reply lands through the reader's port on both paths: the
+// read posts its reply channel (refusing one out of range), the reply
+// counts as a received message and un-posts the channel.
+TEST(ChannelRuleUnit, RmaReadReplyLandsThroughThePort) {
+  for (const Path path : {Path::kNic, Path::kShm}) {
+    SCOPED_TRACE(path == Path::kNic ? "NIC" : "shared memory");
+    ClusterConfig cfg;
+    cfg.nodes = path == Path::kNic ? 2 : 1;
+    cfg.node.mem_bytes = 16u << 20;
+    BclCluster c{cfg};
+    Endpoint& reader = c.open_endpoint(0);
+    Endpoint& target = c.open_endpoint(path == Path::kNic ? 1 : 0);
+    const UserBuffer window = target.process().alloc(4096);
+    target.process().fill_pattern(window, 3);
+    const UserBuffer into = reader.process().alloc(4000);
+    bool done = false;
+    c.engine().spawn([](sim::Engine& eng, Endpoint& reader, Endpoint& target,
+                        UserBuffer window, UserBuffer into,
+                        bool& done) -> Task<void> {
+      EXPECT_EQ(co_await target.bind_open(0, window), BclErr::kOk);
+      co_await eng.sleep(kSetup);
+      const auto out_of_range =
+          co_await reader.rma_read(target.id(), 0, 0, 40, into, 4000);
+      EXPECT_EQ(out_of_range.err, BclErr::kBadTarget);
+      const auto r = co_await reader.rma_read(target.id(), 0, 0, 1, into, 4000);
+      EXPECT_EQ(r.err, BclErr::kOk);
+      const bcl::RecvEvent ev = co_await reader.wait_recv();
+      EXPECT_EQ(ev.err, BclErr::kOk);
+      EXPECT_EQ(ev.channel.kind, ChanKind::kNormal);
+      EXPECT_EQ(ev.channel.index, 1u);
+      EXPECT_EQ(ev.len, 4000u);
+      done = true;
+    }(c.engine(), reader, target, window, into, done));
+    c.engine().run();
+
+    ASSERT_TRUE(done);
+    EXPECT_EQ(reader.port().messages_received(), 1u);
+    EXPECT_FALSE(reader.port().normal(1).posted);
+    EXPECT_EQ(reader.port().recv_events().size(), 0u);
+    std::vector<std::byte> sent(4000);
+    std::vector<std::byte> got(4000);
+    target.process().peek(window, 0, sent);
+    reader.process().peek(into, 0, got);
+    EXPECT_EQ(got, sent);
   }
 }
 

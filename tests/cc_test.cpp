@@ -91,36 +91,34 @@ TEST(CcAimd, OneDecreasePerEpochThenBoundedRecovery) {
   const bcl::CostConfig cfg{};
   sim::Trace trace{eng};
   sim::MetricRegistry metrics;
-  bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics};
+  bcl::FlightRecorder recorder{0};
+  bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics, recorder};
 
   eng.spawn([](sim::Engine& e, bcl::cc::CongestionController& cc,
                const bcl::CostConfig& cfg) -> Task<void> {
-    for (int i = 0; i < 5; ++i) cc.on_echo(7);
-    auto snap = cc.snapshot();
-    EXPECT_EQ(snap.size(), 1u);
-    if (snap.empty()) co_return;
-    EXPECT_EQ(snap[0].echoes, 5u);
-    EXPECT_EQ(snap[0].decreases, 1u) << "burst must cut at most once";
+    for (int i = 0; i < 5; ++i) cc.on_echo(7, 0xff);
+    EXPECT_EQ(cc.rates().size(), 1u);
+    const bcl::cc::RateState& s = cc.rates().at(7);
+    EXPECT_EQ(s.echoes, 5u);
+    EXPECT_EQ(s.decreases, 1u) << "burst must cut at most once";
     // A saturated echo (extent unknown) cuts at full strength under the
     // proportional default: rate = line * (1 - max(alpha, 1)/2) = line/2.
-    EXPECT_NEAR(snap[0].rate, cfg.cc_line_rate * 0.5, 1.0);
-    EXPECT_DOUBLE_EQ(snap[0].feedback, 1.0);
-    const double after_first = snap[0].rate;
+    EXPECT_NEAR(s.rate, cfg.cc_line_rate * 0.5, 1.0);
+    EXPECT_DOUBLE_EQ(s.feedback, 1.0);
+    const double after_first = s.rate;
 
     co_await e.sleep(cfg.cc_epoch);
-    cc.on_echo(7);
-    snap = cc.snapshot();
-    EXPECT_EQ(snap[0].decreases, 2u);
-    EXPECT_LT(snap[0].rate, after_first);
+    cc.on_echo(7, 0xff);
+    EXPECT_EQ(s.decreases, 2u);
+    EXPECT_LT(s.rate, after_first);
 
     // Quiet recovery: the worst case from the floor is line/ai epochs;
     // double that bounds it comfortably.
     const double epochs = 2.0 * cfg.cc_line_rate / cfg.cc_ai_rate;
     co_await e.sleep(cfg.cc_epoch * epochs);
     EXPECT_EQ(cc.rate_of(7), cfg.cc_line_rate);
-    snap = cc.snapshot();
-    EXPECT_GT(snap[0].increases, 0u);
-    EXPECT_LT(snap[0].alpha, 0.01);
+    EXPECT_GT(s.increases, 0u);
+    EXPECT_LT(s.alpha, 0.01);
   }(eng, cc, cfg));
   eng.run();
 }
@@ -137,18 +135,19 @@ TEST(CcAimd, ScaledCutMatchesEveryFeedbackLevel) {
     sim::Engine eng;
     sim::Trace trace{eng};
     sim::MetricRegistry metrics;
-    bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics};
-    cc.on_echo(9, static_cast<unsigned>(level));
+    bcl::FlightRecorder recorder{0};
+    bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics, recorder};
+    cc.on_echo(9, static_cast<std::uint8_t>(level));
     const double f =
         static_cast<double>(level) / static_cast<double>(cfg.cc_feedback_levels);
-    const auto snap = cc.snapshot();
-    ASSERT_EQ(snap.size(), 1u);
-    EXPECT_NEAR(snap[0].rate, cfg.cc_line_rate * (1.0 - f / 2.0), 1e-6)
+    ASSERT_EQ(cc.rates().size(), 1u);
+    const bcl::cc::RateState& s = cc.rates().at(9);
+    EXPECT_NEAR(s.rate, cfg.cc_line_rate * (1.0 - f / 2.0), 1e-6)
         << "level " << level;
-    EXPECT_NEAR(snap[0].alpha, cfg.cc_g * f, 1e-12) << "level " << level;
-    EXPECT_NEAR(snap[0].feedback, f, 1e-12) << "level " << level;
-    EXPECT_LT(snap[0].rate, prev_rate) << "cut must deepen with the level";
-    prev_rate = snap[0].rate;
+    EXPECT_NEAR(s.alpha, cfg.cc_g * f, 1e-12) << "level " << level;
+    EXPECT_NEAR(s.feedback, f, 1e-12) << "level " << level;
+    EXPECT_LT(s.rate, prev_rate) << "cut must deepen with the level";
+    prev_rate = s.rate;
   }
 }
 
@@ -163,7 +162,8 @@ TEST(CcAimd, BatchModeIgnoresFeedbackLevel) {
     sim::Engine eng;
     sim::Trace trace{eng};
     sim::MetricRegistry metrics;
-    bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics};
+    bcl::FlightRecorder recorder{0};
+    bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics, recorder};
     cc.on_echo(9, 1);
     EXPECT_NEAR(cc.rate_of(9), expect, 1e-6);
   }
@@ -171,8 +171,9 @@ TEST(CcAimd, BatchModeIgnoresFeedbackLevel) {
     sim::Engine eng;
     sim::Trace trace{eng};
     sim::MetricRegistry metrics;
-    bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics};
-    cc.on_echo(9);  // saturated
+    bcl::FlightRecorder recorder{0};
+    bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics, recorder};
+    cc.on_echo(9, 0xff);  // saturated
     EXPECT_NEAR(cc.rate_of(9), expect, 1e-6);
   }
 }
@@ -183,13 +184,134 @@ TEST(CcAimd, LevelZeroIsNoEcho) {
   const bcl::CostConfig cfg{};
   sim::Trace trace{eng};
   sim::MetricRegistry metrics;
-  bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics};
+  bcl::FlightRecorder recorder{0};
+  bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics, recorder};
   cc.on_echo(9, 0);
   EXPECT_EQ(cc.rate_of(9), cfg.cc_line_rate);
-  const auto snap = cc.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].echoes, 0u);
-  EXPECT_EQ(snap[0].decreases, 0u);
+  ASSERT_EQ(cc.rates().size(), 1u);
+  EXPECT_EQ(cc.rates().at(9).echoes, 0u);
+  EXPECT_EQ(cc.rates().at(9).decreases, 0u);
+}
+
+// -- echo window (the receiver half) ----------------------------------------
+
+// A controller on a bare engine, fed the packets an MCP would hand it.
+struct EchoRig {
+  explicit EchoRig(const bcl::CostConfig& c) : cfg{c} {}
+
+  // A packet from `src` the MCP accepted.
+  void accept(hw::NodeId src, bool marked) {
+    hw::Packet p;
+    p.src_node = src;
+    p.ecn = marked;
+    cc.on_accepted(p);
+  }
+  // The echo byte an outbound packet toward `dst` carries now.
+  std::uint8_t echo(hw::NodeId dst) {
+    hw::Packet p;
+    p.dst_node = dst;
+    cc.attach_echo(p);
+    return p.ecn_echo;
+  }
+  std::uint64_t count(bcl::NicEvent kind) const {
+    return recorder.count(kind);
+  }
+
+  const bcl::CostConfig cfg;
+  sim::Engine eng;
+  sim::Trace trace{eng};
+  sim::MetricRegistry metrics;
+  bcl::FlightRecorder recorder{0};
+  bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics, recorder};
+};
+
+// Each accepted packet counts once.  The window opens at its first
+// packet and flushes ceil(levels * marked / accepted) no sooner than
+// cc_echo_window later: 3 marked of 10 echo level 3 of 8, not 2.
+TEST(CcEcho, FlushesTheCeilingOnceTheWindowIsFull) {
+  EchoRig rig{bcl::CostConfig{}};
+  rig.eng.spawn([](EchoRig& rig) -> Task<void> {
+    const Time window = rig.cfg.cc_echo_window;
+    co_await rig.eng.sleep(Time::us(20));
+    for (int i = 0; i < 10; ++i) rig.accept(5, i < 3);
+    EXPECT_EQ(rig.count(bcl::NicEvent::kEcnMarkRx), 3u);
+    co_await rig.eng.sleep(window - Time::ns(1));
+    EXPECT_EQ(rig.echo(5), 0u) << "the window is not full yet";
+    co_await rig.eng.sleep(Time::ns(1));
+    EXPECT_EQ(rig.echo(6), 0u) << "no window toward another node";
+    EXPECT_EQ(rig.echo(5), 3u);
+    EXPECT_EQ(rig.echo(5), 0u) << "the flush opens a fresh window";
+    EXPECT_EQ(rig.count(bcl::NicEvent::kEcnEchoTx), 1u);
+  }(rig));
+  rig.eng.run();
+}
+
+// A window with no mark rolls over without an echo: the next window opens
+// at the next accepted packet, not where the quiet one did.
+TEST(CcEcho, QuietWindowRollsOverSilently) {
+  EchoRig rig{bcl::CostConfig{}};
+  rig.eng.spawn([](EchoRig& rig) -> Task<void> {
+    const Time window = rig.cfg.cc_echo_window;
+    for (int i = 0; i < 4; ++i) rig.accept(5, false);
+    co_await rig.eng.sleep(window);
+    EXPECT_EQ(rig.echo(5), 0u);
+    co_await rig.eng.sleep(Time::us(10));
+    rig.accept(5, true);
+    co_await rig.eng.sleep(window / 2);
+    EXPECT_EQ(rig.echo(5), 0u) << "the quiet window did not roll over";
+    co_await rig.eng.sleep(window / 2);
+    EXPECT_EQ(rig.echo(5), 8u);  // 1 marked of 1
+    EXPECT_EQ(rig.count(bcl::NicEvent::kEcnEchoTx), 1u);
+  }(rig));
+  rig.eng.run();
+}
+
+// Batch CNP semantics: no window to wait for, the first pending mark
+// echoes at once as the saturated byte.
+TEST(CcEcho, BatchModeEchoesSaturatedAtTheFirstMark) {
+  bcl::CostConfig cfg;
+  cfg.cc_proportional = false;
+  EchoRig rig{cfg};
+  rig.accept(5, false);
+  EXPECT_EQ(rig.echo(5), 0u);
+  rig.accept(5, true);
+  EXPECT_EQ(rig.echo(5), 0xffu);
+  EXPECT_EQ(rig.echo(5), 0u);
+  EXPECT_EQ(rig.count(bcl::NicEvent::kEcnEchoTx), 1u);
+}
+
+// Round trip: the byte one controller's window puts aboard decodes, at
+// the other end, to the extent it measured — m of 8 marked is f = m/8 at
+// every level, and a batch-mode 0xff is f = 1.
+TEST(CcEcho, EchoByteDecodesToTheExtentTheSenderApplies) {
+  const bcl::CostConfig cfg{};
+  EchoRig sender{cfg};
+  const auto apply = [&sender](std::uint8_t byte) {
+    hw::Packet p;
+    p.src_node = 5;
+    p.ecn_echo = byte;
+    sender.cc.take_echo(p);
+    const auto it = sender.cc.rates().find(5);
+    return it == sender.cc.rates().end() ? 0.0 : it->second.feedback;
+  };
+  for (int marked = 1; marked <= cfg.cc_feedback_levels; ++marked) {
+    EchoRig receiver{cfg};
+    receiver.eng.spawn([](EchoRig& rig, int marked) -> Task<void> {
+      for (int i = 0; i < 8; ++i) rig.accept(9, i < marked);
+      co_await rig.eng.sleep(rig.cfg.cc_echo_window);
+    }(receiver, marked));
+    receiver.eng.run();
+    const std::uint8_t byte = receiver.echo(9);
+    EXPECT_EQ(byte, marked) << "marked " << marked;
+    EXPECT_DOUBLE_EQ(apply(byte), marked / 8.0) << "marked " << marked;
+  }
+  bcl::CostConfig batch = cfg;
+  batch.cc_proportional = false;
+  EchoRig receiver{batch};
+  receiver.accept(9, true);
+  const std::uint8_t byte = receiver.echo(9);
+  EXPECT_EQ(byte, 0xffu);
+  EXPECT_DOUBLE_EQ(apply(byte), 1.0);
 }
 
 // Recovery that clamps at line rate partway through a quiet stretch counts
@@ -224,11 +346,12 @@ TEST(CcTrace, RateTrackSamplesOnRelativeMovesOnly) {
   sim::Trace tr{eng};
   tr.enable();
   sim::MetricRegistry metrics;
-  bcl::cc::CongestionController cc{eng, cfg, "t", tr, metrics};
+  bcl::FlightRecorder recorder{0};
+  bcl::cc::CongestionController cc{eng, cfg, "t", tr, metrics, recorder};
 
   eng.spawn([](sim::Engine& e, bcl::cc::CongestionController& cc,
                const bcl::CostConfig& cfg) -> Task<void> {
-    cc.on_echo(7);  // line -> line/2, first sample + decrease
+    cc.on_echo(7, 0xff);  // line -> line/2, first sample + decrease
     // Recover to line, poking the pacer once per epoch like a steady
     // sender would (trace_rate runs on every pace()).
     const int epochs =
@@ -497,8 +620,8 @@ void check_cc_propagation(bcl::BclCluster& c, int senders,
   std::uint64_t echoes = 0, decreases = 0;
   for (int s = 0; s < senders; ++s) {
     const auto nid = static_cast<hw::NodeId>(s + 1);
-    for (const auto& r : c.node(nid).mcp().cc().snapshot()) {
-      if (r.dst != rx_node) continue;
+    for (const auto& [dst, r] : c.node(nid).mcp().cc().rates()) {
+      if (dst != rx_node) continue;
       echoes += r.echoes;
       decreases += r.decreases;
       // Quantization round trip: a sender that heard echoes must hold a
@@ -606,11 +729,12 @@ TEST(CcQuietPath, SingleLossRecoversWithoutStorm) {
   EXPECT_EQ(mcp.recorder().count(bcl::NicEvent::kTimeout), 0u);
   // One dup-ack replay covers the hole plus the few packets behind it.
   EXPECT_LE(mcp.recorder().count(bcl::NicEvent::kRetransmit), 8u);
-  const auto rates = mcp.cc().snapshot();
+  const auto& rates = mcp.cc().rates();
   ASSERT_EQ(rates.size(), 1u);
-  EXPECT_DOUBLE_EQ(rates[0].paced_wait_us, 0.0)
+  EXPECT_EQ(rates.begin()->second.paced_wait, Time::zero())
       << "quiet-path launches must be wire-clocked, not pacer-clocked";
-  EXPECT_EQ(rates[0].echoes, 0u) << "a dedicated hop must never mark";
+  EXPECT_EQ(rates.begin()->second.echoes, 0u)
+      << "a dedicated hop must never mark";
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // into what it held before the suspension would touch freed memory (the
 // sanitize job turns that into a hard failure).  In every case each member
 // must still return — kPeerRestarted on the crashed node where its own
-// operation was in flight, an error or kOk elsewhere — and every engine's
+// operation was in flight, an error or kOk elsewhere — within
+// coll_op_timeout plus kReturnSlack of the crash, and every engine's
 // pending table must drain.
 #include <gtest/gtest.h>
 
@@ -40,29 +41,43 @@ constexpr std::size_t kCount = 7000;        // 14 fragments of doubles
 // Past this simulated time a probe gives up, so a broken engine fails the
 // test instead of polling forever.
 constexpr Time kProbeDeadline = Time::ms(50);
+constexpr Time kOpTimeout = Time::ms(2);
+// A member returns at most this long after coll_op_timeout has run from
+// the crash: the time for the first watchdog's verdict to reach it and for
+// its host to see the failure (at most 62 us in these cases).
+constexpr Time kReturnSlack = Time::us(250);
 
-WorldConfig crash_cfg() {
+WorldConfig crash_cfg(int nodes, bool mesh) {
   WorldConfig cfg;
-  cfg.cluster.nodes = kNodes;
+  cfg.cluster.nodes = static_cast<std::uint32_t>(nodes);
   cfg.cluster.node.mem_bytes = 16u << 20;
-  cfg.cluster.cost.coll_op_timeout = Time::ms(2);
+  cfg.cluster.cost.coll_op_timeout = kOpTimeout;
+  if (mesh) cfg.cluster.fabric.kind = hw::FabricKind::kNwrcMesh;
   return cfg;
 }
 
-// One 4-member group on a 4-node Myrinet cluster.  `op` is member m's part
-// of the scenario; its result (if it returns one) is kept per member.
+// One group with a member on every node of a Myrinet cluster (or a mesh).
+// `op` is member m's part of the scenario; its result (if it returns one)
+// and when it returned are kept per member.
 struct Battery {
-  World w{crash_cfg(), kNodes};
-  std::vector<bcl::PortId> members;
-  std::vector<std::unique_ptr<CollPort>> ports =
-      std::vector<std::unique_ptr<CollPort>>(kNodes);
-  std::vector<std::optional<BclErr>> result =
-      std::vector<std::optional<BclErr>>(kNodes);
-  std::vector<bool> returned = std::vector<bool>(kNodes, false);
-
-  Battery() {
-    for (int m = 0; m < kNodes; ++m) members.push_back(w.endpoint(m).id());
+  explicit Battery(int nodes = kNodes, bool mesh = false)
+      : n{nodes},
+        w{crash_cfg(nodes, mesh), nodes},
+        ports(static_cast<std::size_t>(nodes)),
+        result(static_cast<std::size_t>(nodes)),
+        returned(static_cast<std::size_t>(nodes), false),
+        returned_at(static_cast<std::size_t>(nodes)) {
+    for (int m = 0; m < n; ++m) members.push_back(w.endpoint(m).id());
   }
+
+  int n;
+  World w;
+  std::vector<bcl::PortId> members;
+  std::vector<std::unique_ptr<CollPort>> ports;
+  std::vector<std::optional<BclErr>> result;
+  std::vector<bool> returned;
+  std::vector<Time> returned_at;
+  std::optional<Time> crashed_at;
 
   bcl::Mcp& mcp(int m) { return w.cluster().node(m).mcp(); }
   bcl::coll::CollectiveEngine& coll(int m) { return mcp(m).coll(); }
@@ -70,15 +85,16 @@ struct Battery {
   // Crashes member `victim`'s MCP `delay` after `armed()` first holds.
   void crash_when(int victim, std::function<bool()> armed, Time delay) {
     w.engine().spawn([](sim::Engine& eng, bcl::Mcp& mcp,
-                        std::function<bool()> armed,
-                        Time delay) -> Task<void> {
+                        std::function<bool()> armed, Time delay,
+                        std::optional<Time>& crashed_at) -> Task<void> {
       while (!armed()) {
         if (eng.now() > kProbeDeadline) co_return;
         co_await eng.sleep(Time::ns(100));
       }
       co_await eng.sleep(delay);
+      crashed_at = eng.now();
       mcp.crash();
-    }(w.engine(), mcp(victim), std::move(armed), delay));
+    }(w.engine(), mcp(victim), std::move(armed), delay, crashed_at));
   }
 
   void run(std::function<Task<std::optional<BclErr>>(World&, CollPort&, int)>
@@ -92,12 +108,18 @@ struct Battery {
       result[static_cast<std::size_t>(m)] =
           co_await op(world, *ports[static_cast<std::size_t>(m)], m);
       returned[static_cast<std::size_t>(m)] = true;
+      returned_at[static_cast<std::size_t>(m)] = world.engine().now();
     });
   }
 
   void expect_drained(int crashed, std::optional<BclErr> crashed_err) {
-    for (int m = 0; m < kNodes; ++m) {
-      EXPECT_TRUE(returned[static_cast<std::size_t>(m)]) << "member " << m;
+    for (int m = 0; m < n; ++m) {
+      const auto i = static_cast<std::size_t>(m);
+      EXPECT_TRUE(returned[i]) << "member " << m;
+      if (returned[i] && crashed_at) {
+        EXPECT_LE(returned_at[i], *crashed_at + kOpTimeout + kReturnSlack)
+            << "member " << m;
+      }
       EXPECT_EQ(coll(m).pending_ops(), 0u) << "member " << m;
     }
     EXPECT_TRUE(mcp(crashed).crashed());
@@ -125,6 +147,29 @@ TEST(CollCrashMidSuspension, BcastRootBetweenFragmentDmas) {
   for (int m = 1; m < kNodes; ++m) {
     EXPECT_EQ(b.result[static_cast<std::size_t>(m)], BclErr::kPeerUnreachable)
         << "member " << m;
+  }
+}
+
+// 1b. The broadcast root dies 8 us after its engine takes the post, before
+// some receivers hold a fragment: those have no pending entry, so no
+// watchdog of their own.  The member that finds the failure must tell
+// them without passing through the dead root.  On a 4-node crossbar and
+// a 16-node 4x4 mesh.
+TEST(CollCrashMidSuspension, BcastRootBeforeEveryReceiverHoldsAFragment) {
+  for (const bool mesh : {false, true}) {
+    Battery b{mesh ? 16 : kNodes, mesh};
+    b.crash_when(
+        0,
+        [&b] { return b.mcp(0).recorder().count(NicEvent::kCollPost) > 0; },
+        Time::us(8));
+    b.run(bcast_from_0);
+    SCOPED_TRACE(mesh ? "4x4 mesh" : "crossbar");
+    b.expect_drained(0, BclErr::kPeerRestarted);
+    for (int m = 1; m < b.n; ++m) {
+      EXPECT_EQ(b.result[static_cast<std::size_t>(m)],
+                BclErr::kPeerUnreachable)
+          << "member " << m;
+    }
   }
 }
 
@@ -191,6 +236,7 @@ TEST(CollCrashMidSuspension, WatchdogGroupFailureOnCrashingMember) {
   bool crashing = false;
   b.mcp(1).set_diagnosis_hook(
       [&b, &crashing](const std::string&, int, const std::string&) {
+        if (!crashing) b.crashed_at = b.w.engine().now();
         crashing = true;
         // Behind the watchdog's own work at this instant: the failure has
         // started completing the barrier when the MCP dies.

@@ -4,6 +4,9 @@
 // pages or credits).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "bcl/bcl.hpp"
@@ -332,14 +335,51 @@ TEST(FlowControl, PeerFailureSurfacesAsCompletion) {
 // credit updates never move the limit backwards, including across the
 // 2^32 wrap.
 // ---------------------------------------------------------------------------
-TEST(FlowControl, GrantSerialArithmetic) {
+// A FlowController on a bare engine, without an MCP: `free` stands in for
+// the NIC's ports, each one's count of free system-pool slots.
+struct Ledgers {
+  explicit Ledgers(const bcl::CostConfig& c) : cfg{c} {}
+
+  // The grant a packet toward `node` carries (credit_port 0xffff: none).
+  hw::Packet piggyback(hw::NodeId node) {
+    hw::Packet p;
+    p.dst_node = node;
+    fc.attach_grant(p);
+    return p;
+  }
+  // `n` messages from `src` land in `port`'s pool.
+  void deliver(std::uint32_t port, hw::NodeId src, int n) {
+    for (int i = 0; i < n; ++i) fc.on_delivered(port, src);
+  }
+  // Ledger (port, src), or a zeroed one when there is none.
+  bcl::FlowController::Ledger ledger(std::uint32_t port,
+                                     hw::NodeId src) const {
+    const auto it = fc.ledgers().find({port, src});
+    return it == fc.ledgers().end() ? bcl::FlowController::Ledger{}
+                                    : it->second;
+  }
+
+  const bcl::CostConfig cfg;
   sim::Engine eng;
+  sim::Trace trace{eng};
+  sim::MetricRegistry reg;
+  bcl::FlightRecorder recorder{0};
+  std::map<std::uint32_t, std::uint32_t> free;
+  bcl::FlowController fc{
+      eng, cfg, "nic0", trace, reg, recorder,
+      [this](std::uint32_t port) -> std::optional<std::uint32_t> {
+        const auto it = free.find(port);
+        if (it == free.end()) return std::nullopt;
+        return it->second;
+      }};
+};
+
+TEST(FlowControl, GrantSerialArithmetic) {
   bcl::CostConfig cfg;
   cfg.fc_initial_credits = 2;
   cfg.sys_slots = 64;
-  sim::Trace trace{eng};
-  sim::MetricRegistry reg;
-  bcl::FlowController fc{eng, cfg, "nic0", trace, reg};
+  Ledgers rig{cfg};
+  bcl::FlowController& fc = rig.fc;
   const PortId dst{1, 0};
 
   EXPECT_TRUE(fc.try_consume(dst));
@@ -363,7 +403,8 @@ TEST(FlowControl, GrantSerialArithmetic) {
   // step under 2^31, as RFC 1982 requires), then grant across zero.  The
   // limit must move forward through the wrap rather than clamping, and a
   // grant from before the wrap must read as stale afterwards.
-  bcl::FlowController fc2{eng, cfg, "nic1", trace, reg};
+  Ledgers rig2{cfg};
+  bcl::FlowController& fc2 = rig2.fc;
   const PortId d2{2, 0};
   fc2.on_grant(d2, 0x7ffffff0u);
   fc2.on_grant(d2, 0xfffffff0u);
@@ -372,6 +413,99 @@ TEST(FlowControl, GrantSerialArithmetic) {
   EXPECT_EQ(fc2.available(d2), 4u);
   fc2.on_grant(d2, 0xfffffff0u);  // pre-wrap grant is now stale
   EXPECT_EQ(fc2.available(d2), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// The receiver's ledgers, driven without an MCP.
+// ---------------------------------------------------------------------------
+
+// A grant tops a ledger up to min(initial, free slots) outstanding, never
+// past it, and rides the first packet toward the sender; a packet toward a
+// node with no ledger, or whose ledger's port is gone, carries none.
+TEST(FlowLedger, TopUpStopsAtInitialOrFreeSlots) {
+  bcl::CostConfig cfg;
+  cfg.fc_initial_credits = 4;
+  Ledgers rig{cfg};
+  rig.free[0] = 10;
+  rig.deliver(0, 1, 3);  // limit 4, delivered 3: one outstanding
+  hw::Packet p = rig.piggyback(1);
+  EXPECT_EQ(p.credit_port, 0u);
+  EXPECT_EQ(p.credit_limit, 7u) << "capped by the initial allowance";
+  EXPECT_EQ(rig.recorder.count(bcl::NicEvent::kCreditGranted), 3u);
+
+  rig.deliver(0, 1, 2);  // two outstanding
+  rig.free[0] = 2;
+  EXPECT_EQ(rig.piggyback(1).credit_limit, 7u) << "two free: nothing new";
+  rig.free[0] = 3;
+  EXPECT_EQ(rig.piggyback(1).credit_limit, 8u) << "capped by free slots";
+  EXPECT_EQ(rig.recorder.count(bcl::NicEvent::kCreditGranted), 4u);
+
+  EXPECT_EQ(rig.piggyback(2).credit_port, 0xffffu);  // no ledger
+  rig.free.erase(0);
+  EXPECT_EQ(rig.piggyback(1).credit_port, 0xffffu);  // port gone
+}
+
+// The doorbell sends a standalone update to a starved sender for a single
+// credit, but to a sender that still holds credits only once a whole
+// fc_credit_batch accumulated; smaller grants wait for a piggyback ride.
+TEST(FlowLedger, StandaloneUpdateWhenStarvedOrAtBatch) {
+  bcl::CostConfig cfg;
+  cfg.fc_initial_credits = 8;
+  cfg.fc_credit_batch = 4;
+  Ledgers rig{cfg};
+  rig.free[0] = 1;
+  rig.deliver(0, 1, 8);  // starved
+  EXPECT_EQ(rig.fc.doorbell(0), std::vector<hw::NodeId>{1});
+  EXPECT_EQ(rig.ledger(0, 1).limit, 9u);
+
+  rig.free[1] = 8;
+  rig.deliver(1, 2, 3);  // five outstanding: a grant of three
+  EXPECT_TRUE(rig.fc.doorbell(1).empty());
+  EXPECT_EQ(rig.ledger(1, 2).limit, 11u);
+  rig.deliver(1, 2, 4);  // four outstanding: a grant of four
+  EXPECT_EQ(rig.fc.doorbell(1), std::vector<hw::NodeId>{2});
+  EXPECT_EQ(rig.ledger(1, 2).limit, 15u);
+}
+
+// Three senders starve one pool and each doorbell frees one slot: every
+// sender is owed an update each time, and each is first in turn.
+TEST(FlowLedger, DoorbellRotatesItsScanStart) {
+  bcl::CostConfig cfg;
+  cfg.fc_initial_credits = 2;
+  Ledgers rig{cfg};
+  rig.free[0] = 1;
+  for (const hw::NodeId src : {1u, 2u, 3u}) rig.deliver(0, src, 2);
+  std::vector<hw::NodeId> first;
+  for (int round = 0; round < 6; ++round) {
+    const std::vector<hw::NodeId> owed = rig.fc.doorbell(0);
+    ASSERT_EQ(owed.size(), 3u) << "round " << round;
+    first.push_back(owed.front());
+    for (const hw::NodeId src : {1u, 2u, 3u}) rig.deliver(0, src, 1);
+  }
+  EXPECT_EQ(first, (std::vector<hw::NodeId>{1, 2, 3, 1, 2, 3}));
+}
+
+// A peer restart resets both halves toward that node; a fresh handshake
+// only the receiver's.  Other nodes keep theirs.
+TEST(FlowLedger, RestartResetsBothHalvesHandshakeOnlyTheReceiver) {
+  Ledgers rig{bcl::CostConfig{}};
+  rig.free[0] = 64;
+  for (const hw::NodeId node : {1u, 2u}) {
+    rig.deliver(0, node, 1);
+    EXPECT_TRUE(rig.fc.try_consume(PortId{node, 0}));
+  }
+  const auto holds = [&rig](hw::NodeId node) {
+    return std::make_pair(rig.fc.senders().count(PortId{node, 0}) == 1,
+                          rig.ledger(0, node).delivered > 0);
+  };
+  rig.fc.reset_receiver(1);
+  EXPECT_EQ(holds(1), std::make_pair(true, false));
+  EXPECT_EQ(holds(2), std::make_pair(true, true));
+  rig.deliver(0, 1, 1);
+  rig.fc.reset_node(1);
+  EXPECT_EQ(holds(1), std::make_pair(false, false));
+  EXPECT_EQ(holds(2), std::make_pair(true, true));
+  EXPECT_EQ(rig.fc.available(PortId{1, 0}), rig.fc.initial());
 }
 
 }  // namespace

@@ -306,7 +306,7 @@ TEST(Recovery, CreditUpdateParkedOnPacerSurvivesRestart) {
     c.node(0).mcp().fc_probe(dst);
     co_await c.engine().sleep(Time::us(100));  // probe in, update parked
     EXPECT_EQ(receiver.recorder().count(bcl::NicEvent::kCreditProbeRx), 1u);
-    EXPECT_EQ(receiver.rx_credit_snapshot().size(), 1u);
+    EXPECT_EQ(receiver.flow().ledgers().size(), 1u);
     receiver.crash();
     co_await c.node(1).driver().reset_nic();
   }(c, rx.id()));
@@ -315,7 +315,7 @@ TEST(Recovery, CreditUpdateParkedOnPacerSurvivesRestart) {
   const bcl::Mcp& receiver = c.node(1).mcp();
   EXPECT_FALSE(receiver.crashed());
   EXPECT_EQ(receiver.recorder().count(bcl::NicEvent::kCreditUpdateTx), 0u);
-  EXPECT_TRUE(receiver.rx_credit_snapshot().empty());
+  EXPECT_TRUE(receiver.flow().ledgers().empty());
 }
 
 // ---------------------------------------------------------------------------
