@@ -304,8 +304,9 @@ PartitionResult run_partition() {
   if (!c.postmortems().empty()) {
     const auto& pm = c.postmortems().front();
     pr.postmortem_partitioned = pm.reason == "partitioned";
-    for (const auto& d : pm.path_table) {
-      if (d.dst != kDst) continue;
+    const auto it = pm.path_table.find(kDst);
+    if (it != pm.path_table.end()) {
+      const auto& d = it->second;
       bool all_quarantined = !d.paths.empty();
       for (const auto& p : d.paths) {
         if (!p.quarantined || p.total_strikes == 0) all_quarantined = false;

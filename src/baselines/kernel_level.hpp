@@ -32,7 +32,6 @@ struct KlConfig {
   sim::Time nic_rx_proc = sim::Time::us(1.0);
   std::size_t mtu = 4096;
   int pio_desc_words = 4;
-  std::size_t event_bytes = 32;
 };
 
 class KlSocket;

@@ -8,16 +8,26 @@
 
 namespace bcl::cc {
 
+namespace {
+
+// Alpha below this is "no recent congestion": one echo sets alpha to
+// cc_g (1/16) and quiet epochs decay it by (1-g) each, so shaping stays
+// on for ~2 dozen epochs (~1.5 ms) after the last mark, then the
+// destination goes back to being wire-clocked.
+constexpr double kQuietAlpha = 0.01;
+
+}  // namespace
+
 CongestionController::CongestionController(sim::Engine& eng,
                                            const CostConfig& cfg,
                                            std::string name,
                                            sim::Trace& trace,
                                            sim::MetricRegistry& metrics,
                                            FlightRecorder& recorder)
-    : cfg_{cfg},
+    : eng_{eng},
+      cfg_{cfg},
       name_{std::move(name)},
       prefix_{name_ + ".cc."},
-      pacer_{eng, cfg},
       trace_{trace},
       recorder_{recorder} {
   metrics.add_collector([this](sim::MetricSink& out) { collect(out); });
@@ -25,7 +35,7 @@ CongestionController::CongestionController(sim::Engine& eng,
 
 void CongestionController::on_accepted(const hw::Packet& p) {
   EchoWindow& w = windows_[p.src_node];
-  if (w.accepted == 0) w.start = pacer_.engine().now();
+  if (w.accepted == 0) w.start = eng_.now();
   ++w.accepted;
   if (p.ecn) {
     ++w.marked;
@@ -49,7 +59,7 @@ void CongestionController::attach_echo(hw::Packet& p) {
   // QCN-style quantization: let the window fill before judging it — an
   // echo per ack would make every sample binary (1 packet, marked or not).
   if (w.accepted == 0 ||
-      pacer_.engine().now() - w.start < cfg_.cc_echo_window) {
+      eng_.now() - w.start < cfg_.cc_echo_window) {
     return;
   }
   if (w.marked == 0) {
@@ -84,20 +94,92 @@ void CongestionController::trace_rate(hw::NodeId dst, const RateState& s) {
   trace_.counter("cc." + name_, "alpha.n" + std::to_string(dst), s.alpha);
 }
 
+// Lazy epoch advance.  Epochs elapse purely arithmetically (no per-epoch
+// loop, so a destination idle for seconds is caught up in O(1)): n quiet
+// epochs decay alpha by (1-g)^n and recover n * cc_ai_rate of rate, clamped
+// to line rate.  Echo-driven decreases happen in on_echo, between ticks;
+// the tick only ever recovers.
+void CongestionController::tick(RateState& s) {
+  const sim::Time now = eng_.now();
+  const double epoch_us = cfg_.cc_epoch.to_us();
+  if (epoch_us <= 0.0) return;
+  const auto n = static_cast<std::int64_t>(
+      (now - s.last_epoch).to_us() / epoch_us);
+  if (n <= 0) return;
+  s.last_epoch += cfg_.cc_epoch * static_cast<double>(n);
+  double decay = 1.0;
+  for (std::int64_t i = 0; i < std::min<std::int64_t>(n, 64); ++i) {
+    decay *= 1.0 - cfg_.cc_g;  // (1-g)^min(n,64); beyond that alpha ~ 0
+  }
+  s.alpha *= decay;
+  if (s.rate < cfg_.cc_line_rate && cfg_.cc_ai_rate > 0.0) {
+    // Count only the AI steps that moved the rate: recovery may clamp at
+    // line rate partway through the n quiet epochs, and crediting the
+    // remainder would inflate the increases counter (skewing the
+    // postmortem's storming/recovering read of a long-idle destination).
+    const double deficit = cfg_.cc_line_rate - s.rate;
+    const auto effective = std::min<std::int64_t>(
+        n, static_cast<std::int64_t>(std::ceil(deficit / cfg_.cc_ai_rate)));
+    s.rate = std::min(cfg_.cc_line_rate,
+                      s.rate + cfg_.cc_ai_rate * static_cast<double>(n));
+    s.increases += static_cast<std::uint64_t>(effective);
+  }
+}
+
+RateState& CongestionController::state(hw::NodeId dst) {
+  RateState& s = rates_[dst];
+  if (s.rate <= 0.0) {
+    s.rate = cfg_.cc_line_rate;  // first touch: start uncongested
+    s.last_epoch = eng_.now();
+  }
+  tick(s);
+  return s;
+}
+
 sim::Task<void> CongestionController::pace(hw::NodeId dst,
                                            std::size_t bytes,
                                            bool reserve) {
-  co_await pacer_.pace(dst, bytes, reserve);
-  trace_rate(dst, pacer_.states().at(dst));
+  RateState& s = state(dst);
+  ++s.paced_packets;
+  if (!reserve && s.rate >= cfg_.cc_line_rate && s.alpha < kQuietAlpha) {
+    // No congestion signal on this destination: the wire is the clock, so
+    // session traffic must not charge the cursor.  The cursor tracks
+    // reservations, not transmissions — a window-gated burst would push it
+    // ahead of the NIC tx queue's actual drain (per-packet overhead makes
+    // the wire slower than bytes/line), and a later retransmit would then
+    // pay that phantom debt, turning one lost packet into a dup-ack storm.
+    // The cursor is still a fence, though: if always-reserve traffic (a
+    // window replay, collective fan-out) holds outstanding reservations,
+    // wait them out — overtaking a paced replay through the tx mutex
+    // reorders the flow past the go-back-N hole and manufactures dup acks.
+    // Re-check after each sleep: an in-flight replay keeps charging the
+    // cursor while we wait, and leaving early would still overtake it.
+    while (s.next_tx > eng_.now()) {
+      const sim::Time wait = s.next_tx - eng_.now();
+      s.paced_wait += wait;
+      co_await eng_.sleep(wait);
+    }
+  } else {
+    const sim::Time now = eng_.now();
+    const sim::Time start = std::max(s.next_tx, now);
+    s.next_tx = start + sim::Time::bytes_at(bytes, s.rate);
+    if (start > now) {
+      s.paced_wait += start - now;
+      co_await eng_.sleep(start - now);
+    }
+  }
+  trace_rate(dst, s);
 }
 
 sim::Time CongestionController::stagger_delay(hw::NodeId dst) {
-  return pacer_.stagger_delay(dst);
+  const RateState& s = state(dst);
+  const sim::Time now = eng_.now();
+  return s.next_tx > now ? s.next_tx - now : sim::Time::zero();
 }
 
 sim::Time CongestionController::drain_time(hw::NodeId dst,
                                            std::size_t bytes) {
-  return pacer_.drain_time(dst, bytes);
+  return sim::Time::bytes_at(bytes, state(dst).rate);
 }
 
 void CongestionController::on_echo(hw::NodeId dst, std::uint8_t echo) {
@@ -111,11 +193,11 @@ void CongestionController::on_echo(hw::NodeId dst, std::uint8_t echo) {
     f = std::min(1.0, static_cast<double>(echo) /
                           static_cast<double>(cfg_.cc_feedback_levels));
   }
-  RateState& s = pacer_.state(dst);  // lazy-ticks the epoch clock first
+  RateState& s = state(dst);  // lazy-ticks the epoch clock first
   ++s.echoes;
   s.alpha = (1.0 - cfg_.cc_g) * s.alpha + cfg_.cc_g * f;
   s.feedback = f;
-  const sim::Time now = pacer_.engine().now();
+  const sim::Time now = eng_.now();
   // At most one multiplicative decrease per epoch: a burst of echoes from
   // one congested window must not collapse the rate to the floor in one
   // step — DCQCN's rate-decrease timer, lazy-ticked.
@@ -133,15 +215,15 @@ void CongestionController::on_echo(hw::NodeId dst, std::uint8_t echo) {
 void CongestionController::collect(sim::MetricSink& out) const {
   std::uint64_t echoes = 0, decreases = 0, increases = 0, paced = 0;
   double paced_wait_us = 0;
-  double throttled = 0;
+  double throttled_peers = 0;
   double min_rate = cfg_.cc_line_rate;
-  for (const auto& [dst, s] : pacer_.states()) {
+  for (const auto& [dst, s] : rates_) {
     echoes += s.echoes;
     decreases += s.decreases;
     increases += s.increases;
     paced += s.paced_packets;
     paced_wait_us += s.paced_wait.to_us();
-    if (s.rate < 0.9 * cfg_.cc_line_rate) ++throttled;
+    if (throttled(s)) ++throttled_peers;
     min_rate = std::min(min_rate, s.rate);
   }
   out.counter(prefix_ + "echoes_rx", echoes);
@@ -149,7 +231,7 @@ void CongestionController::collect(sim::MetricSink& out) const {
   out.counter(prefix_ + "increases", increases);
   out.counter(prefix_ + "paced_packets", paced);
   out.gauge(prefix_ + "paced_wait_us", paced_wait_us);
-  out.gauge(prefix_ + "throttled_peers", throttled);
+  out.gauge(prefix_ + "throttled_peers", throttled_peers);
   out.gauge(prefix_ + "min_rate_mbps", min_rate / 1e6);
 }
 

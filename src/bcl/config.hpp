@@ -32,7 +32,6 @@ struct CostConfig {
   sim::Time mcp_ack_proc = sim::Time::us(0.30);
   sim::Time mcp_rma_proc = sim::Time::us(0.80);
   sim::Time mcp_event_proc = sim::Time::us(0.50);  // build a completion event
-  std::size_t event_bytes = 32;                    // completion record size
   // The 32-byte completion-event write is interleaved by the LANai between
   // data cells, so it does not queue behind an in-flight payload DMA.
   sim::Time event_dma = sim::Time::us(0.75);
@@ -98,9 +97,6 @@ struct CostConfig {
   // Backoff hint carried in RNR-NACKs: how long the sender's session holds
   // retransmission before probing the pool again.
   sim::Time fc_rnr_backoff = sim::Time::us(150);
-  // Default deadline for blocking sends waiting on credits; zero means
-  // block until credits arrive (Endpoint::send_deadline overrides per call).
-  sim::Time fc_send_deadline = sim::Time::zero();
   // The kernel's credit check reads a host-memory credit word the MCP
   // keeps fresh by DMA (no PIO read on the fast path).
   sim::Time fc_check = sim::Time::us(0.05);

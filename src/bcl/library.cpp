@@ -42,7 +42,7 @@ sim::Task<Result<std::uint64_t>> Endpoint::send(PortId dst, ChannelRef ch,
                                                 const osk::UserBuffer& buf,
                                                 std::size_t len,
                                                 std::size_t off) {
-  co_return co_await send_impl(dst, ch, buf, len, off, cfg_.fc_send_deadline,
+  co_return co_await send_impl(dst, ch, buf, len, off, sim::Time::zero(),
                                false);
 }
 

@@ -39,8 +39,7 @@ class Endpoint {
   // Sends buf[off, off+len) to (dst, channel).  Same-node destinations take
   // the shared-memory path automatically.  Out of send credits toward dst,
   // the call blocks (polling the user-mapped credit word, no traps) until
-  // credits return — or until cfg.fc_send_deadline if that is nonzero, in
-  // which case it returns kWouldBlock.
+  // credits return; send_deadline bounds that wait.
   //
   // Crash–restart semantics: if either end's MCP fail-stops while the
   // message is in flight, the send completes exactly once with

@@ -154,11 +154,9 @@ TxSession& Mcp::tx_session(hw::NodeId dst) {
     const bool handshake =
         needs_syn_.count(dst) != 0 || nic_.incarnation() > 0;
     needs_syn_.erase(dst);
-    SessionOwner* owner = this;
-    s = std::make_unique<TxSession>(eng_, nic_, cfg_, seed, handshake, owner,
-                                    dst);
-    s->set_telemetry(&recorder_, &trace_);
-    s->set_cc(cc_.get());
+    SessionOwner& owner = *this;  // a private base: convert it here
+    s = std::make_unique<TxSession>(eng_, nic_, cfg_, owner, dst, *cc_,
+                                    recorder_, trace_, seed, handshake);
     // Multipath: when the fabric offers alternative routes toward dst,
     // track their health and let RTO strikes — never ECN marks or
     // congestion-inflated RTTs — rotate the session across paths.  A

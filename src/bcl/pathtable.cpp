@@ -85,18 +85,4 @@ std::uint64_t PathTable::quarantined_count() const {
   return n;
 }
 
-std::vector<PathTable::DestSnapshot> PathTable::snapshot() const {
-  std::vector<DestSnapshot> out;
-  out.reserve(dests_.size());
-  for (const auto& [dst, d] : dests_) {
-    DestSnapshot s;
-    s.dst = dst;
-    s.current = d.current;
-    s.partitioned = d.partitioned;
-    s.paths = d.paths;
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
 }  // namespace bcl

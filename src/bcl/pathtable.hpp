@@ -38,9 +38,10 @@ class PathTable {
     sim::Time quarantined_at = sim::Time::zero();
   };
 
-  struct DestSnapshot {
-    hw::NodeId dst = 0;
-    std::uint8_t current = hw::kDefaultPath;
+  // One tracked destination: the path its session rides, the partition
+  // verdict, and every path's health.
+  struct Dest {
+    std::uint8_t current = 0;
     bool partitioned = false;
     std::vector<PathState> paths;
   };
@@ -88,7 +89,8 @@ class PathTable {
 
   bool is_quarantined(hw::NodeId dst, std::uint8_t path) const;
 
-  std::vector<DestSnapshot> snapshot() const;
+  // Every tracked destination (the post-mortem copies it).
+  const std::map<hw::NodeId, Dest>& dests() const { return dests_; }
 
   // MCP fail-stop: SRAM contents are gone.  The lifecycle counts are the
   // MCP's NIC events (path.failovers, .restores, .partitions), which
@@ -98,12 +100,6 @@ class PathTable {
   std::uint64_t quarantined_count() const;
 
  private:
-  struct Dest {
-    std::uint8_t current = 0;
-    bool partitioned = false;
-    std::vector<PathState> paths;
-  };
-
   sim::Engine& eng_;
   int failover_retries_;
   std::map<hw::NodeId, Dest> dests_;

@@ -28,19 +28,15 @@ bool is_retx_kind(NicEvent k) {
          k == NicEvent::kFastRetransmit;
 }
 
-// Diagnoses one destination's rate state (see Postmortem::CcRate).  The
-// 0.9*line threshold separates "still at line" from "meaningfully cut":
-// a single epoch's multiplicative decrease at small alpha lands above it,
-// so one stray mark does not flip a healthy destination to throttled.
-// "storming" is reserved for a sender that resent without ever cutting —
-// a throttled sender that recovered to line after a handful of resends
-// responded to the congestion and must not carry the storm verdict.
+// Diagnoses one destination's rate state (see Postmortem::CcRate), given
+// whether the controller counts it as throttled.  "storming" is reserved
+// for a sender that resent without ever cutting — a throttled sender that
+// recovered to line after a handful of resends responded to the
+// congestion and must not carry the storm verdict.
 const char* classify_cc(const cc::RateState& r, std::uint64_t retx,
-                        double line) {
-  if (r.decreases > 0 && r.rate < 0.9 * line) return "throttled-recovering";
-  if (retx > 0 && r.decreases == 0 && r.rate >= 0.9 * line) {
-    return "storming";
-  }
+                        bool throttled) {
+  if (r.decreases > 0 && throttled) return "throttled-recovering";
+  if (retx > 0 && r.decreases == 0 && !throttled) return "storming";
   return "clean";
 }
 
@@ -93,11 +89,11 @@ std::string Postmortem::to_json() const {
   }
   os << (sessions.empty() ? "]" : "\n  ]") << ",\n";
 
+  const char* sep = "\n";
   os << "  \"path_table\": [";
-  for (std::size_t i = 0; i < path_table.size(); ++i) {
-    const auto& d = path_table[i];
-    os << (i ? ",\n" : "\n");
-    os << "    {\"dst\": " << d.dst << ", \"current\": "
+  for (const auto& [dst, d] : path_table) {
+    os << std::exchange(sep, ",\n");
+    os << "    {\"dst\": " << dst << ", \"current\": "
        << static_cast<int>(d.current) << ", \"partitioned\": "
        << (d.partitioned ? "true" : "false") << ", \"paths\": [";
     for (std::size_t j = 0; j < d.paths.size(); ++j) {
@@ -128,7 +124,7 @@ std::string Postmortem::to_json() const {
   }
   os << (cc_rates.empty() ? "]" : "\n  ]") << ",\n";
 
-  const char* sep = "";
+  sep = "";
   os << "  \"send_credits\": [";
   for (const auto& [dst, c] : send_credits) {
     os << std::exchange(sep, ", ") << "{\"node\": " << dst.node
@@ -208,18 +204,18 @@ Postmortem build_postmortem(BclCluster& cluster, hw::NodeId node,
 
   Mcp& mcp = cluster.node(node).mcp();
   pm.sessions = mcp.session_snapshot();
-  pm.path_table = mcp.path_table().snapshot();
+  pm.path_table = mcp.path_table().dests();
 
   // Rate-controller verdict per destination: correlate the cc snapshot
   // with the go-back-N ledgers so a reader can tell a sender that was
   // throttled (and is recovering) from one that stormed unthrottled.
   std::map<hw::NodeId, std::uint64_t> retx_by_peer;
   for (const auto& s : pm.sessions) retx_by_peer[s.peer] = s.retransmissions;
-  const double line = mcp.cc().cfg().cc_line_rate;
   for (const auto& [dst, r] : mcp.cc().rates()) {
     const auto it = retx_by_peer.find(dst);
     const std::uint64_t retx = it == retx_by_peer.end() ? 0 : it->second;
-    pm.cc_rates.push_back({dst, r, classify_cc(r, retx, line)});
+    pm.cc_rates.push_back(
+        {dst, r, classify_cc(r, retx, mcp.cc().throttled(r))});
   }
 
   pm.send_credits = mcp.flow().senders();

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -40,7 +41,7 @@ struct Postmortem {
   // Per-destination multipath health from the diagnosing node: current
   // path, partition verdict, and the per-path strike history.  Empty on
   // single-switch fabrics (no alternative paths to track).
-  std::vector<PathTable::DestSnapshot> path_table;
+  std::map<hw::NodeId, PathTable::Dest> path_table;
 
   // Per-destination rate-controller state from the diagnosing node, each
   // with a coarse diagnosis: "storming" (retransmit traffic while the rate

@@ -9,8 +9,9 @@
 namespace bcl {
 
 TxSession::TxSession(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
-                     std::uint64_t seed, bool handshake,
-                     SessionOwner* owner, hw::NodeId peer)
+                     SessionOwner& owner, hw::NodeId peer,
+                     cc::CongestionController& cc, FlightRecorder& recorder,
+                     sim::Trace& trace, std::uint64_t seed, bool handshake)
     : eng_{eng},
       nic_{nic},
       cfg_{cfg},
@@ -20,7 +21,10 @@ TxSession::TxSession(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
       last_ack_{cfg.first_seq - 1},
       established_{eng},
       owner_{owner},
-      peer_{peer} {
+      peer_{peer},
+      cc_{cc},
+      recorder_{recorder},
+      trace_{trace} {
   if (!handshake) established_.open();
 }
 
@@ -45,7 +49,7 @@ sim::Task<BclErr> TxSession::send(hw::Packet p) {
   // egress); only the session-originated resends pace inside the session.
   p.seq = next_seq_++;
   p.tx_stamp = eng_.now();
-  stamp_path(p);
+  p.path_id = owner_.path(peer_);
   rec(NicEvent::kSend, p.msg_id, p.seq);
   if (unacked_.empty()) last_progress_ = eng_.now();
   unacked_.push_back({p, eng_.now(), false});  // retransmit copy
@@ -97,7 +101,7 @@ void TxSession::on_ack(std::uint32_t ack, sim::Time echo_stamp) {
     dup_acks_ = 0;
     backoff_level_ = 0;
     consecutive_timeouts_ = 0;
-    if (owner_ != nullptr) owner_->progress(peer_);
+    owner_.progress(peer_);
     if (in_recovery_ && seq_leq(recover_, ack)) in_recovery_ = false;
     window_.release(released);
     rec(NicEvent::kAckRx, 0, ack, static_cast<std::uint64_t>(released));
@@ -142,7 +146,7 @@ void TxSession::on_rnr(std::uint32_t ack, sim::Time hold) {
   consecutive_timeouts_ = 0;
   backoff_level_ = 0;
   dup_acks_ = 0;
-  if (owner_ != nullptr) owner_->progress(peer_);
+  owner_.progress(peer_);
   last_progress_ = eng_.now();
   if (hold <= sim::Time::zero()) hold = cfg_.fc_rnr_backoff;
   rnr_hold_until_ = eng_.now() + hold;
@@ -181,7 +185,7 @@ sim::Task<void> TxSession::timer() {
       // the retry budget: a rotation hands the fresh path a fresh
       // escalation ladder, so a single dead spine is survived well before
       // the budget ripens into a peer-failure verdict.
-      if (owner_ != nullptr && owner_->strike(peer_)) {
+      if (owner_.strike(peer_)) {
         consecutive_timeouts_ = 0;
         backoff_level_ = 0;
       }
@@ -224,30 +228,26 @@ sim::Task<void> TxSession::retransmit_window() {
     if (unreachable_) break;
     auto it = find_seq(s);
     if (it == unacked_.end()) continue;  // acked while we were suspended
-    if (cc_ != nullptr) {
-      // Retransmissions launch through the pacer too — this is the loop
-      // that otherwise becomes a storm: every timeout replays the whole
-      // window into the very link that is dropping for congestion.  Once
-      // echoes have raised alpha the pacer charges and spaces the replay;
-      // toward a quiet destination it is wire-clocked like any first
-      // transmission (spacing a replay the wire would space anyway only
-      // reorders it against concurrent launches).
-      co_await cc_->pace(it->pkt.dst_node, it->pkt.wire_bytes());
-      if (unreachable_) break;
-      it = find_seq(s);
-      if (it == unacked_.end()) continue;  // acked during the paced wait
-    }
+    // Retransmissions launch through the pacing cursor too — this is the
+    // loop that otherwise becomes a storm: every timeout replays the whole
+    // window into the very link that is dropping for congestion.  Once
+    // echoes have raised alpha the controller charges and spaces the
+    // replay; toward a quiet destination it is wire-clocked like any first
+    // transmission (spacing a replay the wire would space anyway only
+    // reorders it against concurrent launches).
+    co_await cc_.pace(it->pkt.dst_node, it->pkt.wire_bytes());
+    if (unreachable_) break;
+    it = find_seq(s);
+    if (it == unacked_.end()) continue;  // acked during the paced wait
     hw::Packet copy = it->pkt;
     copy.retransmitted = true;  // per-link retransmit heat
     copy.tx_stamp = eng_.now();  // the echo samples THIS copy's round trip
     // Re-stamp the path: after a failover the whole in-window replay must
     // ride the new route, not the dead one the copies were born with.
-    stamp_path(copy);
+    copy.path_id = owner_.path(peer_);
     ++retransmissions_;
     rec(NicEvent::kRetransmit, copy.msg_id, s);
-    if (trace_ != nullptr) {
-      trace_->msg_retransmit(flow_key(nic_.node(), copy.msg_id));
-    }
+    trace_.msg_retransmit(flow_key(nic_.node(), copy.msg_id));
     co_await nic_.transmit(std::move(copy));
   }
   last_progress_ = eng_.now();
@@ -285,13 +285,13 @@ sim::Time TxSession::effective_rto() {
   // Drain-aware allowance: at the congestion-controlled floor the unacked
   // window's serialization alone (16 x ~4KB at 8 MB/s ~ 8 ms) exceeds
   // rto_max, so a throttled destination would fire guaranteed-spurious
-  // timeouts forever.  The pacer's drain time is added on top of the
-  // clamped backoff RTO, not folded into it, so the clamp still bounds the
+  // timeouts forever.  The drain time is added on top of the clamped
+  // backoff RTO, not folded into it, so the clamp still bounds the
   // loss-detection component.
-  if (cc_ != nullptr && !unacked_.empty()) {
+  if (!unacked_.empty()) {
     std::size_t bytes = 0;
     for (const auto& o : unacked_) bytes += o.pkt.wire_bytes();
-    r += cc_->drain_time(peer_, bytes);
+    r += cc_.drain_time(peer_, bytes);
   }
   return r;
 }
@@ -313,7 +313,7 @@ void TxSession::flush_notifies(std::uint32_t ack) {
   while (!notifies_.empty() && seq_leq(notifies_.front().seq, ack)) {
     const TxNotify n = notifies_.front();
     notifies_.pop_front();
-    complete(n, BclErr::kOk);
+    owner_.completed(n, BclErr::kOk);
   }
 }
 
@@ -321,7 +321,7 @@ void TxSession::track(TxNotify n) {
   if (unreachable_) {
     // The teardown flush already ran; this entry raced it (the session
     // died between the final fragment's transmit and its registration).
-    complete(n, fail_err_);
+    owner_.completed(n, fail_err_);
     return;
   }
   notifies_.push_back(std::move(n));
@@ -340,7 +340,7 @@ void TxSession::poison(BclErr err) {
   while (!notifies_.empty()) {
     const TxNotify n = notifies_.front();
     notifies_.pop_front();
-    complete(n, err);
+    owner_.completed(n, err);
   }
   // Wake every sender parked on the window; they observe unreachable_ and
   // fail their sends instead of transmitting into the void.
@@ -351,12 +351,8 @@ void TxSession::poison(BclErr err) {
 
 void TxSession::fail_peer() {
   if (unreachable_) return;
-  if (owner_ == nullptr) {
-    poison(BclErr::kPeerUnreachable);
-    return;
-  }
-  poison(owner_->verdict(peer_));
-  owner_->failed(peer_);
+  poison(owner_.verdict(peer_));
+  owner_.failed(peer_);
 }
 
 }  // namespace bcl

@@ -83,33 +83,29 @@ class SessionOwner {
 
 class TxSession {
  public:
-  // With `handshake` set the session opens un-established: send() parks on
-  // the establishment gate until the MCP's SYN/SYN-ACK exchange completes
-  // (establish()) or the session is poisoned.  Cold-start sessions at
-  // incarnation 0 skip the handshake — both ends begin at cfg.first_seq by
-  // construction, and the extra control packets would perturb the
-  // paper-calibrated baselines.  Without an `owner` the session rides the
-  // default path, dies kPeerUnreachable and resolves completions silently.
+  // The session toward `peer` reaches four collaborators, each outliving
+  // it (the MCP owns them all):
+  //   * `owner` picks the path, judges strikes and the death verdict, and
+  //     resolves tracked completions (SessionOwner above);
+  //   * `cc`, the NIC's congestion controller: every go-back-N resend waits
+  //     on its pacing cursor, so a retransmit storm toward a congested peer
+  //     throttles itself, and the RTO grows by the unacked window's drain
+  //     time at the paced rate, so throttling never manufactures timeouts
+  //     (first launches are paced by the MCP itself, outside the tx mutex);
+  //   * `recorder`, the NIC's flight recorder: every protocol event is
+  //     counted NIC-wide and kept in its ring;
+  //   * `trace`: retransmit episodes are attributed to the victim message's
+  //     MsgRecord.
+  // `seed` starts the backoff-jitter stream.  With `handshake` set the
+  // session opens un-established: send() parks on the establishment gate
+  // until the MCP's SYN/SYN-ACK exchange completes (establish()) or the
+  // session is poisoned.  Cold-start sessions at incarnation 0 skip the
+  // handshake — both ends begin at cfg.first_seq by construction, and the
+  // extra control packets would perturb the paper-calibrated baselines.
   TxSession(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
-            std::uint64_t seed = 1, bool handshake = false,
-            SessionOwner* owner = nullptr, hw::NodeId peer = 0);
-
-  // Observability taps (both optional): protocol events go into the NIC's
-  // recorder, which counts them NIC-wide and keeps them in its flight ring;
-  // retransmit episodes are attributed to the victim message's MsgRecord in
-  // the trace.
-  void set_telemetry(FlightRecorder* rec, sim::Trace* trace) {
-    recorder_ = rec;
-    trace_ = trace;
-  }
-
-  // Optional congestion controller (owned by the MCP).  When set, every
-  // go-back-N resend waits on the per-destination pacer, so a retransmit
-  // storm toward a congested peer throttles itself; and the RTO grows by
-  // the unacked window's drain time at the paced rate, so throttling never
-  // manufactures timeouts.  First launches are paced by the MCP itself,
-  // outside the tx mutex.
-  void set_cc(cc::CongestionController* cc) { cc_ = cc; }
+            SessionOwner& owner, hw::NodeId peer, cc::CongestionController& cc,
+            FlightRecorder& recorder, sim::Trace& trace, std::uint64_t seed,
+            bool handshake);
 
   // Stamps the next sequence number, records a retransmit copy, and
   // transmits.  Blocks while the window is full (and, for handshake
@@ -199,19 +195,9 @@ class TxSession {
   void note_rtt(sim::Time sample);
   // Resolves every ledger entry with seq <= ack as kOk.
   void flush_notifies(std::uint32_t ack);
-  // Resolves one ledger entry through the owner (if any).
-  void complete(const TxNotify& n, BclErr err) {
-    if (owner_ != nullptr) owner_->completed(n, err);
-  }
-  // The path the owner wants stamped on the next outbound packet.
-  void stamp_path(hw::Packet& p) {
-    if (owner_ != nullptr) p.path_id = owner_->path(peer_);
-  }
   void rec(NicEvent kind, std::uint64_t msg_id = 0, std::uint32_t seq = 0,
            std::uint64_t aux = 0) {
-    if (recorder_ != nullptr) {
-      recorder_->record({eng_.now(), kind, peer_, msg_id, seq, aux});
-    }
+    recorder_.record({eng_.now(), kind, peer_, msg_id, seq, aux});
   }
 
   sim::Engine& eng_;
@@ -251,11 +237,11 @@ class TxSession {
   // for handshake sessions.
   sim::Gate established_;
   sim::Fifo<TxNotify> notifies_;  // e2e ledger, seq order
-  SessionOwner* owner_;
+  SessionOwner& owner_;
   hw::NodeId peer_;
-  cc::CongestionController* cc_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
-  sim::Trace* trace_ = nullptr;
+  cc::CongestionController& cc_;
+  FlightRecorder& recorder_;
+  sim::Trace& trace_;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t window_stalls_ = 0;

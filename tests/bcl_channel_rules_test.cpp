@@ -462,6 +462,26 @@ TEST_F(PortUnit, SystemPiecesKeepTheirSlot) {
   EXPECT_EQ(port_.sys_drops(), 1u);
 }
 
+// A channel kind no channel type has is a bad target, refused without
+// counting in any refusal counter.
+TEST_F(PortUnit, UnknownChannelKindIsABadTarget) {
+  const auto unknown = static_cast<ChanKind>(3);
+  EXPECT_EQ(port_.land(piece(unknown, 1, 64, 0, 64), false).err,
+            BclErr::kBadTarget);
+  EXPECT_EQ(port_.sys_drops(), 0u);
+  EXPECT_EQ(port_.not_posted_drops(), 0u);
+  EXPECT_EQ(port_.rma_errors(), 0u);
+  EXPECT_EQ(port_.rnr_events(), 0u);
+}
+
+// An RMA read takes its bytes from an open channel only: any other channel
+// is not bound, counted once in rma_errors.
+TEST_F(PortUnit, RmaReadFromAChannelThatIsNotOpenIsNotBound) {
+  EXPECT_EQ(port_.rma_source(ChannelRef{ChanKind::kNormal, 0}, 0, 64).err,
+            BclErr::kNotBound);
+  EXPECT_EQ(port_.rma_errors(), 1u);
+}
+
 // Without the reliable transport a lost middle packet must not let the
 // last one complete the receive with a hole: the message is cut off and
 // counted once, and the posting stays free for the next message.

@@ -9,12 +9,15 @@
 #include <vector>
 
 #include "bcl/bcl.hpp"
+#include "bcl/cc/controller.hpp"
 #include "bcl/reliable.hpp"
 #include "heap_counter.hpp"
 #include "hw/memory.hpp"
 #include "hw/myrinet_switch.hpp"
 #include "hw/pci.hpp"
+#include "sim/metrics.hpp"
 #include "sim/queue.hpp"
+#include "sim/trace.hpp"
 
 namespace {
 
@@ -224,7 +227,9 @@ TEST(BclReliability, BothDirectionsLossySimultaneously) {
 
 // ---------------------------------------------------------------------------
 // TxSession unit rig: a bare NIC wired to a bounded sink channel, so the
-// retransmission loop genuinely suspends inside nic.transmit mid-window.
+// retransmission loop genuinely suspends inside nic.transmit mid-window,
+// and what every session is built with: a scripted owner and a real
+// flight recorder, trace and congestion controller.
 // ---------------------------------------------------------------------------
 
 class SinkFabric : public hw::Fabric {
@@ -247,52 +252,96 @@ struct TxRecord {
   Time at;
 };
 
+// A scripted two-path owner: strike() rotates to path 1 on its third call;
+// the death verdict is kPartitioned.  Records every callback.
+class TwoPathOwner : public bcl::SessionOwner {
+ public:
+  std::uint8_t path(hw::NodeId) override { return current; }
+  bool strike(hw::NodeId) override {
+    if (++strikes != 3) return false;
+    current = 1;
+    return true;
+  }
+  void progress(hw::NodeId) override { ++progress_calls; }
+  BclErr verdict(hw::NodeId) override { return BclErr::kPartitioned; }
+  void failed(hw::NodeId peer) override { failures.push_back(peer); }
+  void completed(const bcl::TxNotify& n, BclErr err) override {
+    done.emplace_back(n.msg_id, err);
+  }
+
+  std::uint8_t current = 0;
+  int strikes = 0;
+  int progress_calls = 0;
+  std::vector<hw::NodeId> failures;
+  std::vector<std::pair<std::uint64_t, BclErr>> done;
+};
+
+// Set `cost` before session() builds a session from it; the controller
+// reads it live.
+struct SessionRig {
+  explicit SessionRig(std::size_t sink_capacity) : fab{eng, sink_capacity} {
+    fab.attach(0, nic);
+  }
+
+  bcl::TxSession session(hw::NodeId peer, bool handshake = false) {
+    return bcl::TxSession{eng, nic, cost, owner, peer, cc, recorder, trace,
+                          /*seed=*/1, handshake};
+  }
+
+  sim::Engine eng;
+  hw::HostMemory mem{1u << 20};
+  hw::PciBus pci{eng, "pci", {}};
+  hw::Nic nic{eng, 0, "nic0", pci, mem, {}};
+  SinkFabric fab;
+  bcl::CostConfig cost;
+  TwoPathOwner owner;
+  sim::Trace trace{eng};
+  sim::MetricRegistry metrics;
+  bcl::FlightRecorder recorder{0};
+  bcl::cc::CongestionController cc{eng, cost, "nic0", trace, metrics,
+                                    recorder};
+};
+
 // Regression for the retransmit-window race: an ack that lands while the
 // timer coroutine is suspended inside nic.transmit pops the front of the
 // unacked deque.  Iterating the window by index then skips live packets or
 // resends freed slots; the snapshot walk must resend every still-unacked
 // sequence exactly once.
 TEST(TxSessionUnit, AckDuringRetransmissionResendsEachUnackedSeqOnce) {
-  sim::Engine eng;
-  hw::HostMemory mem{1u << 20};
-  hw::PciBus pci{eng, "pci", {}};
-  hw::Nic nic{eng, 0, "nic0", pci, mem, {}};
-  SinkFabric fab{eng, 1};  // one slot: the retransmit walk blocks per packet
-  fab.attach(0, nic);
-
-  bcl::CostConfig cost;
-  cost.window = 8;
-  cost.rto = Time::us(100);
-  cost.adaptive_rto = false;
-  cost.rto_backoff_jitter = 0.0;
-  cost.dupack_k = 0;    // isolate the timer-driven retransmit path
-  cost.max_retries = 0;  // no retry budget: the session must not fail here
-  bcl::TxSession s{eng, nic, cost};
+  SessionRig rig{1};  // one slot: the retransmit walk blocks per packet
+  rig.cost.window = 8;
+  rig.cost.rto = Time::us(100);
+  rig.cost.adaptive_rto = false;
+  rig.cost.rto_backoff_jitter = 0.0;
+  rig.cost.dupack_k = 0;    // isolate the timer-driven retransmit path
+  rig.cost.max_retries = 0;  // no retry budget: the session must not fail
+  bcl::TxSession s = rig.session(1);
 
   std::vector<TxRecord> sent;
-  eng.spawn_daemon([](sim::Engine& eng, SinkFabric& fab,
-                      std::vector<TxRecord>& sent) -> Task<void> {
+  rig.eng.spawn_daemon([](sim::Engine& eng, SinkFabric& fab,
+                          std::vector<TxRecord>& sent) -> Task<void> {
     for (;;) {
       hw::Packet p = co_await fab.ch.recv();
       sent.push_back({p.seq, eng.now()});
       co_await eng.sleep(Time::us(5));  // slow drain keeps the channel full
     }
-  }(eng, fab, sent));
-  eng.spawn([](sim::Engine& eng, bcl::TxSession& s) -> Task<void> {
+  }(rig.eng, rig.fab, sent));
+  rig.eng.spawn([](sim::Engine& eng, bcl::TxSession& s) -> Task<void> {
     for (int i = 0; i < 4; ++i) {
       hw::Packet p;
       p.dst_node = 1;
       EXPECT_EQ(co_await s.send(std::move(p)), bcl::BclErr::kOk);
     }
-    // The RTO fires at t=100us and the retransmission starts walking the
-    // window (one packet per 5us through the sink).  This ack lands while
-    // the walk is suspended: seqs 1-2 leave the window mid-retransmission.
+    // The RTO fires just after t=100us and the retransmission starts
+    // walking the window (one packet per 5us through the sink).  This ack
+    // lands while the walk is suspended: seqs 1-2 leave the window
+    // mid-retransmission.
     co_await eng.sleep(Time::us(103) - eng.now());
     s.on_ack(2);
     co_await eng.sleep(Time::us(100));
     s.on_ack(4);
-  }(eng, s));
-  eng.run();
+  }(rig.eng, s));
+  rig.eng.run();
 
   const auto count = [&](std::uint32_t q) {
     return std::count_if(sent.begin(), sent.end(),
@@ -316,25 +365,18 @@ TEST(TxSessionUnit, AckDuringRetransmissionResendsEachUnackedSeqOnce) {
 // trips inflate.  The sample must land even when released == 0; a stampless
 // dup ack must still produce none (Karn's rule).
 TEST(TxSessionUnit, DupAckWithEchoStampStillFeedsTheRttEstimator) {
-  sim::Engine eng;
-  hw::HostMemory mem{1u << 20};
-  hw::PciBus pci{eng, "pci", {}};
-  hw::Nic nic{eng, 0, "nic0", pci, mem, {}};
-  SinkFabric fab{eng, 64};  // roomy sink: sends never block in this test
-  fab.attach(0, nic);
+  SessionRig rig{64};  // roomy sink: sends never block in this test
+  rig.cost.window = 8;
+  rig.cost.rto = Time::us(10'000);  // far past the test horizon: no RTO
+  rig.cost.adaptive_rto = true;
+  rig.cost.rto_backoff_jitter = 0.0;
+  rig.cost.dupack_k = 0;  // no fast retransmit: isolate the estimator path
+  bcl::TxSession s = rig.session(1);
 
-  bcl::CostConfig cost;
-  cost.window = 8;
-  cost.rto = Time::us(10'000);  // far past the test horizon: no RTO fires
-  cost.adaptive_rto = true;
-  cost.rto_backoff_jitter = 0.0;
-  cost.dupack_k = 0;  // no fast retransmit: isolate the estimator path
-  bcl::TxSession s{eng, nic, cost};
-
-  eng.spawn_daemon([](SinkFabric& fab) -> Task<void> {
+  rig.eng.spawn_daemon([](SinkFabric& fab) -> Task<void> {
     for (;;) (void)co_await fab.ch.recv();
-  }(fab));
-  eng.spawn([](sim::Engine& eng, bcl::TxSession& s) -> Task<void> {
+  }(rig.fab));
+  rig.eng.spawn([](sim::Engine& eng, bcl::TxSession& s) -> Task<void> {
     for (int i = 0; i < 3; ++i) {
       hw::Packet p;
       p.dst_node = 1;
@@ -361,8 +403,8 @@ TEST(TxSessionUnit, DupAckWithEchoStampStillFeedsTheRttEstimator) {
     EXPECT_EQ(s.rtt_samples(), 2u);
 
     s.on_ack(3, eng.now() - Time::us(25));  // drain the window
-  }(eng, s));
-  eng.run();
+  }(rig.eng, s));
+  rig.eng.run();
 
   EXPECT_EQ(s.rtt_samples(), 3u);
   EXPECT_EQ(s.in_flight(), 0u);
@@ -370,30 +412,6 @@ TEST(TxSessionUnit, DupAckWithEchoStampStillFeedsTheRttEstimator) {
   EXPECT_EQ(s.fast_retransmits(), 0u);
   EXPECT_FALSE(s.peer_unreachable());
 }
-
-// A scripted two-path owner: strike() rotates to path 1 on its third call;
-// the death verdict is kPartitioned.  Records every callback.
-class TwoPathOwner : public bcl::SessionOwner {
- public:
-  std::uint8_t path(hw::NodeId) override { return current; }
-  bool strike(hw::NodeId) override {
-    if (++strikes != 3) return false;
-    current = 1;
-    return true;
-  }
-  void progress(hw::NodeId) override { ++progress_calls; }
-  BclErr verdict(hw::NodeId) override { return BclErr::kPartitioned; }
-  void failed(hw::NodeId peer) override { failures.push_back(peer); }
-  void completed(const bcl::TxNotify& n, BclErr err) override {
-    done.emplace_back(n.msg_id, err);
-  }
-
-  std::uint8_t current = 0;
-  int strikes = 0;
-  int progress_calls = 0;
-  std::vector<hw::NodeId> failures;
-  std::vector<std::pair<std::uint64_t, BclErr>> done;
-};
 
 struct PathRecord {
   Time at;
@@ -408,32 +426,25 @@ struct PathRecord {
 // resolves every tracked completion through completed() exactly once —
 // including one tracked after the death.
 TEST(TxSessionUnit, OwnerRotationResetsEscalationAndResolvesOnce) {
-  sim::Engine eng;
-  hw::HostMemory mem{1u << 20};
-  hw::PciBus pci{eng, "pci", {}};
-  hw::Nic nic{eng, 0, "nic0", pci, mem, {}};
-  SinkFabric fab{eng, 64};  // roomy sink: sends never block in this test
-  fab.attach(0, nic);
-
-  bcl::CostConfig cost;
-  cost.rto = Time::us(100);
-  cost.adaptive_rto = false;
-  cost.rto_backoff_jitter = 0.0;
-  cost.dupack_k = 0;
-  cost.max_retries = 3;
-  TwoPathOwner owner;
+  SessionRig rig{64};  // roomy sink: sends never block in this test
+  rig.cost.rto = Time::us(100);
+  rig.cost.adaptive_rto = false;
+  rig.cost.rto_backoff_jitter = 0.0;
+  rig.cost.dupack_k = 0;
+  rig.cost.max_retries = 3;
+  TwoPathOwner& owner = rig.owner;
   constexpr hw::NodeId kPeer = 7;
-  bcl::TxSession s{eng, nic, cost, 1, false, &owner, kPeer};
+  bcl::TxSession s = rig.session(kPeer);
 
   std::vector<PathRecord> sent;
-  eng.spawn_daemon([](sim::Engine& eng, SinkFabric& fab,
-                      std::vector<PathRecord>& sent) -> Task<void> {
+  rig.eng.spawn_daemon([](sim::Engine& eng, SinkFabric& fab,
+                          std::vector<PathRecord>& sent) -> Task<void> {
     for (;;) {
       hw::Packet p = co_await fab.ch.recv();
       sent.push_back({eng.now(), p.path_id});
     }
-  }(eng, fab, sent));
-  eng.spawn([](bcl::TxSession& s, hw::NodeId peer) -> Task<void> {
+  }(rig.eng, rig.fab, sent));
+  rig.eng.spawn([](bcl::TxSession& s, hw::NodeId peer) -> Task<void> {
     for (std::uint64_t msg = 1; msg <= 2; ++msg) {
       hw::Packet p;
       p.dst_node = peer;
@@ -441,11 +452,16 @@ TEST(TxSessionUnit, OwnerRotationResetsEscalationAndResolvesOnce) {
       s.track({s.last_seq(), msg, 0, PortId{peer, 0}});
     }
   }(s, kPeer));
-  eng.run();
+  rig.eng.run();
 
   // Expiries at 100, 300, 700 (rotation: ladder reset), 900, 1300, and the
-  // fatal one at 2100 us.  Without the reset the budget would have died at
-  // the fourth expiry, 1500 us.
+  // fatal one at 2100 us, each wait stretched by the drain allowance: the
+  // unacked window's wire bytes at line rate.  The first packet alone was
+  // unacked when the timer armed, both of them at every later expiry.
+  // Without the reset the budget would have died at the fourth expiry.
+  const std::size_t wire = hw::Packet{}.wire_bytes();
+  const Time one = Time::bytes_at(wire, rig.cost.cc_line_rate);
+  const Time two = Time::bytes_at(2 * wire, rig.cost.cc_line_rate);
   EXPECT_EQ(s.timeouts(), 6u);
   EXPECT_EQ(owner.strikes, 6);
   EXPECT_EQ(owner.progress_calls, 0);
@@ -453,8 +469,9 @@ TEST(TxSessionUnit, OwnerRotationResetsEscalationAndResolvesOnce) {
   for (const PathRecord& r : sent) {
     EXPECT_EQ(r.path, r.at < Time::us(700) ? 0 : 1) << r.at.str();
   }
-  EXPECT_EQ(sent[6].at, Time::us(700));  // first replay on the new path
-  EXPECT_EQ(sent[8].at, Time::us(900));  // 2x base RTO later, not 8x
+  // The first replay on the new path, then one 2x base RTO later, not 8x.
+  EXPECT_EQ(sent[6].at, Time::us(700) + one + two + two);
+  EXPECT_EQ(sent[8].at, Time::us(900) + one + two + two + two);
 
   EXPECT_TRUE(s.peer_unreachable());
   EXPECT_EQ(owner.failures, std::vector<hw::NodeId>{kPeer});
@@ -469,10 +486,10 @@ TEST(TxSessionUnit, OwnerRotationResetsEscalationAndResolvesOnce) {
   s.track({s.last_seq(), 3, 0, PortId{kPeer, 0}});
   ASSERT_EQ(owner.done.size(), 3u);
   EXPECT_EQ(owner.done[2].second, BclErr::kPartitioned);
-  eng.spawn([](bcl::TxSession& s) -> Task<void> {
+  rig.eng.spawn([](bcl::TxSession& s) -> Task<void> {
     EXPECT_EQ(co_await s.send(hw::Packet{}), BclErr::kPartitioned);
   }(s));
-  eng.run();
+  rig.eng.run();
   s.fail_peer();
   s.poison(BclErr::kPeerRestarted);
   EXPECT_EQ(owner.failures.size(), 1u);
@@ -485,29 +502,22 @@ TEST(TxSessionUnit, OwnerRotationResetsEscalationAndResolvesOnce) {
 // Every completion resolves exactly once, in sequence order, and the
 // window never holds more than 8.
 TEST(TxSessionUnit, RandomAckChunksResolveCompletionsInOrder) {
-  sim::Engine eng;
-  hw::HostMemory mem{1u << 20};
-  hw::PciBus pci{eng, "pci", {}};
-  hw::Nic nic{eng, 0, "nic0", pci, mem, {}};
-  SinkFabric fab{eng, 256};
-  fab.attach(0, nic);
-
-  bcl::CostConfig cost;
-  cost.window = 8;
-  cost.rto = Time::ms(1);  // never expires: acks arrive every microsecond
-  cost.adaptive_rto = false;
-  cost.rto_backoff_jitter = 0.0;
-  cost.dupack_k = 0;
-  cost.max_retries = 0;
-  TwoPathOwner owner;
+  SessionRig rig{256};
+  rig.cost.window = 8;
+  rig.cost.rto = Time::ms(1);  // never expires: acks arrive every microsecond
+  rig.cost.adaptive_rto = false;
+  rig.cost.rto_backoff_jitter = 0.0;
+  rig.cost.dupack_k = 0;
+  rig.cost.max_retries = 0;
+  const TwoPathOwner& owner = rig.owner;
   constexpr hw::NodeId kPeer = 3;
   constexpr std::uint64_t kMsgs = 100;
-  bcl::TxSession s{eng, nic, cost, 1, false, &owner, kPeer};
+  bcl::TxSession s = rig.session(kPeer);
 
-  eng.spawn_daemon([](SinkFabric& fab) -> Task<void> {
+  rig.eng.spawn_daemon([](SinkFabric& fab) -> Task<void> {
     for (;;) (void)co_await fab.ch.recv();
-  }(fab));
-  eng.spawn([](bcl::TxSession& s, hw::NodeId peer) -> Task<void> {
+  }(rig.fab));
+  rig.eng.spawn([](bcl::TxSession& s, hw::NodeId peer) -> Task<void> {
     for (std::uint64_t msg = 1; msg <= kMsgs; ++msg) {
       hw::Packet p;
       p.dst_node = peer;
@@ -516,8 +526,8 @@ TEST(TxSessionUnit, RandomAckChunksResolveCompletionsInOrder) {
     }
   }(s, kPeer));
   std::size_t max_in_flight = 0;
-  eng.spawn([](sim::Engine& eng, bcl::TxSession& s, std::uint32_t first,
-               std::size_t& max_in_flight) -> Task<void> {
+  rig.eng.spawn([](sim::Engine& eng, bcl::TxSession& s, std::uint32_t first,
+                   std::size_t& max_in_flight) -> Task<void> {
     std::mt19937 rng{5};
     std::uint32_t acked = first - 1;
     while (acked != first - 1 + kMsgs) {
@@ -528,8 +538,8 @@ TEST(TxSessionUnit, RandomAckChunksResolveCompletionsInOrder) {
       acked += 1 + static_cast<std::uint32_t>(rng() % outstanding);
       s.on_ack(acked);
     }
-  }(eng, s, cost.first_seq, max_in_flight));
-  eng.run();
+  }(rig.eng, s, rig.cost.first_seq, max_in_flight));
+  rig.eng.run();
 
   ASSERT_EQ(owner.done.size(), kMsgs);
   for (std::uint64_t msg = 1; msg <= kMsgs; ++msg) {
@@ -546,33 +556,26 @@ TEST(TxSessionUnit, RandomAckChunksResolveCompletionsInOrder) {
 // prefix's window slots free (two more sends go out without stalling),
 // and each tracked completion in it resolves once with kOk.
 TEST(TxSessionUnit, RnrCumulativeAckReleasesThePrefix) {
-  sim::Engine eng;
-  hw::HostMemory mem{1u << 20};
-  hw::PciBus pci{eng, "pci", {}};
-  hw::Nic nic{eng, 0, "nic0", pci, mem, {}};
-  SinkFabric fab{eng, 64};  // roomy sink: sends never block in this test
-  fab.attach(0, nic);
-
-  bcl::CostConfig cost;
-  cost.window = 4;
-  cost.rto = Time::ms(1);  // never expires in this test
-  cost.adaptive_rto = false;
-  cost.rto_backoff_jitter = 0.0;
-  cost.dupack_k = 0;
-  cost.max_retries = 0;
-  TwoPathOwner owner;
+  SessionRig rig{64};  // roomy sink: sends never block in this test
+  rig.cost.window = 4;
+  rig.cost.rto = Time::ms(1);  // never expires in this test
+  rig.cost.adaptive_rto = false;
+  rig.cost.rto_backoff_jitter = 0.0;
+  rig.cost.dupack_k = 0;
+  rig.cost.max_retries = 0;
+  TwoPathOwner& owner = rig.owner;
   constexpr hw::NodeId kPeer = 2;
-  bcl::TxSession s{eng, nic, cost, 1, false, &owner, kPeer};
+  bcl::TxSession s = rig.session(kPeer);
 
-  eng.spawn_daemon([](SinkFabric& fab) -> Task<void> {
+  rig.eng.spawn_daemon([](SinkFabric& fab) -> Task<void> {
     for (;;) (void)co_await fab.ch.recv();
-  }(fab));
+  }(rig.fab));
   std::size_t in_flight_after_rnr = 0;
   std::vector<std::pair<std::uint64_t, BclErr>> done_at_rnr;
-  eng.spawn([](sim::Engine& eng, bcl::TxSession& s, TwoPathOwner& owner,
-               std::size_t& in_flight_after_rnr,
-               std::vector<std::pair<std::uint64_t, BclErr>>& done_at_rnr)
-                -> Task<void> {
+  rig.eng.spawn([](sim::Engine& eng, bcl::TxSession& s, TwoPathOwner& owner,
+                   std::size_t& in_flight_after_rnr,
+                   std::vector<std::pair<std::uint64_t, BclErr>>& done_at_rnr)
+                    -> Task<void> {
     for (std::uint64_t msg = 1; msg <= 6; ++msg) {
       if (msg == 5) {
         // The window is full: the NACK acks messages 1 and 2.
@@ -588,8 +591,8 @@ TEST(TxSessionUnit, RnrCumulativeAckReleasesThePrefix) {
     }
     co_await eng.sleep(Time::us(40));  // past the hold's window replay
     s.on_ack(s.last_seq());
-  }(eng, s, owner, in_flight_after_rnr, done_at_rnr));
-  eng.run();
+  }(rig.eng, s, owner, in_flight_after_rnr, done_at_rnr));
+  rig.eng.run();
 
   EXPECT_EQ(in_flight_after_rnr, 2u);
   EXPECT_EQ(done_at_rnr,
@@ -604,18 +607,68 @@ TEST(TxSessionUnit, RnrCumulativeAckReleasesThePrefix) {
   EXPECT_FALSE(s.peer_unreachable());
 }
 
+// A peer whose rate one echo has cut, with additive increase off so the
+// cut holds: the first expiry waits the base RTO plus the drain time, at
+// the cut rate, of the window unacked when the timer armed (the first
+// packet), and the replay's copies leave one packet's serialization time
+// at that rate apart.
+TEST(TxSessionUnit, ThrottledPeerStretchesTheRtoAndPacesTheReplay) {
+  SessionRig rig{64};  // roomy sink: the wire never spaces the copies
+  rig.cost.rto = Time::us(100);
+  rig.cost.adaptive_rto = false;
+  rig.cost.rto_backoff_jitter = 0.0;
+  rig.cost.dupack_k = 0;
+  rig.cost.max_retries = 0;
+  rig.cost.cc_ai_rate = 0.0;
+  constexpr hw::NodeId kPeer = 4;
+  constexpr std::size_t kPackets = 4;
+  constexpr std::size_t kPayload = 1000;
+  rig.cc.on_echo(kPeer, 0xff);  // saturated: the rate halves
+  const double rate = rig.cc.rate_of(kPeer);
+  ASSERT_EQ(rate, rig.cost.cc_line_rate / 2);
+  bcl::TxSession s = rig.session(kPeer);
+
+  std::vector<TxRecord> sent;
+  rig.eng.spawn_daemon([](sim::Engine& eng, SinkFabric& fab,
+                          std::vector<TxRecord>& sent) -> Task<void> {
+    for (;;) {
+      hw::Packet p = co_await fab.ch.recv();
+      sent.push_back({p.seq, eng.now()});
+    }
+  }(rig.eng, rig.fab, sent));
+  rig.eng.spawn([](sim::Engine& eng, bcl::TxSession& s) -> Task<void> {
+    for (std::size_t i = 0; i < kPackets; ++i) {
+      hw::Packet p;
+      p.dst_node = kPeer;
+      p.payload.resize(kPayload);
+      EXPECT_EQ(co_await s.send(std::move(p)), BclErr::kOk);
+    }
+    co_await eng.sleep(Time::us(300));  // past the replay, before the next
+    s.on_ack(s.last_seq());
+  }(rig.eng, s));
+  rig.eng.run();
+
+  const Time gap =
+      Time::bytes_at(hw::Packet{}.header_bytes + kPayload, rate);
+  EXPECT_EQ(s.timeouts(), 1u);
+  ASSERT_EQ(sent.size(), 2 * kPackets);
+  Time at = rig.cost.rto + gap;
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    const TxRecord& copy = sent[kPackets + i];
+    EXPECT_EQ(copy.seq, sent[i].seq) << "copy " << i;
+    EXPECT_EQ(copy.at, at) << "copy " << i << " left at " << copy.at.str();
+    at += gap;
+  }
+}
+
 // Most of an N-node cluster's N*(N-1) sessions never carry traffic, so a
 // fresh session, cold-start or handshake, holds no heap memory.
 TEST(TxSessionUnit, FreshSessionAllocatesNothing) {
-  sim::Engine eng;
-  hw::HostMemory mem{1u << 20};
-  hw::PciBus pci{eng, "pci", {}};
-  hw::Nic nic{eng, 0, "nic0", pci, mem, {}};
-  const bcl::CostConfig cost;
+  SessionRig rig{1};
   for (const bool handshake : {false, true}) {
     bool established = handshake;
     const std::size_t bytes = heap_counter::bytes_during([&] {
-      bcl::TxSession s{eng, nic, cost, 1, handshake};
+      bcl::TxSession s = rig.session(1, handshake);
       established = s.established();
     });
     EXPECT_EQ(bytes, 0u) << "handshake " << handshake;

@@ -1,4 +1,4 @@
-// NIC-resident congestion control: pacer spacing math, AIMD epoch
+// NIC-resident congestion control: pacing math, AIMD epoch
 // behaviour with QCN-style proportional feedback (scaled-cut math at every
 // quantized level, batch-CNP fallback), per-link ECN marking including the
 // wormhole-blocked-time rule, relative-threshold rate tracing, and the
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bcl/cc/controller.hpp"
-#include "bcl/cc/pacer.hpp"
 #include "bcl/stack.hpp"
 #include "hw/link.hpp"
 #include "hw/mesh.hpp"
@@ -30,54 +29,82 @@ namespace {
 using sim::Task;
 using sim::Time;
 
-// -- pacer ------------------------------------------------------------------
+// A controller on a bare engine, fed the packets an MCP would hand it.
+struct CcRig {
+  explicit CcRig(const bcl::CostConfig& c) : cfg{c} {}
 
-// A throttled destination's launches are spaced at exactly bytes/rate: four
-// 4000-byte packets at 8 MB/s take three 500 us inter-launch gaps (the
+  // A packet from `src` the MCP accepted.
+  void accept(hw::NodeId src, bool marked) {
+    hw::Packet p;
+    p.src_node = src;
+    p.ecn = marked;
+    cc.on_accepted(p);
+  }
+  // The echo byte an outbound packet toward `dst` carries now.
+  std::uint8_t echo(hw::NodeId dst) {
+    hw::Packet p;
+    p.dst_node = dst;
+    cc.attach_echo(p);
+    return p.ecn_echo;
+  }
+  std::uint64_t count(bcl::NicEvent kind) const {
+    return recorder.count(kind);
+  }
+
+  const bcl::CostConfig cfg;
+  sim::Engine eng;
+  sim::Trace trace{eng};
+  sim::MetricRegistry metrics;
+  bcl::FlightRecorder recorder{0};
+  bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics, recorder};
+};
+
+// -- pacing -----------------------------------------------------------------
+
+// Reserved launches are spaced at exactly bytes/rate: four 4000-byte
+// packets at an 8 MB/s line rate take three 500 us inter-launch gaps (the
 // first launch goes immediately).
 TEST(CcPacer, SpacesLaunchesAtConfiguredRate) {
-  sim::Engine eng;
   bcl::CostConfig cfg;
-  cfg.cc_ai_rate = 0.0;  // freeze recovery so the rate stays pinned
-  bcl::cc::Pacer pacer{eng, cfg};
-  pacer.state(5).rate = 8e6;
+  cfg.cc_line_rate = 8e6;
+  CcRig rig{cfg};
 
   Time done = Time::zero();
-  eng.spawn([](sim::Engine& e, bcl::cc::Pacer& p, Time& done) -> Task<void> {
-    for (int i = 0; i < 4; ++i) co_await p.pace(5, 4000);
-    done = e.now();
-  }(eng, pacer, done));
-  eng.run();
+  rig.eng.spawn([](CcRig& rig, Time& done) -> Task<void> {
+    for (int i = 0; i < 4; ++i) {
+      co_await rig.cc.pace(5, 4000, /*reserve=*/true);
+    }
+    done = rig.eng.now();
+  }(rig, done));
+  rig.eng.run();
 
   EXPECT_EQ(done, Time::us(1500));
-  const auto& s = pacer.states().at(5);
+  const auto& s = rig.cc.rates().at(5);
   EXPECT_EQ(s.paced_packets, 4u);
   EXPECT_EQ(s.paced_wait, Time::us(1500));
   // drain_time is the serialization of the given bytes at the paced rate.
-  EXPECT_EQ(pacer.drain_time(5, 4000), Time::us(500));
+  EXPECT_EQ(rig.cc.drain_time(5, 4000), Time::us(500));
 }
 
-// At line rate the pacer adds no delay: a sender that keeps up with the
+// At line rate pacing adds no delay: a sender that keeps up with the
 // wire never sleeps in pace().
 TEST(CcPacer, LineRateAddsNoDelay) {
-  sim::Engine eng;
-  bcl::CostConfig cfg;
-  bcl::cc::Pacer pacer{eng, cfg};
+  CcRig rig{bcl::CostConfig{}};
 
-  eng.spawn([](sim::Engine& e, bcl::cc::Pacer& p,
-               const bcl::CostConfig& cfg) -> Task<void> {
+  rig.eng.spawn([](CcRig& rig) -> Task<void> {
     for (int i = 0; i < 8; ++i) {
-      co_await p.pace(3, 4096);
-      // The wire itself is slower than the pacer's cursor (per-packet
+      co_await rig.cc.pace(3, 4096);
+      // The wire itself is slower than the pacing cursor (per-packet
       // overhead on top of serialization), so a real sender always returns
       // after the cursor has passed.
-      co_await e.sleep(Time::bytes_at(4096, cfg.cc_line_rate) + Time::ns(1));
+      co_await rig.eng.sleep(Time::bytes_at(4096, rig.cfg.cc_line_rate) +
+                             Time::ns(1));
     }
-  }(eng, pacer, cfg));
-  eng.run();
+  }(rig));
+  rig.eng.run();
 
-  EXPECT_EQ(pacer.states().at(3).paced_wait, Time::zero());
-  EXPECT_EQ(pacer.states().at(3).rate, cfg.cc_line_rate);
+  EXPECT_EQ(rig.cc.rates().at(3).paced_wait, Time::zero());
+  EXPECT_EQ(rig.cc.rates().at(3).rate, rig.cfg.cc_line_rate);
 }
 
 // -- AIMD -------------------------------------------------------------------
@@ -195,42 +222,12 @@ TEST(CcAimd, LevelZeroIsNoEcho) {
 
 // -- echo window (the receiver half) ----------------------------------------
 
-// A controller on a bare engine, fed the packets an MCP would hand it.
-struct EchoRig {
-  explicit EchoRig(const bcl::CostConfig& c) : cfg{c} {}
-
-  // A packet from `src` the MCP accepted.
-  void accept(hw::NodeId src, bool marked) {
-    hw::Packet p;
-    p.src_node = src;
-    p.ecn = marked;
-    cc.on_accepted(p);
-  }
-  // The echo byte an outbound packet toward `dst` carries now.
-  std::uint8_t echo(hw::NodeId dst) {
-    hw::Packet p;
-    p.dst_node = dst;
-    cc.attach_echo(p);
-    return p.ecn_echo;
-  }
-  std::uint64_t count(bcl::NicEvent kind) const {
-    return recorder.count(kind);
-  }
-
-  const bcl::CostConfig cfg;
-  sim::Engine eng;
-  sim::Trace trace{eng};
-  sim::MetricRegistry metrics;
-  bcl::FlightRecorder recorder{0};
-  bcl::cc::CongestionController cc{eng, cfg, "t", trace, metrics, recorder};
-};
-
 // Each accepted packet counts once.  The window opens at its first
 // packet and flushes ceil(levels * marked / accepted) no sooner than
 // cc_echo_window later: 3 marked of 10 echo level 3 of 8, not 2.
 TEST(CcEcho, FlushesTheCeilingOnceTheWindowIsFull) {
-  EchoRig rig{bcl::CostConfig{}};
-  rig.eng.spawn([](EchoRig& rig) -> Task<void> {
+  CcRig rig{bcl::CostConfig{}};
+  rig.eng.spawn([](CcRig& rig) -> Task<void> {
     const Time window = rig.cfg.cc_echo_window;
     co_await rig.eng.sleep(Time::us(20));
     for (int i = 0; i < 10; ++i) rig.accept(5, i < 3);
@@ -249,8 +246,8 @@ TEST(CcEcho, FlushesTheCeilingOnceTheWindowIsFull) {
 // A window with no mark rolls over without an echo: the next window opens
 // at the next accepted packet, not where the quiet one did.
 TEST(CcEcho, QuietWindowRollsOverSilently) {
-  EchoRig rig{bcl::CostConfig{}};
-  rig.eng.spawn([](EchoRig& rig) -> Task<void> {
+  CcRig rig{bcl::CostConfig{}};
+  rig.eng.spawn([](CcRig& rig) -> Task<void> {
     const Time window = rig.cfg.cc_echo_window;
     for (int i = 0; i < 4; ++i) rig.accept(5, false);
     co_await rig.eng.sleep(window);
@@ -271,7 +268,7 @@ TEST(CcEcho, QuietWindowRollsOverSilently) {
 TEST(CcEcho, BatchModeEchoesSaturatedAtTheFirstMark) {
   bcl::CostConfig cfg;
   cfg.cc_proportional = false;
-  EchoRig rig{cfg};
+  CcRig rig{cfg};
   rig.accept(5, false);
   EXPECT_EQ(rig.echo(5), 0u);
   rig.accept(5, true);
@@ -285,7 +282,7 @@ TEST(CcEcho, BatchModeEchoesSaturatedAtTheFirstMark) {
 // every level, and a batch-mode 0xff is f = 1.
 TEST(CcEcho, EchoByteDecodesToTheExtentTheSenderApplies) {
   const bcl::CostConfig cfg{};
-  EchoRig sender{cfg};
+  CcRig sender{cfg};
   const auto apply = [&sender](std::uint8_t byte) {
     hw::Packet p;
     p.src_node = 5;
@@ -295,8 +292,8 @@ TEST(CcEcho, EchoByteDecodesToTheExtentTheSenderApplies) {
     return it == sender.cc.rates().end() ? 0.0 : it->second.feedback;
   };
   for (int marked = 1; marked <= cfg.cc_feedback_levels; ++marked) {
-    EchoRig receiver{cfg};
-    receiver.eng.spawn([](EchoRig& rig, int marked) -> Task<void> {
+    CcRig receiver{cfg};
+    receiver.eng.spawn([](CcRig& rig, int marked) -> Task<void> {
       for (int i = 0; i < 8; ++i) rig.accept(9, i < marked);
       co_await rig.eng.sleep(rig.cfg.cc_echo_window);
     }(receiver, marked));
@@ -307,7 +304,7 @@ TEST(CcEcho, EchoByteDecodesToTheExtentTheSenderApplies) {
   }
   bcl::CostConfig batch = cfg;
   batch.cc_proportional = false;
-  EchoRig receiver{batch};
+  CcRig receiver{batch};
   receiver.accept(9, true);
   const std::uint8_t byte = receiver.echo(9);
   EXPECT_EQ(byte, 0xffu);
@@ -320,19 +317,20 @@ TEST(CcEcho, EchoByteDecodesToTheExtentTheSenderApplies) {
 // destination then sits idle (the old accounting credited every quiet
 // epoch, skewing the postmortem's storming/recovering classification).
 TEST(CcPacer, RecoveryClampCountsOnlyEffectiveIncreases) {
-  sim::Engine eng;
-  const bcl::CostConfig cfg{};
-  bcl::cc::Pacer pacer{eng, cfg};
-  pacer.state(5).rate = cfg.cc_line_rate - 5e6;
+  bcl::CostConfig cfg;
+  cfg.cc_feedback_levels = 16;
+  CcRig rig{cfg};
+  rig.cc.on_echo(5, 1);  // f = 1/16 cuts 1/32 of line: 5 MB/s
+  ASSERT_EQ(rig.cc.rate_of(5), cfg.cc_line_rate - 5e6);
 
-  eng.spawn([](sim::Engine& e, bcl::cc::Pacer& p,
-               const bcl::CostConfig& cfg) -> Task<void> {
-    co_await e.sleep(cfg.cc_epoch * 10.0);
-    const auto& s = p.state(5);  // lazy tick catches up all 10 epochs
-    EXPECT_EQ(s.rate, cfg.cc_line_rate);
-    EXPECT_EQ(s.increases, 3u) << "only steps that moved the rate count";
-  }(eng, pacer, cfg));
-  eng.run();
+  rig.eng.spawn([](CcRig& rig) -> Task<void> {
+    co_await rig.eng.sleep(rig.cfg.cc_epoch * 10.0);
+    // The lazy tick catches up all 10 epochs.
+    EXPECT_EQ(rig.cc.rate_of(5), rig.cfg.cc_line_rate);
+    EXPECT_EQ(rig.cc.rates().at(5).increases, 3u)
+        << "only steps that moved the rate count";
+  }(rig));
+  rig.eng.run();
 }
 
 // The rate counter-track samples on relative moves, not an absolute

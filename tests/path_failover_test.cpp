@@ -124,11 +124,11 @@ TEST(PathTable, StrikeQuarantineRotateRestorePartition) {
   EXPECT_EQ(t.current(9), 2);
   EXPECT_FALSE(t.restore(9, 2));
 
-  const auto snap = t.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].dst, 9u);
-  ASSERT_EQ(snap[0].paths.size(), 4u);
-  EXPECT_EQ(snap[0].paths[1].total_strikes, 5u);  // 2 cleared + 2 + rotation
+  ASSERT_EQ(t.dests().size(), 1u);
+  ASSERT_EQ(t.dests().count(9), 1u);
+  const auto& paths = t.dests().at(9).paths;
+  ASSERT_EQ(paths.size(), 4u);
+  EXPECT_EQ(paths[1].total_strikes, 5u);  // 2 cleared + 2 + rotation
 }
 
 // ---------------------------------------------------------------------------
@@ -444,9 +444,8 @@ TEST(PathFailover, AllSpinesDeadYieldsPartitionedVerdict) {
   EXPECT_EQ(pm.reason, "partitioned");
   EXPECT_EQ(pm.node, 0u);
   EXPECT_EQ(pm.peer, 12);
-  ASSERT_FALSE(pm.path_table.empty());
-  const auto& d = pm.path_table.front();
-  EXPECT_EQ(d.dst, 12u);
+  ASSERT_EQ(pm.path_table.count(12), 1u);
+  const auto& d = pm.path_table.at(12);
   EXPECT_TRUE(d.partitioned);
   ASSERT_EQ(d.paths.size(), fab.spine_count());
   for (const auto& p : d.paths) {
