@@ -6,6 +6,7 @@
 // The example verifies the parallel result against a serial computation.
 //
 // Run: ./build/examples/halo_exchange
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -55,8 +56,10 @@ std::vector<double> serial_solution() {
   return grid;
 }
 
+// Leaves the rank's interior rows in `out` and the simulated time it
+// finished in `done_at`.
 sim::Task<void> jacobi_rank(cluster::World& world, int rank,
-                            std::vector<double>& out) {
+                            std::vector<double>& out, sim::Time& done_at) {
   auto& me = world.mpi(rank);
   const int y0 = rank * kRowsPerRank;  // first owned row
   constexpr std::size_t kRowBytes = kNx * sizeof(double);
@@ -142,6 +145,7 @@ sim::Task<void> jacobi_rank(cluster::World& world, int rank,
     }
   }
   out.assign(grid.begin() + kNx, grid.begin() + (kRowsPerRank + 1) * kNx);
+  done_at = world.engine().now();
 }
 
 }  // namespace
@@ -154,8 +158,9 @@ int main() {
   cfg.cluster.node.mem_bytes = 32u << 20;
   cluster::World world{cfg, kRanks};
   std::vector<std::vector<double>> blocks(kRanks);
+  std::vector<sim::Time> done_at(kRanks);
   for (int r = 0; r < kRanks; ++r) {
-    world.engine().spawn(jacobi_rank(world, r, blocks[r]));
+    world.engine().spawn(jacobi_rank(world, r, blocks[r], done_at[r]));
   }
   world.engine().run();
 
@@ -173,7 +178,9 @@ int main() {
   }
   std::printf("max |parallel - serial| = %.2e  (%s)\n", max_err,
               max_err < 1e-9 ? "MATCH" : "MISMATCH");
+  // When the last rank finished: the engine's own clock runs on past it, to
+  // the collective watchdog's last deadline.
   std::printf("simulated wall time: %s\n",
-              world.engine().now().str().c_str());
+              std::max_element(done_at.begin(), done_at.end())->str().c_str());
   return max_err < 1e-9 ? 0 : 1;
 }

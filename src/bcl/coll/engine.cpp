@@ -219,24 +219,47 @@ CollectiveEngine::Pending& CollectiveEngine::touch_pending(
   if (it == pending_.end()) {
     it = pending_.emplace(key, Pending{}).first;
     it->second.kind = kind;
-    eng_.spawn_daemon(watchdog(g.id, seq));
+    arm(key);
   }
   return it->second;
 }
 
-sim::Task<void> CollectiveEngine::watchdog(std::uint16_t gid,
-                                           std::uint64_t seq) {
-  co_await eng_.sleep(cfg_.coll_op_timeout);
-  const Pending* pd = find_pending({gid, seq});
-  if (pd == nullptr) co_return;  // completed
-  // Fragments held for the host wait on the host, not the network;
-  // host_done arms a fresh watchdog when it releases them.
-  if (held(*pd)) co_return;
-  if (find_group(gid) == nullptr) co_return;  // unregistered meanwhile
-  // Record the expiry and fire the post-mortem hook while the victim op's
-  // state is still intact; fail_group tears it down next.
-  mcp_.report_coll_timeout(gid, seq, kind_name(pd->kind));
-  co_await fail_group(gid);
+void CollectiveEngine::arm(const Key& key) {
+  deadlines_.push_back({eng_.now() + cfg_.coll_op_timeout, key});
+  if (watchdog_running_) return;
+  watchdog_running_ = true;
+  eng_.spawn_daemon(watchdog());
+}
+
+sim::Task<void> CollectiveEngine::watchdog() {
+  for (;;) {
+    // An operation that completed leaves its deadline behind: drop it
+    // without waking for it.
+    while (!deadlines_.empty() &&
+           find_pending(deadlines_.front().key) == nullptr) {
+      deadlines_.pop_front();
+    }
+    if (deadlines_.empty()) break;
+    const Deadline next = deadlines_.front();
+    if (next.at > eng_.now()) {
+      co_await eng_.sleep_until(next.at);
+      continue;  // it may have completed meanwhile
+    }
+    deadlines_.pop_front();
+    const auto [gid, seq] = next.key;
+    const Pending& pd = *find_pending(next.key);
+    // Fragments held for the host wait on the host, not the network;
+    // host_done arms a fresh deadline when it releases them.
+    if (held(pd)) continue;
+    if (find_group(gid) == nullptr) continue;  // unregistered meanwhile
+    // Record the expiry and fire the post-mortem hook while the victim op's
+    // state is still intact; fail_group tears it down from a daemon of its
+    // own, so one failure never delays the next expiry.
+    mcp_.report_coll_timeout(gid, seq, kind_name(pd.kind));
+    eng_.spawn_daemon(fail_group(gid));
+  }
+  deadlines_.release_if_empty();
+  watchdog_running_ = false;
 }
 
 sim::Task<void> CollectiveEngine::on_peer_failure(hw::NodeId node) {
@@ -705,7 +728,7 @@ void CollectiveEngine::host_done(std::uint16_t gid, std::uint64_t seq) {
   const Pending* pd = find_pending({gid, seq + 1});
   if (pd != nullptr && held(*pd)) {
     eng_.spawn_daemon(deliver_held({gid, seq + 1}));
-    eng_.spawn_daemon(watchdog(gid, seq + 1));
+    arm({gid, seq + 1});
   }
 }
 

@@ -41,6 +41,7 @@
 #include "bcl/recorder.hpp"
 #include "hw/nic.hpp"
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 #include "sim/metrics.hpp"
 #include "sim/queue.hpp"
 #include "sim/task.hpp"
@@ -162,10 +163,18 @@ class CollectiveEngine {
   sim::Task<void> replay(hw::Packet p);
   Pending* find_pending(const Key& key);
   // Looks up or creates the pending entry for (g.id, seq); creation takes
-  // `kind` and arms the per-operation watchdog (cfg.coll_op_timeout).
+  // `kind` and arms the operation's watchdog.
   Pending& touch_pending(const GroupDescriptor& g, std::uint64_t seq,
                          CollKind kind);
-  sim::Task<void> watchdog(std::uint16_t gid, std::uint64_t seq);
+  // Arms operation `key`'s watchdog: its deadline, cfg.coll_op_timeout from
+  // now, joins the deadline FIFO, and the watchdog daemon starts if none
+  // runs.
+  void arm(const Key& key);
+  // The engine's one watchdog daemon.  It drops the deadlines of
+  // operations that are no longer pending, sleeps until the front deadline
+  // and fails the group of an operation that has not completed by then.
+  // It ends when no deadline is left.
+  sim::Task<void> watchdog();
   // First failure wins: marks the group failed, fails every pending op,
   // and emits one group-wide failure event (seq 0) so hosts blocked on any
   // sequence unblock.  With `notify` (this member found the failure) it
@@ -203,6 +212,16 @@ class CollectiveEngine {
   sim::Channel<CollPost> posts_;
   std::map<std::uint16_t, GroupDescriptor> groups_;
   std::map<Key, Pending> pending_;
+  // Watchdog deadlines in arming order, which is deadline order: every
+  // deadline is its arming time plus the one cfg.coll_op_timeout.  An
+  // operation that completes leaves its deadline here; the daemon drops it
+  // when it reaches the front.
+  struct Deadline {
+    sim::Time at;
+    Key key;
+  };
+  sim::Fifo<Deadline> deadlines_;
+  bool watchdog_running_ = false;
   // Packets for groups not yet registered on this NIC (a peer raced ahead);
   // replayed on registration.  Budgeted per group id (and the number of
   // distinct parked ids is bounded) so a group that never registers cannot

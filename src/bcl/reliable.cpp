@@ -81,6 +81,9 @@ void TxSession::on_ack(std::uint32_t ack, sim::Time echo_stamp) {
     unacked_.pop_front();
     ++released;
   }
+  // A drained window gives its ring of packet copies back: most sessions
+  // sit idle between bursts.
+  unacked_.release_if_empty();
   if (have_echo) {
     sample = eng_.now() - echo_stamp;
     have_sample = true;
@@ -135,6 +138,7 @@ void TxSession::on_rnr(std::uint32_t ack, sim::Time hold) {
     unacked_.pop_front();
     ++released;
   }
+  unacked_.release_if_empty();
   if (released > 0) {
     last_ack_ = ack;
     window_.release(released);
@@ -335,6 +339,7 @@ void TxSession::poison(BclErr err) {
       static_cast<std::uint64_t>(unacked_.size()));
   const auto freed = static_cast<std::int64_t>(unacked_.size());
   unacked_.clear();
+  unacked_.release_if_empty();
   // Every e2e-tracked message still waiting on its cumulative ack surfaces
   // the error exactly once — never silently lost.
   while (!notifies_.empty()) {

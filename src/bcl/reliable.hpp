@@ -205,7 +205,9 @@ class TxSession {
   const CostConfig& cfg_;
   sim::Semaphore window_;
   sim::Rng rng_;  // backoff jitter (per-session deterministic stream)
-  sim::Fifo<Outstanding> unacked_;  // retransmit copies, seq order
+  // Retransmit copies in seq order.  The ring is freed each time the
+  // window drains (an ack or RNR releases the last copy, or poison()).
+  sim::Fifo<Outstanding> unacked_;
   std::uint32_t next_seq_;
   std::uint32_t last_ack_;  // newest cumulative ack that released data
   int dup_acks_ = 0;

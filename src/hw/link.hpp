@@ -237,7 +237,6 @@ class Fabric {
   // Fills in the packet's source route (no-op for fabrics that route
   // in-network, like the 2-D mesh).
   virtual void stamp_route(Packet& p) const = 0;
-  virtual std::string name() const = 0;
   // Minimum number of link hops between two nodes (for latency models).
   virtual int hops(NodeId a, NodeId b) const = 0;
   // Number of distinct paths the fabric can offer between two nodes.

@@ -36,7 +36,6 @@ class MeshFabric : public Fabric {
 
   void attach(NodeId id, Nic& nic) override;
   void stamp_route(Packet&) const override {}  // routed in-network
-  std::string name() const override { return "nwrc-mesh"; }
   int hops(NodeId a, NodeId b) const override;
   // Index along the Hilbert curve through the smallest power-of-two square
   // that covers the mesh: consecutive nodes on a full square are one hop

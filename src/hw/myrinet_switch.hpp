@@ -90,7 +90,6 @@ class MyrinetFabric : public Fabric {
 
   void attach(NodeId id, Nic& nic) override;
   void stamp_route(Packet& p) const override;
-  std::string name() const override { return "myrinet"; }
   int hops(NodeId a, NodeId b) const override;
   int route_count(NodeId src, NodeId dst) const override;
   std::vector<std::string> links_of(NodeId n) const override;

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <utility>
@@ -23,12 +24,14 @@ std::string Time::str() const {
 
 void Engine::schedule(Time at, std::coroutine_handle<> h) {
   assert(at >= now_);
-  queue_.push(Item{at, next_seq_++, h, nullptr});
+  queue_.push_back(Item{at, next_seq_++, h, nullptr});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 void Engine::schedule_fn(Time at, std::function<void()> fn) {
   assert(at >= now_);
-  queue_.push(Item{at, next_seq_++, nullptr, std::move(fn)});
+  queue_.push_back(Item{at, next_seq_++, nullptr, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 Engine::Detached Engine::run_root(Task<void> t, bool daemon) {
@@ -47,7 +50,14 @@ void Engine::spawn_daemon(Task<void> t) {
   run_root(std::move(t), /*daemon=*/true);
 }
 
-void Engine::dispatch(Item& item) {
+Engine::Item Engine::pop() {
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Item item = std::move(queue_.back());
+  queue_.pop_back();
+  return item;
+}
+
+void Engine::dispatch(Item item) {
   now_ = item.at;
   ++events_processed_;
   if (item.handle) {
@@ -74,9 +84,7 @@ void Engine::finish_run() {
 void Engine::run() {
   stop_requested_ = false;
   while (!queue_.empty() && !stop_requested_ && task_errors_.empty()) {
-    Item item = queue_.top();
-    queue_.pop();
-    dispatch(item);
+    dispatch(pop());
   }
   finish_run();
 }
@@ -84,14 +92,12 @@ void Engine::run() {
 bool Engine::run_until(Time t) {
   stop_requested_ = false;
   while (!queue_.empty() && !stop_requested_ && task_errors_.empty()) {
-    if (queue_.top().at > t) {
+    if (queue_.front().at > t) {
       now_ = t;
       if (!task_errors_.empty()) finish_run();
       return false;
     }
-    Item item = queue_.top();
-    queue_.pop();
-    dispatch(item);
+    dispatch(pop());
   }
   finish_run();
   return queue_.empty();

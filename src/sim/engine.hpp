@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -112,10 +111,13 @@ class Engine {
     }
   };
 
-  void dispatch(Item& item);
+  Item pop();  // the earliest event, moved out of the heap
+  void dispatch(Item item);
   void finish_run();
 
-  std::priority_queue<Item, std::vector<Item>, Later> queue_;
+  // A binary heap under std::push_heap / std::pop_heap with Later, so the
+  // next event leaves it by move: copying an Item would copy its callable.
+  std::vector<Item> queue_;
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;

@@ -4,7 +4,9 @@
 // push into a full ring doubles it, so an idle queue is three words and a
 // null pointer.  pop_front() destroys the element in place (a popped
 // packet frees its payload at once); clear() destroys every element but
-// keeps the ring for reuse.  Iteration visits elements front to back.
+// keeps the ring for reuse, and release_if_empty() gives an empty queue's
+// ring back, for a queue that is usually idle between bursts.  Iteration
+// visits elements front to back.
 // Any push may reallocate, which invalidates every iterator, pointer and
 // reference into the queue.  A pop leaves pointers and references to the
 // other elements valid, but shifts every iterator: iterators count from
@@ -85,6 +87,16 @@ class Fifo {
 
   void clear() {
     while (size_ > 0) pop_front();
+    head_ = 0;
+  }
+
+  // Frees the ring if the queue holds nothing, so it is back to three
+  // words and a null pointer; the next push allocates one slot afresh.
+  void release_if_empty() {
+    if (size_ > 0 || slots_ == nullptr) return;
+    std::allocator<T>{}.deallocate(slots_, cap_);
+    slots_ = nullptr;
+    cap_ = 0;
     head_ = 0;
   }
 

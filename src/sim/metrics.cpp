@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <utility>
 
 #include "sim/trace.hpp"
 
@@ -144,8 +145,13 @@ std::vector<std::pair<std::string, double>> MetricRegistry::flatten(
   for (auto& [name, v] : s.counters_) {
     out.emplace_back(std::move(name), static_cast<double>(v));
   }
+  // Each run's storage goes as soon as its readings have moved, so the
+  // pages of the result and of at most one run are touched at once: on a
+  // large cluster the export is the peak of a run's memory.
+  std::exchange(s.counters_, {});
   out.insert(out.end(), std::make_move_iterator(s.gauges_.begin()),
              std::make_move_iterator(s.gauges_.end()));
+  std::exchange(s.gauges_, {});
   return out;
 }
 

@@ -150,7 +150,8 @@ class MetricRegistry {
   // One export's readings: every collector run once, the owned
   // instruments merged in, counters and gauges each sorted by name.
   MetricSink snapshot() const;
-  // Counters then gauges as (name, value), the names moved, not copied.
+  // Counters then gauges as (name, value), the names moved, not copied,
+  // and each run of `s` freed as soon as it has moved.
   static std::vector<std::pair<std::string, double>> flatten(MetricSink s);
 
   // std::less<> so value() finds a string_view without building a string.

@@ -237,7 +237,6 @@ class SinkFabric : public hw::Fabric {
   SinkFabric(sim::Engine& eng, std::size_t capacity) : ch{eng, capacity} {}
   void attach(hw::NodeId, hw::Nic& nic) override { nic.wire(this, &ch); }
   void stamp_route(hw::Packet&) const override {}
-  std::string name() const override { return "sink"; }
   int hops(hw::NodeId, hw::NodeId) const override { return 1; }
   std::vector<std::string> links_of(hw::NodeId) const override { return {}; }
 
@@ -674,6 +673,45 @@ TEST(TxSessionUnit, FreshSessionAllocatesNothing) {
     EXPECT_EQ(bytes, 0u) << "handshake " << handshake;
     EXPECT_EQ(established, !handshake);
   }
+}
+
+// Once its window drains and its RTO timer has ended, a session holds no
+// more heap than before its first send: the retransmit ring goes back with
+// the last ack.
+TEST(TxSessionUnit, DrainedSessionHoldsNoRing) {
+  SessionRig rig{64};
+  rig.cost.rto = Time::us(100);
+  rig.cost.adaptive_rto = false;
+  rig.cost.rto_backoff_jitter = 0.0;
+  rig.eng.spawn_daemon([](SinkFabric& fab) -> Task<void> {
+    for (;;) (void)co_await fab.ch.recv();
+  }(rig.fab));
+  // Four packets, then one cumulative ack for all of them; the run ends
+  // when the timer wakes to an empty window.
+  const auto burst = [&rig](bcl::TxSession& s) {
+    rig.eng.spawn([](sim::Engine& eng, bcl::TxSession& s) -> Task<void> {
+      for (int i = 0; i < 4; ++i) {
+        hw::Packet p;
+        p.dst_node = 1;
+        EXPECT_EQ(co_await s.send(std::move(p)), BclErr::kOk);
+      }
+      co_await eng.sleep(Time::us(20));
+      s.on_ack(s.last_seq());
+    }(rig.eng, s));
+    rig.eng.run();
+    EXPECT_EQ(s.in_flight(), 0u);
+    EXPECT_EQ(s.retransmissions(), 0u);
+  };
+  {
+    // The same burst on another session first, so the engine's event heap
+    // and the sink's ring are already as large as this burst needs.
+    bcl::TxSession warm = rig.session(1);
+    burst(warm);
+  }
+  const std::size_t before = heap_counter::live;
+  bcl::TxSession s = rig.session(1);
+  burst(s);
+  EXPECT_EQ(heap_counter::live, before);
 }
 
 // ---------------------------------------------------------------------------

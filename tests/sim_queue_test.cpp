@@ -97,6 +97,29 @@ TEST(Fifo, IdleRingAllocatesNothingAndPopDestroysInPlace) {
   EXPECT_EQ(Tracked::live, 0);
 }
 
+// A queue that sits idle between bursts gives its drained ring back, and
+// the next push grows a fresh one.
+TEST(Fifo, ReleaseIfEmptyFreesADrainedRing) {
+  Fifo<Tracked> q;
+  const std::size_t idle = heap_counter::live;
+  for (const char* v : {"a", "b", "c"}) q.push_back(Tracked{v});
+  q.release_if_empty();  // holds three: keeps its ring
+  ASSERT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.front().v, "a");
+  EXPECT_EQ(q.back().v, "c");
+  while (!q.empty()) q.pop_front();
+  EXPECT_GT(heap_counter::live, idle);  // clear() and pops keep the ring
+  q.release_if_empty();
+  EXPECT_EQ(heap_counter::live, idle);
+  EXPECT_EQ(Tracked::live, 0);
+  for (const char* v : {"d", "e", "f"}) q.push_back(Tracked{v});
+  q.pop_front();
+  q.push_back(Tracked{"g"});
+  std::vector<std::string> got;
+  for (const Tracked& t : q) got.push_back(t.v);
+  EXPECT_EQ(got, (std::vector<std::string>{"e", "f", "g"}));
+}
+
 // Receivers queue up while try_send feeds them and more receivers arrive;
 // close() then fails the rest.  The k-th value goes to the k-th receiver
 // to arrive, and the leftovers see ChannelClosed in arrival order.
