@@ -26,14 +26,15 @@ Device::Device(sim::Engine& eng, bcl::Endpoint& ep, const DeviceConfig& cfg)
       ep_{ep},
       cfg_{cfg},
       slot_bytes_{ep.port().system().slot_bytes},
-      staging_free_{eng, static_cast<std::size_t>(cfg.staging_buffers)},
+      staging_permits_{eng, cfg.staging_buffers},
       free_channels_{eng, ep.port().normal_count()} {
   if (slot_bytes_ <= kEnvelopeBytes) {
     throw std::invalid_argument("system slot smaller than the envelope");
   }
+  staging_free_.reserve(static_cast<std::size_t>(cfg_.staging_buffers));
   for (int i = 0; i < cfg_.staging_buffers; ++i) {
     staging_.push_back(ep_.process().alloc(slot_bytes_));
-    (void)staging_free_.try_send(i);
+    staging_free_.push_back(cfg_.staging_buffers - 1 - i);  // slot 0 on top
   }
   for (std::uint16_t c = 0; c < ep_.port().normal_count(); ++c) {
     (void)free_channels_.try_send(c);
@@ -115,7 +116,9 @@ sim::Task<void> Device::land(PostedRecv& p, std::size_t offset,
 sim::Task<void> Device::send_envelope(bcl::PortId dst, const Envelope& env,
                                       std::span<const std::byte> payload) {
   auto& proc = ep_.process();
-  const int slot = co_await staging_free_.recv();
+  co_await staging_permits_.acquire();
+  const int slot = staging_free_.back();
+  staging_free_.pop_back();
   const std::size_t total = kEnvelopeBytes + payload.size();
   co_await proc.cpu().busy(cfg_.pack_setup +
                            sim::Time::bytes_at(total, cfg_.pack_bw));
@@ -132,7 +135,7 @@ sim::Task<void> Device::send_envelope(bcl::PortId dst, const Envelope& env,
   if (!r.ok()) {
     // Failed sends never get a completion event, so the slot must go back
     // here or it leaks from the fixed staging pool.
-    (void)staging_free_.try_send(slot);
+    release_staging(slot);
     if (r.err == bcl::BclErr::kWouldBlock) {
       // Credit deadline expired: the receiver is overloaded, not gone.
       throw std::runtime_error(
@@ -143,12 +146,17 @@ sim::Task<void> Device::send_envelope(bcl::PortId dst, const Envelope& env,
   staging_by_msg_[r.value] = slot;
 }
 
+void Device::release_staging(int slot) {
+  staging_free_.push_back(slot);
+  staging_permits_.release();
+}
+
 sim::Task<void> Device::drain_send_events() {
   for (;;) {
     const bcl::SendEvent ev = co_await ep_.wait_send();
     if (const auto it = staging_by_msg_.find(ev.msg_id);
         it != staging_by_msg_.end()) {
-      (void)staging_free_.try_send(it->second);
+      release_staging(it->second);
       staging_by_msg_.erase(it);
     } else if (const auto last = last_chunks_.find(ev.msg_id);
                last != last_chunks_.end()) {

@@ -173,6 +173,8 @@ class Device {
   sim::Task<void> grant_chunk(RecvRendezvous& rr, std::uint16_t channel);
   sim::Task<void> send_envelope(bcl::PortId dst, const Envelope& env,
                                 std::span<const std::byte> payload);
+  // Puts `slot` on top of the free stack: the next send takes it.
+  void release_staging(int slot);
 
   static void encode(const Envelope& env, std::span<std::byte> out);
   static Envelope decode(std::span<const std::byte> in);
@@ -182,7 +184,13 @@ class Device {
   DeviceConfig cfg_;
   std::size_t slot_bytes_;  // one system-channel message, envelope included
 
-  sim::Channel<int> staging_free_;
+  // Free staging slots, a stack: a send takes the most recently freed
+  // buffer, whose page the pin-down table still holds, so a warm send
+  // skips the page pin and the pool touches only the buffers it needs.
+  // The semaphore holds one permit per free slot, so a send blocks while
+  // the pool is empty.
+  std::vector<int> staging_free_;
+  sim::Semaphore staging_permits_;
   std::vector<osk::UserBuffer> staging_;
   std::map<std::uint64_t, int> staging_by_msg_;
 

@@ -1,10 +1,11 @@
 // Tests for the EADI-2 device layer: eager/rendezvous selection, matching
 // with wildcards, unexpected messages, truncation, many-message streams,
-// and page-sized inter-node messages sent eagerly as a head plus a
-// continuation.
+// page-sized inter-node messages sent eagerly as a head plus a
+// continuation, and the order in which the staging pool hands out buffers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -645,6 +646,96 @@ TEST(EadiPageSized, ReceiverTakesNoTrap) {
   EXPECT_TRUE(done);
   EXPECT_EQ(traps(w, 1) - rx_before, 0.0);
   EXPECT_EQ(traps(w, 0) - tx_before, 2.0);
+}
+
+// ---------------------------------------------------------------------------
+// The staging pool.  An eager send copies envelope and payload into one of
+// the device's staging buffers and sends from there; the pool hands out
+// the most recently freed buffer, whose page the pin-down table already
+// holds, so a warm send takes no page pin.
+// ---------------------------------------------------------------------------
+
+double pin_misses(World& w, int node) {
+  return w.cluster()
+      .metrics()
+      .value("node" + std::to_string(node) + ".osk.pin_misses")
+      .value();
+}
+
+// A ping-pong returns each send's buffer before the next send starts, so
+// all 16 sends go from one buffer and only the first pins its page.
+TEST(EadiStaging, SequentialEagerSendsReuseOneBuffer) {
+  World w{two_rank_cfg(), 2};
+  constexpr int kRounds = 16;
+  const std::size_t pool = w.device(0).debug_counts().staging_free;
+  ASSERT_EQ(pool, 8u);
+  double before = 0;
+  int rounds = 0;
+  w.engine().spawn([](World& w, std::size_t pool, double& before,
+                      int& rounds) -> Task<void> {
+    Device& d = w.device(0);
+    auto buf = d.process().alloc(512);
+    before = pin_misses(w, 0);
+    for (int i = 0; i < kRounds; ++i) {
+      EXPECT_EQ(d.debug_counts().staging_free, pool);  // all back
+      d.process().fill_pattern(buf, static_cast<unsigned>(i));
+      co_await d.send(w.device(1).id(), 0, /*tag=*/1, buf, 512);
+      auto r = co_await d.recv(0, /*tag=*/2, w.device(1).id(), buf);
+      EXPECT_EQ(r.len, 512u);
+      if (d.process().check_pattern(buf, static_cast<unsigned>(i) + 100)) {
+        ++rounds;
+      }
+    }
+  }(w, pool, before, rounds));
+  w.engine().spawn([](Device& d, bcl::PortId peer) -> Task<void> {
+    auto buf = d.process().alloc(512);
+    for (int i = 0; i < kRounds; ++i) {
+      auto r = co_await d.recv(0, /*tag=*/1, peer, buf);
+      EXPECT_EQ(r.len, 512u);
+      EXPECT_TRUE(d.process().check_pattern(buf, static_cast<unsigned>(i)));
+      d.process().fill_pattern(buf, static_cast<unsigned>(i) + 100);
+      co_await d.send(peer, 0, /*tag=*/2, buf, 512);
+    }
+  }(w.device(1), w.device(0).id()));
+  w.engine().run();
+  EXPECT_EQ(rounds, kRounds);
+  EXPECT_EQ(pin_misses(w, 0) - before, 1.0);
+  EXPECT_EQ(w.device(0).debug_counts().staging_free, pool);
+}
+
+// A send the driver refuses gets no completion event, so the device puts
+// its buffer back at once; the next good send takes that same warm buffer.
+TEST(EadiStaging, FailedSendReturnsItsBuffer) {
+  World w{two_rank_cfg(), 2};
+  bool threw = false;
+  std::uint64_t pinned_before = 0;
+  osk::PinDownTable& pins = w.cluster().node(0).kernel().pindown();
+  w.engine().spawn([](sim::Engine& e, Device& d, bcl::PortId dst,
+                      osk::PinDownTable& pins, bool& threw,
+                      std::uint64_t& pinned_before) -> Task<void> {
+    auto buf = d.process().alloc(512);
+    co_await d.send(dst, 0, 1, buf, 512);
+    co_await e.sleep(Time::us(100));  // its buffer is back by now
+    pinned_before = pins.pages_pinned_total();
+    try {
+      // Node 1 has no port 99: the driver refuses the target.
+      co_await d.send(bcl::PortId{dst.node, 99}, 0, 1, buf, 512);
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+    EXPECT_EQ(d.debug_counts().staging_free, 8u);
+    co_await d.send(dst, 0, 1, buf, 512);
+  }(w.engine(), w.device(0), w.device(1).id(), pins, threw, pinned_before));
+  w.engine().spawn([](Device& d) -> Task<void> {
+    auto buf = d.process().alloc(512);
+    for (int i = 0; i < 2; ++i) {
+      (void)co_await d.recv(0, 1, bcl::PortId{kAnyNode, 0}, buf);
+    }
+  }(w.device(1)));
+  w.engine().run();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(pins.pages_pinned_total(), pinned_before);
+  EXPECT_EQ(w.device(0).debug_counts().staging_free, 8u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bcl/bcl.hpp"
+#include "bcl/coll/engine.hpp"
 
 namespace {
 
@@ -216,6 +217,105 @@ TEST(Security, IntraNodeBadBufferRejectedAtUserLevel) {
   }(a, b.id()));
   c.engine().run();
   EXPECT_EQ(b.port().messages_received(), 0u);
+}
+
+// The paper (4.4) names the application process ID among the parameters
+// the kernel checks.  A second process on node 0 hands the driver the
+// first process's port on every ioctl that takes one: each is refused with
+// kBadPid, counted as a rejection, and leaves the port, the NIC and the
+// pin-down table as they were.
+TEST(Security, IoctlsOnAnotherProcessesPortRefused) {
+  BclCluster c{two_nodes()};
+  auto& victim = c.open_endpoint(0);
+  auto& attacker = c.open_endpoint(0);  // same node, different process
+  auto& peer = c.open_endpoint(1);
+  bcl::Driver& driver = c.node(0).driver();
+  const std::uint64_t rejects_before = driver.security_rejects();
+  const std::size_t pinned_before = c.node(0).kernel().pindown().pinned_pages();
+  c.engine().spawn([](bcl::Driver& driver, Endpoint& victim,
+                      Endpoint& attacker, PortId peer) -> Task<void> {
+    osk::Process& me = attacker.process();
+    bcl::Port& theirs = victim.port();
+    auto buf = me.alloc(4096);
+    bcl::SendArgs send;
+    send.dst = peer;
+    send.vaddr = buf.vaddr;
+    send.len = 64;
+    EXPECT_EQ((co_await driver.ioctl_send(me, theirs, send)).err,
+              BclErr::kBadPid);
+    EXPECT_EQ(co_await driver.ioctl_post_recv(me, theirs, 0, buf),
+              BclErr::kBadPid);
+    EXPECT_EQ(co_await driver.ioctl_bind_open(me, theirs, 0, buf),
+              BclErr::kBadPid);
+    bcl::RegisterGroupArgs reg;
+    reg.group_id = 5;
+    reg.members = {victim.id(), peer};
+    reg.my_index = 0;
+    reg.result_buf = buf;
+    EXPECT_EQ(co_await driver.ioctl_register_group(me, theirs, reg),
+              BclErr::kBadPid);
+    bcl::CollPostArgs post;
+    post.group_id = 5;
+    EXPECT_EQ((co_await driver.ioctl_coll_post(me, theirs, post)).err,
+              BclErr::kBadPid);
+  }(driver, victim, attacker, peer.id()));
+  c.engine().run();
+  EXPECT_EQ(driver.security_rejects() - rejects_before, 5u);
+  const bcl::Port& port = victim.port();
+  EXPECT_FALSE(port.normal(0).posted);
+  EXPECT_FALSE(port.open(0).bound);
+  EXPECT_EQ(port.messages_sent(), 0u);
+  EXPECT_EQ(c.metrics().value("node0.driver.sends"), 0.0);
+  EXPECT_EQ(peer.port().messages_received(), 0u);
+  EXPECT_EQ(c.node(0).mcp().coll().group_count(), 0u);
+  EXPECT_EQ(c.node(0).kernel().pindown().pinned_pages(), pinned_before);
+}
+
+// The caller owns the port it passes, but the group member slot the call
+// rests on is another port's: registering as another member, or posting
+// to a group this port is not a member of, is refused with kBadPid.
+TEST(Security, GroupCallsMustComeFromTheMembersOwnPort) {
+  BclCluster c{two_nodes()};
+  auto& member = c.open_endpoint(0);
+  auto& outsider = c.open_endpoint(0);
+  auto& peer = c.open_endpoint(1);
+  bcl::Driver& driver = c.node(0).driver();
+  std::uint64_t rejects_before = 0;
+  c.engine().spawn([](bcl::Driver& driver, Endpoint& member,
+                      Endpoint& outsider, PortId peer,
+                      std::uint64_t& rejects_before) -> Task<void> {
+    bcl::RegisterGroupArgs reg;
+    reg.group_id = 5;
+    reg.members = {member.id(), peer};
+    reg.my_index = 0;
+    reg.result_buf = member.process().alloc(64);
+    EXPECT_EQ(co_await driver.ioctl_register_group(member.process(),
+                                                   member.port(), reg),
+              BclErr::kOk);
+    rejects_before = driver.security_rejects();
+    // my_index names the peer's port, not the outsider's own.
+    bcl::RegisterGroupArgs as_peer;
+    as_peer.group_id = 6;
+    as_peer.members = {outsider.id(), peer};
+    as_peer.my_index = 1;
+    as_peer.result_buf = outsider.process().alloc(64);
+    EXPECT_EQ(co_await driver.ioctl_register_group(outsider.process(),
+                                                   outsider.port(), as_peer),
+              BclErr::kBadPid);
+    // Group 5 is registered on this NIC, but for the member's port.
+    bcl::CollPostArgs post;
+    post.group_id = 5;
+    EXPECT_EQ((co_await driver.ioctl_coll_post(outsider.process(),
+                                               outsider.port(), post))
+                  .err,
+              BclErr::kBadPid);
+  }(driver, member, outsider, peer.id(), rejects_before));
+  c.engine().run_until(Time::ms(1));
+  EXPECT_EQ(driver.security_rejects() - rejects_before, 2u);
+  auto& coll = c.node(0).mcp().coll();
+  EXPECT_EQ(coll.group_count(), 1u);
+  EXPECT_EQ(coll.find_group(6), nullptr);
+  EXPECT_EQ(c.node(0).mcp().recorder().count(bcl::NicEvent::kCollPost), 0u);
 }
 
 TEST(Security, TryRecvPollsWithoutBlocking) {
