@@ -58,6 +58,8 @@ Mcp::Mcp(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
       m_dma_rx_bytes_{metrics.counter(nic.name() + ".mcp.dma_rx_bytes")},
       m_tx_descriptors_{metrics.counter(nic.name() + ".mcp.tx_descriptors")} {
   metrics.add_collector([this](sim::MetricSink& out) { collect(out); });
+  metrics.add_peer_collector(
+      [this](sim::MetricSink& out) { collect_peers(out); });
   coll_ = std::make_unique<coll::CollectiveEngine>(eng, nic, *this, cfg,
                                                    trace, metrics);
   eng_.spawn_daemon(tx_pump());
@@ -82,13 +84,18 @@ void Mcp::collect(sim::MetricSink& out) {
   out.gauge(rel + "sessions", static_cast<double>(tx_sessions_.size()));
   out.gauge(rel + "unreachable_peers",
             static_cast<double>(unreachable_peers()));
-  // Per-peer estimator series for every peer that ever had a session.
-  // They read the CURRENT session, so a session replaced after a peer
-  // restart never leaves them on its graveyarded predecessor; a peer with
-  // no live session reads zero.
+  out.gauge(prefix_ + "path.quarantined",
+            static_cast<double>(path_table_->quarantined_count()));
+}
+
+void Mcp::collect_peers(sim::MetricSink& out) {
+  // Estimator series for every peer that ever had a session.  They read
+  // the CURRENT session, so a session replaced after a peer restart never
+  // leaves them on its graveyarded predecessor; a peer with no live
+  // session reads zero.
   for (const hw::NodeId dst : session_peers_) {
     const TxSession* s = find_tx_session(dst);
-    const std::string p = rel + "peer" + std::to_string(dst) + ".";
+    const std::string p = prefix_ + "rel.peer" + std::to_string(dst) + ".";
     out.gauge(p + "srtt_us", s != nullptr ? s->srtt().to_us() : 0.0);
     out.gauge(p + "rto_us", s != nullptr ? s->rto().to_us() : 0.0);
     out.gauge(p + "backoff", s != nullptr ? s->backoff_level() : 0);
@@ -100,8 +107,6 @@ void Mcp::collect(sim::MetricSink& out) {
                 s != nullptr ? s->fast_retransmits() : 0);
     out.counter(p + "rtt_samples", s != nullptr ? s->rtt_samples() : 0);
   }
-  out.gauge(prefix_ + "path.quarantined",
-            static_cast<double>(path_table_->quarantined_count()));
 }
 
 Mcp::~Mcp() = default;
@@ -269,15 +274,15 @@ bool Mcp::fence_incarnation(const hw::Packet& p) {
     }
     return false;
   }
-  auto [it, inserted] = peer_incarnation_.try_emplace(p.src_node, 0u);
-  if (p.src_incarnation < it->second) {
+  const std::uint32_t newest = peer_inc(p.src_node);
+  if (p.src_incarnation < newest) {
     // Old-epoch straggler: fenced before its pre-crash sequence number
     // can alias the fresh session's space.
     recorder_.add(NicEvent::kStaleIncDrop);
     return false;
   }
-  if (p.src_incarnation > it->second) {
-    it->second = p.src_incarnation;
+  if (p.src_incarnation > newest) {
+    peer_incarnation_[p.src_node] = p.src_incarnation;
     handle_peer_restart(p.src_node);
   }
   return true;
@@ -285,7 +290,7 @@ bool Mcp::fence_incarnation(const hw::Packet& p) {
 
 void Mcp::handle_peer_restart(hw::NodeId src) {
   recorder_.record({eng_.now(), NicEvent::kPeerRestart, src, 0, 0,
-                    peer_incarnation_[src]});
+                    peer_inc(src)});
   teardown_session(src, BclErr::kPeerRestarted);
   rx_sessions_.erase(src);
   cc_->forget(src);

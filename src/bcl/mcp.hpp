@@ -213,9 +213,12 @@ class Mcp : private SessionOwner {
   // every local port's send-event queue, and start the bounded revival
   // prober that can later rescind the verdict.
   sim::Task<void> announce_peer_failure(hw::NodeId dst);
-  // The NIC's collector: every NIC event that has a series (recorder.hpp),
-  // the NIC-wide gauges and the per-peer <nic>.rel.peer<d>.* series.
+  // The NIC's collector: every NIC event that has a series (recorder.hpp)
+  // and the NIC-wide gauges.
   void collect(sim::MetricSink& out);
+  // Its per-peer collector: the <nic>.rel.peer<d>.* series, seven for every
+  // peer that ever had a session.
+  void collect_peers(sim::MetricSink& out);
   // Sums one per-session reading over the live sessions.
   template <typename T>
   std::uint64_t sum_sessions(T (TxSession::*read)() const) const;
@@ -296,9 +299,10 @@ class Mcp : private SessionOwner {
   std::unique_ptr<PathTable> path_table_;
   // -- crash–restart state -----------------------------------------------------
   bool crashed_ = false;
-  // Newest boot epoch seen from (and believed current for) each peer:
-  // compared against inbound src_incarnation, stamped into outbound
-  // dst_incarnation.
+  // Newest boot epoch seen from (and believed current for) each peer that
+  // has restarted: compared against inbound src_incarnation, stamped into
+  // outbound dst_incarnation.  A peer heard only in its first boot has no
+  // entry; peer_inc() reads it as epoch 0.
   std::map<hw::NodeId, std::uint32_t> peer_incarnation_;
   // Torn-down sessions are parked here, never destroyed mid-run: their
   // timer/rnr daemons may be asleep holding `this` and must wake on a live

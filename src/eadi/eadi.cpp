@@ -209,19 +209,28 @@ sim::Task<void> Device::send(bcl::PortId dst, std::int32_t context,
   rts.tag = tag;
   rts.len = len;
   rts.xid = xid;
-  co_await send_envelope(dst, rts, {});
-  std::size_t sent = 0;
   std::uint64_t last_msg = 0;
-  while (sent < len) {
-    const Envelope cts = co_await txr.cts->recv();
-    const std::size_t chunk =
-        std::min<std::size_t>(cfg_.rendezvous_chunk, len - cts.offset);
-    auto r = co_await ep_.send(
-        dst, bcl::ChannelRef{bcl::ChanKind::kNormal, cts.channel}, buf,
-        chunk, static_cast<std::size_t>(cts.offset));
-    if (!r.ok()) throw std::runtime_error("eadi: rendezvous data send failed");
-    sent = static_cast<std::size_t>(cts.offset) + chunk;
-    last_msg = r.value;
+  try {
+    co_await send_envelope(dst, rts, {});
+    std::size_t sent = 0;
+    while (sent < len) {
+      const Envelope cts = co_await txr.cts->recv();
+      const std::size_t chunk =
+          std::min<std::size_t>(cfg_.rendezvous_chunk, len - cts.offset);
+      auto r = co_await ep_.send(
+          dst, bcl::ChannelRef{bcl::ChanKind::kNormal, cts.channel}, buf,
+          chunk, static_cast<std::size_t>(cts.offset));
+      if (!r.ok()) {
+        throw std::runtime_error("eadi: rendezvous data send failed");
+      }
+      sent = static_cast<std::size_t>(cts.offset) + chunk;
+      last_msg = r.value;
+    }
+  } catch (...) {
+    // A refused RTS or chunk ends the exchange: the receiver grants no
+    // further chunk, so nothing will look the entry up again.
+    tx_rendezvous_.erase(xid);
+    throw;
   }
   tx_rendezvous_.erase(xid);
   if (local) co_return;  // the shared-memory copy is done when send returns

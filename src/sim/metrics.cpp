@@ -114,7 +114,7 @@ std::optional<double> MetricRegistry::value(std::string_view name) const {
     return it->second->value();
   }
   MetricSink sink;
-  for (const auto& fn : collectors_) fn(sink);
+  collect(sink, Reach::kNamed);
   for (const auto& [n, v] : sink.counters_) {
     if (n == name) return static_cast<double>(v);
   }
@@ -128,9 +128,21 @@ void MetricRegistry::add_collector(std::function<void(MetricSink&)> fn) {
   collectors_.push_back(std::move(fn));
 }
 
-MetricSink MetricRegistry::snapshot() const {
-  MetricSink sink;
+void MetricRegistry::add_peer_collector(
+    std::function<void(MetricSink&)> fn) {
+  peer_collectors_.push_back(std::move(fn));
+}
+
+void MetricRegistry::collect(MetricSink& sink, Reach reach) const {
   for (const auto& fn : collectors_) fn(sink);
+  if (reach == Reach::kNamed) {
+    for (const auto& fn : peer_collectors_) fn(sink);
+  }
+}
+
+MetricSink MetricRegistry::snapshot(Reach reach) const {
+  MetricSink sink;
+  collect(sink, reach);
   append_instruments(sink.counters_, counters_);
   append_instruments(sink.gauges_, gauges_);
   sort_by_name(sink.counters_);
@@ -157,12 +169,12 @@ std::vector<std::pair<std::string, double>> MetricRegistry::flatten(
 
 std::vector<std::pair<std::string, std::uint64_t>>
 MetricRegistry::counter_values() const {
-  return snapshot().counters_;
+  return snapshot(Reach::kFlat).counters_;
 }
 
 std::vector<std::pair<std::string, double>> MetricRegistry::gauge_values()
     const {
-  return snapshot().gauges_;
+  return snapshot(Reach::kFlat).gauges_;
 }
 
 void MetricRegistry::reset() {
@@ -174,11 +186,11 @@ void MetricRegistry::reset() {
 
 std::vector<std::pair<std::string, double>> MetricRegistry::scalar_values()
     const {
-  return flatten(snapshot());
+  return flatten(snapshot(Reach::kFlat));
 }
 
 std::string MetricRegistry::to_json() const {
-  const MetricSink values = snapshot();
+  const MetricSink values = snapshot(Reach::kNamed);
   std::string out = "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, v] : values.counters_) {
@@ -227,7 +239,7 @@ std::string MetricRegistry::to_json() const {
 }
 
 std::string MetricRegistry::to_prometheus() const {
-  const MetricSink values = snapshot();
+  const MetricSink values = snapshot(Reach::kNamed);
   std::string out;
   for (const auto& [name, v] : values.counters_) {
     const std::string p = prom_name(name);
@@ -267,7 +279,7 @@ void Sampler::start(Time period) {
 }
 
 void Sampler::tick() {
-  MetricSink values = reg_.snapshot();
+  MetricSink values = reg_.snapshot(MetricRegistry::Reach::kNamed);
   if (trace_ != nullptr && trace_->enabled()) {
     for (const auto& [name, v] : values.gauges_) {
       trace_->counter(name, "value", v);

@@ -17,6 +17,17 @@
 // name exists only while an export builds it.  Each export runs every
 // collector once.
 //
+// Detail whose size grows with the peers a layer talks to (the MCP's
+// seven <nic>.rel.peer<N>.* series for every peer that ever had a
+// go-back-N session, O(N^2) names over a cluster) comes from a per-peer
+// collector.  The exports that show series by name run it too: to_json(),
+// to_prometheus(), every Sampler tick (its CSV row and its trace
+// counters) and value(name).  The flat lists (counter_values(),
+// gauge_values(), scalar_values()) do not: their callers sum or count
+// over them and read no per-peer series, and on a 64-node mesh the
+// per-peer names would be most of the list and the largest block of heap
+// a read builds.  Their length does not grow with the number of sessions.
+//
 // The Sampler is a daemon coroutine that snapshots every counter and
 // gauge on a fixed period into an in-memory time series (exported as
 // CSV) and, when a Trace is attached, emits Perfetto counter-track
@@ -103,8 +114,8 @@ class MetricRegistry {
   Histogram& histogram(const std::string& name);
 
   // The reading of counter or gauge series `name`, owned or collected
-  // (running every collector once), or nothing when no series has that
-  // name.  Creates nothing.
+  // (running every collector and every per-peer collector once), or
+  // nothing when no series has that name.  Creates nothing.
   std::optional<double> value(std::string_view name) const;
 
   // One collector per layer instance: it writes every series the layer
@@ -113,6 +124,10 @@ class MetricRegistry {
   // owned instruments in name order; a collector must therefore only
   // read, and its names must not collide with any other series.
   void add_collector(std::function<void(MetricSink&)> fn);
+  // A collector of per-peer detail, under the same rules.  Only the exports
+  // by name run it (to_json, to_prometheus, Sampler ticks, value); the flat
+  // lists below never do.
+  void add_peer_collector(std::function<void(MetricSink&)> fn);
 
   // Zeroes every owned instrument and distribution; collectors are left
   // alone (their source of truth lives in the layer).  Used by benches to
@@ -120,8 +135,9 @@ class MetricRegistry {
   void reset();
 
   // -- introspection (sorted by name) -----------------------------------------
-  // Every counter / gauge reading, instruments and collector series alike.
-  // Each call, like each export below, runs every collector once.
+  // Every counter / gauge reading, instruments and collector series alike,
+  // without the per-peer collectors' series.  Each call, like each export
+  // below, runs every collector once.
   std::vector<std::pair<std::string, std::uint64_t>> counter_values() const;
   std::vector<std::pair<std::string, double>> gauge_values() const;
   const std::map<std::string, std::unique_ptr<Summary>>& summaries() const {
@@ -137,6 +153,7 @@ class MetricRegistry {
   std::vector<std::pair<std::string, double>> scalar_values() const;
 
   // -- exporters ---------------------------------------------------------------
+  // Both carry every series, the per-peer collectors' included.
   // {"counters":{...},"gauges":{...},"summaries":{...},"histograms":{...}}
   std::string to_json() const;
   // Prometheus text exposition: names sanitized to [a-zA-Z0-9_:], "bcl_"
@@ -147,9 +164,15 @@ class MetricRegistry {
  private:
   friend class Sampler;
 
-  // One export's readings: every collector run once, the owned
-  // instruments merged in, counters and gauges each sorted by name.
-  MetricSink snapshot() const;
+  // Which collectors one read runs: a flat list the collectors, an export
+  // by name the per-peer collectors as well.
+  enum class Reach { kFlat, kNamed };
+
+  // Runs the collectors `reach` covers into `sink`, each once.
+  void collect(MetricSink& sink, Reach reach) const;
+  // One read's readings: its collectors run once, the owned instruments
+  // merged in, counters and gauges each sorted by name.
+  MetricSink snapshot(Reach reach) const;
   // Counters then gauges as (name, value), the names moved, not copied,
   // and each run of `s` freed as soon as it has moved.
   static std::vector<std::pair<std::string, double>> flatten(MetricSink s);
@@ -160,12 +183,14 @@ class MetricRegistry {
   std::map<std::string, std::unique_ptr<Summary>> summaries_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::vector<std::function<void(MetricSink&)>> collectors_;
+  std::vector<std::function<void(MetricSink&)>> peer_collectors_;
 };
 
 // Periodic snapshot daemon.  start() spawns the loop; each tick records
-// every counter and gauge value.  The loop exits on stop() or when the
-// engine's non-daemon tasks have all finished (checked after each sleep),
-// so it never keeps Engine::run() alive on its own.
+// every counter and gauge value, per-peer series included.  The loop exits
+// on stop() or when the engine's non-daemon tasks have all finished
+// (checked after each sleep), so it never keeps Engine::run() alive on its
+// own.
 class Sampler {
  public:
   Sampler(Engine& eng, MetricRegistry& reg) : eng_{eng}, reg_{reg} {}

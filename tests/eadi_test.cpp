@@ -1,7 +1,8 @@
 // Tests for the EADI-2 device layer: eager/rendezvous selection, matching
 // with wildcards, unexpected messages, truncation, many-message streams,
 // page-sized inter-node messages sent eagerly as a head plus a
-// continuation, and the order in which the staging pool hands out buffers.
+// continuation, a refused rendezvous, and the order in which the staging
+// pool hands out buffers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -231,6 +232,36 @@ TEST(Eadi, IntraNodeEagerAndRendezvous) {
   w.engine().run();
   EXPECT_TRUE(small_ok);
   EXPECT_TRUE(big_ok);
+}
+
+// A rendezvous whose RTS the driver refuses throws out of send and leaves
+// no rendezvous entry behind; the next rendezvous to a real port goes
+// through.
+TEST(Eadi, FailedRendezvousSendLeavesNoEntry) {
+  World w{two_rank_cfg(), 2};
+  bool threw = false;
+  bool ok = false;
+  w.engine().spawn([](Device& d, bcl::PortId dst, bool& threw) -> Task<void> {
+    auto buf = d.process().alloc(100'000);
+    d.process().fill_pattern(buf, 4);
+    try {
+      // Node 1 has no port 99: the driver refuses the RTS.
+      co_await d.send(bcl::PortId{dst.node, 99}, 0, 1, buf, 100'000);
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+    EXPECT_EQ(d.debug_counts().tx_rendezvous, 0u);
+    co_await d.send(dst, 0, 1, buf, 100'000);
+  }(w.device(0), w.device(1).id(), threw));
+  w.engine().spawn([](Device& d, bool& ok) -> Task<void> {
+    auto buf = d.process().alloc(100'000);
+    (void)co_await d.recv(0, 1, bcl::PortId{kAnyNode, 0}, buf);
+    ok = d.process().check_pattern(buf, 4);
+  }(w.device(1), ok));
+  w.engine().run();
+  EXPECT_TRUE(threw);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(w.device(0).debug_counts().tx_rendezvous, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@
 // answered after its node comes back, and when a link heals after the
 // verdict without any reboot; a credit update parked across a restart must
 // not touch the erased ledger; a crash fails the descriptors still queued
-// in the request ring exactly once.
+// in the request ring exactly once; a straggler from a peer's previous
+// boot is dropped at the fence and counted once.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -221,6 +222,49 @@ TEST(Recovery, CrashRestartSurfacesExactlyOnceAndReestablishes) {
   EXPECT_GT(c.node(1).mcp().recorder().count(bcl::NicEvent::kStaleIncDrop), 0u);
   // Neither side ever concluded "unreachable": the restart path healed it.
   EXPECT_EQ(c.node(0).mcp().recorder().count(bcl::NicEvent::kPeerFailure), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// An old-epoch straggler: a packet node 1 sent in its first boot reaches
+// node 0 after node 0 has heard from node 1's second boot.  The fence drops
+// it before any state sees it and counts it once in
+// <nic>.rel.stale_inc_drops; the new epoch's packets still pass.
+// ---------------------------------------------------------------------------
+TEST(Recovery, OldEpochStragglerIsDroppedAndCountedOnce) {
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.node.mem_bytes = 8u << 20;
+  bcl::BclCluster c{cfg};
+  (void)c.open_endpoint(0);
+  // An ack from node 1 in boot epoch `epoch`, for a session node 0 does not
+  // have: past the fence it counts as a stray ack and changes nothing else.
+  const auto ack_from_node1 = [&c](std::uint32_t epoch) {
+    hw::Packet p;
+    p.proto = bcl::Mcp::kProto;
+    p.kind = hw::PacketKind::kAck;
+    p.src_node = 1;
+    p.dst_node = 0;
+    p.src_incarnation = epoch;
+    c.node(0).node().nic().deliver(std::move(p));
+    c.engine().run();
+  };
+  const auto count = [&c](bcl::NicEvent e) {
+    return c.node(0).mcp().recorder().count(e);
+  };
+  ack_from_node1(1);  // node 0 learns node 1's second boot
+  EXPECT_EQ(count(bcl::NicEvent::kPeerRestart), 1u);
+  EXPECT_EQ(count(bcl::NicEvent::kStrayAck), 1u);
+  EXPECT_EQ(c.metrics().value("node0.nic.rel.stale_inc_drops"), 0.0);
+
+  ack_from_node1(0);  // the first boot's straggler
+  EXPECT_EQ(c.metrics().value("node0.nic.rel.stale_inc_drops"), 1.0);
+  EXPECT_EQ(count(bcl::NicEvent::kStrayAck), 1u);  // it went no further
+  EXPECT_EQ(count(bcl::NicEvent::kPeerRestart), 1u);
+
+  ack_from_node1(1);
+  EXPECT_EQ(count(bcl::NicEvent::kStrayAck), 2u);
+  EXPECT_EQ(c.metrics().value("node0.nic.rel.stale_inc_drops"), 1.0);
+  EXPECT_EQ(count(bcl::NicEvent::kPeerRestart), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -220,13 +221,15 @@ TEST(MetricRegistry, ValueLooksUpWithoutCreating) {
 
 // Each export runs every collector once, however many kinds of series it
 // writes: scalar_values(), to_json() and one Sampler tick that also emits
-// trace counter events each collect one time.
+// trace counter events each collect one time.  A per-peer collector runs
+// once for each export by name and never for a flat list.
 TEST(MetricRegistry, EachExportRunsEveryCollectorOnce) {
   Engine eng;
   MetricRegistry reg;
   reg.counter("owned.c").inc();
   int runs_a = 0;
   int runs_b = 0;
+  int runs_peer = 0;
   reg.add_collector([&runs_a](sim::MetricSink& out) {
     ++runs_a;
     out.counter("a.c", 1);
@@ -236,18 +239,26 @@ TEST(MetricRegistry, EachExportRunsEveryCollectorOnce) {
     ++runs_b;
     out.gauge("b.g", 3.0);
   });
+  reg.add_peer_collector([&runs_peer](sim::MetricSink& out) {
+    ++runs_peer;
+    out.counter("p.peer1.c", 4);
+    out.gauge("p.peer1.g", 5.0);
+  });
   const auto runs = [&](const auto& export_once) {
     runs_a = 0;
     runs_b = 0;
+    runs_peer = 0;
     export_once();
-    return std::pair{runs_a, runs_b};
+    return std::tuple{runs_a, runs_b, runs_peer};
   };
-  const std::pair once{1, 1};
-  EXPECT_EQ(runs([&] { (void)reg.scalar_values(); }), once);
-  EXPECT_EQ(runs([&] { (void)reg.to_json(); }), once);
-  EXPECT_EQ(runs([&] { (void)reg.to_prometheus(); }), once);
-  EXPECT_EQ(runs([&] { (void)reg.counter_values(); }), once);
-  EXPECT_EQ(runs([&] { (void)reg.gauge_values(); }), once);
+  const std::tuple named{1, 1, 1};
+  const std::tuple flat{1, 1, 0};
+  EXPECT_EQ(runs([&] { (void)reg.scalar_values(); }), flat);
+  EXPECT_EQ(runs([&] { (void)reg.to_json(); }), named);
+  EXPECT_EQ(runs([&] { (void)reg.to_prometheus(); }), named);
+  EXPECT_EQ(runs([&] { (void)reg.counter_values(); }), flat);
+  EXPECT_EQ(runs([&] { (void)reg.gauge_values(); }), flat);
+  EXPECT_EQ(runs([&] { (void)reg.value("a.c"); }), named);
 
   sim::Trace tr{eng};
   tr.enable();
@@ -257,9 +268,9 @@ TEST(MetricRegistry, EachExportRunsEveryCollectorOnce) {
               sampler.start(Time::us(10));
               eng.run();  // no live task: exactly one tick
             }),
-            once);
+            named);
   EXPECT_EQ(sampler.samples(), 1u);
-  EXPECT_EQ(tr.counter_events().size(), 2u);  // a.g and b.g
+  EXPECT_EQ(tr.counter_events().size(), 3u);  // a.g, b.g and p.peer1.g
 }
 
 TEST(MetricRegistry, JsonExportIsValid) {
@@ -471,6 +482,63 @@ TEST(MetricRegistry, CollectorSeriesMergeAtSortedPositions) {
   EXPECT_EQ(events[2], (std::pair<std::string, double>{"m.g3", 1.5}));
   EXPECT_EQ(events[3], (std::pair<std::string, double>{"m.g1", -4.0}));
   EXPECT_EQ(events[8], (std::pair<std::string, double>{"m.g3", 4.0}));
+}
+
+// A per-peer collector's series show wherever series are shown by name:
+// in to_json, to_prometheus, a Sampler tick (its CSV row and its trace
+// counters) and value(name).  The flat lists that callers sum over carry
+// none of them.
+TEST(MetricRegistry, PerPeerSeriesStayOutOfTheFlatLists) {
+  Engine eng;
+  MetricRegistry reg;
+  reg.counter("n.c").inc(2);
+  reg.add_collector([](sim::MetricSink& out) { out.gauge("n.g", 0.5); });
+  reg.add_peer_collector([](sim::MetricSink& out) {
+    out.counter("n.peer1.c", 7);
+    out.gauge("n.peer1.g", 1.5);
+  });
+  using Counters = std::vector<std::pair<std::string, std::uint64_t>>;
+  using Scalars = std::vector<std::pair<std::string, double>>;
+  EXPECT_EQ(reg.counter_values(), (Counters{{"n.c", 2}}));
+  EXPECT_EQ(reg.gauge_values(), (Scalars{{"n.g", 0.5}}));
+  EXPECT_EQ(reg.scalar_values(), (Scalars{{"n.c", 2}, {"n.g", 0.5}}));
+
+  EXPECT_EQ(reg.value("n.peer1.c"), 7.0);
+  EXPECT_EQ(reg.value("n.peer1.g"), 1.5);
+  EXPECT_EQ(reg.value("n.g"), 0.5);
+  const std::string json = reg.to_json();
+  EXPECT_TRUE(JsonChecker{json}.valid()) << json;
+  EXPECT_NE(json.find("{\n    \"n.c\": 2,\n    \"n.peer1.c\": 7\n  }"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\n    \"n.g\": 0.5,\n    \"n.peer1.g\": 1.5\n  }"),
+            std::string::npos)
+      << json;
+  const std::string prom = reg.to_prometheus();
+  EXPECT_NE(prom.find("# TYPE bcl_n_peer1_c counter\nbcl_n_peer1_c 7\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("# TYPE bcl_n_peer1_g gauge\nbcl_n_peer1_g 1.5\n"),
+            std::string::npos)
+      << prom;
+
+  sim::Trace tr{eng};
+  tr.enable();
+  Sampler sampler{eng, reg};
+  sampler.set_trace(&tr);
+  sampler.start(Time::us(10));
+  eng.run();  // no live task: exactly one tick
+  ASSERT_EQ(sampler.samples(), 1u);
+  const std::string csv = sampler.to_csv();
+  EXPECT_EQ(csv_column(csv, "n.peer1.c"), (std::vector<std::string>{"7"}))
+      << csv;
+  EXPECT_EQ(csv_column(csv, "n.peer1.g"), (std::vector<std::string>{"1.5"}))
+      << csv;
+  std::vector<std::pair<std::string, double>> events;
+  for (const auto& ev : tr.counter_events()) {
+    events.emplace_back(ev.track, ev.value);
+  }
+  EXPECT_EQ(events, (Scalars{{"n.g", 0.5}, {"n.peer1.g", 1.5}}));
 }
 
 // ---------------------------------------------------------------------------
